@@ -47,6 +47,7 @@ from .propagate import (
     evolve_generalized,
     kraus_pair,
     pair_table,
+    propagate_linear,
 )
 from .qfi import (
     QfiResult,

@@ -30,7 +30,7 @@ import numpy as np
 from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
 from .models import SensorModel, _sigma
-from .propagate import TimeGrid, _guard
+from .propagate import TimeGrid, _batched_kron, _guard, propagate_linear
 
 __all__ = [
     "Imperfections",
@@ -190,17 +190,12 @@ def cascade_generators(sensor: SensorModel, dec=None,
 
 
 def _superops(m0, j, extra, eta, dt):
-    s1 = eta * dt * np.kron(j, j.conj())
-    s0 = np.kron(m0, m0.conj()) + (1.0 - eta) * dt * np.kron(j, j.conj())
+    """No-click / click superoperators of (n, D, D) operator stacks."""
+    jj = _batched_kron(j, j.conj())
+    s0 = _batched_kron(m0, m0.conj()) + (1.0 - eta) * dt * jj
     for l in extra:
-        s0 = s0 + dt * np.kron(l, l.conj())
-    return s0, s1
-
-
-def _batched_kron(a, b):
-    n = a.shape[0]
-    da, db = a.shape[1], b.shape[1]
-    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, da * db, da * db)
+        s0 = s0 + dt * np.kron(l, l.conj())[None]
+    return s0, eta * dt * jj
 
 
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -227,117 +222,88 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
         m0 = eye - 1j * dt * h - 0.5 * dt * decay
         return m0, np.sqrt(dt) * j
 
-    if not gen.time_dependent:
-        m0, m1 = one_pair(grid.t_start)
-        ops = _engine.StepOps(
-            dim=D, n_steps=grid.n_steps, dt=dt, eta=gen.detector_eta,
-            static=True, m0=m0, m1=m1,
-            init_vec=gen.initial_state, init_rho=gen.initial_rho,
-        )
-        if need_density:
-            if ops.init_rho is None:
-                ops.init_rho = np.outer(gen.initial_state, gen.initial_state.conj())
-                ops.init_vec = None
-            ops.s0, ops.s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad,
-                                       gen.detector_eta, dt)
-        return ops
-
-    ts = grid.left_times
+    static = not gen.time_dependent
     n = grid.n_steps
-    sensor = gen.sensor
-    dec = gen.decoder
-    fast = (
-        sensor is not None
-        and hasattr(sensor, "hamiltonian_batch")
-        and (dec is None or not dec.time_dependent or dec.tables is not None)
-    )
-    if fast:
-        hs = sensor.hamiltonian_batch(ts, theta)
-        js0 = sensor.jump(ts[0], theta)
-        js = np.broadcast_to(js0, (n,) + js0.shape)
-        if dec is None:
-            h_tab, j_tab = hs, np.array(js)
-        else:
-            dd = dec.dim
-            eye_d = np.eye(dd, dtype=complex)
-            eye_s = np.eye(sensor.dim, dtype=complex)
-            if dec.tables is not None:
-                t_tab, hd, jd = dec.tables
-                if len(t_tab) != n or abs(t_tab[0] - ts[0]) > 1e-12:
-                    raise CmsenseError("decoder tables do not match the grid")
-            else:
-                hd = np.broadcast_to(dec.hamiltonian_d(ts[0]), (n, dd, dd))
-                jd = np.broadcast_to(dec.jump_d(ts[0]), (n, dd, dd))
-            eye_dn = np.broadcast_to(eye_d, (n, dd, dd))
-            eye_sn = np.broadcast_to(eye_s, (n,) + eye_s.shape)
-            h_tab = (
-                _batched_kron(hs, eye_dn)
-                + _batched_kron(eye_sn, hd)
-                + 0.5j * (_batched_kron(np.conj(np.transpose(js, (0, 2, 1))), jd)
-                          - _batched_kron(js, np.conj(np.transpose(jd, (0, 2, 1)))))
-            )
-            j_tab = _batched_kron(js, eye_dn) + _batched_kron(eye_sn, jd)
-        decay = np.einsum("nji,njk->nik", j_tab.conj(), j_tab)
-        for l in gen.extra_lindblad:
-            decay = decay + (l.conj().T @ l)[None]
-        fro = np.maximum(np.linalg.norm(h_tab, axis=(1, 2)),
-                         np.linalg.norm(decay, axis=(1, 2)))
-        worst = int(np.argmax(fro))
-        if dt * fro[worst] > max_step:  # Frobenius prefilter, exact confirm
-            _guard(np.linalg.norm(h_tab[worst], 2),
-                   np.linalg.norm(decay[worst], 2), dt, max_step, float(ts[worst]))
-        m0 = eye[None] - 1j * dt * h_tab - 0.5 * dt * decay
-        m1 = np.sqrt(dt) * j_tab
+    if static:
+        m0, m1 = one_pair(grid.t_start)
     else:
-        m0 = np.empty((n, D, D), dtype=complex)
-        m1 = np.empty((n, D, D), dtype=complex)
-        for k, t in enumerate(ts):
-            m0[k], m1[k] = one_pair(t)
+        ts = grid.left_times
+        sensor = gen.sensor
+        dec = gen.decoder
+        fast = (
+            sensor is not None
+            and hasattr(sensor, "hamiltonian_batch")
+            and (dec is None or not dec.time_dependent or dec.tables is not None)
+        )
+        if fast:
+            hs = sensor.hamiltonian_batch(ts, theta)
+            js0 = sensor.jump(ts[0], theta)
+            js = np.broadcast_to(js0, (n,) + js0.shape)
+            if dec is None:
+                h_tab, j_tab = hs, np.array(js)
+            else:
+                dd = dec.dim
+                eye_d = np.eye(dd, dtype=complex)
+                eye_s = np.eye(sensor.dim, dtype=complex)
+                if dec.tables is not None:
+                    t_tab, hd, jd = dec.tables
+                    if len(t_tab) != n or abs(t_tab[0] - ts[0]) > 1e-12:
+                        raise CmsenseError("decoder tables do not match the grid")
+                else:
+                    hd = np.broadcast_to(dec.hamiltonian_d(ts[0]), (n, dd, dd))
+                    jd = np.broadcast_to(dec.jump_d(ts[0]), (n, dd, dd))
+                eye_dn = np.broadcast_to(eye_d, (n, dd, dd))
+                eye_sn = np.broadcast_to(eye_s, (n,) + eye_s.shape)
+                h_tab = (
+                    _batched_kron(hs, eye_dn)
+                    + _batched_kron(eye_sn, hd)
+                    + 0.5j * (_batched_kron(np.conj(np.transpose(js, (0, 2, 1))), jd)
+                              - _batched_kron(js, np.conj(np.transpose(jd, (0, 2, 1)))))
+                )
+                j_tab = _batched_kron(js, eye_dn) + _batched_kron(eye_sn, jd)
+            decay = np.einsum("nji,njk->nik", j_tab.conj(), j_tab)
+            for l in gen.extra_lindblad:
+                decay = decay + (l.conj().T @ l)[None]
+            fro = np.maximum(np.linalg.norm(h_tab, axis=(1, 2)),
+                             np.linalg.norm(decay, axis=(1, 2)))
+            worst = int(np.argmax(fro))
+            if dt * fro[worst] > max_step:  # Frobenius prefilter, exact confirm
+                _guard(np.linalg.norm(h_tab[worst], 2),
+                       np.linalg.norm(decay[worst], 2), dt, max_step, float(ts[worst]))
+            m0 = eye[None] - 1j * dt * h_tab - 0.5 * dt * decay
+            m1 = np.sqrt(dt) * j_tab
+        else:
+            m0 = np.empty((n, D, D), dtype=complex)
+            m1 = np.empty((n, D, D), dtype=complex)
+            for k, t in enumerate(ts):
+                m0[k], m1[k] = one_pair(t)
 
     ops = _engine.StepOps(
-        dim=D, n_steps=n, dt=dt, eta=gen.detector_eta, static=False,
+        dim=D, n_steps=n, dt=dt, eta=gen.detector_eta, static=static,
         m0=m0, m1=m1, init_vec=gen.initial_state, init_rho=gen.initial_rho,
     )
     if need_density:
-        if n * D ** 4 * 16 > 2e9:
+        if not static and n * D ** 4 * 16 > 2e9:
             raise CmsenseError("time-dependent superoperator table too large")
         if ops.init_rho is None:
             ops.init_rho = np.outer(gen.initial_state, gen.initial_state.conj())
             ops.init_vec = None
-        j_raw = m1 / np.sqrt(dt)
-        s0 = _batched_kron(m0, m0.conj()) \
-            + (1.0 - gen.detector_eta) * dt * _batched_kron(j_raw, j_raw.conj())
-        for l in gen.extra_lindblad:
-            s0 = s0 + dt * np.kron(l, l.conj())[None]
-        ops.s0 = s0
-        ops.s1 = gen.detector_eta * dt * _batched_kron(j_raw, j_raw.conj())
+        s0, s1 = _superops(m0.reshape(-1, D, D), m1.reshape(-1, D, D) / np.sqrt(dt),
+                           gen.extra_lindblad, gen.detector_eta, dt)
+        ops.s0, ops.s1 = (s0[0], s1[0]) if static else (s0, s1)
     return ops
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                        max_step: float = 0.05):
-    """Probability that the detector never clicks over the grid."""
+    """Probability that the detector never clicks over the grid: the
+    norm of the initial state after the product of all no-click maps."""
     ops = step_matrices(gen, theta, grid, max_step)
     if ops.pure_ok:
-        psi = ops.init_vec.astype(complex)
-        logp = 0.0
-        for k in range(ops.n_steps):
-            m0, _ = ops.pair_at(k)
-            psi = m0 @ psi
-            w = float(np.vdot(psi, psi).real)
-            logp += np.log(w)
-            psi /= np.sqrt(w)
-        return float(np.exp(logp))
-    tv = np.eye(ops.dim, dtype=complex).ravel()
-    rho = ops.init_rho.ravel()
-    logp = 0.0
-    for k in range(ops.n_steps):
-        s0 = ops.s0 if ops.static else ops.s0[k]
-        rho = s0 @ rho
-        w = float((rho @ tv).real)
-        logp += np.log(w)
-        rho /= w
-    return float(np.exp(logp))
+        psi = propagate_linear(ops.m0, ops.init_vec, ops.n_steps)
+        return float(np.vdot(psi, psi).real)
+    rho = propagate_linear(ops.s0, ops.init_rho.ravel(), ops.n_steps)
+    return float(np.trace(rho.reshape(ops.dim, ops.dim)).real)
 
 
 @dataclass(eq=False)

@@ -36,9 +36,9 @@ from .errors import (
     RankDeficientRho,
     RankDeficientSteadyState,
 )
-from .linalg import psd_sqrt, robust_inv
+from .linalg import dagger, psd_sqrt, robust_inv
 from .models import SensorModel
-from .propagate import TimeGrid, pair_table
+from .propagate import TimeGrid, pair_table, propagate_linear
 
 __all__ = [
     "DecoderModel",
@@ -60,6 +60,9 @@ class DecoderModel:
     sensor+decoder vector vec(R(0))/|R(0)| that the cascade uses by
     default: it is the initialization under which the all-zeros record
     carries probability 1 - O(dt) (see the vacuum-output tests).
+    ``herm_residual`` is max |H - H^dag| over bins of the raw
+    H = i(Bbar^0 - 1 + J_D^dag J_D dt/2)/dt, an O(dt) check that the
+    extracted pair reproduces the left-normalized tensors.
     """
 
     dim: int
@@ -68,7 +71,6 @@ class DecoderModel:
     initial_state_d: np.ndarray
     w0: Optional[np.ndarray] = None
     purified_joint: Optional[np.ndarray] = None
-    rank_log: Optional[np.ndarray] = None
     tables: Optional[tuple] = None
     time_dependent: bool = True
     herm_residual: float = 0.0
@@ -85,21 +87,18 @@ def _check_unitary(w0, dim):
     return w0
 
 
+def _identity_series(tab, dim, n_steps):
+    eye = np.eye(dim, dtype=complex).ravel()
+    return propagate_linear(tab.transfer(tab), eye, n_steps, series=True).reshape(-1, dim, dim)
+
+
 def rho_tilde(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
     """Solve the master equation from the identity: rho_tilde(0) = 1_D.
 
     Same discrete update as the density propagation; trace is conserved
     at D up to the first-order completeness defect.
     """
-    tab = pair_table(model, theta, grid, max_step)
-    rt = np.eye(model.dim, dtype=complex)
-    out = np.empty((grid.n_steps + 1, model.dim, model.dim), dtype=complex)
-    out[0] = rt
-    for k in range(grid.n_steps):
-        a0, a1 = tab.at(k)
-        rt = a0 @ rt @ a0.conj().T + a1 @ rt @ a1.conj().T
-        out[k + 1] = rt
-    return out
+    return _identity_series(pair_table(model, theta, grid, max_step), model.dim, grid.n_steps)
 
 
 def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
@@ -109,45 +108,40 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
     Exact per-bin extraction from the left-normalized tensors; valid
     for arbitrary time-dependent sensor dynamics.  H_D(t) and J_D(t)
     are tabulated at left endpoints and interpolated as step constants,
-    matching the Kraus convention.
+    matching the Kraus convention.  RankDeficientRho names the first
+    bin where rho_tilde loses rank relative to its trace.
     """
     D = model.dim
     w0 = _check_unitary(w0, D)
     tab = pair_table(model, theta, grid, max_step)
     n = grid.n_steps
     dt = grid.dt
-    sq = np.sqrt(dt)
 
-    rt = np.eye(D, dtype=complex)
-    r_prev = w0.copy()
+    # outputs before the batch temporaries: allocated after them, they
+    # would pin the freed heap below (+8 MB peak RSS in a later cascade)
     hd = np.empty((n, D, D), dtype=complex)
-    jd = np.empty((n, D, D), dtype=complex)
-    ranks = np.empty(n + 1, dtype=np.int64)
-    ranks[0] = D
-    herm_res = 0.0
-    for k in range(n):
-        a0, a1 = tab.at(k)
-        rt = a0 @ rt @ a0.conj().T + a1 @ rt @ a1.conj().T
-        tr = np.trace(rt).real
-        ev = np.linalg.eigvalsh(0.5 * (rt + rt.conj().T))
-        ranks[k + 1] = int(np.sum(ev > rank_tol * tr))
-        if ev.min() <= rank_tol * tr:
-            t_fail = grid.t_start + (k + 1) * dt
-            raise RankDeficientRho(
-                f"rho_tilde rank-deficient at t={t_fail:.6g} "
-                f"(min eigenvalue {ev.min():.3e}, trace {tr:.3e})"
-            )
-        r_new = psd_sqrt(rt) @ w0
-        ri = robust_inv(r_new, rel_tol=rank_tol)
-        b0c = (ri @ a0 @ r_prev).conj()
-        b1c = (ri @ a1 @ r_prev).conj()
-        h = (1j / (2.0 * dt)) * (b0c - b0c.conj().T)
-        herm_res = max(herm_res, float(np.abs(h - h.conj().T).max()))
-        hd[k] = 0.5 * (h + h.conj().T)
-        jd[k] = -b1c.conj().T / sq
-        r_prev = r_new
+    jd = np.empty_like(hd)
+    rt = _identity_series(tab, D, n)[1:]
+    ev, vec = np.linalg.eigh(0.5 * (rt + dagger(rt)))
+    tr = np.trace(rt, axis1=1, axis2=2).real
+    bad = np.flatnonzero(ev[:, 0] <= rank_tol * tr)
+    if len(bad):
+        k = int(bad[0])
+        raise RankDeficientRho(
+            f"rho_tilde rank-deficient at t={grid.t_start + (k + 1) * dt:.6g} "
+            f"(min eigenvalue {ev[k, 0]:.3e}, trace {tr[k]:.3e})"
+        )
+    r = (vec * np.sqrt(ev)[:, None, :]) @ dagger(vec) @ w0
+    ri = robust_inv(r, rel_tol=rank_tol)
+    r_prev = np.concatenate([w0[None], r[:-1]])
+    b0c = (ri @ tab.a0 @ r_prev).conj()
+    b1c = (ri @ tab.a1 @ r_prev).conj()
+    jd[:] = -dagger(b1c) / np.sqrt(dt)
+    h = (1j / dt) * (b0c - np.eye(D) + 0.5 * dt * dagger(jd) @ jd)
+    herm_res = float(np.abs(h - dagger(h)).max()) if n else 0.0
+    hd[:] = 0.5 * (h + dagger(h))
 
-    t0, tend = grid.t_start, grid.t_end
+    t0 = grid.t_start
 
     def ham_d(t):
         k = min(max(int(np.floor((t - t0) / dt)), 0), n - 1)
@@ -164,9 +158,9 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
         initial_state_d=w0.conj().T @ model.initial_state,
         w0=w0,
         purified_joint=w0.ravel() / np.sqrt(D),
-        rank_log=ranks,
         tables=(grid.left_times.copy(), hd, jd),
         time_dependent=True,
+        herm_residual=herm_res,
     )
 
 
@@ -234,7 +228,6 @@ def stationary_decoder(model: SensorModel, theta: float, w0=None,
         initial_state_d=w0.conj().T @ model.initial_state,
         w0=w0,
         purified_joint=r.ravel() / np.linalg.norm(r.ravel()),
-        rank_log=None,
         tables=None,
         time_dependent=False,
     )
@@ -261,7 +254,6 @@ def two_level_decoder(omega, delta_d, gamma):
         initial_state_d=np.array([0.0, 1.0], dtype=complex),
         w0=None,
         purified_joint=None,
-        rank_log=None,
         tables=None,
         time_dependent=False,
     )

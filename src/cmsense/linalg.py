@@ -20,8 +20,8 @@ __all__ = [
 
 
 def dagger(m):
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def is_hermitian(m, tol=1e-10):
@@ -70,7 +70,7 @@ def nuclear_norm_eig(m):
 
 
 def robust_inv(m, rel_tol=1e-10):
-    """Inverse with a conditioning guard.
+    """Inverse with a conditioning guard, for one matrix or a stack.
 
     Falls back to nothing: if the smallest singular value is below
     ``rel_tol`` times the largest the matrix is treated as rank
@@ -79,7 +79,9 @@ def robust_inv(m, rel_tol=1e-10):
     """
     m = np.asarray(m)
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= rel_tol * s[0]:
+    bad = np.flatnonzero(s[..., -1] <= rel_tol * s[..., 0])
+    if len(bad):
+        s = s.reshape(-1, s.shape[-1])[bad[0]]
         raise RankDeficientRho(
             f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds guard"
         )

@@ -96,14 +96,6 @@ class PulseEnvelope:
             return gaussian_pi_envelope(t, self.t_c, self.sigma, self.sign)
         raise PulseShapeMismatch(f"unknown envelope kind {self.kind!r}")
 
-    @property
-    def area(self):
-        """Time-integrated area over the full real line."""
-        if self.kind == "gaussian_pi":
-            return self.sign * np.pi
-        # plateau area: numeric quadrature not needed anywhere; expose NaN
-        return float("nan")
-
 
 def plateau_envelope(t, omega1, tau, T):
     """Smooth plateau window on [0, T] with ramp time tau.

@@ -7,7 +7,7 @@ from cmsense.decoder import (build_decoder, liouvillian_steady_state,
                              stationary_decoder, two_level_decoder,
                              verify_decoding)
 from cmsense.errors import (DegenerateSteadyState, NonUnitaryGauge,
-                            RankDeficientSteadyState)
+                            RankDeficientRho, RankDeficientSteadyState)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SEE = np.diag([1.0, 0.0]).astype(complex)
@@ -68,6 +68,14 @@ def test_build_decoder_hermiticity_residual_tracked():
     assert 0.0 <= b.herm_residual < 1e-2
     hd = b.hamiltonian_d(1.0)
     assert np.abs(hd - hd.conj().T).max() < 1e-14
+
+
+def test_build_decoder_rank_guard_names_first_failing_bin():
+    # the undriven emitter relaxes to pure |g><g|, so rho_tilde loses rank
+    # relative to its trace; the batched synthesis must stop at that bin
+    m = two_level_model(omega=0.0, delta=0.5, gamma=1.0)
+    with pytest.raises(RankDeficientRho, match=r"rank-deficient at t=22\.34 "):
+        build_decoder(m, 0.5, TimeGrid(0.0, 30.0, 1e-2))
 
 
 def test_two_level_decoder_convention():

@@ -4,7 +4,7 @@ import pytest
 from cmsense import TimeGrid, two_level_model, three_level_model
 from cmsense.errors import StepTooLarge, TraceDrift
 from cmsense.propagate import (evolve_density, evolve_generalized, kraus_pair,
-                               pair_table)
+                               pair_table, propagate_linear)
 
 
 def test_time_grid_counts_steps():
@@ -100,3 +100,42 @@ def test_generalized_conjugate_symmetry():
     mab = evolve_generalized(m, 0.1, 0.25, grid).mu
     mba = evolve_generalized(m, 0.25, 0.1, grid).mu
     assert np.abs(mab - mba.conj().T).max() < 1e-13
+
+
+def _loop_reference(ta, tb, mu, n_steps):
+    """Per-bin sandwich mu -> sum_s A^s_a mu A^s_b^dag, one bin at a time."""
+    out = [mu]
+    for k in range(n_steps):
+        a0a, a1a = ta.at(k)
+        a0b, a1b = tb.at(k)
+        mu = a0a @ mu @ a0b.conj().T + a1a @ mu @ a1b.conj().T
+        out.append(mu)
+    return np.array(out)
+
+
+_PRIMITIVE_CASES = {
+    "static_two_level": (two_level_model(omega=1.0, delta=0.3, gamma=1.0), "transfer"),
+    "pulsed_three_level": (three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), "transfer"),
+    "pulsed_three_level_table": (three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), "table"),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("case", sorted(_PRIMITIVE_CASES))
+def test_propagate_linear_matches_per_bin_loop(case, n_steps):
+    m, form = _PRIMITIVE_CASES[case]
+    grid = TimeGrid(0.0, 1.0, 1e-3)  # 1000 bins: several blocks, odd and even tree levels
+    ta, tb = pair_table(m, 0.3, grid), pair_table(m, 0.35, grid)
+    maps = ta.transfer(tb)
+    if form == "table":
+        maps = maps(0, grid.n_steps)
+    mu0 = np.outer(m.initial_state, m.initial_state.conj())
+    ref = _loop_reference(ta, tb, mu0, n_steps)
+    scale = np.abs(ref).max(axis=(1, 2))
+
+    final = propagate_linear(maps, mu0.ravel(), n_steps).reshape(mu0.shape)
+    assert np.abs(final - ref[-1]).max() <= 1e-12 * scale[-1]
+    series = propagate_linear(maps, mu0.ravel(), n_steps, series=True)
+    assert series.shape == (n_steps + 1, m.dim ** 2)
+    err = np.abs(series.reshape(ref.shape) - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * scale)
