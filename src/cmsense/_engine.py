@@ -1,15 +1,19 @@
 """Trajectory engines for photon-counting records.
 
-Three interchangeable integrators for the same per-bin measurement
-model {no click, click}:
+A record's likelihood is the trace of the record-conditioned state, so
+drawing a record and replaying a given one are the same product of
+per-bin {no click, click} maps: sampling draws each outcome, replay is
+handed it.  Two cores carry both directions:
 
-* pure-state batch stepper: valid when the joint state stays pure
-  (no extra Lindblad channels, unit detector efficiency),
-* density-operator batch stepper via row-major superoperators: the
-  general path, needed for loss / dephasing / finite efficiency,
-* segment stepper for static generators: diagonalize the no-click
-  matrix once and jump between clicks by eigenvalue powers, with
-  waiting times drawn by inverting the survival function.  Costs
+* step core (``run_steps``): a batch of records advanced bin by bin,
+  either as pure states under the Kraus pair (no extra Lindblad
+  channels, unit detector efficiency) or as row-major vectorized
+  densities under the superoperators (loss, dephasing, finite
+  efficiency),
+* segment core (``run_segments``) for static pure generators:
+  diagonalize the no-click matrix once and jump between clicks by
+  eigenvalue powers; the next click is bisected on the survival
+  function from a drawn log u, or read from the given record.  Costs
   O(number of clicks) per trajectory instead of O(number of bins).
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import ClickProbabilityOverflow
 
 _BLOCK = 4096
+_U_FLOATS = 1 << 20  # uniforms drawn ahead per batch of records
 _P1_MAX = 0.1
 
 
@@ -34,10 +39,11 @@ _P1_MAX = 0.1
 class StepOps:
     """Per-bin operators of a cascaded counting model.
 
-    ``m0``/``m1`` are (D, D) when static, else (n_steps, D, D) tables.
-    ``s0``/``s1`` are the matching no-click / click superoperators on
-    row-major vectorized densities (built on demand; include loss,
-    dephasing and the (1 - eta) feed-through).
+    ``m0``/``m1`` are (bins, D, D) Kraus stacks with one bin shared by
+    every step when ``static``, else n_steps bins.  ``s0``/``s1`` are
+    the matching no-click / click superoperator stacks on row-major
+    vectorized densities (built when needed; include loss, dephasing
+    and the (1 - eta) feed-through).
     """
 
     dim: int
@@ -56,10 +62,20 @@ class StepOps:
     def pure_ok(self):
         return self.s0 is None and self.eta == 1.0 and self.init_vec is not None
 
-    def pair_at(self, k):
-        if self.static:
-            return self.m0, self.m1
-        return self.m0[k], self.m1[k]
+    def per_bin(self, a):
+        """The stack ``a`` with one entry per step (static stacks broadcast)."""
+        return np.broadcast_to(a, (self.n_steps,) + a.shape[1:])
+
+    def branch_maps(self):
+        """(a0, a1, x0, weight, root) of the step core: no-click and click
+        stacks, the initial vector, the branch weight of a batch of
+        vectors and the root of that weight that renormalizes them.
+        Pure: Kraus pair, |x|^2, sqrt; density: superoperators, x.vec(1)."""
+        if self.pure_ok:
+            weight = lambda x: np.einsum("bi,bi->b", x, x.conj()).real
+            return self.m0, self.m1, self.init_vec, weight, np.sqrt
+        tv = np.eye(self.dim, dtype=complex).ravel()
+        return self.s0, self.s1, self.init_rho.ravel(), lambda x: (x @ tv).real, lambda w: w
 
 
 def _streams(indices, seed):
@@ -74,104 +90,57 @@ def _check_p1(p1max, k, dt):
         )
 
 
-def sample_pure(ops: StepOps, indices, seed):
-    """Draw records for a batch of trajectory indices.
+def _click_rows(x, sel, a1t):
+    """``x[sel] @ a1t``, bit for bit those rows of ``x @ a1t``: a single
+    row is doubled so that BLAS takes the same gemm path, not gemv."""
+    rows = x[sel] if len(sel) > 1 else x[np.repeat(sel, 2)]
+    return (rows @ a1t)[:len(sel)]
 
-    Returns (clicks uint8 (B, n_steps), logL (B,)).
+
+def run_steps(ops: StepOps, indices, seed, click_indices=None):
+    """Advance a batch of records bin by bin through the branch maps.
+
+    With ``click_indices`` None, draws the records of trajectory
+    ``indices`` from their (seed, index) streams; else replays the
+    given click-index arrays.  Returns (list of click-index arrays,
+    logL (B,)).
     """
-    B = len(indices)
-    n, D = ops.n_steps, ops.dim
-    gens = _streams(indices, seed)
-    psi = np.tile(ops.init_vec, (B, 1)).astype(complex)
-    logl = np.zeros(B)
-    clicks = np.zeros((B, n), dtype=np.uint8)
-    u = np.empty((B, 0))
-    off = 0
+    a0, a1, x0, weight, root = ops.branch_maps()
+    a0t, a1t = (np.swapaxes(ops.per_bin(a), 1, 2) for a in (a0, a1))
+    n, nb = ops.n_steps, len(indices)
+    sampling = click_indices is None
+    hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
+    if sampling:
+        gens = _streams(indices, seed)
+        block = max(1, min(_BLOCK, _U_FLOATS // max(nb, 1)))
+    else:
+        for r, h in enumerate(click_indices):
+            hits[h, r] = True
+    x = np.tile(x0, (nb, 1)).astype(complex)
+    logl = np.zeros(nb)
     for k in range(n):
-        if off == u.shape[1]:
-            m = min(_BLOCK, n - k)
-            u = np.stack([g.random(m) for g in gens])
-            off = 0
-        m0, m1 = ops.pair_at(k)
-        ns = psi @ m0.T
-        cs = psi @ m1.T
-        b1 = np.einsum("bi,bi->b", cs, cs.conj()).real
-        _check_p1(float(b1.max(initial=0.0)), k, ops.dt)
-        hit = u[:, off] < b1
-        off += 1
-        clicks[:, k] = hit
-        b0 = np.einsum("bi,bi->b", ns, ns.conj()).real
-        w = np.where(hit, b1, b0)
-        psi = np.where(hit[:, None], cs, ns) / np.sqrt(w)[:, None]
+        hit = hits[k]
+        if sampling:
+            if k % block == 0:
+                u = np.stack([g.random(min(block, n - k)) for g in gens], axis=1)
+            cs = x @ a1t[k]
+            b1 = weight(cs)
+            _check_p1(float(b1.max(initial=0.0)), k, ops.dt)
+            np.less(u[k % block], b1, out=hit)
+        out = x @ a0t[k]
+        sel = np.flatnonzero(hit)
+        if len(sel):
+            out[sel] = cs[sel] if sampling else _click_rows(x, sel, a1t[k])
+        w = weight(out)
+        # in place out / root(w): numpy divides complex by real as a
+        # multiply by the reciprocal, so the bits are the same
+        out.view(np.float64)[...] *= (1.0 / root(w))[:, None]
+        x = out
         logl += np.log(w)
-    return clicks, logl
-
-
-def replay_pure(ops: StepOps, clicks):
-    """Log-likelihood of given records under (possibly different) ops."""
-    B = clicks.shape[0]
-    psi = np.tile(ops.init_vec, (B, 1)).astype(complex)
-    logl = np.zeros(B)
-    for k in range(ops.n_steps):
-        m0, m1 = ops.pair_at(k)
-        hit = clicks[:, k].astype(bool)
-        out = np.where(hit[:, None], psi @ m1.T, psi @ m0.T)
-        w = np.einsum("bi,bi->b", out, out.conj()).real
-        psi = out / np.sqrt(w)[:, None]
-        logl += np.log(w)
-    return logl
-
-
-def _trace_vec(D):
-    return np.eye(D, dtype=complex).ravel()
-
-def sample_density(ops: StepOps, indices, seed):
-    B = len(indices)
-    n, D = ops.n_steps, ops.dim
-    gens = _streams(indices, seed)
-    tv = _trace_vec(D)
-    rho = np.tile(ops.init_rho.ravel(), (B, 1)).astype(complex)
-    logl = np.zeros(B)
-    clicks = np.zeros((B, n), dtype=np.uint8)
-    u = np.empty((B, 0))
-    off = 0
-    for k in range(n):
-        if off == u.shape[1]:
-            m = min(_BLOCK, n - k)
-            u = np.stack([g.random(m) for g in gens])
-            off = 0
-        s0, s1 = (ops.s0, ops.s1) if ops.static else (ops.s0[k], ops.s1[k])
-        cv = rho @ s1.T
-        p1 = (cv @ tv).real
-        _check_p1(float(p1.max(initial=0.0)), k, ops.dt)
-        hit = u[:, off] < p1
-        off += 1
-        clicks[:, k] = hit
-        nv = rho @ s0.T
-        p0 = (nv @ tv).real
-        w = np.where(hit, p1, p0)
-        rho = np.where(hit[:, None], cv, nv) / w[:, None]
-        logl += np.log(w)
-    return clicks, logl
-
-
-def replay_density(ops: StepOps, clicks):
-    B = clicks.shape[0]
-    tv = _trace_vec(ops.dim)
-    rho = np.tile(ops.init_rho.ravel(), (B, 1)).astype(complex)
-    logl = np.zeros(B)
-    for k in range(ops.n_steps):
-        s0, s1 = (ops.s0, ops.s1) if ops.static else (ops.s0[k], ops.s1[k])
-        hit = clicks[:, k].astype(bool)
-        out = np.where(hit[:, None], rho @ s1.T, rho @ s0.T)
-        w = (out @ tv).real
-        rho = out / w[:, None]
-        logl += np.log(w)
-    return rho, logl
-
-
-def replay_density_logl(ops, clicks):
-    return replay_density(ops, clicks)[1]
+    if sampling:
+        rec, k = np.nonzero(hits.T)
+        click_indices = np.split(k, np.cumsum(np.bincount(rec, minlength=nb))[:-1])
+    return click_indices, logl
 
 
 @dataclass(eq=False)
@@ -227,32 +196,43 @@ def _first_click(eig, w, log_u, n_rem):
     return hi
 
 
-def sample_segment(ops: StepOps, eig: EigStepper, indices, seed):
-    """Segment sampler for static pure ops.  Returns (list of click-index
-    arrays, logL array)."""
+def run_segments(ops: StepOps, eig: EigStepper, indices, seed, click_indices=None):
+    """Advance records click to click under static pure ops.
+
+    With ``click_indices`` None, draws the records of trajectory
+    ``indices`` (each next click bisected from a drawn log u); else
+    replays the given click-index arrays.  Returns (list of click-index
+    arrays, logL array).
+    """
     n = ops.n_steps
-    m1 = ops.m1
+    m1 = ops.m1[0]
+    sampling = click_indices is None
+    gens = _streams(indices, seed) if sampling else None
     out_idx, out_logl = [], []
-    for i in indices:
-        g = np.random.Generator(np.random.Philox(key=[seed, int(i)]))
+    for r in range(len(indices)):
+        if not sampling:
+            given = iter(click_indices[r])
         psi = ops.init_vec.astype(complex)
         logl = 0.0
         pos = 0
         hits = []
         while pos < n:
             w = eig.vi @ psi
-            log_u = np.log1p(-g.random())
-            j = _first_click(eig, w, log_u, n - pos)
+            if sampling:
+                j = _first_click(eig, w, np.log1p(-gens[r].random()), n - pos)
+            else:
+                h = next(given, None)
+                j = None if h is None else int(h) - pos + 1
             if j is None:
                 logl += _log_survival(eig, w, n - pos)
                 break
             vec, ls = _propagate_scaled(eig, w, j - 1)
             nrm = np.linalg.norm(vec)
             logl += 2.0 * (ls + np.log(nrm))
-            psi = vec / nrm
-            cs = m1 @ psi
+            cs = m1 @ (vec / nrm)
             b1 = float(np.vdot(cs, cs).real)
-            _check_p1(b1, pos + j - 1, ops.dt)
+            if sampling:
+                _check_p1(b1, pos + j - 1, ops.dt)
             logl += np.log(b1)
             psi = cs / np.sqrt(b1)
             hits.append(pos + j - 1)
@@ -260,34 +240,6 @@ def sample_segment(ops: StepOps, eig: EigStepper, indices, seed):
         out_idx.append(np.asarray(hits, dtype=np.int64))
         out_logl.append(logl)
     return out_idx, np.asarray(out_logl)
-
-
-def replay_segment(ops: StepOps, eig: EigStepper, click_indices):
-    """Log-likelihoods of records given by click-index arrays."""
-    n = ops.n_steps
-    m1 = ops.m1
-    out = np.empty(len(click_indices))
-    for r, hits in enumerate(click_indices):
-        psi = ops.init_vec.astype(complex)
-        logl = 0.0
-        pos = 0
-        for h in hits:
-            j = int(h) - pos + 1
-            w = eig.vi @ psi
-            vec, ls = _propagate_scaled(eig, w, j - 1)
-            nrm = np.linalg.norm(vec)
-            logl += 2.0 * (ls + np.log(nrm))
-            psi = vec / nrm
-            cs = m1 @ psi
-            b1 = float(np.vdot(cs, cs).real)
-            logl += np.log(b1)
-            psi = cs / np.sqrt(b1)
-            pos = int(h) + 1
-        if pos < n:
-            w = eig.vi @ psi
-            logl += _log_survival(eig, w, n - pos)
-        out[r] = logl
-    return out
 
 
 def clicks_to_indices(clicks):

@@ -29,8 +29,9 @@ import numpy as np
 
 from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
-from .models import SensorModel, _sigma
-from .propagate import TimeGrid, _batched_kron, _guard, propagate_linear
+from .linalg import dagger
+from .models import SensorModel, _per_bin, _sigma, operator_stacks
+from .propagate import TimeGrid, _batched_kron, _bin_times, _kraus_stacks, propagate_linear
 
 __all__ = [
     "Imperfections",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
+_CHUNK_BINS = 1 << 24
 _SEGMENT_MIN_STEPS = 50_000
 
 
@@ -198,112 +200,71 @@ def _superops(m0, j, extra, eta, dt):
     return s0, eta * dt * jj
 
 
+def _decoder_stacks(dec, ts):
+    """Per-bin (H_D, J_D) stacks: the decoder's tables, else its maps."""
+    if dec.time_dependent and dec.tables is not None:
+        t_tab, hd, jd = dec.tables
+        if len(t_tab) != len(ts) or abs(t_tab[0] - ts[0]) > 1e-12:
+            raise CmsenseError("decoder tables do not match the grid")
+        return hd, jd
+    static = not dec.time_dependent
+    return (_per_bin(dec.hamiltonian_d, ts, dec.dim, static),
+            _per_bin(dec.jump_d, ts, dec.dim, static))
+
+
+def _joint_stacks(gen: CascadeGenerators, theta, ts):
+    """Per-bin joint (H_c, J_c) stacks at the times ``ts``, assembled from
+    the sensor and decoder stacks (``h_total``/``j_total`` per bin for
+    generators built without a sensor)."""
+    if gen.sensor is None:
+        static = not gen.time_dependent
+        return (_per_bin(lambda t: gen.h_total(t, theta), ts, gen.dim, static),
+                _per_bin(lambda t: gen.j_total(t, theta), ts, gen.dim, static))
+    hs, js = operator_stacks(gen.sensor, theta, ts)
+    dec = gen.decoder
+    if dec is None:
+        return hs, js
+    hd, jd = _decoder_stacks(dec, ts)
+    eye_s = np.broadcast_to(np.eye(gen.sensor.dim, dtype=complex), hs.shape)
+    eye_d = np.broadcast_to(np.eye(dec.dim, dtype=complex), hd.shape)
+    h = (_batched_kron(hs, eye_d) + _batched_kron(eye_s, hd)
+         + 0.5j * (_batched_kron(dagger(js), jd) - _batched_kron(js, dagger(jd))))
+    return h, _batched_kron(js, eye_d) + _batched_kron(eye_s, jd)
+
+
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                   max_step: float = 0.05) -> _engine.StepOps:
-    """Tabulate per-bin operators for the engines.
-
-    Static generators give a single (D, D) pair; time-dependent ones a
-    full (n_steps, D, D) table, assembled vectorized when the sensor
-    exposes a batch Hamiltonian and the decoder is tabulated or static.
-    """
+    """Tabulate per-bin operators for the engines: (bins, D, D) stacks
+    with one bin for static generators, else one per grid bin."""
     D = gen.dim
     dt = grid.dt
-    eye = np.eye(D, dtype=complex)
-    need_density = bool(gen.extra_lindblad) or gen.detector_eta < 1.0 \
-        or gen.initial_rho is not None
-
-    def one_pair(t):
-        h = gen.h_total(t, theta)
-        j = gen.j_total(t, theta)
-        decay = j.conj().T @ j
-        for l in gen.extra_lindblad:
-            decay = decay + l.conj().T @ l
-        _guard(np.linalg.norm(h, 2), np.linalg.norm(decay, 2), dt, max_step, t)
-        m0 = eye - 1j * dt * h - 0.5 * dt * decay
-        return m0, np.sqrt(dt) * j
-
     static = not gen.time_dependent
-    n = grid.n_steps
-    if static:
-        m0, m1 = one_pair(grid.t_start)
-    else:
-        ts = grid.left_times
-        sensor = gen.sensor
-        dec = gen.decoder
-        fast = (
-            sensor is not None
-            and hasattr(sensor, "hamiltonian_batch")
-            and (dec is None or not dec.time_dependent or dec.tables is not None)
-        )
-        if fast:
-            hs = sensor.hamiltonian_batch(ts, theta)
-            js0 = sensor.jump(ts[0], theta)
-            js = np.broadcast_to(js0, (n,) + js0.shape)
-            if dec is None:
-                h_tab, j_tab = hs, np.array(js)
-            else:
-                dd = dec.dim
-                eye_d = np.eye(dd, dtype=complex)
-                eye_s = np.eye(sensor.dim, dtype=complex)
-                if dec.tables is not None:
-                    t_tab, hd, jd = dec.tables
-                    if len(t_tab) != n or abs(t_tab[0] - ts[0]) > 1e-12:
-                        raise CmsenseError("decoder tables do not match the grid")
-                else:
-                    hd = np.broadcast_to(dec.hamiltonian_d(ts[0]), (n, dd, dd))
-                    jd = np.broadcast_to(dec.jump_d(ts[0]), (n, dd, dd))
-                eye_dn = np.broadcast_to(eye_d, (n, dd, dd))
-                eye_sn = np.broadcast_to(eye_s, (n,) + eye_s.shape)
-                h_tab = (
-                    _batched_kron(hs, eye_dn)
-                    + _batched_kron(eye_sn, hd)
-                    + 0.5j * (_batched_kron(np.conj(np.transpose(js, (0, 2, 1))), jd)
-                              - _batched_kron(js, np.conj(np.transpose(jd, (0, 2, 1)))))
-                )
-                j_tab = _batched_kron(js, eye_dn) + _batched_kron(eye_sn, jd)
-            decay = np.einsum("nji,njk->nik", j_tab.conj(), j_tab)
-            for l in gen.extra_lindblad:
-                decay = decay + (l.conj().T @ l)[None]
-            fro = np.maximum(np.linalg.norm(h_tab, axis=(1, 2)),
-                             np.linalg.norm(decay, axis=(1, 2)))
-            worst = int(np.argmax(fro))
-            if dt * fro[worst] > max_step:  # Frobenius prefilter, exact confirm
-                _guard(np.linalg.norm(h_tab[worst], 2),
-                       np.linalg.norm(decay[worst], 2), dt, max_step, float(ts[worst]))
-            m0 = eye[None] - 1j * dt * h_tab - 0.5 * dt * decay
-            m1 = np.sqrt(dt) * j_tab
-        else:
-            m0 = np.empty((n, D, D), dtype=complex)
-            m1 = np.empty((n, D, D), dtype=complex)
-            for k, t in enumerate(ts):
-                m0[k], m1[k] = one_pair(t)
-
+    ts = _bin_times(grid, static)
+    m0, m1 = _kraus_stacks(*_joint_stacks(gen, theta, ts), dt, max_step, ts,
+                           gen.extra_lindblad)
     ops = _engine.StepOps(
-        dim=D, n_steps=n, dt=dt, eta=gen.detector_eta, static=static,
+        dim=D, n_steps=grid.n_steps, dt=dt, eta=gen.detector_eta, static=static,
         m0=m0, m1=m1, init_vec=gen.initial_state, init_rho=gen.initial_rho,
     )
-    if need_density:
-        if not static and n * D ** 4 * 16 > 2e9:
+    if gen.extra_lindblad or gen.detector_eta < 1.0 or gen.initial_rho is not None:
+        if len(ts) * D ** 4 * 16 > 2e9:
             raise CmsenseError("time-dependent superoperator table too large")
         if ops.init_rho is None:
             ops.init_rho = np.outer(gen.initial_state, gen.initial_state.conj())
             ops.init_vec = None
-        s0, s1 = _superops(m0.reshape(-1, D, D), m1.reshape(-1, D, D) / np.sqrt(dt),
-                           gen.extra_lindblad, gen.detector_eta, dt)
-        ops.s0, ops.s1 = (s0[0], s1[0]) if static else (s0, s1)
+        ops.s0, ops.s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad,
+                                   gen.detector_eta, dt)
     return ops
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                        max_step: float = 0.05):
     """Probability that the detector never clicks over the grid: the
-    norm of the initial state after the product of all no-click maps."""
+    weight of the initial state after the product of all no-click maps."""
     ops = step_matrices(gen, theta, grid, max_step)
-    if ops.pure_ok:
-        psi = propagate_linear(ops.m0, ops.init_vec, ops.n_steps)
-        return float(np.vdot(psi, psi).real)
-    rho = propagate_linear(ops.s0, ops.init_rho.ravel(), ops.n_steps)
-    return float(np.trace(rho.reshape(ops.dim, ops.dim)).real)
+    a0, _, x0, weight, _ = ops.branch_maps()
+    x = propagate_linear(a0[0] if ops.static else a0, x0, ops.n_steps)
+    return float(weight(x[None])[0])
 
 
 @dataclass(eq=False)
@@ -327,7 +288,7 @@ def _resolve_engine(ops, engine):
                                and ops.n_steps >= _SEGMENT_MIN_STEPS):
         if not (ops.static and ops.pure_ok):
             raise CmsenseError("segment engine requires static pure dynamics")
-        eig = _engine.eig_stepper(ops.m0)
+        eig = _engine.eig_stepper(ops.m0[0])
         if eig is not None:
             return "segment", eig
         if engine == "segment":
@@ -335,8 +296,12 @@ def _resolve_engine(ops, engine):
     return ("step", None)
 
 
-def _chunks(n):
-    return [(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+def _chunks(n, n_steps, threads):
+    """Spans of trajectory indices: one per thread, at least _CHUNK
+    records, and at most _CHUNK_BINS record-bins each (the step core
+    holds a bool per record-bin)."""
+    size = max(_CHUNK, min(-(-n // threads), _CHUNK_BINS // max(n_steps, 1)))
+    return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _run_chunks(fn, spans, threads):
@@ -346,46 +311,47 @@ def _run_chunks(fn, spans, threads):
         return list(ex.map(lambda s: fn(*s), spans))
 
 
-def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
-                   engine="auto", max_step=0.05):
-    """Sample n_traj records; returns (list of click-index arrays, logL)."""
-    ops = step_matrices(gen, theta, grid, max_step)
-    kind, eig = _resolve_engine(ops, engine)
-
+def _run_records(ops, kind, eig, n_records, seed, threads, given=None):
+    """Sample (``given`` None) or replay the records ``given`` in chunks
+    of trajectory indices; returns (list of click-index arrays, logL)."""
     def work(a, b):
         idx = np.arange(a, b)
+        sub = None if given is None else given[a:b]
         if kind == "segment":
-            return _engine.sample_segment(ops, eig, idx, seed)
-        if ops.pure_ok:
-            clicks, logl = _engine.sample_pure(ops, idx, seed)
-        else:
-            clicks, logl = _engine.sample_density(ops, idx, seed)
-        return _engine.clicks_to_indices(clicks), logl
+            return _engine.run_segments(ops, eig, idx, seed, sub)
+        return _engine.run_steps(ops, idx, seed, sub)
 
-    parts = _run_chunks(work, _chunks(n_traj), threads)
-    indices = [h for p in parts for h in p[0]]
-    logl = np.concatenate([p[1] for p in parts])
+    parts = _run_chunks(work, _chunks(n_records, ops.n_steps, threads), threads)
+    return [h for p in parts for h in p[0]], np.concatenate([p[1] for p in parts])
+
+
+def _check_click_indices(indices, n_steps):
+    for r, hits in enumerate(indices):
+        h = np.asarray(hits)
+        if h.ndim != 1 or (h.size and (h.dtype.kind not in "iu" or h[0] < 0
+                                       or h[-1] >= n_steps or np.any(h[1:] <= h[:-1]))):
+            raise RecordLengthMismatch(
+                f"record {r}: click indices must be strictly increasing integers "
+                f"in [0, {n_steps})"
+            )
+
+
+def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
+                   engine="auto", max_step=0.05):
+    """Sample n_traj records; returns (list of click-index arrays, logL, engine kind)."""
+    ops = step_matrices(gen, theta, grid, max_step)
+    kind, eig = _resolve_engine(ops, engine)
+    indices, logl = _run_records(ops, kind, eig, n_traj, seed, threads)
     return indices, logl, kind
 
 
 def replay_records(gen, theta, indices, grid, threads=1, engine_kind="step",
                    max_step=0.05):
-    """Log-likelihoods of stored records at parameter value theta."""
+    """Log-likelihoods of stored records (click-index arrays) at parameter value theta."""
+    _check_click_indices(indices, grid.n_steps)
     ops = step_matrices(gen, theta, grid, max_step)
-    if engine_kind == "segment":
-        _, eig = _resolve_engine(ops, "segment")
-
-        def work(a, b):
-            return _engine.replay_segment(ops, eig, indices[a:b])
-    else:
-        def work(a, b):
-            clicks = _engine.indices_to_clicks(indices[a:b], ops.n_steps)
-            if ops.pure_ok:
-                return _engine.replay_pure(ops, clicks)
-            return _engine.replay_density_logl(ops, clicks)
-
-    parts = _run_chunks(work, _chunks(len(indices)), threads)
-    return np.concatenate(parts)
+    eig = _resolve_engine(ops, "segment")[1] if engine_kind == "segment" else None
+    return _run_records(ops, engine_kind, eig, len(indices), 0, threads, indices)[1]
 
 
 def sample_trajectory(gen: CascadeGenerators, theta_true: float, grid: TimeGrid,

@@ -143,18 +143,15 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
 
     t0 = grid.t_start
 
-    def ham_d(t):
-        k = min(max(int(np.floor((t - t0) / dt)), 0), n - 1)
-        return hd[k]
-
-    def jump_d(t):
-        k = min(max(int(np.floor((t - t0) / dt)), 0), n - 1)
-        return jd[k]
+    def bin_of(t):
+        # the slack keeps a left endpoint t0 + k dt, which may divide to
+        # just below k in floating point, in its own bin k
+        return min(max(int(np.floor((t - t0) / dt + 1e-9)), 0), n - 1)
 
     return DecoderModel(
         dim=D,
-        hamiltonian_d=ham_d,
-        jump_d=jump_d,
+        hamiltonian_d=lambda t: hd[bin_of(t)],
+        jump_d=lambda t: jd[bin_of(t)],
         initial_state_d=w0.conj().T @ model.initial_state,
         w0=w0,
         purified_joint=w0.ravel() / np.sqrt(D),

@@ -135,6 +135,33 @@ def _sigma(i, j, dim):
     return m
 
 
+def _per_bin(fn, ts, dim, static):
+    """(len(ts), dim, dim) stack of fn(t) at the times ts; a static fn is
+    evaluated once and broadcast (a read-only view)."""
+    if static:
+        return np.broadcast_to(fn(ts[0] if len(ts) else 0.0), (len(ts), dim, dim))
+    out = np.empty((len(ts), dim, dim), dtype=complex)
+    for k, t in enumerate(ts):
+        out[k] = fn(float(t))
+    return out
+
+
+def operator_stacks(model: SensorModel, theta, ts):
+    """Per-bin (H, J) stacks of ``model`` at the times ``ts``.
+
+    H comes from the model's ``hamiltonian_batch`` hook when it has one
+    (such models have a time-independent jump), is evaluated once and
+    broadcast for a static model, and is otherwise evaluated bin by bin.
+    """
+    batch = getattr(model, "hamiltonian_batch", None) if model.time_dependent else None
+    static_j = batch is not None or not model.time_dependent
+    j = _per_bin(lambda t: model.jump(t, theta), ts, model.dim, static_j)
+    if batch is not None:
+        return batch(ts, theta), j
+    return _per_bin(lambda t: model.hamiltonian(t, theta), ts, model.dim,
+                    not model.time_dependent), j
+
+
 def two_level_model(omega, delta, gamma):
     """Resonantly driven two-level emitter, basis {e, g}.
 

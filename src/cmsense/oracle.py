@@ -158,19 +158,12 @@ def brute_counting_distribution(model: SensorModel, theta: float, n_bins: int,
     _check_size(n_bins, gen.dim)
     grid = TimeGrid(0.0, n_bins * dt, dt)
     ops = step_matrices(gen, theta, grid, max_step)
-    if ops.pure_ok:
-        branch = ops.init_vec[None, :].astype(complex)
-        for k in range(n_bins):
-            m0, m1 = ops.pair_at(k)
-            branch = np.concatenate([branch @ m0.T, branch @ m1.T], axis=0)
-        raw = np.einsum("ri,ri->r", branch, branch.conj()).real
-    else:
-        tv = np.eye(ops.dim, dtype=complex).ravel()
-        branch = ops.init_rho.ravel()[None, :]
-        for k in range(n_bins):
-            s0, s1 = (ops.s0, ops.s1) if ops.static else (ops.s0[k], ops.s1[k])
-            branch = np.concatenate([branch @ s0.T, branch @ s1.T], axis=0)
-        raw = (branch @ tv).real
+    a0, a1, x0, weight, _ = ops.branch_maps()
+    a0, a1 = ops.per_bin(a0), ops.per_bin(a1)
+    branch = x0[None, :].astype(complex)
+    for k in range(n_bins):
+        branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
+    raw = weight(branch)
     total = float(raw.sum())
     return CountingDistribution(n_bins=n_bins, probs=raw / total,
                                 raw_defect=total - 1.0)

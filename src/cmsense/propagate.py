@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import StepTooLarge, TraceDrift
-from .models import SensorModel
+from .models import SensorModel, operator_stacks
 
 __all__ = [
     "TimeGrid",
@@ -102,13 +102,42 @@ def _batched_kron(a, b):
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
 
 
-def _guard(h_norm, jj_norm, dt, max_step, t):
-    load = dt * max(h_norm, jj_norm)
-    if load > max_step:
+def _guard(h, decay, dt, max_step, ts):
+    """Raise StepTooLarge at the first bin where dt*max(|H|, |decay|) in
+    the spectral norm exceeds max_step.  The Frobenius norm bounds it
+    from above, so only the bins that norm flags get the exact one."""
+    load = dt * np.maximum(np.linalg.norm(h, axis=(1, 2)), np.linalg.norm(decay, axis=(1, 2)))
+    flagged = np.flatnonzero(load > max_step)
+    if not len(flagged):
+        return
+    load = dt * np.maximum(np.linalg.norm(h[flagged], 2, axis=(1, 2)),
+                           np.linalg.norm(decay[flagged], 2, axis=(1, 2)))
+    bad = np.flatnonzero(load > max_step)
+    if len(bad):
         raise StepTooLarge(
-            f"dt*max(|H|,|J^dag J|) = {load:.3g} exceeds {max_step} at t={t:.4g}; "
-            "refine dt or widen max_step explicitly"
+            f"dt*max(|H|,|J^dag J|) = {load[bad[0]]:.3g} exceeds {max_step} "
+            f"at t={ts[flagged[bad[0]]]:.4g}; refine dt or widen max_step explicitly"
         )
+
+
+def _kraus_stacks(h, j, dt, max_step, ts, extra=()):
+    """Guarded Kraus stacks of per-bin (H, J) stacks sampled at ``ts``:
+
+        a0 = 1 - i H dt - (1/2) (J^dag J + sum_l L_l^dag L_l) dt,   a1 = sqrt(dt) J,
+
+    with ``extra`` the constant undetected channels L_l.
+    """
+    decay = np.einsum("nji,njk->nik", j.conj(), j)
+    for l in extra:
+        decay = decay + (l.conj().T @ l)[None]
+    _guard(h, decay, dt, max_step, ts)
+    eye = np.eye(h.shape[-1], dtype=complex)
+    return eye - 1j * dt * h - 0.5 * dt * decay, np.sqrt(dt) * j
+
+
+def _bin_times(grid, static):
+    """Left endpoints at which operators are sampled: t_start alone when static."""
+    return grid.t_start + grid.dt * np.arange(1 if static else grid.n_steps)
 
 
 def kraus_pair(model: SensorModel, t: float, theta: float, dt: float, max_step: float = 0.05):
@@ -118,12 +147,9 @@ def kraus_pair(model: SensorModel, t: float, theta: float, dt: float, max_step: 
     bin expansion trustworthy; coarse-grid oracle runs may widen
     max_step deliberately.
     """
-    h = model.hamiltonian(t, theta)
-    j = model.jump(t, theta)
-    jj = j.conj().T @ j
-    _guard(np.linalg.norm(h, 2), np.linalg.norm(jj, 2), dt, max_step, t)
-    a0 = np.eye(model.dim, dtype=complex) - 1j * h * dt - 0.5 * jj * dt
-    return KrausPair(a0=a0, a1=np.sqrt(dt) * j)
+    a0, a1 = _kraus_stacks(model.hamiltonian(t, theta)[None], model.jump(t, theta)[None],
+                           dt, max_step, [t])
+    return KrausPair(a0=a0[0], a1=a1[0])
 
 
 class PairTable:
@@ -152,31 +178,10 @@ class PairTable:
 
 
 def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
-    dt = grid.dt
-    if not model.time_dependent:
-        p = kraus_pair(model, grid.t_start, theta, dt, max_step)
-        return PairTable(p.a0[None], p.a1[None], static=True)
-
-    ts = grid.left_times
-    batch = getattr(model, "hamiltonian_batch", None)
-    if batch is not None:
-        hs = batch(ts, theta)
-        j = model.jump(grid.t_start, theta)
-        jj = j.conj().T @ j
-        hmax = float(np.linalg.norm(hs, axis=(1, 2)).max()) if len(ts) else 0.0
-        _guard(hmax, np.linalg.norm(jj, 2), dt, max_step, grid.t_start)
-        eye = np.eye(model.dim, dtype=complex)
-        a0 = eye[None] - 1j * dt * hs - 0.5 * dt * jj[None]
-        a1 = np.broadcast_to(np.sqrt(dt) * j, (len(ts), model.dim, model.dim)).copy()
-        return PairTable(a0, a1, static=False)
-
-    a0 = np.empty((grid.n_steps, model.dim, model.dim), dtype=complex)
-    a1 = np.empty_like(a0)
-    for k, t in enumerate(ts):
-        p = kraus_pair(model, float(t), theta, dt, max_step)
-        a0[k] = p.a0
-        a1[k] = p.a1
-    return PairTable(a0, a1, static=False)
+    static = not model.time_dependent
+    ts = _bin_times(grid, static)
+    return PairTable(*_kraus_stacks(*operator_stacks(model, theta, ts), grid.dt, max_step, ts),
+                     static=static)
 
 
 def _tree_product(s):

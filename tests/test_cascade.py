@@ -58,11 +58,45 @@ def test_vacuum_probability_defect_linear_in_dt(emitter, dt):
     assert abs(1.0 - p) == pytest.approx(0.184 * dt, rel=0.12)
 
 
-def test_replay_reproduces_sampled_loglikelihood(clicky_pair):
+@pytest.mark.parametrize("case", ["pure", "density", "segment"])
+def test_replay_reproduces_sampled_loglikelihood(emitter, clicky_pair, case):
     grid = TimeGrid(0.0, 10.0, 2e-3)
-    idx, ll, kind = sample_records(clicky_pair, 0.0, grid, 32, seed=3)
-    ll2 = replay_records(clicky_pair, 0.0, idx, grid, engine_kind=kind)
+    gen = clicky_pair
+    if case == "density":
+        gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
+                                 imperfections=Imperfections(gamma=0.1, eta=0.65))
+    engine = "segment" if case == "segment" else "step"
+    idx, ll, kind = sample_records(gen, 0.0, grid, 32, seed=3, engine=engine)
+    assert kind == engine
+    ll2 = replay_records(gen, 0.0, idx, grid, engine_kind=kind)
     assert np.abs(ll - ll2).max() == 0.0
+
+
+@pytest.mark.parametrize("hits", [[1005], [-3], [300, 100]],
+                         ids=["past_end", "negative", "decreasing"])
+@pytest.mark.parametrize("engine", ["step", "segment"])
+def test_replay_rejects_invalid_click_indices(clicky_pair, engine, hits):
+    grid = TimeGrid(0.0, 2.0, 2e-3)  # 1000 bins
+    records = [np.array([5, 17]), np.array(hits)]
+    with pytest.raises(RecordLengthMismatch, match="record 1"):
+        replay_records(clicky_pair, 0.0, records, grid, engine_kind=engine)
+
+
+def test_step_tables_of_static_sensor_with_tabulated_decoder(emitter):
+    # static sensor + build_decoder tables: the joint stacks must match the
+    # per-bin joint generators bin by bin
+    from cmsense.decoder import build_decoder
+    grid = TimeGrid(0.0, 4.0, 2e-3)
+    gen = cascade_generators(emitter, build_decoder(emitter, 0.0, grid))
+    ops = step_matrices(gen, 0.1, grid)
+    assert ops.m0.shape == (grid.n_steps, 4, 4)
+    dt = grid.dt
+    for k, t in enumerate(grid.left_times):
+        h = gen.h_total(t, 0.1)
+        j = gen.j_total(t, 0.1)
+        m0 = np.eye(4) - 1j * dt * h - 0.5 * dt * (j.conj().T @ j)
+        assert np.abs(ops.m0[k] - m0).max() < 1e-14
+        assert np.abs(ops.m1[k] - np.sqrt(dt) * j).max() < 1e-14
 
 
 def test_segment_and_step_replay_agree(clicky_pair):
@@ -87,6 +121,26 @@ def test_thread_count_does_not_change_results(clicky_pair):
     b = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=3)
     assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
     assert np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("imp", [None, Imperfections(gamma=0.1, eta=0.65)],
+                         ids=["pure", "density"])
+def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
+    # one chunk of 40 records against chunks of 16, 16 and 8
+    gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0), imp)
+    grid = TimeGrid(0.0, 5.0, 2e-3)
+
+    def run():
+        idx, logl, kind = sample_records(gen, 0.0, grid, 40, seed=4)
+        return idx, logl, replay_records(gen, 1e-3, idx, grid, 1, kind)
+
+    a = run()
+    monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
+    monkeypatch.setattr("cmsense.cascade._CHUNK_BINS", 16 * grid.n_steps)
+    b = run()
+    assert sum(len(x) for x in a[0]) > 0
+    assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
+    assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 def test_record_frequencies_match_exhaustive_distribution(emitter):

@@ -47,6 +47,26 @@ def test_step_guard_triggers():
         kraus_pair(m, 0.0, 0.0, 2e-3)
 
 
+def test_step_guard_names_first_offending_bin():
+    # the pi pulse (centre t=5) pushes dt*|H| over the guard at dt=5e-3;
+    # both table builders must name the first bin whose exact load exceeds it
+    from cmsense.cascade import cascade_generators, step_matrices
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
+    grid = TimeGrid(0.0, 10.0, 5e-3)
+    j = m.jump(0.0, 0.0)
+    jj = np.linalg.norm(j.conj().T @ j, 2)
+    loads = [grid.dt * max(np.linalg.norm(m.hamiltonian(t, 0.0), 2), jj)
+             for t in grid.left_times]
+    first = int(np.argmax(np.array(loads) > 0.05))
+    t_first = grid.left_times[first]
+    assert abs(t_first - 5.0) < 0.1
+    for build in (lambda: pair_table(m, 0.0, grid),
+                  lambda: step_matrices(cascade_generators(m), 0.0, grid)):
+        with pytest.raises(StepTooLarge, match=f"{loads[first]:.3g} exceeds 0.05 "
+                                               f"at t={t_first:.4g};"):
+            build()
+
+
 def test_pair_table_batch_matches_loop():
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
     grid = TimeGrid(0.0, 5.0, 1e-3)
