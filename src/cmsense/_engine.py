@@ -9,7 +9,10 @@ handed it.  Two cores carry both directions:
   either as pure states under the Kraus pair (no extra Lindblad
   channels, unit detector efficiency) or as row-major vectorized
   densities under the superoperators (loss, dephasing, finite
-  efficiency),
+  efficiency).  Replay advances a whole set of parameter values in the
+  same pass: the state carries a leading θ axis, (Θ, records, D), every
+  θ reads the same click flags, and each bin is one batched product per
+  branch; sampling is the case Θ = 1,
 * segment core (``run_segments``) for static pure generators:
   diagonalize the no-click matrix once and jump between clicks by
   eigenvalue powers; the next click is bisected on the survival
@@ -91,23 +94,36 @@ def _check_p1(p1max, k, dt):
 
 
 def _click_rows(x, sel, a1t):
-    """``x[sel] @ a1t``, bit for bit those rows of ``x @ a1t``: a single
-    row is doubled so that BLAS takes the same gemm path, not gemv."""
-    rows = x[sel] if len(sel) > 1 else x[np.repeat(sel, 2)]
-    return (rows @ a1t)[:len(sel)]
+    """``x[..., sel, :] @ a1t``, bit for bit those rows of ``x @ a1t``: a
+    single row is doubled so that BLAS takes the same gemm path, not gemv."""
+    rows = x[..., sel, :] if len(sel) > 1 else x[..., np.repeat(sel, 2), :]
+    return (rows @ a1t)[..., :len(sel), :]
 
 
-def run_steps(ops: StepOps, indices, seed, click_indices=None):
-    """Advance a batch of records bin by bin through the branch maps.
+def _bin_major(ops, i):
+    """Branch map ``i`` of every θ as per-bin transposed tables: (n, D, D)
+    for one θ, else (n, Θ, D, D) (static tables broadcast, not copied)."""
+    tabs = [o.branch_maps()[i] for o in ops]
+    s = tabs[0] if len(tabs) == 1 else np.stack(tabs, axis=1)
+    return np.swapaxes(np.broadcast_to(s, (ops[0].n_steps,) + s.shape[1:]), -1, -2)
+
+
+def run_steps(ops, indices, seed, click_indices=None):
+    """Advance a batch of records bin by bin through the branch maps of
+    every θ in ``ops`` (a list of StepOps on one grid) at once.
 
     With ``click_indices`` None, draws the records of trajectory
-    ``indices`` from their (seed, index) streams; else replays the
-    given click-index arrays.  Returns (list of click-index arrays,
-    logL (B,)).
+    ``indices`` from their (seed, index) streams (one θ only); else
+    replays the given click-index arrays, shared by every θ.  The state
+    is (Θ, B, D), or (B, D) for one θ: a θ axis of length 1 costs a few
+    microseconds per bin, which replays of few records pay on every bin.
+    Returns (list of click-index arrays, logL (Θ, B)).
     """
-    a0, a1, x0, weight, root = ops.branch_maps()
-    a0t, a1t = (np.swapaxes(ops.per_bin(a), 1, 2) for a in (a0, a1))
-    n, nb = ops.n_steps, len(indices)
+    _, _, x0, weight, root = ops[0].branch_maps()
+    n, nb, nt = ops[0].n_steps, len(indices), len(ops)
+    a0t, a1t = _bin_major(ops, 0), _bin_major(ops, 1)
+    lead = (nb,) if nt == 1 else (nt, nb)
+    w_of = weight if nt == 1 else lambda y: weight(y.reshape(nt * nb, -1)).reshape(lead)
     sampling = click_indices is None
     hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
     if sampling:
@@ -116,31 +132,37 @@ def run_steps(ops: StepOps, indices, seed, click_indices=None):
     else:
         for r, h in enumerate(click_indices):
             hits[h, r] = True
-    x = np.tile(x0, (nb, 1)).astype(complex)
-    logl = np.zeros(nb)
+    x = np.tile(x0, lead + (1,)).astype(complex)
+    logl = np.zeros(lead)
     for k in range(n):
         hit = hits[k]
         if sampling:
             if k % block == 0:
-                u = np.stack([g.random(min(block, n - k)) for g in gens], axis=1)
+                # filled in place, one row per record: stacking a list of
+                # per-record draws holds the block twice, and two pool
+                # threads doing that at once set the peak RSS
+                ut = np.empty((nb, min(block, n - k)))
+                for g, row in zip(gens, ut):
+                    g.random(out=row)
+                u = ut.T
             cs = x @ a1t[k]
             b1 = weight(cs)
-            _check_p1(float(b1.max(initial=0.0)), k, ops.dt)
+            _check_p1(float(b1.max(initial=0.0)), k, ops[0].dt)
             np.less(u[k % block], b1, out=hit)
         out = x @ a0t[k]
         sel = np.flatnonzero(hit)
         if len(sel):
-            out[sel] = cs[sel] if sampling else _click_rows(x, sel, a1t[k])
-        w = weight(out)
+            out[..., sel, :] = cs[sel] if sampling else _click_rows(x, sel, a1t[k])
+        w = w_of(out)
         # in place out / root(w): numpy divides complex by real as a
         # multiply by the reciprocal, so the bits are the same
-        out.view(np.float64)[...] *= (1.0 / root(w))[:, None]
+        out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
         x = out
         logl += np.log(w)
     if sampling:
         rec, k = np.nonzero(hits.T)
         click_indices = np.split(k, np.cumsum(np.bincount(rec, minlength=nb))[:-1])
-    return click_indices, logl
+    return click_indices, logl.reshape(nt, nb)
 
 
 @dataclass(eq=False)

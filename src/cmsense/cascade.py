@@ -313,16 +313,19 @@ def _run_chunks(fn, spans, threads):
 
 def _run_records(ops, kind, eig, n_records, seed, threads, given=None):
     """Sample (``given`` None) or replay the records ``given`` in chunks
-    of trajectory indices; returns (list of click-index arrays, logL)."""
+    of trajectory indices, under the list ``ops`` of per-θ StepOps (one
+    for sampling and for the segment core); returns (list of click-index
+    arrays, logL (Θ, n_records))."""
     def work(a, b):
         idx = np.arange(a, b)
         sub = None if given is None else given[a:b]
         if kind == "segment":
-            return _engine.run_segments(ops, eig, idx, seed, sub)
+            hits, logl = _engine.run_segments(ops[0], eig, idx, seed, sub)
+            return hits, logl[None]
         return _engine.run_steps(ops, idx, seed, sub)
 
-    parts = _run_chunks(work, _chunks(n_records, ops.n_steps, threads), threads)
-    return [h for p in parts for h in p[0]], np.concatenate([p[1] for p in parts])
+    parts = _run_chunks(work, _chunks(n_records, ops[0].n_steps, threads), threads)
+    return [h for p in parts for h in p[0]], np.concatenate([p[1] for p in parts], axis=1)
 
 
 def _check_click_indices(indices, n_steps):
@@ -341,17 +344,34 @@ def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
     """Sample n_traj records; returns (list of click-index arrays, logL, engine kind)."""
     ops = step_matrices(gen, theta, grid, max_step)
     kind, eig = _resolve_engine(ops, engine)
-    indices, logl = _run_records(ops, kind, eig, n_traj, seed, threads)
-    return indices, logl, kind
+    indices, logl = _run_records([ops], kind, eig, n_traj, seed, threads)
+    return indices, logl[0], kind
 
 
 def replay_records(gen, theta, indices, grid, threads=1, engine_kind="step",
                    max_step=0.05):
-    """Log-likelihoods of stored records (click-index arrays) at parameter value theta."""
+    """Log-likelihoods of stored records (click-index arrays) at the
+    parameter value theta, (n_records,), or at each value of a 1-D theta
+    array, (n_theta, n_records).
+
+    Static step tables of the whole θ set are stacked and replayed in one
+    pass over the bins.  Time-dependent tables (one per bin) and the
+    segment core are replayed one θ at a time, each table freed before
+    the next is built.
+    """
     _check_click_indices(indices, grid.n_steps)
-    ops = step_matrices(gen, theta, grid, max_step)
-    eig = _resolve_engine(ops, "segment")[1] if engine_kind == "segment" else None
-    return _run_records(ops, engine_kind, eig, len(indices), 0, threads, indices)[1]
+    thetas = [float(t) for t in np.atleast_1d(theta)]
+
+    def run(ths):
+        ops = [step_matrices(gen, th, grid, max_step) for th in ths]
+        eig = _resolve_engine(ops[0], "segment")[1] if engine_kind == "segment" else None
+        return _run_records(ops, engine_kind, eig, len(indices), 0, threads, indices)[1]
+
+    if engine_kind == "step" and not gen.time_dependent:
+        logl = run(thetas)
+    else:
+        logl = np.concatenate([run([th]) for th in thetas])
+    return logl if np.ndim(theta) else logl[0]
 
 
 def sample_trajectory(gen: CascadeGenerators, theta_true: float, grid: TimeGrid,
@@ -386,7 +406,8 @@ class FisherEstimate:
     standard error of that mean.  mean_score should vanish within a few
     mean_score_se (it does up to the O(dt) discretization bias);
     halving_dev reports the largest relative change of a score when the
-    finite-difference step is halved, over the diagnostic subset.
+    finite-difference step is halved, over the diagnostic subset;
+    null_point is set when every score is exactly zero.
     """
 
     value: float
@@ -399,6 +420,7 @@ class FisherEstimate:
     mean_clicks: float
     engine: str
     seed: int
+    null_point: bool
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -417,16 +439,15 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     indices, _, kind = sample_records(gen, theta, grid, n_traj, seed=seed,
                                       threads=threads, engine=engine,
                                       max_step=max_step)
-    lp = replay_records(gen, theta + eps, indices, grid, threads, kind, max_step)
-    lm = replay_records(gen, theta - eps, indices, grid, threads, kind, max_step)
+    lp, lm = replay_records(gen, [theta + eps, theta - eps], indices, grid,
+                            threads, kind, max_step)
     scores = (lp - lm) / (2.0 * eps)
 
     m = int(np.ceil(halving_fraction * n_traj))
     halving_dev = 0.0
     if m > 0:
-        sub = indices[:m]
-        lp2 = replay_records(gen, theta + 0.5 * eps, sub, grid, threads, kind, max_step)
-        lm2 = replay_records(gen, theta - 0.5 * eps, sub, grid, threads, kind, max_step)
+        lp2, lm2 = replay_records(gen, [theta + 0.5 * eps, theta - 0.5 * eps],
+                                  indices[:m], grid, threads, kind, max_step)
         s2 = (lp2 - lm2) / eps
         scale = max(float(np.abs(scores[:m]).max(initial=0.0)), 1e-12)
         halving_dev = float(np.abs(s2 - scores[:m]).max(initial=0.0) / scale)
@@ -440,6 +461,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         mean_score=float(scores.mean()),
         mean_score_se=float(scores.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0,
         halving_dev=halving_dev, mean_clicks=mean_clicks, engine=kind, seed=seed,
+        null_point=not scores.any(),
     )
 
 

@@ -38,7 +38,7 @@ from .config import (
     validate,
 )
 from .decoder import build_decoder, two_level_decoder
-from .errors import ConfigInvalid
+from .errors import CmsenseError, ConfigInvalid
 from .estimate import interrogation_study, study_table
 from .propagate import TimeGrid
 from .qfi import env_qfi, global_qfi
@@ -88,12 +88,29 @@ def _matched_two_level(cfg, theta):
     return two_level_decoder(m["omega"], -theta, m["gamma"])
 
 
-def _fisher(gen, theta, grid, n_traj, cfg):
+def _report_fisher(report, label, fi):
+    """Add a Fisher estimate's diagnostics to the provenance report, and
+    a warning when every score is exactly zero (a null point, where the
+    estimate reads 0 +/- 0 whatever the information is)."""
+    report.setdefault("estimators", []).append({
+        "label": label, "engine": fi.engine, "n_traj": fi.n_traj,
+        "mean_clicks": fi.mean_clicks, "mean_score": fi.mean_score,
+        "mean_score_se": fi.mean_score_se, "halving_dev": fi.halving_dev,
+    })
+    if fi.null_point:
+        report.setdefault("warnings", []).append(
+            f"warn: {label}: every score is exactly zero (null point); "
+            "the Fisher estimate 0 +/- 0 is not informative")
+
+
+def _fisher(gen, theta, grid, n_traj, cfg, report, label):
     est = cfg.estimation
-    return fisher_from_trajectories(
+    fi = fisher_from_trajectories(
         gen, theta, grid, n_traj, theta_step=est["theta_step"],
         seed=cfg.seed, threads=cfg.threads,
     )
+    _report_fisher(report, label, fi)
+    return fi
 
 
 def _qfi_kwargs(cfg):
@@ -101,7 +118,7 @@ def _qfi_kwargs(cfg):
     return {} if fd is None else {"delta": fd}
 
 
-def _scan_pipeline(cfg):
+def _scan_pipeline(cfg, report):
     """(T, I_E, I_G[, F_decoder, err, F_direct, err]) for each T."""
     theta = float(cfg.model["theta"])
     dt = float(cfg.grid["dt"])
@@ -118,10 +135,14 @@ def _scan_pipeline(cfg):
         if n_traj > 0:
             if three:
                 dec = build_decoder(sensor, theta, grid)
+                report.setdefault("decoders", []).append(
+                    {"label": f"T={t_end}", "herm_residual": dec.herm_residual})
             else:
                 dec = _matched_two_level(cfg, theta)
-            fd = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg)
-            fx = _fisher(cascade_generators(sensor), theta, grid, n_traj, cfg)
+            fd = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
+                         report, f"T={t_end} decoder")
+            fx = _fisher(cascade_generators(sensor), theta, grid, n_traj, cfg,
+                         report, f"T={t_end} direct")
             row += [fd.value, fd.std_error, fx.value, fx.std_error]
         rows.append(row)
     header = ["T", "I_E", "I_G"]
@@ -130,7 +151,7 @@ def _scan_pipeline(cfg):
     return header, rows
 
 
-def _mle_pipeline(cfg):
+def _mle_pipeline(cfg, report):
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
     dec = _matched_two_level(cfg, theta)
@@ -143,12 +164,14 @@ def _mle_pipeline(cfg):
         n_grid=int(est["n_grid"]), grid_width=est["grid_width"],
         fisher_n_traj=int(est["n_traj"]) or None,
     )
+    for r in rows:
+        _report_fisher(report, f"T={r.t_end}", r.fisher_estimate)
     table = study_table(rows)
     header = list(table[0].keys())
     return header, [[d[k] for k in header] for d in table]
 
 
-def _mismatch_pipeline(cfg):
+def _mismatch_pipeline(cfg, report):
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
     grid = TimeGrid(0.0, float(cfg.grid["t_list"][0]), float(cfg.grid["dt"]))
@@ -157,18 +180,22 @@ def _mismatch_pipeline(cfg):
         int(cfg.estimation["n_traj"]), theta_step=cfg.estimation["theta_step"],
         seed=cfg.seed, threads=cfg.threads,
     )
+    for dm, f in zip(res.mismatches, res.fisher):
+        _report_fisher(report, f"delta_mis={dm}", f)
+    report["fwhm"] = float(res.fwhm)
     rows = [[dm, f.value, f.std_error]
             for dm, f in zip(res.mismatches, res.fisher)]
-    return ["delta_mis", "fisher", "fisher_err"], rows, float(res.fwhm)
+    return ["delta_mis", "fisher", "fisher_err"], rows
 
 
-def _imperfections_pipeline(cfg):
+def _imperfections_pipeline(cfg, report):
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
     dec = _matched_two_level(cfg, theta)
     grid = TimeGrid(0.0, float(cfg.grid["t_list"][0]), float(cfg.grid["dt"]))
     n_traj = int(cfg.estimation["n_traj"])
-    ideal = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg)
+    ideal = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
+                    report, "ideal")
     etas = cfg.imperfections["eta_list"] or [cfg.imperfections["eta"]]
     gammas = cfg.imperfections["gamma_list"] or [cfg.imperfections["gamma"]]
     rows = []
@@ -178,11 +205,24 @@ def _imperfections_pipeline(cfg):
                                 gamma_dep=cfg.imperfections["gamma_dep"],
                                 eta=float(eta))
             fi = _fisher(cascade_generators(sensor, dec, imperfections=imp),
-                         theta, grid, n_traj, cfg)
+                         theta, grid, n_traj, cfg, report, f"eta={eta} gamma={gam}")
             ratio = fi.value / ideal.value if ideal.value > 0 else float("nan")
             rows.append([float(eta), float(gam), fi.value, fi.std_error, ratio])
+    report["ideal_fisher"] = ideal.value
     header = ["eta", "gamma", "fisher", "fisher_err", "ratio_to_ideal"]
-    return header, rows, ideal.value
+    return header, rows
+
+
+# preset -> (table name, pipeline); a pipeline returns (header, rows) and
+# adds what explains the numbers to the provenance report it is given
+_PIPELINES = {
+    "fig2_qfi_scan": ("qfi_scan", _scan_pipeline),
+    "custom": ("qfi_scan", _scan_pipeline),
+    "fig3_heisenberg": ("heisenberg", _scan_pipeline),
+    "fig2_mle": ("mle", _mle_pipeline),
+    "fig2_mismatch": ("mismatch", _mismatch_pipeline),
+    "fig4_imperfections": ("imperfections", _imperfections_pipeline),
+}
 
 
 def run(cfg: ExperimentConfig) -> ResultBundle:
@@ -192,34 +232,19 @@ def run(cfg: ExperimentConfig) -> ResultBundle:
     if errors:
         raise ConfigInvalid("; ".join(errors))
     bundle = ResultBundle(config=cfg.to_dict())
-    extras = {}
-    if cfg.preset in ("fig2_qfi_scan", "custom"):
-        header, rows = _scan_pipeline(cfg)
-        bundle.add_table("qfi_scan", header, rows)
-    elif cfg.preset == "fig3_heisenberg":
-        header, rows = _scan_pipeline(cfg)
-        bundle.add_table("heisenberg", header, rows)
-    elif cfg.preset == "fig2_mle":
-        header, rows = _mle_pipeline(cfg)
-        bundle.add_table("mle", header, rows)
-    elif cfg.preset == "fig2_mismatch":
-        header, rows, fwhm = _mismatch_pipeline(cfg)
-        bundle.add_table("mismatch", header, rows)
-        extras["fwhm"] = fwhm
-    elif cfg.preset == "fig4_imperfections":
-        header, rows, ideal = _imperfections_pipeline(cfg)
-        bundle.add_table("imperfections", header, rows)
-        extras["ideal_fisher"] = ideal
-    else:
+    if cfg.preset not in _PIPELINES:
         raise ConfigInvalid(f"preset: no pipeline for {cfg.preset!r}")
+    name, pipeline = _PIPELINES[cfg.preset]
+    report = {}
+    bundle.add_table(name, *pipeline(cfg, report))
     bundle.provenance = {
         "version": __version__,
         "numpy": np.__version__,
         "seed": cfg.seed,
         "threads": cfg.threads,
-        "diagnostics": diags,
+        "diagnostics": diags + report.pop("warnings", []),
         "generated_utc": datetime.now(timezone.utc).isoformat(),
-        **extras,
+        **report,
     }
     # the bundle must re-validate cleanly from its own echo
     echo = ExperimentConfig.from_dict(bundle.config)
@@ -275,7 +300,7 @@ def main(argv=None) -> int:
         if args.show:
             try:
                 cfg = preset_config(args.show)
-            except ConfigInvalid as exc:
+            except CmsenseError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
@@ -287,7 +312,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             cfg = _load_for(args)
-        except ConfigInvalid as exc:
+        except CmsenseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         diags = validate(cfg)
@@ -300,7 +325,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_for(args)
         bundle = run(cfg)
-    except ConfigInvalid as exc:
+    except CmsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     paths = bundle.write(cfg.out)

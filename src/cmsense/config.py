@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, format_excess
 from .models import three_level_model, two_level_model
 
 __all__ = [
@@ -195,7 +195,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
         scale = _model_norm_scale(cfg)
         if scale is not None and dt * scale > 0.05:
             diags.append(
-                f"error: grid.dt: dt*|H| = {dt * scale:.3g} exceeds the 0.05 step guard"
+                f"error: grid.dt: dt*|H| = {format_excess(dt * scale, 0.05)} "
+                "exceeds the 0.05 step guard"
             )
     if cfg.preset == "fig2_mismatch" and not (cfg.mismatch.get("values")):
         diags.append("error: mismatch.values: required for the mismatch preset")

@@ -71,3 +71,13 @@ class GaussianTooWide(CmsenseError):
 
 class ConfigInvalid(CmsenseError):
     """Experiment configuration failed schema or physics validation."""
+
+
+def format_excess(value, limit):
+    """``value`` with the fewest significant digits (at least 3) that
+    still read above ``limit``, so a guard never reports "0.05 exceeds 0.05"."""
+    for digits in range(3, 18):
+        text = f"{value:.{digits}g}"
+        if float(text) > limit:
+            return text
+    return repr(value)

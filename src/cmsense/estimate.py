@@ -16,6 +16,7 @@ import numpy as np
 from .cascade import (
     CascadeGenerators,
     CountingRecord,
+    FisherEstimate,
     fisher_from_trajectories,
     replay_records,
     sample_records,
@@ -75,11 +76,8 @@ def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
     else:
         clicks, ref = np.asarray(record), "array"
     idx = _engine.clicks_to_indices(np.atleast_2d(clicks).astype(np.uint8))
-    logl = np.array([
-        replay_records(gen, th, idx, grid, engine_kind=engine_kind,
-                       max_step=max_step)[0]
-        for th in theta_grid
-    ])
+    logl = replay_records(gen, theta_grid, idx, grid, engine_kind=engine_kind,
+                          max_step=max_step)[:, 0]
     est = _refine(theta_grid, logl,
                   flat_center=float(theta_grid[len(theta_grid) // 2]))
     if est is None:
@@ -106,8 +104,6 @@ def default_grid_width(fisher_value, t_end, cap=2.0):
 class InterrogationRow:
     t_end: float
     inv_var_per_k: float
-    fisher: float
-    fisher_err: float
     n_records: int
     seed: int
     mean_estimate: float
@@ -115,6 +111,15 @@ class InterrogationRow:
     bias: float
     n_boundary: int
     grid_width: float
+    fisher_estimate: FisherEstimate
+
+    @property
+    def fisher(self):
+        return self.fisher_estimate.value
+
+    @property
+    def fisher_err(self):
+        return self.fisher_estimate.std_error
 
 
 def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
@@ -153,11 +158,8 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         width = grid_width if grid_width is not None else \
             default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
-        logl = np.stack([
-            replay_records(g, th, indices, tgrid, threads=threads,
-                           engine_kind=kind, max_step=max_step)
-            for th in tgrid_theta
-        ])  # (n_grid, n_records)
+        logl = replay_records(g, tgrid_theta, indices, tgrid, threads=threads,
+                              engine_kind=kind, max_step=max_step)  # (n_grid, n_records)
         ests = np.empty(n_records)
         n_boundary = 0
         for r in range(n_records):
@@ -172,11 +174,10 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         # variance, directly comparable to the per-record Fisher value.
         inv_var = float(1.0 / var) if var > 0 else float("inf")
         rows.append(InterrogationRow(
-            t_end=float(t_end), inv_var_per_k=inv_var, fisher=fi.value,
-            fisher_err=fi.std_error, n_records=n_records, seed=seed,
+            t_end=float(t_end), inv_var_per_k=inv_var, n_records=n_records, seed=seed,
             mean_estimate=float(ests.mean()), variance=var,
             bias=float(ests.mean() - theta_true), n_boundary=n_boundary,
-            grid_width=width,
+            grid_width=width, fisher_estimate=fi,
         ))
     return rows
 

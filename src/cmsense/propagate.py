@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StepTooLarge, TraceDrift
+from .errors import StepTooLarge, TraceDrift, format_excess
 from .models import SensorModel, operator_stacks
 
 __all__ = [
@@ -115,7 +115,8 @@ def _guard(h, decay, dt, max_step, ts):
     bad = np.flatnonzero(load > max_step)
     if len(bad):
         raise StepTooLarge(
-            f"dt*max(|H|,|J^dag J|) = {load[bad[0]]:.3g} exceeds {max_step} "
+            f"dt*max(|H|,|J^dag J|) = {format_excess(load[bad[0]], max_step)} "
+            f"exceeds {max_step} "
             f"at t={ts[flagged[bad[0]]]:.4g}; refine dt or widen max_step explicitly"
         )
 

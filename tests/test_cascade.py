@@ -115,12 +115,20 @@ def test_sampling_is_deterministic_per_stream(clicky_pair):
     assert np.array_equal(a[1], b[1])
 
 
-def test_thread_count_does_not_change_results(clicky_pair):
+THETA_SET = 1e-3 * np.arange(-2.0, 3.0)
+
+
+def test_thread_count_does_not_change_results(clicky_pair, monkeypatch):
+    # small chunk floor: 3 threads split the 40 records into 3 chunks
+    monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
     grid = TimeGrid(0.0, 5.0, 2e-3)
     a = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=1)
     b = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=3)
     assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
     assert np.array_equal(a[1], b[1])
+    ra = replay_records(clicky_pair, THETA_SET, a[0], grid, threads=1)
+    rb = replay_records(clicky_pair, THETA_SET, a[0], grid, threads=3)
+    assert ra.shape == (5, 40) and np.array_equal(ra, rb)
 
 
 @pytest.mark.parametrize("imp", [None, Imperfections(gamma=0.1, eta=0.65)],
@@ -132,7 +140,8 @@ def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
 
     def run():
         idx, logl, kind = sample_records(gen, 0.0, grid, 40, seed=4)
-        return idx, logl, replay_records(gen, 1e-3, idx, grid, 1, kind)
+        return (idx, logl, replay_records(gen, 1e-3, idx, grid, 1, kind),
+                replay_records(gen, THETA_SET, idx, grid, 1, kind))
 
     a = run()
     monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
@@ -141,6 +150,35 @@ def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
     assert sum(len(x) for x in a[0]) > 0
     assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+    assert a[3].shape == (5, 40) and np.array_equal(a[3], b[3])
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "segment", "three_level"])
+def test_replay_theta_set_matches_per_theta(emitter, clicky_pair, case):
+    # hand-made records: no click at all, bins where exactly one record
+    # clicks (5, 40, 999: a 1-row click branch) and a bin shared by two (17)
+    grid = TimeGrid(0.0, 2.0, 2e-3)  # 1000 bins
+    gen, kind, thetas = clicky_pair, "step", 0.3 + THETA_SET
+    if case == "density":
+        gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
+                                 imperfections=Imperfections(gamma=0.1, eta=0.65))
+    elif case == "segment":
+        kind = "segment"
+    elif case == "three_level":
+        from cmsense.decoder import build_decoder
+        from cmsense.models import three_level_model
+        sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0)
+        gen = cascade_generators(sensor, build_decoder(sensor, 0.0, grid))
+        thetas = THETA_SET
+        assert gen.time_dependent
+    records = [np.array([5, 17, 300]), np.array([], dtype=np.int64),
+               np.array([17, 40]), np.array([999])]
+    for recs in (records, records[:1], records[1:2]):
+        got = replay_records(gen, thetas, recs, grid, engine_kind=kind)
+        assert got.shape == (len(thetas), len(recs))
+        for i, th in enumerate(thetas):
+            assert np.array_equal(got[i], replay_records(gen, th, recs, grid,
+                                                         engine_kind=kind))
 
 
 def test_record_frequencies_match_exhaustive_distribution(emitter):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,22 @@ def test_run_requires_source(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_reports_step_guard_as_error(tmp_path, capsys):
+    # the cascaded sensor + decoder tables load the step just above the
+    # 0.05 guard: an "error:" line with a number that reads above it, no traceback
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(_tiny_cfg(
+        preset="fig3_heisenberg",
+        model={"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0,
+               "theta": 0.0},
+        grid={"dt": 2e-3, "t_list": [2.0]}, estimation={"n_traj": 4})))
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    load = re.search(r"= ([-+.\deE]+) exceeds", err)
+    assert load is not None and float(load.group(1)) > 0.05
+
+
 def test_run_writes_tables(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(_tiny_cfg()))
@@ -74,6 +91,36 @@ def test_run_writes_tables(tmp_path, capsys):
     assert prov["seed"] == 3
     assert prov["config"]["grid"]["t_list"] == [3.0]
     assert "version" in prov and "numpy" in prov
+
+
+def test_provenance_reports_estimators_and_null_point():
+    # theta = 0 with a matched decoder (mismatch 0): every score is exactly
+    # zero, which the report flags; the mismatched decoder is not flagged
+    bundle = run(ExperimentConfig.from_dict(_tiny_cfg(
+        preset="fig2_mismatch", grid={"dt": 2e-3, "t_list": [1.0]},
+        estimation={"n_traj": 16}, mismatch={"values": [0.0, 4.0]})))
+    prov = bundle.provenance
+    est = prov["estimators"]
+    assert [e["label"] for e in est] == ["delta_mis=0.0", "delta_mis=4.0"]
+    for e in est:
+        assert set(e) == {"label", "engine", "n_traj", "mean_clicks", "mean_score",
+                          "mean_score_se", "halving_dev"}
+        assert e["engine"] == "step" and e["n_traj"] == 16
+    assert est[0]["mean_score"] == 0.0 and est[1]["mean_score"] != 0.0
+    warns = [d for d in prov["diagnostics"] if "null point" in d]
+    assert len(warns) == 1 and warns[0].startswith("warn: delta_mis=0.0:")
+
+
+def test_provenance_reports_synthesized_decoder():
+    bundle = run(ExperimentConfig.from_dict(_tiny_cfg(
+        preset="fig3_heisenberg",
+        model={"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0,
+               "theta": 0.0},
+        grid={"dt": 2e-3, "t_list": [0.5]}, estimation={"n_traj": 4})))
+    prov = bundle.provenance
+    (dec,) = prov["decoders"]
+    assert dec["label"] == "T=0.5" and dec["herm_residual"] > 0.0
+    assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
 
 
 def test_run_byte_identical(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmsense import TimeGrid, two_level_model
-from cmsense.cascade import cascade_generators, sample_trajectory
+from cmsense.cascade import cascade_generators, replay_records, sample_trajectory
 from cmsense.decoder import two_level_decoder
 from cmsense.errors import GridTooNarrow
 from cmsense.estimate import (_refine, default_grid_width, interrogation_study,
@@ -50,6 +50,19 @@ def test_likelihood_curve_peaks_near_truth():
     assert curve.log_likelihoods.shape == (41,)
     assert abs(curve.argmax) < 1.2
     assert np.isfinite(curve.log_likelihoods).all()
+
+
+def test_likelihood_curve_equals_per_theta_replays():
+    m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    gen = cascade_generators(m, two_level_decoder(1.0, 1.0, 1.0))
+    grid = TimeGrid(0.0, 5.0, 2e-3)
+    rec = sample_trajectory(gen, 0.0, grid, seed=101)
+    assert rec.n_clicks > 0
+    thetas = np.linspace(-1.2, 1.2, 9)
+    curve = likelihood_curve(gen, rec, thetas, grid)
+    idx = [np.flatnonzero(rec.clicks)]
+    per_theta = [replay_records(gen, th, idx, grid)[0] for th in thetas]
+    assert np.array_equal(curve.log_likelihoods, per_theta)
 
 
 def test_likelihood_curve_boundary_guard():
