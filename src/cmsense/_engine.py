@@ -23,7 +23,7 @@ Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
 is the trace of the record-conditioned unnormalized state.  Every
 trajectory owns a counter-based RNG stream keyed by (seed, index), so
-results do not depend on chunking or thread count.
+results do not depend on how the records are split into chunks.
 """
 
 from dataclasses import dataclass
@@ -139,8 +139,8 @@ def run_steps(ops, indices, seed, click_indices=None):
         if sampling:
             if k % block == 0:
                 # filled in place, one row per record: stacking a list of
-                # per-record draws holds the block twice, and two pool
-                # threads doing that at once set the peak RSS
+                # per-record draws holds the block twice, which set the
+                # peak RSS of the sampling runs
                 ut = np.empty((nb, min(block, n - k)))
                 for g, row in zip(gens, ut):
                     g.random(out=row)

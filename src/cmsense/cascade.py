@@ -18,11 +18,12 @@ record is the log-trace of the record-conditioned unnormalized state.
 Fisher information is estimated as the sample mean of squared central
 finite-difference scores over trajectories, with a fixed-seed
 counter-based stream per trajectory so the result is independent of
-chunking and thread count.
+chunking.  Chunks run one after another in the calling thread: the
+per-bin loop holds the interpreter lock, so threads would only contend.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
 _CHUNK = 256
 _CHUNK_BINS = 1 << 24
 _SEGMENT_MIN_STEPS = 50_000
+# a score below this many eps_mach * max(1, |logL+-|) / eps is round-off
+_SCORE_ROUNDOFF = 1e3
 
 
 @dataclass(frozen=True)
@@ -296,35 +299,28 @@ def _resolve_engine(ops, engine):
     return ("step", None)
 
 
-def _chunks(n, n_steps, threads):
-    """Spans of trajectory indices: one per thread, at least _CHUNK
-    records, and at most _CHUNK_BINS record-bins each (the step core
-    holds a bool per record-bin)."""
-    size = max(_CHUNK, min(-(-n // threads), _CHUNK_BINS // max(n_steps, 1)))
+def _chunks(n, n_steps):
+    """Spans of trajectory indices: all n records, split so that a chunk
+    holds at most _CHUNK_BINS record-bins (the step core holds a bool
+    per record-bin) but at least _CHUNK records."""
+    size = max(_CHUNK, _CHUNK_BINS // max(n_steps, 1))
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _run_chunks(fn, spans, threads):
-    if threads <= 1 or len(spans) <= 1:
-        return [fn(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda s: fn(*s), spans))
-
-
-def _run_records(ops, kind, eig, n_records, seed, threads, given=None):
-    """Sample (``given`` None) or replay the records ``given`` in chunks
-    of trajectory indices, under the list ``ops`` of per-θ StepOps (one
-    for sampling and for the segment core); returns (list of click-index
-    arrays, logL (Θ, n_records))."""
-    def work(a, b):
+def _run_records(ops, kind, eig, n_records, seed, given=None):
+    """Sample (``given`` None) or replay the records ``given`` chunk by
+    chunk, under the list ``ops`` of per-θ StepOps (one for sampling and
+    for the segment core); returns (list of click-index arrays, logL
+    (Θ, n_records))."""
+    parts = []
+    for a, b in _chunks(n_records, ops[0].n_steps):
         idx = np.arange(a, b)
         sub = None if given is None else given[a:b]
         if kind == "segment":
             hits, logl = _engine.run_segments(ops[0], eig, idx, seed, sub)
-            return hits, logl[None]
-        return _engine.run_steps(ops, idx, seed, sub)
-
-    parts = _run_chunks(work, _chunks(n_records, ops[0].n_steps, threads), threads)
+            parts.append((hits, logl[None]))
+        else:
+            parts.append(_engine.run_steps(ops, idx, seed, sub))
     return [h for p in parts for h in p[0]], np.concatenate([p[1] for p in parts], axis=1)
 
 
@@ -341,15 +337,15 @@ def _check_click_indices(indices, n_steps):
 
 def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
                    engine="auto", max_step=0.05):
-    """Sample n_traj records; returns (list of click-index arrays, logL, engine kind)."""
+    """Sample n_traj records; returns (list of click-index arrays, logL, engine kind).
+    ``threads`` is accepted for existing callers and has no effect."""
     ops = step_matrices(gen, theta, grid, max_step)
     kind, eig = _resolve_engine(ops, engine)
-    indices, logl = _run_records([ops], kind, eig, n_traj, seed, threads)
+    indices, logl = _run_records([ops], kind, eig, n_traj, seed)
     return indices, logl[0], kind
 
 
-def replay_records(gen, theta, indices, grid, threads=1, engine_kind="step",
-                   max_step=0.05):
+def replay_records(gen, theta, indices, grid, engine_kind="step", max_step=0.05):
     """Log-likelihoods of stored records (click-index arrays) at the
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
@@ -365,7 +361,7 @@ def replay_records(gen, theta, indices, grid, threads=1, engine_kind="step",
     def run(ths):
         ops = [step_matrices(gen, th, grid, max_step) for th in ths]
         eig = _resolve_engine(ops[0], "segment")[1] if engine_kind == "segment" else None
-        return _run_records(ops, engine_kind, eig, len(indices), 0, threads, indices)[1]
+        return _run_records(ops, engine_kind, eig, len(indices), 0, indices)[1]
 
     if engine_kind == "step" and not gen.time_dependent:
         logl = run(thetas)
@@ -406,8 +402,10 @@ class FisherEstimate:
     standard error of that mean.  mean_score should vanish within a few
     mean_score_se (it does up to the O(dt) discretization bias);
     halving_dev reports the largest relative change of a score when the
-    finite-difference step is halved, over the diagnostic subset;
-    null_point is set when every score is exactly zero.
+    finite-difference step is halved, over the diagnostic subset (None
+    when all its scores are round-off: a dark or null record set);
+    null_point is set when every score is exactly zero; n_steps, chunks
+    (record chunks per pass) and seconds (wall time) give the cost.
     """
 
     value: float
@@ -416,16 +414,19 @@ class FisherEstimate:
     theta_step: float
     mean_score: float
     mean_score_se: float
-    halving_dev: float
+    halving_dev: Optional[float]
     mean_clicks: float
     engine: str
     seed: int
     null_point: bool
+    n_steps: int
+    chunks: int
+    seconds: float
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                              n_traj: int, theta_step: float = 1e-3,
-                             seed: int = 0, threads: int = 1, engine: str = "auto",
+                             seed: int = 0, engine: str = "auto",
                              halving_fraction: float = 0.1,
                              max_step: float = 0.05) -> FisherEstimate:
     """Estimate the Fisher information of the record at theta.
@@ -435,19 +436,22 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     records is replayed again at half the step as a discretization
     check.
     """
+    t0 = perf_counter()
     eps = theta_step
     indices, _, kind = sample_records(gen, theta, grid, n_traj, seed=seed,
-                                      threads=threads, engine=engine,
-                                      max_step=max_step)
+                                      engine=engine, max_step=max_step)
     lp, lm = replay_records(gen, [theta + eps, theta - eps], indices, grid,
-                            threads, kind, max_step)
+                            kind, max_step)
     scores = (lp - lm) / (2.0 * eps)
 
     m = int(np.ceil(halving_fraction * n_traj))
     halving_dev = 0.0
-    if m > 0:
+    ulp = np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(lp[:m]), abs(lm[:m]))) / eps
+    if m > 0 and np.all(np.abs(scores[:m]) < _SCORE_ROUNDOFF * ulp):
+        halving_dev = None
+    elif m > 0:
         lp2, lm2 = replay_records(gen, [theta + 0.5 * eps, theta - 0.5 * eps],
-                                  indices[:m], grid, threads, kind, max_step)
+                                  indices[:m], grid, kind, max_step)
         s2 = (lp2 - lm2) / eps
         scale = max(float(np.abs(scores[:m]).max(initial=0.0)), 1e-12)
         halving_dev = float(np.abs(s2 - scores[:m]).max(initial=0.0) / scale)
@@ -461,13 +465,15 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         mean_score=float(scores.mean()),
         mean_score_se=float(scores.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0,
         halving_dev=halving_dev, mean_clicks=mean_clicks, engine=kind, seed=seed,
-        null_point=not scores.any(),
+        null_point=not scores.any(), n_steps=grid.n_steps,
+        chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
     )
 
 
 def full_width_half_max(x, y):
     """FWHM of a sampled peak by linear interpolation at the outermost
-    half-maximum crossings; NaN when a side never falls below half."""
+    half-maximum crossings; NaN when a side never falls below half or
+    the crossings face the wrong way (a dip)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     half = 0.5 * y.max()
@@ -480,7 +486,7 @@ def full_width_half_max(x, y):
         if y[i] < half <= y[i - 1]:
             hi = x[i - 1] + (half - y[i - 1]) * (x[i] - x[i - 1]) / (y[i] - y[i - 1])
             break
-    if lo is None or hi is None:
+    if lo is None or hi is None or hi < lo:  # hi < lo: a dip, not a peak
         return float("nan")
     return float(hi - lo)
 
@@ -498,8 +504,7 @@ class MismatchResult:
 
 def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float],
                    grid: TimeGrid, n_traj: int, theta_step: float = 1e-3,
-                   seed: int = 0, threads: int = 1,
-                   max_step: float = 0.05) -> MismatchResult:
+                   seed: int = 0, max_step: float = 0.05) -> MismatchResult:
     """Fisher information versus decoder detuning mismatch.
 
     For each mismatch dm the decoder is the two-level pair with detuning
@@ -523,7 +528,7 @@ def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float
         fishers.append(
             fisher_from_trajectories(
                 gen, theta, grid, n_traj, theta_step=theta_step,
-                seed=seed + 7919 * i, threads=threads, max_step=max_step,
+                seed=seed + 7919 * i, max_step=max_step,
             )
         )
     xs = np.asarray(mismatches, dtype=float)

@@ -7,7 +7,8 @@ results), validate (schema + physics lints, no execution), presets
 All tables are plain CSV, UTF-8, '.' decimal separator, one header
 row; a provenance.json sidecar echoes the config, library versions
 and derived scalars.  Identical config + seed reproduce the CSV bytes
-exactly, independent of --threads.
+exactly.  The config's ``threads`` key is still validated but changes
+nothing: every record batch runs in the calling thread.
 """
 
 import argparse
@@ -96,6 +97,7 @@ def _report_fisher(report, label, fi):
         "label": label, "engine": fi.engine, "n_traj": fi.n_traj,
         "mean_clicks": fi.mean_clicks, "mean_score": fi.mean_score,
         "mean_score_se": fi.mean_score_se, "halving_dev": fi.halving_dev,
+        "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
     })
     if fi.null_point:
         report.setdefault("warnings", []).append(
@@ -104,11 +106,8 @@ def _report_fisher(report, label, fi):
 
 
 def _fisher(gen, theta, grid, n_traj, cfg, report, label):
-    est = cfg.estimation
-    fi = fisher_from_trajectories(
-        gen, theta, grid, n_traj, theta_step=est["theta_step"],
-        seed=cfg.seed, threads=cfg.threads,
-    )
+    fi = fisher_from_trajectories(gen, theta, grid, n_traj,
+                                  theta_step=cfg.estimation["theta_step"], seed=cfg.seed)
     _report_fisher(report, label, fi)
     return fi
 
@@ -160,7 +159,7 @@ def _mle_pipeline(cfg, report):
     rows = interrogation_study(
         gen, theta, [float(t) for t in cfg.grid["t_list"]],
         int(est["n_records"]), float(cfg.grid["dt"]),
-        theta_step=est["theta_step"], seed=cfg.seed, threads=cfg.threads,
+        theta_step=est["theta_step"], seed=cfg.seed,
         n_grid=int(est["n_grid"]), grid_width=est["grid_width"],
         fisher_n_traj=int(est["n_traj"]) or None,
     )
@@ -178,11 +177,11 @@ def _mismatch_pipeline(cfg, report):
     res = mismatch_sweep(
         sensor, theta, [float(v) for v in cfg.mismatch["values"]], grid,
         int(cfg.estimation["n_traj"]), theta_step=cfg.estimation["theta_step"],
-        seed=cfg.seed, threads=cfg.threads,
+        seed=cfg.seed,
     )
     for dm, f in zip(res.mismatches, res.fisher):
         _report_fisher(report, f"delta_mis={dm}", f)
-    report["fwhm"] = float(res.fwhm)
+    report["fwhm"] = float(res.fwhm) if np.isfinite(res.fwhm) else None  # NaN: no JSON
     rows = [[dm, f.value, f.std_error]
             for dm, f in zip(res.mismatches, res.fisher)]
     return ["delta_mis", "fisher", "fisher_err"], rows
@@ -241,7 +240,6 @@ def run(cfg: ExperimentConfig) -> ResultBundle:
         "version": __version__,
         "numpy": np.__version__,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "diagnostics": diags + report.pop("warnings", []),
         "generated_utc": datetime.now(timezone.utc).isoformat(),
         **report,
@@ -263,8 +261,6 @@ def _load_for(args):
         raise ConfigInvalid("run: provide --config PATH or --preset NAME")
     if args.seed is not None:
         cfg.seed = int(args.seed)
-    if args.threads is not None:
-        cfg.threads = int(args.threads)
     if getattr(args, "out", None):
         cfg.out = args.out
     return cfg
@@ -283,13 +279,11 @@ def main(argv=None) -> int:
     pr.add_argument("--preset", choices=[n for n in PRESET_NAMES if n != "custom"],
                     help="run a built-in preset unchanged")
     pr.add_argument("--seed", type=int, default=None, help="override config seed")
-    pr.add_argument("--threads", type=int, default=None, help="worker threads")
     pr.add_argument("--out", help="output directory (default from config)")
 
     pv = sub.add_parser("validate", help="check a config, print diagnostics")
     pv.add_argument("--config", required=True)
     pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--threads", type=int, default=None)
 
     pp = sub.add_parser("presets", help="list presets or dump one as JSON")
     pp.add_argument("--show", metavar="NAME", help="print the named preset config")

@@ -124,7 +124,7 @@ class InterrogationRow:
 
 def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
                         n_records: int, dt: float, theta_step: float = 1e-3,
-                        seed: int = 0, threads: int = 1, n_grid: int = 41,
+                        seed: int = 0, n_grid: int = 41,
                         grid_width: Optional[float] = None,
                         fisher_n_traj: Optional[int] = None,
                         engine: str = "auto",
@@ -149,17 +149,17 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         fi = fisher_from_trajectories(
             g, theta_true, tgrid, fisher_n_traj or min(n_records, 2000),
             theta_step=theta_step, seed=seed + 1009 * it + 1,
-            threads=threads, engine=engine, max_step=max_step,
+            engine=engine, max_step=max_step,
         )
         indices, _, kind = sample_records(
             g, theta_true, tgrid, n_records, seed=seed + 1009 * it,
-            threads=threads, engine=engine, max_step=max_step,
+            engine=engine, max_step=max_step,
         )
         width = grid_width if grid_width is not None else \
             default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
-        logl = replay_records(g, tgrid_theta, indices, tgrid, threads=threads,
-                              engine_kind=kind, max_step=max_step)  # (n_grid, n_records)
+        logl = replay_records(g, tgrid_theta, indices, tgrid, engine_kind=kind,
+                              max_step=max_step)  # (n_grid, n_records)
         ests = np.empty(n_records)
         n_boundary = 0
         for r in range(n_records):

@@ -1,12 +1,14 @@
 """Cascaded sensor-decoder dynamics and the trajectory engines."""
+import threading
+
 import numpy as np
 import pytest
 
 from cmsense import TimeGrid, two_level_model
 from cmsense.cascade import (CountingRecord, Imperfections, cascade_generators,
-                             fisher_from_trajectories, record_log_likelihood,
-                             replay_records, sample_records, sample_trajectory,
-                             step_matrices, vacuum_probability)
+                             fisher_from_trajectories, full_width_half_max,
+                             record_log_likelihood, replay_records, sample_records,
+                             sample_trajectory, step_matrices, vacuum_probability)
 from cmsense.decoder import stationary_decoder, two_level_decoder
 from cmsense.errors import CmsenseError, RecordLengthMismatch
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
@@ -118,17 +120,19 @@ def test_sampling_is_deterministic_per_stream(clicky_pair):
 THETA_SET = 1e-3 * np.arange(-2.0, 3.0)
 
 
-def test_thread_count_does_not_change_results(clicky_pair, monkeypatch):
-    # small chunk floor: 3 threads split the 40 records into 3 chunks
-    monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
+def test_record_batches_start_no_thread(clicky_pair, monkeypatch):
+    # small chunks (16, 16 and 8 records) all run in the calling thread,
+    # whatever the threads argument says
+    def refuse(self):
+        raise AssertionError("a record batch started a thread")
+
     grid = TimeGrid(0.0, 5.0, 2e-3)
-    a = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=1)
-    b = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=3)
-    assert all(np.array_equal(x, y) for x, y in zip(a[0], b[0]))
-    assert np.array_equal(a[1], b[1])
-    ra = replay_records(clicky_pair, THETA_SET, a[0], grid, threads=1)
-    rb = replay_records(clicky_pair, THETA_SET, a[0], grid, threads=3)
-    assert ra.shape == (5, 40) and np.array_equal(ra, rb)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
+    monkeypatch.setattr("cmsense.cascade._CHUNK_BINS", 16 * grid.n_steps)
+    idx, logl, _ = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=2)
+    assert len(idx) == 40 and logl.shape == (40,)
+    assert replay_records(clicky_pair, THETA_SET, idx, grid).shape == (5, 40)
 
 
 @pytest.mark.parametrize("imp", [None, Imperfections(gamma=0.1, eta=0.65)],
@@ -140,8 +144,8 @@ def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
 
     def run():
         idx, logl, kind = sample_records(gen, 0.0, grid, 40, seed=4)
-        return (idx, logl, replay_records(gen, 1e-3, idx, grid, 1, kind),
-                replay_records(gen, THETA_SET, idx, grid, 1, kind))
+        return (idx, logl, replay_records(gen, 1e-3, idx, grid, kind),
+                replay_records(gen, THETA_SET, idx, grid, kind))
 
     a = run()
     monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
@@ -256,6 +260,37 @@ def test_fisher_estimate_bookkeeping(clicky_pair):
     assert fi.std_error > 0.0
     assert abs(fi.mean_score) < 5.0 * fi.mean_score_se
     assert fi.mean_clicks > 0.5
+    assert fi.n_steps == grid.n_steps and fi.chunks == 1 and fi.seconds > 0.0
+
+
+@pytest.mark.parametrize("case", ["dark", "clicking"])
+def test_halving_dev_is_none_on_round_off_scores(clicky_pair, case):
+    # the synthesized decoder keeps the three-level cascade dark, so its
+    # scores are central-difference round-off (~1e-13), not information
+    grid = TimeGrid(0.0, 2.0, 2e-3)
+    gen = clicky_pair
+    if case == "dark":
+        from cmsense.decoder import build_decoder
+        from cmsense.models import three_level_model
+        sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+        gen = cascade_generators(sensor, build_decoder(sensor, 0.0, grid))
+    fi = fisher_from_trajectories(gen, 0.0, grid, 20, seed=3)
+    if case == "dark":
+        assert fi.mean_clicks == 0.0 and not fi.null_point
+        assert fi.halving_dev is None
+    else:
+        assert fi.mean_clicks > 0.0
+        assert np.isfinite(fi.halving_dev) and 0.0 <= fi.halving_dev < 0.1
+
+
+def test_full_width_half_max_of_peak_and_dip():
+    x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    peak = np.array([0.0, 0.25, 1.0, 0.25, 0.0])
+    # half maximum 0.5 is crossed at -/+ 2/3 on the linear interpolant
+    assert full_width_half_max(x, peak) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    # a dip (the theta = 0 null point of a mismatch sweep) has no width
+    assert np.isnan(full_width_half_max(x, 1.0 - peak))
+    assert np.isnan(full_width_half_max([-4.0, 0.0, 4.0], [3.1, 0.0, 2.9]))
 
 
 def test_matched_stationary_cascade_stays_dark(emitter):

@@ -104,8 +104,10 @@ def test_provenance_reports_estimators_and_null_point():
     assert [e["label"] for e in est] == ["delta_mis=0.0", "delta_mis=4.0"]
     for e in est:
         assert set(e) == {"label", "engine", "n_traj", "mean_clicks", "mean_score",
-                          "mean_score_se", "halving_dev"}
+                          "mean_score_se", "halving_dev", "n_steps", "chunks",
+                          "seconds"}
         assert e["engine"] == "step" and e["n_traj"] == 16
+        assert e["n_steps"] == 500 and e["chunks"] == 1 and e["seconds"] > 0.0
     assert est[0]["mean_score"] == 0.0 and est[1]["mean_score"] != 0.0
     warns = [d for d in prov["diagnostics"] if "null point" in d]
     assert len(warns) == 1 and warns[0].startswith("warn: delta_mis=0.0:")
