@@ -3,21 +3,20 @@
 A record's likelihood is the trace of the record-conditioned state, so
 drawing a record and replaying a given one are the same product of
 per-bin {no click, click} maps: sampling draws each outcome, replay is
-handed it.  Two cores carry both directions:
+handed it.  Both cores work on ``StepOps.branch_maps()``: Kraus pairs on
+pure states (no extra Lindblad channels, unit detector efficiency), else
+superoperators on row-major vectorized densities (loss, dephasing,
+finite efficiency).
 
-* step core (``run_steps``): a batch of records advanced bin by bin,
-  either as pure states under the Kraus pair (no extra Lindblad
-  channels, unit detector efficiency) or as row-major vectorized
-  densities under the superoperators (loss, dephasing, finite
-  efficiency).  Replay advances a whole set of parameter values in the
-  same pass: the state carries a leading θ axis, (Θ, records, D), every
-  θ reads the same click flags, and each bin is one batched product per
-  branch; sampling is the case Θ = 1,
-* segment core (``run_segments``) for static pure generators:
-  diagonalize the no-click matrix once and jump between clicks by
-  eigenvalue powers; the next click is bisected on the survival
-  function from a drawn log u, or read from the given record.  Costs
-  O(number of clicks) per trajectory instead of O(number of bins).
+* step core (``run_steps``): a batch of records advanced bin by bin; it
+  carries time-dependent models and cross-checks the segment core,
+* segment core (``run_segments``) for every static model: a run of g
+  no-click bins is the product of the rescaled binary powers a0^(2^i)
+  for the bits of g, one batched product per bit over the records whose
+  gap has it set, so a record costs O((clicks + 1) log2 n) products
+  instead of n, with no eigendecomposition and no length threshold.
+  Replay advances a whole θ set at once, the state (Θ, records, D);
+  sampling thins the step core's own uniforms and so draws its records.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
@@ -33,9 +32,9 @@ import numpy as np
 
 from .errors import ClickProbabilityOverflow
 
-_BLOCK = 4096
 _U_FLOATS = 1 << 20  # uniforms drawn ahead per batch of records
 _P1_MAX = 0.1
+_LOW_BITS = 8  # a sampling gap below 2^_LOW_BITS bins is one table lookup
 
 
 @dataclass(eq=False)
@@ -70,7 +69,7 @@ class StepOps:
         return np.broadcast_to(a, (self.n_steps,) + a.shape[1:])
 
     def branch_maps(self):
-        """(a0, a1, x0, weight, root) of the step core: no-click and click
+        """(a0, a1, x0, weight, root) of both cores: no-click and click
         stacks, the initial vector, the branch weight of a batch of
         vectors and the root of that weight that renormalizes them.
         Pure: Kraus pair, |x|^2, sqrt; density: superoperators, x.vec(1)."""
@@ -82,7 +81,7 @@ class StepOps:
 
 
 def _streams(indices, seed):
-    return [np.random.Generator(np.random.Philox(key=[seed, int(i)])) for i in indices]
+    return [np.random.Philox(key=[seed, int(i)]) for i in indices]
 
 
 def _check_p1(p1max, k, dt):
@@ -93,67 +92,50 @@ def _check_p1(p1max, k, dt):
         )
 
 
-def _click_rows(x, sel, a1t):
-    """``x[..., sel, :] @ a1t``, bit for bit those rows of ``x @ a1t``: a
-    single row is doubled so that BLAS takes the same gemm path, not gemv."""
+def _times_rows(x, sel, a):
+    """``x[..., sel, :] @ a``, bit for bit those rows of ``x @ a``: a single
+    row is doubled so that BLAS takes the same gemm path, not gemv."""
     rows = x[..., sel, :] if len(sel) > 1 else x[..., np.repeat(sel, 2), :]
-    return (rows @ a1t)[..., :len(sel), :]
-
-
-def _bin_major(ops, i):
-    """Branch map ``i`` of every θ as per-bin transposed tables: (n, D, D)
-    for one θ, else (n, Θ, D, D) (static tables broadcast, not copied)."""
-    tabs = [o.branch_maps()[i] for o in ops]
-    s = tabs[0] if len(tabs) == 1 else np.stack(tabs, axis=1)
-    return np.swapaxes(np.broadcast_to(s, (ops[0].n_steps,) + s.shape[1:]), -1, -2)
+    return (rows @ a)[..., :len(sel), :]
 
 
 def run_steps(ops, indices, seed, click_indices=None):
     """Advance a batch of records bin by bin through the branch maps of
-    every θ in ``ops`` (a list of StepOps on one grid) at once.
-
-    With ``click_indices`` None, draws the records of trajectory
-    ``indices`` from their (seed, index) streams (one θ only); else
-    replays the given click-index arrays, shared by every θ.  The state
-    is (Θ, B, D), or (B, D) for one θ: a θ axis of length 1 costs a few
-    microseconds per bin, which replays of few records pay on every bin.
-    Returns (list of click-index arrays, logL (Θ, B)).
+    ``ops``: with ``click_indices`` None, draws the records of trajectory
+    ``indices`` from their (seed, index) streams, else replays the given
+    click-index arrays.  Returns (list of click-index arrays, logL (B,)).
     """
-    _, _, x0, weight, root = ops[0].branch_maps()
-    n, nb, nt = ops[0].n_steps, len(indices), len(ops)
-    a0t, a1t = _bin_major(ops, 0), _bin_major(ops, 1)
-    lead = (nb,) if nt == 1 else (nt, nb)
-    w_of = weight if nt == 1 else lambda y: weight(y.reshape(nt * nb, -1)).reshape(lead)
+    a0, a1, x0, weight, root = ops.branch_maps()
+    n, nb = ops.n_steps, len(indices)
+    a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (a0, a1))
     sampling = click_indices is None
     hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
     if sampling:
-        gens = _streams(indices, seed)
-        block = max(1, min(_BLOCK, _U_FLOATS // max(nb, 1)))
+        gens = [np.random.Generator(b) for b in _streams(indices, seed)]
+        block = max(1, _U_FLOATS // max(nb, 1))
     else:
         for r, h in enumerate(click_indices):
             hits[h, r] = True
-    x = np.tile(x0, lead + (1,)).astype(complex)
-    logl = np.zeros(lead)
+    x = np.tile(x0, (nb, 1)).astype(complex)
+    logl = np.zeros(nb)
     for k in range(n):
         hit = hits[k]
         if sampling:
             if k % block == 0:
-                # filled in place, one row per record: stacking a list of
-                # per-record draws holds the block twice, which set the
-                # peak RSS of the sampling runs
+                # filled in place: a stacked list of draws doubles peak RSS
                 ut = np.empty((nb, min(block, n - k)))
                 for g, row in zip(gens, ut):
                     g.random(out=row)
                 u = ut.T
             cs = x @ a1t[k]
             b1 = weight(cs)
-            _check_p1(float(b1.max(initial=0.0)), k, ops[0].dt)
+            _check_p1(float(b1.max(initial=0.0)), k, ops.dt)
             np.less(u[k % block], b1, out=hit)
         out = x @ a0t[k]
         sel = np.flatnonzero(hit)
         if len(sel):
-            out[..., sel, :] = cs[sel] if sampling else _click_rows(x, sel, a1t[k])
-        w = w_of(out)
+            out[sel] = cs[sel] if sampling else _times_rows(x, sel, a1t[k])
+        w = weight(out)
         # in place out / root(w): numpy divides complex by real as a
         # multiply by the reciprocal, so the bits are the same
         out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
@@ -162,114 +144,136 @@ def run_steps(ops, indices, seed, click_indices=None):
     if sampling:
         rec, k = np.nonzero(hits.T)
         click_indices = np.split(k, np.cumsum(np.bincount(rec, minlength=nb))[:-1])
-    return click_indices, logl.reshape(nt, nb)
+    return click_indices, logl
 
 
-@dataclass(eq=False)
-class EigStepper:
-    """Eigendecomposition of a static no-click matrix M0 = V diag(lam) Vi."""
-
-    v: np.ndarray
-    lam: np.ndarray
-    vi: np.ndarray
-    log_lam: np.ndarray
-    log_mag_max: float
-
-
-def eig_stepper(m0, cond_max=1e8, resid_tol=1e-9):
-    """Diagonalize M0; returns None when the basis is too ill-conditioned."""
-    lam, v = np.linalg.eig(m0)
-    s = np.linalg.svd(v, compute_uv=False)
-    if s[0] / s[-1] > cond_max:
-        return None
-    vi = np.linalg.inv(v)
-    if np.abs(v @ np.diag(lam) @ vi - m0).max() > resid_tol * max(1.0, np.abs(m0).max()):
-        return None
-    log_lam = np.log(lam.astype(complex))
-    return EigStepper(v=v, lam=lam, vi=vi, log_lam=log_lam,
-                      log_mag_max=float(log_lam.real.max()))
+def _padded(rows, fill):
+    """Ragged 1-D arrays as the rows of one array padded with ``fill``,
+    and their lengths."""
+    counts = np.array([len(a) for a in rows], dtype=np.int64)
+    out = np.full((len(rows), counts.max(initial=0)), fill)
+    for r, a in enumerate(rows):
+        out[r, :len(a)] = a
+    return out, counts
 
 
-def _propagate_scaled(eig, w, j):
-    """V (lam^j * w) scaled by |lam_max|^-j; returns (vector, log scale)."""
-    comp = np.exp(j * (eig.log_lam - eig.log_mag_max))
-    return eig.v @ (comp * w), j * eig.log_mag_max
+class _Segments:
+    """Static maps of a θ stack: the transposed click map (Θ, D, D) and the
+    binary no-click powers a0^(2^i) / c_i with their log weight scales."""
+
+    def __init__(self, ops):
+        _, _, x0, self.weight, self.root = ops[0].branch_maps()
+        self.initial = lambda nb: np.tile(x0, (len(ops), nb, 1)).astype(complex)
+        tab = lambda i: np.ascontiguousarray(
+            np.swapaxes(np.stack([o.branch_maps()[i][0] for o in ops]), -1, -2))
+        self.a1t = tab(1)
+        # weight of c x over weight of x: c^2 for pure states, c for densities
+        deg = 2.0 if ops[0].pure_ok else 1.0
+        p, s = tab(0), np.zeros(len(ops))
+        self.powers = [(p, s)]
+        for _ in range(1, ops[0].n_steps.bit_length()):
+            p = p @ p
+            # exact power-of-two rescaling keeps the powers finite over any
+            # record length and leaves their bits (and symmetries) intact
+            e = np.frexp(np.abs(p).max(axis=(-2, -1)))[1]
+            p = p * np.ldexp(1.0, -e)[:, None, None]
+            s = 2.0 * s + deg * np.log(2.0) * e
+            self.powers.append((p, s))
+
+    def apply(self, x, sel, a, scale=0.0, logl=None):
+        """Rows ``sel`` of the state (Θ, B, D) through the map ``a``,
+        renormalized; adds log weight + ``scale`` to ``logl`` when given."""
+        if not len(sel):
+            return
+        y = _times_rows(x, sel, a)
+        w = self.weight(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
+        x[:, sel] = y / self.root(w)[..., None]
+        if logl is not None:
+            logl[:, sel] += np.log(w) + np.asarray(scale)[..., None]
+
+    def no_clicks(self, x, rows, gaps, logl=None, first=0):
+        """Advance rows ``rows`` by ``gaps`` no-click bins: each row whose
+        gap has bit i >= ``first`` set takes power i, one product per bit."""
+        for i in range(first, int(gaps.max(initial=0)).bit_length()):
+            p, s = self.powers[i]
+            self.apply(x, rows[(gaps >> i) & 1 == 1], p, s, logl)
 
 
-def _log_survival(eig, w, j):
-    vec, ls = _propagate_scaled(eig, w, j)
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
-        return -np.inf
-    return 2.0 * (ls + np.log(nrm))
+def _replay_segments(seg, click_indices, n):
+    """logL (Θ, B) of the given records: per click ordinal, the no-click
+    run up to the click (or to the end), then the click map."""
+    ends, counts = _padded([np.append(h, n) for h in click_indices], n)
+    gaps = np.diff(ends, axis=1, prepend=-1) - 1
+    x = seg.initial(len(ends))
+    logl = np.zeros(x.shape[:2])
+    for j in range(ends.shape[1]):
+        rows = np.flatnonzero(counts > j)
+        seg.no_clicks(x, rows, gaps[rows, j], logl)
+        seg.apply(x, rows[counts[rows] > j + 1], seg.a1t, 0.0, logl)
+    return logl
 
 
-def _first_click(eig, w, log_u, n_rem):
-    """Smallest j in [1, n_rem] with log S(j) <= log u, or None."""
-    if _log_survival(eig, w, n_rem) > log_u:
-        return None
-    lo, hi = 0, n_rem
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _log_survival(eig, w, mid) <= log_u:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _thin(seg, ops, indices, seed):
+    """Draw records by thinning.  The step core clicks at bin k iff
+    u_k < p1_k, and p1_k <= eta |M1|_2^2, so only the bins whose uniform
+    lies below that bound are candidates: the state is advanced to each
+    one and p1 evaluated there.  A bound above _P1_MAX makes every bin a
+    candidate, so the guard sees the step core's bins in order.  Returns
+    (list of click-index arrays, number of candidates)."""
+    n, nb = ops.n_steps, len(indices)
+    # the margin covers a normalized state's weight being 1 up to round-off
+    bound = ops.eta * np.linalg.norm(ops.m1[0], 2) ** 2 * (1.0 + 1e-9)
+    # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
+    # iff raw <= top, compared before any conversion
+    top = np.uint64(2 ** 64 - 1 if bound > _P1_MAX
+                    else (int(np.ceil(bound * 2.0 ** 53)) << 11) - 1)
+    gens = _streams(indices, seed)
+    block = max(1, min(n, _U_FLOATS // max(nb, 1)))
+    # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
+    low = np.eye(len(seg.a1t[0]), dtype=complex)[None]
+    for p, _ in seg.powers[:_LOW_BITS]:
+        low = np.concatenate([low, low @ p[0]])
+    x = seg.initial(nb)
+    pos = np.zeros(nb, dtype=np.int64)  # first bin not yet applied
+    hits, n_cand = [[] for _ in range(nb)], 0
+    for k0 in range(0, n, block):
+        # each record's candidate bins in the block and their uniforms
+        cols, us = [], []
+        for g in gens:
+            raw = g.random_raw(min(block, n - k0))
+            cols.append(np.flatnonzero(raw <= top))
+            us.append((raw[cols[-1]] >> np.uint64(11)) * 2.0 ** -53)
+        (cols, counts), u = _padded(cols, 0), _padded(us, 0.0)[0]
+        n_cand += int(counts.sum())
+        for j in range(cols.shape[1]):
+            r = np.flatnonzero(counts > j)
+            k = k0 + cols[r, j]
+            gaps = k - pos[r]
+            y = np.einsum("rd,rde->re", x[0, r], low[gaps & (len(low) - 1)])
+            x[0, r] = y / seg.root(seg.weight(y))[:, None]
+            seg.no_clicks(x, r, gaps, first=_LOW_BITS)
+            cs = _times_rows(x, r, seg.a1t)[0]
+            p1 = seg.weight(cs)
+            _check_p1(float(p1.max()), int(k[np.argmax(p1)]), ops.dt)
+            hit = u[r, j] < p1
+            x[0, r[hit]] = cs[hit] / seg.root(p1[hit])[:, None]
+            pos[r] = k + hit
+            for i, kk in zip(r[hit], k[hit]):
+                hits[i].append(kk)
+    return [np.array(h, dtype=np.int64) for h in hits], n_cand
 
 
-def run_segments(ops: StepOps, eig: EigStepper, indices, seed, click_indices=None):
-    """Advance records click to click under static pure ops.
+def run_segments(ops, indices, seed, click_indices=None):
+    """Advance a batch of records click to click under the static branch
+    maps of every θ in ``ops`` (a list of StepOps on one grid) at once.
 
     With ``click_indices`` None, draws the records of trajectory
-    ``indices`` (each next click bisected from a drawn log u); else
-    replays the given click-index arrays.  Returns (list of click-index
-    arrays, logL array).
+    ``indices`` by thinning (one θ only); else replays the given records.
+    logL always comes from the replay, so a sampled record replays to the
+    same bits.  Returns (click-index arrays, logL (Θ, B), candidates).
     """
-    n = ops.n_steps
-    m1 = ops.m1[0]
-    sampling = click_indices is None
-    gens = _streams(indices, seed) if sampling else None
-    out_idx, out_logl = [], []
-    for r in range(len(indices)):
-        if not sampling:
-            given = iter(click_indices[r])
-        psi = ops.init_vec.astype(complex)
-        logl = 0.0
-        pos = 0
-        hits = []
-        while pos < n:
-            w = eig.vi @ psi
-            if sampling:
-                j = _first_click(eig, w, np.log1p(-gens[r].random()), n - pos)
-            else:
-                h = next(given, None)
-                j = None if h is None else int(h) - pos + 1
-            if j is None:
-                logl += _log_survival(eig, w, n - pos)
-                break
-            vec, ls = _propagate_scaled(eig, w, j - 1)
-            nrm = np.linalg.norm(vec)
-            logl += 2.0 * (ls + np.log(nrm))
-            cs = m1 @ (vec / nrm)
-            b1 = float(np.vdot(cs, cs).real)
-            if sampling:
-                _check_p1(b1, pos + j - 1, ops.dt)
-            logl += np.log(b1)
-            psi = cs / np.sqrt(b1)
-            hits.append(pos + j - 1)
-            pos += j
-        out_idx.append(np.asarray(hits, dtype=np.int64))
-        out_logl.append(logl)
-    return out_idx, np.asarray(out_logl)
-
-
-def clicks_to_indices(clicks):
-    return [np.flatnonzero(row).astype(np.int64) for row in clicks]
-
-
-def indices_to_clicks(click_indices, n_steps):
-    out = np.zeros((len(click_indices), n_steps), dtype=np.uint8)
-    for r, hits in enumerate(click_indices):
-        out[r, hits] = 1
-    return out
+    seg = _Segments(ops)
+    n_cand = 0
+    if click_indices is None:
+        click_indices, n_cand = _thin(seg, ops[0], indices, seed)
+    return click_indices, _replay_segments(seg, click_indices, ops[0].n_steps), n_cand

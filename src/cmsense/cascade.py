@@ -18,8 +18,10 @@ record is the log-trace of the record-conditioned unnormalized state.
 Fisher information is estimated as the sample mean of squared central
 finite-difference scores over trajectories, with a fixed-seed
 counter-based stream per trajectory so the result is independent of
-chunking.  Chunks run one after another in the calling thread: the
-per-bin loop holds the interpreter lock, so threads would only contend.
+chunking.  Static models take the click-to-click segment core (binary
+no-click powers, sampling by thinning), time-dependent ones the per-bin
+step core; ``engine="step"`` forces the step core as a cross-check.
+Chunks run one after another in the calling thread.
 """
 
 from dataclasses import dataclass
@@ -54,7 +56,6 @@ __all__ = [
 
 _CHUNK = 256
 _CHUNK_BINS = 1 << 24
-_SEGMENT_MIN_STEPS = 50_000
 # a score below this many eps_mach * max(1, |logL+-|) / eps is round-off
 _SCORE_ROUNDOFF = 1e3
 
@@ -284,19 +285,14 @@ class CountingRecord:
         return int(self.clicks.sum())
 
 
-def _resolve_engine(ops, engine):
-    if engine not in ("auto", "step", "segment"):
-        raise CmsenseError(f"unknown engine {engine!r}")
-    if engine == "segment" or (engine == "auto" and ops.static and ops.pure_ok
-                               and ops.n_steps >= _SEGMENT_MIN_STEPS):
-        if not (ops.static and ops.pure_ok):
-            raise CmsenseError("segment engine requires static pure dynamics")
-        eig = _engine.eig_stepper(ops.m0[0])
-        if eig is not None:
-            return "segment", eig
-        if engine == "segment":
-            raise CmsenseError("no-click matrix is not stably diagonalizable")
-    return ("step", None)
+def _resolve_engine(gen, engine):
+    """"segment" (click to click) for static models, "step" (bin by bin)
+    for time-dependent ones; "step" may be forced as a cross-check."""
+    auto = "step" if gen.time_dependent else "segment"
+    if engine not in ("auto", "step", auto):
+        raise CmsenseError(f"engine {engine!r} is not available for this model "
+                           "(static: auto, segment, step; time-dependent: auto, step)")
+    return auto if engine == "auto" else engine
 
 
 def _chunks(n, n_steps):
@@ -307,21 +303,23 @@ def _chunks(n, n_steps):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _run_records(ops, kind, eig, n_records, seed, given=None):
+def _run_records(ops, kind, n_records, seed, given=None):
     """Sample (``given`` None) or replay the records ``given`` chunk by
     chunk, under the list ``ops`` of per-θ StepOps (one for sampling and
-    for the segment core); returns (list of click-index arrays, logL
-    (Θ, n_records))."""
-    parts = []
+    for the step core); returns (list of click-index arrays, logL
+    (Θ, n_records), thinning candidates of the segment core's sampling)."""
+    hits, logl, cands = [], [], 0
     for a, b in _chunks(n_records, ops[0].n_steps):
         idx = np.arange(a, b)
         sub = None if given is None else given[a:b]
         if kind == "segment":
-            hits, logl = _engine.run_segments(ops[0], eig, idx, seed, sub)
-            parts.append((hits, logl[None]))
+            h, ll, c = _engine.run_segments(ops, idx, seed, sub)
         else:
-            parts.append(_engine.run_steps(ops, idx, seed, sub))
-    return [h for p in parts for h in p[0]], np.concatenate([p[1] for p in parts], axis=1)
+            (h, ll), c = _engine.run_steps(ops[0], idx, seed, sub), 0
+        hits += h
+        logl.append(np.reshape(ll, (len(ops), -1)))
+        cands += c
+    return hits, np.concatenate(logl, axis=1), cands
 
 
 def _check_click_indices(indices, n_steps):
@@ -339,34 +337,29 @@ def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
                    engine="auto", max_step=0.05):
     """Sample n_traj records; returns (list of click-index arrays, logL, engine kind).
     ``threads`` is accepted for existing callers and has no effect."""
-    ops = step_matrices(gen, theta, grid, max_step)
-    kind, eig = _resolve_engine(ops, engine)
-    indices, logl = _run_records([ops], kind, eig, n_traj, seed)
+    kind = _resolve_engine(gen, engine)
+    indices, logl, _ = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
+                                    n_traj, seed)
     return indices, logl[0], kind
 
 
-def replay_records(gen, theta, indices, grid, engine_kind="step", max_step=0.05):
+def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05):
     """Log-likelihoods of stored records (click-index arrays) at the
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
 
-    Static step tables of the whole θ set are stacked and replayed in one
-    pass over the bins.  Time-dependent tables (one per bin) and the
-    segment core are replayed one θ at a time, each table freed before
-    the next is built.
+    The segment core replays the whole θ set in one pass, its tables
+    stacked; the step core replays one θ at a time, each table freed
+    before the next is built.
     """
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
-
-    def run(ths):
-        ops = [step_matrices(gen, th, grid, max_step) for th in ths]
-        eig = _resolve_engine(ops[0], "segment")[1] if engine_kind == "segment" else None
-        return _run_records(ops, engine_kind, eig, len(indices), 0, indices)[1]
-
-    if engine_kind == "step" and not gen.time_dependent:
-        logl = run(thetas)
-    else:
-        logl = np.concatenate([run([th]) for th in thetas])
+    kind = _resolve_engine(gen, engine_kind)
+    sets = [thetas] if kind == "segment" else [[th] for th in thetas]
+    logl = np.concatenate([
+        _run_records([step_matrices(gen, th, grid, max_step) for th in ths], kind,
+                     len(indices), 0, indices)[1]
+        for ths in sets])
     return logl if np.ndim(theta) else logl[0]
 
 
@@ -376,7 +369,7 @@ def sample_trajectory(gen: CascadeGenerators, theta_true: float, grid: TimeGrid,
     """Draw one record at theta_true with the stream keyed by (seed, 0)."""
     indices, logl, _ = sample_records(gen, theta_true, grid, 1, seed=seed,
                                       engine=engine, max_step=max_step)
-    clicks = _engine.indices_to_clicks(indices, grid.n_steps)[0]
+    clicks = np.isin(np.arange(grid.n_steps), indices[0]).astype(np.uint8)
     return CountingRecord(clicks=clicks, log_likelihood=float(logl[0]),
                           theta=theta_true, seed=seed)
 
@@ -389,8 +382,7 @@ def record_log_likelihood(gen: CascadeGenerators, theta: float, record,
         raise RecordLengthMismatch(
             f"record has {clicks.shape[-1]} bins, grid has {grid.n_steps}"
         )
-    idx = _engine.clicks_to_indices(np.atleast_2d(clicks).astype(np.uint8))
-    out = replay_records(gen, theta, idx, grid)
+    out = replay_records(gen, theta, [np.flatnonzero(clicks)], grid)
     return float(out[0])
 
 
@@ -405,7 +397,8 @@ class FisherEstimate:
     finite-difference step is halved, over the diagnostic subset (None
     when all its scores are round-off: a dark or null record set);
     null_point is set when every score is exactly zero; n_steps, chunks
-    (record chunks per pass) and seconds (wall time) give the cost.
+    (record chunks per pass), seconds (wall time) and candidates (mean
+    thinning candidates per record, None on the step core) the cost.
     """
 
     value: float
@@ -422,6 +415,7 @@ class FisherEstimate:
     n_steps: int
     chunks: int
     seconds: float
+    candidates: Optional[float]
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -438,8 +432,9 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     """
     t0 = perf_counter()
     eps = theta_step
-    indices, _, kind = sample_records(gen, theta, grid, n_traj, seed=seed,
-                                      engine=engine, max_step=max_step)
+    kind = _resolve_engine(gen, engine)
+    indices, _, cands = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
+                                     n_traj, seed)
     lp, lm = replay_records(gen, [theta + eps, theta - eps], indices, grid,
                             kind, max_step)
     scores = (lp - lm) / (2.0 * eps)
@@ -467,6 +462,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         halving_dev=halving_dev, mean_clicks=mean_clicks, engine=kind, seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
         chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
+        candidates=cands / n_traj if kind == "segment" else None,
     )
 
 

@@ -98,6 +98,7 @@ def _report_fisher(report, label, fi):
         "mean_clicks": fi.mean_clicks, "mean_score": fi.mean_score,
         "mean_score_se": fi.mean_score_se, "halving_dev": fi.halving_dev,
         "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
+        "candidates": fi.candidates,
     })
     if fi.null_point:
         report.setdefault("warnings", []).append(

@@ -23,7 +23,6 @@ from .cascade import (
 )
 from .errors import GridTooNarrow
 from .propagate import TimeGrid
-from . import _engine
 
 __all__ = [
     "LikelihoodCurve",
@@ -67,16 +66,14 @@ def _refine(grid, logl, flat_center=None):
 
 
 def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
-                     grid: TimeGrid, max_step: float = 0.05,
-                     engine_kind: str = "step") -> LikelihoodCurve:
+                     grid: TimeGrid, max_step: float = 0.05) -> LikelihoodCurve:
     """Log-likelihood of one record over theta_grid, with refined argmax."""
     theta_grid = np.asarray(theta_grid, dtype=float)
     if isinstance(record, CountingRecord):
         clicks, ref = record.clicks, f"seed={record.seed}"
     else:
         clicks, ref = np.asarray(record), "array"
-    idx = _engine.clicks_to_indices(np.atleast_2d(clicks).astype(np.uint8))
-    logl = replay_records(gen, theta_grid, idx, grid, engine_kind=engine_kind,
+    logl = replay_records(gen, theta_grid, [np.flatnonzero(clicks)], grid,
                           max_step=max_step)[:, 0]
     est = _refine(theta_grid, logl,
                   flat_center=float(theta_grid[len(theta_grid) // 2]))
@@ -127,7 +124,6 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
                         seed: int = 0, n_grid: int = 41,
                         grid_width: Optional[float] = None,
                         fisher_n_traj: Optional[int] = None,
-                        engine: str = "auto",
                         max_step: float = 0.05) -> List[InterrogationRow]:
     """Repeated-interrogation variance study.
 
@@ -148,17 +144,15 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         tgrid = TimeGrid(0.0, float(t_end), dt)
         fi = fisher_from_trajectories(
             g, theta_true, tgrid, fisher_n_traj or min(n_records, 2000),
-            theta_step=theta_step, seed=seed + 1009 * it + 1,
-            engine=engine, max_step=max_step,
+            theta_step=theta_step, seed=seed + 1009 * it + 1, max_step=max_step,
         )
-        indices, _, kind = sample_records(
-            g, theta_true, tgrid, n_records, seed=seed + 1009 * it,
-            engine=engine, max_step=max_step,
+        indices, _, _ = sample_records(
+            g, theta_true, tgrid, n_records, seed=seed + 1009 * it, max_step=max_step,
         )
         width = grid_width if grid_width is not None else \
             default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
-        logl = replay_records(g, tgrid_theta, indices, tgrid, engine_kind=kind,
+        logl = replay_records(g, tgrid_theta, indices, tgrid,
                               max_step=max_step)  # (n_grid, n_records)
         ests = np.empty(n_records)
         n_boundary = 0

@@ -1,4 +1,5 @@
 """Cascaded sensor-decoder dynamics and the trajectory engines."""
+import hashlib
 import threading
 
 import numpy as np
@@ -10,7 +11,7 @@ from cmsense.cascade import (CountingRecord, Imperfections, cascade_generators,
                              record_log_likelihood, replay_records, sample_records,
                              sample_trajectory, step_matrices, vacuum_probability)
 from cmsense.decoder import stationary_decoder, two_level_decoder
-from cmsense.errors import CmsenseError, RecordLengthMismatch
+from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
 
 
@@ -60,14 +61,14 @@ def test_vacuum_probability_defect_linear_in_dt(emitter, dt):
     assert abs(1.0 - p) == pytest.approx(0.184 * dt, rel=0.12)
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "segment"])
+@pytest.mark.parametrize("case", ["pure", "density", "segment", "segment_density"])
 def test_replay_reproduces_sampled_loglikelihood(emitter, clicky_pair, case):
     grid = TimeGrid(0.0, 10.0, 2e-3)
     gen = clicky_pair
-    if case == "density":
+    if case.endswith("density"):
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
                                  imperfections=Imperfections(gamma=0.1, eta=0.65))
-    engine = "segment" if case == "segment" else "step"
+    engine = "segment" if case.startswith("segment") else "step"
     idx, ll, kind = sample_records(gen, 0.0, grid, 32, seed=3, engine=engine)
     assert kind == engine
     ll2 = replay_records(gen, 0.0, idx, grid, engine_kind=kind)
@@ -102,11 +103,61 @@ def test_step_tables_of_static_sensor_with_tabulated_decoder(emitter):
 
 
 def test_segment_and_step_replay_agree(clicky_pair):
-    grid = TimeGrid(0.0, 20.0, 4e-4)  # 50000 bins: segment engine eligible
+    grid = TimeGrid(0.0, 20.0, 4e-4)  # 50000 bins: 16 rescaled no-click powers
     idx, _, _ = sample_records(clicky_pair, 0.0, grid, 16, seed=11, engine="step")
     ll_step = replay_records(clicky_pair, 0.0, idx, grid, engine_kind="step")
     ll_seg = replay_records(clicky_pair, 0.0, idx, grid, engine_kind="segment")
     assert np.abs(ll_step - ll_seg).max() < 1e-8
+
+
+def _record_hash(indices):
+    h = hashlib.sha256()
+    for hits in indices:
+        h.update(np.asarray(hits, dtype=np.int64).tobytes() + b"|")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "mismatch-4", "mismatch+4"])
+def test_segment_core_reproduces_step_core(emitter, case):
+    # thinning reads the step core's uniforms and draws the same records;
+    # replays agree to round-off; the matched point scores exactly zero
+    grid, n, theta = TimeGrid(0.0, 5.0, 2e-3), 128, 0.0
+    if case == "pure":
+        gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0))
+    elif case == "density":
+        gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
+                                 imperfections=Imperfections(gamma=0.1, eta=0.65))
+    else:
+        gen = cascade_generators(emitter, two_level_decoder(1.0, float(case[8:]), 1.0))
+    step = sample_records(gen, theta, grid, n, seed=8, engine="step")
+    seg = sample_records(gen, theta, grid, n, seed=8)
+    assert seg[2] == "segment" and sum(len(h) for h in step[0]) > n // 2
+    assert _record_hash(seg[0]) == _record_hash(step[0])
+    thetas = theta + np.array([1e-3, -1e-3])
+    ls = replay_records(gen, thetas, step[0], grid, engine_kind="step")
+    lg = replay_records(gen, thetas, step[0], grid, engine_kind="segment")
+    assert np.all(np.abs(ls - lg) <= 1e-11 * np.maximum(1.0, np.abs(ls)))
+    assert np.all(np.abs(step[1] - seg[1]) <= 1e-11 * np.maximum(1.0, np.abs(step[1])))
+    if case.startswith("mismatch"):
+        # the matched decoder at theta = 0 on the same records: the
+        # +-theta tables are complex conjugates, so every score is 0.0
+        matched = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0))
+        lp, lm = replay_records(matched, thetas, step[0], grid)
+        assert np.array_equal(lp, lm)
+
+
+def test_click_overflow_guard_names_the_same_bin(clicky_pair):
+    # with max_step widened and dt = 0.2 the bound |M1|^2 = 0.4 exceeds the
+    # guard, so every bin is a thinning candidate and the segment core
+    # stops at the step core's bin
+    grid = TimeGrid(0.0, 4.0, 0.2)
+    messages = []
+    for engine in ("step", "segment"):
+        with pytest.raises(ClickProbabilityOverflow, match=r"at bin \d+") as err:
+            sample_records(clicky_pair, 0.0, grid, 64, seed=1, engine=engine,
+                           max_step=10.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_sampling_is_deterministic_per_stream(clicky_pair):
@@ -160,9 +211,10 @@ def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
 @pytest.mark.parametrize("case", ["pure", "density", "segment", "three_level"])
 def test_replay_theta_set_matches_per_theta(emitter, clicky_pair, case):
     # hand-made records: no click at all, bins where exactly one record
-    # clicks (5, 40, 999: a 1-row click branch) and a bin shared by two (17)
+    # clicks (5, 40, 999: a 1-row click branch) and a bin shared by two
+    # (17); static models replay a 41-value grid in one stacked pass
     grid = TimeGrid(0.0, 2.0, 2e-3)  # 1000 bins
-    gen, kind, thetas = clicky_pair, "step", 0.3 + THETA_SET
+    gen, kind, thetas = clicky_pair, "auto", 0.3 + np.linspace(-0.2, 0.2, 41)
     if case == "density":
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
                                  imperfections=Imperfections(gamma=0.1, eta=0.65))

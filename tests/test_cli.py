@@ -105,9 +105,13 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "engine", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "halving_dev", "n_steps", "chunks",
-                          "seconds"}
-        assert e["engine"] == "step" and e["n_traj"] == 16
+                          "seconds", "candidates"}
+        # a static cascade runs on the click-to-click core, which reports
+        # its thinning candidates (at least the clicks) per record
+        assert e["engine"] == "segment" and e["n_traj"] == 16
         assert e["n_steps"] == 500 and e["chunks"] == 1 and e["seconds"] > 0.0
+        assert e["candidates"] >= e["mean_clicks"] and e["candidates"] > 0.0
+    assert all(b"candidates" not in bundle.csv_bytes(name) for name in bundle.tables)
     assert est[0]["mean_score"] == 0.0 and est[1]["mean_score"] != 0.0
     warns = [d for d in prov["diagnostics"] if "null point" in d]
     assert len(warns) == 1 and warns[0].startswith("warn: delta_mis=0.0:")
@@ -123,6 +127,9 @@ def test_provenance_reports_synthesized_decoder():
     (dec,) = prov["decoders"]
     assert dec["label"] == "T=0.5" and dec["herm_residual"] > 0.0
     assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
+    # the pulsed three-level model is time dependent: step core, no thinning
+    assert all(e["engine"] == "step" and e["candidates"] is None
+               for e in prov["estimators"])
 
 
 def test_run_byte_identical(tmp_path):
