@@ -40,12 +40,9 @@ from .models import (
     two_level_steady_state,
 )
 from .propagate import (
-    GeneralizedState,
-    KrausPair,
     TimeGrid,
     evolve_density,
     evolve_generalized,
-    kraus_pair,
     pair_table,
     propagate_linear,
 )
@@ -67,7 +64,6 @@ from .decoder import (
 )
 from .cascade import (
     CascadeGenerators,
-    CountingRecord,
     FisherEstimate,
     Imperfections,
     MismatchResult,
@@ -75,8 +71,6 @@ from .cascade import (
     fisher_from_trajectories,
     full_width_half_max,
     mismatch_sweep,
-    record_log_likelihood,
-    sample_trajectory,
     vacuum_probability,
 )
 from .estimate import (

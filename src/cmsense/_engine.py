@@ -1,12 +1,12 @@
 """Trajectory engines for photon-counting records.
 
-A record's likelihood is the trace of the record-conditioned state, so
-drawing a record and replaying a given one are the same product of
-per-bin {no click, click} maps: sampling draws each outcome, replay is
-handed it.  Both cores work on ``StepOps.branch_maps()``: Kraus pairs on
-pure states (no extra Lindblad channels, unit detector efficiency), else
-superoperators on row-major vectorized densities (loss, dephasing,
-finite efficiency).
+A record is the array of its click bin indices.  Its likelihood is the
+trace of the record-conditioned state, so drawing a record and replaying
+a given one are the same product of per-bin {no click, click} maps:
+sampling draws each outcome, replay is handed it.  Both cores work on
+the maps of ``StepOps``: Kraus pairs on pure states (no extra Lindblad
+channels, unit detector efficiency), else superoperators on row-major
+vectorized densities (loss, dephasing, finite efficiency).
 
 * step core (``run_steps``): a batch of records advanced bin by bin; it
   carries time-dependent models and cross-checks the segment core,
@@ -20,13 +20,13 @@ finite efficiency).
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
-is the trace of the record-conditioned unnormalized state.  Every
-trajectory owns a counter-based RNG stream keyed by (seed, index), so
-results do not depend on how the records are split into chunks.
+is the trace of the record-conditioned unnormalized state, and a
+record of probability zero replays to exactly -inf.  Every trajectory
+owns a counter-based RNG stream keyed by (seed, index), so results do
+not depend on how the records are split into chunks.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,45 +39,35 @@ _LOW_BITS = 8  # a sampling gap below 2^_LOW_BITS bins is one table lookup
 
 @dataclass(eq=False)
 class StepOps:
-    """Per-bin operators of a cascaded counting model.
+    """Per-bin branch maps of a cascaded counting model.
 
-    ``m0``/``m1`` are (bins, D, D) Kraus stacks with one bin shared by
-    every step when ``static``, else n_steps bins.  ``s0``/``s1`` are
-    the matching no-click / click superoperator stacks on row-major
-    vectorized densities (built when needed; include loss, dephasing
-    and the (1 - eta) feed-through).
+    ``a0``/``a1`` are the (bins, m, m) no-click / click stacks, one bin
+    shared by every step for a static model, else n_steps bins, and
+    ``x0`` the initial state: Kraus pairs and a state vector when
+    ``pure``, else superoperators on row-major vectorized densities (they
+    include loss, dephasing and the (1 - eta) feed-through) and vec(rho).
+    ``weight`` maps a batch of state rows to their branch weights, |x|^2
+    or x . vec(1), and ``root`` a weight to the norm that renormalizes
+    its state, sqrt(w) or w itself.
     """
 
-    dim: int
     n_steps: int
     dt: float
-    eta: float
-    static: bool
-    m0: np.ndarray
-    m1: np.ndarray
-    s0: Optional[np.ndarray] = None
-    s1: Optional[np.ndarray] = None
-    init_vec: Optional[np.ndarray] = None
-    init_rho: Optional[np.ndarray] = None
+    a0: np.ndarray
+    a1: np.ndarray
+    x0: np.ndarray
+    pure: bool
 
-    @property
-    def pure_ok(self):
-        return self.s0 is None and self.eta == 1.0 and self.init_vec is not None
+    def __post_init__(self):
+        if self.pure:
+            self.weight, self.root = lambda x: np.einsum("bi,bi->b", x, x.conj()).real, np.sqrt
+        else:
+            tv = np.eye(int(round(np.sqrt(len(self.x0)))), dtype=complex).ravel()
+            self.weight, self.root = lambda x: (x @ tv).real, lambda w: w
 
     def per_bin(self, a):
         """The stack ``a`` with one entry per step (static stacks broadcast)."""
         return np.broadcast_to(a, (self.n_steps,) + a.shape[1:])
-
-    def branch_maps(self):
-        """(a0, a1, x0, weight, root) of both cores: no-click and click
-        stacks, the initial vector, the branch weight of a batch of
-        vectors and the root of that weight that renormalizes them.
-        Pure: Kraus pair, |x|^2, sqrt; density: superoperators, x.vec(1)."""
-        if self.pure_ok:
-            weight = lambda x: np.einsum("bi,bi->b", x, x.conj()).real
-            return self.m0, self.m1, self.init_vec, weight, np.sqrt
-        tv = np.eye(self.dim, dtype=complex).ravel()
-        return self.s0, self.s1, self.init_rho.ravel(), lambda x: (x @ tv).real, lambda w: w
 
 
 def _streams(indices, seed):
@@ -105,9 +95,9 @@ def run_steps(ops, indices, seed, click_indices=None):
     ``indices`` from their (seed, index) streams, else replays the given
     click-index arrays.  Returns (list of click-index arrays, logL (B,)).
     """
-    a0, a1, x0, weight, root = ops.branch_maps()
     n, nb = ops.n_steps, len(indices)
-    a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (a0, a1))
+    weight, root = ops.weight, ops.root
+    a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (ops.a0, ops.a1))
     sampling = click_indices is None
     hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
     if sampling:
@@ -116,7 +106,7 @@ def run_steps(ops, indices, seed, click_indices=None):
     else:
         for r, h in enumerate(click_indices):
             hits[h, r] = True
-    x = np.tile(x0, (nb, 1)).astype(complex)
+    x = np.tile(ops.x0, (nb, 1)).astype(complex)
     logl = np.zeros(nb)
     for k in range(n):
         hit = hits[k]
@@ -136,6 +126,11 @@ def run_steps(ops, indices, seed, click_indices=None):
         if len(sel):
             out[sel] = cs[sel] if sampling else _times_rows(x, sel, a1t[k])
         w = weight(out)
+        if len(sel) and not w[sel].all():
+            # a click of weight zero: the record has probability zero, so
+            # logL is -inf and the row keeps its state (0/0 would be NaN)
+            dead = sel[w[sel] == 0.0]
+            out[dead], w[dead], logl[dead] = x[dead], 1.0, -np.inf
         # in place out / root(w): numpy divides complex by real as a
         # multiply by the reciprocal, so the bits are the same
         out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
@@ -162,14 +157,14 @@ class _Segments:
     binary no-click powers a0^(2^i) / c_i with their log weight scales."""
 
     def __init__(self, ops):
-        _, _, x0, self.weight, self.root = ops[0].branch_maps()
-        self.initial = lambda nb: np.tile(x0, (len(ops), nb, 1)).astype(complex)
-        tab = lambda i: np.ascontiguousarray(
-            np.swapaxes(np.stack([o.branch_maps()[i][0] for o in ops]), -1, -2))
-        self.a1t = tab(1)
+        self.weight, self.root = ops[0].weight, ops[0].root
+        self.initial = lambda nb: np.tile(ops[0].x0, (len(ops), nb, 1)).astype(complex)
+        tab = lambda name: np.ascontiguousarray(
+            np.swapaxes(np.stack([getattr(o, name)[0] for o in ops]), -1, -2))
+        self.a1t = tab("a1")
         # weight of c x over weight of x: c^2 for pure states, c for densities
-        deg = 2.0 if ops[0].pure_ok else 1.0
-        p, s = tab(0), np.zeros(len(ops))
+        deg = 2.0 if ops[0].pure else 1.0
+        p, s = tab("a0"), np.zeros(len(ops))
         self.powers = [(p, s)]
         for _ in range(1, ops[0].n_steps.bit_length()):
             p = p @ p
@@ -180,16 +175,25 @@ class _Segments:
             s = 2.0 * s + deg * np.log(2.0) * e
             self.powers.append((p, s))
 
-    def apply(self, x, sel, a, scale=0.0, logl=None):
+    def apply(self, x, sel, a, scale=0.0, logl=None, click=False):
         """Rows ``sel`` of the state (Θ, B, D) through the map ``a``,
-        renormalized; adds log weight + ``scale`` to ``logl`` when given."""
+        renormalized; adds log weight + ``scale`` to ``logl`` when given.
+        Only a ``click`` can have weight zero: the record then has
+        probability zero, so logL is -inf and the row keeps its state
+        (0/0 would be NaN)."""
         if not len(sel):
             return
         y = _times_rows(x, sel, a)
         w = self.weight(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
+        dead = w == 0.0 if click and not w.all() else None
+        if dead is not None:
+            y[dead], w[dead] = x[:, sel][dead], 1.0
         x[:, sel] = y / self.root(w)[..., None]
         if logl is not None:
-            logl[:, sel] += np.log(w) + np.asarray(scale)[..., None]
+            ll = np.log(w) + np.asarray(scale)[..., None]
+            if dead is not None:
+                ll[dead] = -np.inf
+            logl[:, sel] += ll
 
     def no_clicks(self, x, rows, gaps, logl=None, first=0):
         """Advance rows ``rows`` by ``gaps`` no-click bins: each row whose
@@ -209,7 +213,7 @@ def _replay_segments(seg, click_indices, n):
     for j in range(ends.shape[1]):
         rows = np.flatnonzero(counts > j)
         seg.no_clicks(x, rows, gaps[rows, j], logl)
-        seg.apply(x, rows[counts[rows] > j + 1], seg.a1t, 0.0, logl)
+        seg.apply(x, rows[counts[rows] > j + 1], seg.a1t, 0.0, logl, click=True)
     return logl
 
 
@@ -217,12 +221,14 @@ def _thin(seg, ops, indices, seed):
     """Draw records by thinning.  The step core clicks at bin k iff
     u_k < p1_k, and p1_k <= eta |M1|_2^2, so only the bins whose uniform
     lies below that bound are candidates: the state is advanced to each
-    one and p1 evaluated there.  A bound above _P1_MAX makes every bin a
-    candidate, so the guard sees the step core's bins in order.  Returns
-    (list of click-index arrays, number of candidates)."""
+    one and p1 evaluated there.  The bound is |a1|_2^2 of a Kraus click
+    map, or |a1|_2 of the superoperator eta dt J (x) conj(J).  A bound
+    above _P1_MAX makes every bin a candidate, so the guard sees the step
+    core's bins in order.  Returns (list of click-index arrays, number of
+    candidates)."""
     n, nb = ops.n_steps, len(indices)
     # the margin covers a normalized state's weight being 1 up to round-off
-    bound = ops.eta * np.linalg.norm(ops.m1[0], 2) ** 2 * (1.0 + 1e-9)
+    bound = np.linalg.norm(ops.a1[0], 2) ** (2 if ops.pure else 1) * (1.0 + 1e-9)
     # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
     # iff raw <= top, compared before any conversion
     top = np.uint64(2 ** 64 - 1 if bound > _P1_MAX

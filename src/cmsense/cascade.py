@@ -12,15 +12,18 @@ decoder interferes the two contributions destructively, so the
 detector stays dark at the decoding point and the counting record
 becomes maximally sensitive to the sensor parameter.
 
-Records are bin strings sampled with per-bin click probability
-p1 = eta tr(J_c rho J_c^dag) dt / tr(rho); the log-likelihood of a
-record is the log-trace of the record-conditioned unnormalized state.
-Fisher information is estimated as the sample mean of squared central
-finite-difference scores over trajectories, with a fixed-seed
-counter-based stream per trajectory so the result is independent of
-chunking.  Static models take the click-to-click segment core (binary
-no-click powers, sampling by thinning), time-dependent ones the per-bin
-step core; ``engine="step"`` forces the step core as a cross-check.
+A record is the array of its click bin indices, sampled with per-bin
+click probability p1 = eta tr(J_c rho J_c^dag) dt / tr(rho); its
+log-likelihood is the log-trace of the record-conditioned unnormalized
+state (-inf for a record of probability zero).  ``step_matrices``
+chooses the branch maps once: Kraus pairs on pure states, else
+superoperators on vectorized densities.  Fisher information is
+estimated as the sample mean of squared central finite-difference
+scores over trajectories, with a fixed-seed counter-based stream per
+trajectory so the result is independent of chunking.  Static models
+take the click-to-click segment core (binary no-click powers, sampling
+by thinning), time-dependent ones the per-bin step core;
+``engine="step"`` forces the step core as a cross-check.
 Chunks run one after another in the calling thread.
 """
 
@@ -39,14 +42,11 @@ from .propagate import TimeGrid, _batched_kron, _bin_times, _kraus_stacks, propa
 __all__ = [
     "Imperfections",
     "CascadeGenerators",
-    "CountingRecord",
     "FisherEstimate",
     "MismatchResult",
     "cascade_generators",
     "step_matrices",
     "vacuum_probability",
-    "sample_trajectory",
-    "record_log_likelihood",
     "sample_records",
     "replay_records",
     "fisher_from_trajectories",
@@ -58,6 +58,8 @@ _CHUNK = 256
 _CHUNK_BINS = 1 << 24
 # a score below this many eps_mach * max(1, |logL+-|) / eps is round-off
 _SCORE_ROUNDOFF = 1e3
+# share of the records replayed again at half the finite-difference step
+_HALVING_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class CascadeGenerators:
     initial_state: Optional[np.ndarray]
     initial_rho: Optional[np.ndarray]
     time_dependent: bool
-    sensor: Optional[SensorModel] = None
+    sensor: SensorModel
     decoder: object = None
 
 
@@ -218,12 +220,7 @@ def _decoder_stacks(dec, ts):
 
 def _joint_stacks(gen: CascadeGenerators, theta, ts):
     """Per-bin joint (H_c, J_c) stacks at the times ``ts``, assembled from
-    the sensor and decoder stacks (``h_total``/``j_total`` per bin for
-    generators built without a sensor)."""
-    if gen.sensor is None:
-        static = not gen.time_dependent
-        return (_per_bin(lambda t: gen.h_total(t, theta), ts, gen.dim, static),
-                _per_bin(lambda t: gen.j_total(t, theta), ts, gen.dim, static))
+    the sensor and decoder stacks."""
     hs, js = operator_stacks(gen.sensor, theta, ts)
     dec = gen.decoder
     if dec is None:
@@ -238,27 +235,24 @@ def _joint_stacks(gen: CascadeGenerators, theta, ts):
 
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                   max_step: float = 0.05) -> _engine.StepOps:
-    """Tabulate per-bin operators for the engines: (bins, D, D) stacks
-    with one bin for static generators, else one per grid bin."""
-    D = gen.dim
+    """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
+    stacks, or superoperator stacks once loss, dephasing, finite efficiency
+    or a mixed initial state break purity, with one bin for static
+    generators, else one per grid bin."""
     dt = grid.dt
-    static = not gen.time_dependent
-    ts = _bin_times(grid, static)
+    ts = _bin_times(grid, not gen.time_dependent)
     m0, m1 = _kraus_stacks(*_joint_stacks(gen, theta, ts), dt, max_step, ts,
                            gen.extra_lindblad)
-    ops = _engine.StepOps(
-        dim=D, n_steps=grid.n_steps, dt=dt, eta=gen.detector_eta, static=static,
-        m0=m0, m1=m1, init_vec=gen.initial_state, init_rho=gen.initial_rho,
-    )
-    if gen.extra_lindblad or gen.detector_eta < 1.0 or gen.initial_rho is not None:
-        if len(ts) * D ** 4 * 16 > 2e9:
-            raise CmsenseError("time-dependent superoperator table too large")
-        if ops.init_rho is None:
-            ops.init_rho = np.outer(gen.initial_state, gen.initial_state.conj())
-            ops.init_vec = None
-        ops.s0, ops.s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad,
-                                   gen.detector_eta, dt)
-    return ops
+    eta = gen.detector_eta
+    if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):
+        return _engine.StepOps(grid.n_steps, dt, m0, m1, gen.initial_state, pure=True)
+    if len(ts) * gen.dim ** 4 * 16 > 2e9:
+        raise CmsenseError("time-dependent superoperator table too large")
+    rho = gen.initial_rho
+    if rho is None:
+        rho = np.outer(gen.initial_state, gen.initial_state.conj())
+    s0, s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
+    return _engine.StepOps(grid.n_steps, dt, s0, s1, rho.ravel(), pure=False)
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -266,23 +260,8 @@ def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     """Probability that the detector never clicks over the grid: the
     weight of the initial state after the product of all no-click maps."""
     ops = step_matrices(gen, theta, grid, max_step)
-    a0, _, x0, weight, _ = ops.branch_maps()
-    x = propagate_linear(a0[0] if ops.static else a0, x0, ops.n_steps)
-    return float(weight(x[None])[0])
-
-
-@dataclass(eq=False)
-class CountingRecord:
-    """A single photon-counting record on a fixed bin grid."""
-
-    clicks: np.ndarray
-    log_likelihood: float
-    theta: float
-    seed: int
-
-    @property
-    def n_clicks(self):
-        return int(self.clicks.sum())
+    x = propagate_linear(ops.a0[0] if len(ops.a0) == 1 else ops.a0, ops.x0, ops.n_steps)
+    return float(ops.weight(x[None])[0])
 
 
 def _resolve_engine(gen, engine):
@@ -363,29 +342,6 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05)
     return logl if np.ndim(theta) else logl[0]
 
 
-def sample_trajectory(gen: CascadeGenerators, theta_true: float, grid: TimeGrid,
-                      seed: int = 0, max_step: float = 0.05,
-                      engine: str = "auto") -> CountingRecord:
-    """Draw one record at theta_true with the stream keyed by (seed, 0)."""
-    indices, logl, _ = sample_records(gen, theta_true, grid, 1, seed=seed,
-                                      engine=engine, max_step=max_step)
-    clicks = np.isin(np.arange(grid.n_steps), indices[0]).astype(np.uint8)
-    return CountingRecord(clicks=clicks, log_likelihood=float(logl[0]),
-                          theta=theta_true, seed=seed)
-
-
-def record_log_likelihood(gen: CascadeGenerators, theta: float, record,
-                          grid: TimeGrid, max_step: float = 0.05):
-    """log tr of the record-conditioned unnormalized joint state."""
-    clicks = record.clicks if isinstance(record, CountingRecord) else np.asarray(record)
-    if clicks.shape[-1] != grid.n_steps:
-        raise RecordLengthMismatch(
-            f"record has {clicks.shape[-1]} bins, grid has {grid.n_steps}"
-        )
-    out = replay_records(gen, theta, [np.flatnonzero(clicks)], grid)
-    return float(out[0])
-
-
 @dataclass(eq=False)
 class FisherEstimate:
     """Monte Carlo Fisher information of the counting record.
@@ -421,7 +377,6 @@ class FisherEstimate:
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                              n_traj: int, theta_step: float = 1e-3,
                              seed: int = 0, engine: str = "auto",
-                             halving_fraction: float = 0.1,
                              max_step: float = 0.05) -> FisherEstimate:
     """Estimate the Fisher information of the record at theta.
 
@@ -439,7 +394,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
                             kind, max_step)
     scores = (lp - lm) / (2.0 * eps)
 
-    m = int(np.ceil(halving_fraction * n_traj))
+    m = int(np.ceil(_HALVING_FRACTION * n_traj))
     halving_dev = 0.0
     ulp = np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(lp[:m]), abs(lm[:m]))) / eps
     if m > 0 and np.all(np.abs(scores[:m]) < _SCORE_ROUNDOFF * ulp):

@@ -36,6 +36,7 @@ from .config import (
     load_config,
     preset_config,
     preset_summaries,
+    scan_horizon,
     validate,
 )
 from .decoder import build_decoder, two_level_decoder
@@ -127,7 +128,7 @@ def _scan_pipeline(cfg, report):
     rows = []
     for t_end in cfg.grid["t_list"]:
         sensor = build_sensor(cfg, t_plateau=float(t_end))
-        horizon = float(t_end) + (6.0 / cfg.model["gamma"] if three else 0.0)
+        horizon = scan_horizon(cfg, t_end)
         grid = TimeGrid(0.0, horizon, dt)
         ie = env_qfi(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg)).value
         ig = global_qfi(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg)).value

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, format_excess
 from .models import three_level_model, two_level_model
+from .propagate import TimeGrid
 
 __all__ = [
     "ExperimentConfig",
@@ -24,6 +25,7 @@ __all__ = [
     "load_config",
     "validate",
     "build_sensor",
+    "scan_horizon",
 ]
 
 PRESET_NAMES = (
@@ -138,6 +140,13 @@ def build_sensor(cfg: ExperimentConfig, t_plateau: Optional[float] = None):
     raise ConfigInvalid(f"model.kind: unknown kind {m['kind']!r}")
 
 
+def scan_horizon(cfg: ExperimentConfig, t_end) -> float:
+    """End of the grid a scan runs at interrogation time t_end: the
+    three-level pulse sequence is followed by 6/gamma of free decay."""
+    three = cfg.model["kind"] == "three_level"
+    return float(t_end) + (6.0 / cfg.model["gamma"] if three else 0.0)
+
+
 def _model_norm_scale(cfg):
     """Max spectral norm of H over a few sample times, for the dt lint."""
     try:
@@ -198,6 +207,15 @@ def validate(cfg: ExperimentConfig) -> List[str]:
                 f"error: grid.dt: dt*|H| = {format_excess(dt * scale, 0.05)} "
                 "exceeds the 0.05 step guard"
             )
+        # a grid that is not a whole number of dt steps would stop the run;
+        # only a model that builds has a horizon (three-level: gamma > 0)
+        for t in (cfg.grid["t_list"] if scale is not None else []):
+            end = scan_horizon(cfg, t)
+            try:
+                TimeGrid(0.0, end, dt)
+            except ValueError:
+                diags.append(f"error: grid.t_list: the grid of T = {t:g} ends at {end:g}, "
+                             f"not a multiple of dt = {dt:g}")
     if cfg.preset == "fig2_mismatch" and not (cfg.mismatch.get("values")):
         diags.append("error: mismatch.values: required for the mismatch preset")
     if cfg.threads < 1:

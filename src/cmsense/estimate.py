@@ -15,7 +15,6 @@ import numpy as np
 
 from .cascade import (
     CascadeGenerators,
-    CountingRecord,
     FisherEstimate,
     fisher_from_trajectories,
     replay_records,
@@ -41,7 +40,6 @@ class LikelihoodCurve:
     theta_grid: np.ndarray
     log_likelihoods: np.ndarray
     argmax: float
-    record_ref: str
 
 
 def _refine(grid, logl, flat_center=None):
@@ -67,22 +65,17 @@ def _refine(grid, logl, flat_center=None):
 
 def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
                      grid: TimeGrid, max_step: float = 0.05) -> LikelihoodCurve:
-    """Log-likelihood of one record over theta_grid, with refined argmax."""
+    """Log-likelihood of one record (its click-index array) over
+    theta_grid, with refined argmax."""
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if isinstance(record, CountingRecord):
-        clicks, ref = record.clicks, f"seed={record.seed}"
-    else:
-        clicks, ref = np.asarray(record), "array"
-    logl = replay_records(gen, theta_grid, [np.flatnonzero(clicks)], grid,
-                          max_step=max_step)[:, 0]
+    logl = replay_records(gen, theta_grid, [record], grid, max_step=max_step)[:, 0]
     est = _refine(theta_grid, logl,
                   flat_center=float(theta_grid[len(theta_grid) // 2]))
     if est is None:
         raise GridTooNarrow(
             f"likelihood maximal at grid boundary [{theta_grid[0]}, {theta_grid[-1]}]"
         )
-    return LikelihoodCurve(theta_grid=theta_grid, log_likelihoods=logl,
-                           argmax=est, record_ref=ref)
+    return LikelihoodCurve(theta_grid=theta_grid, log_likelihoods=logl, argmax=est)
 
 
 def default_grid_width(fisher_value, t_end, cap=2.0):

@@ -15,17 +15,12 @@ __all__ = [
     "nuclear_norm_eig",
     "robust_inv",
     "dagger",
-    "is_hermitian",
 ]
 
 
 def dagger(m):
     """Conjugate transpose (of each matrix of a stack)."""
     return np.conj(np.swapaxes(m, -1, -2))
-
-
-def is_hermitian(m, tol=1e-10):
-    return np.allclose(m, m.conj().T, atol=tol, rtol=0.0)
 
 
 def psd_sqrt(m, clip_tol=1e-10):

@@ -49,7 +49,6 @@ class BinnedState:
     dim_sys: int
     state: np.ndarray
     raw_norm: float
-    bin_dim: int = 2
 
     @property
     def amplitudes(self):
@@ -158,12 +157,11 @@ def brute_counting_distribution(model: SensorModel, theta: float, n_bins: int,
     _check_size(n_bins, gen.dim)
     grid = TimeGrid(0.0, n_bins * dt, dt)
     ops = step_matrices(gen, theta, grid, max_step)
-    a0, a1, x0, weight, _ = ops.branch_maps()
-    a0, a1 = ops.per_bin(a0), ops.per_bin(a1)
-    branch = x0[None, :].astype(complex)
+    a0, a1 = ops.per_bin(ops.a0), ops.per_bin(ops.a1)
+    branch = ops.x0[None, :].astype(complex)
     for k in range(n_bins):
         branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
-    raw = weight(branch)
+    raw = ops.weight(branch)
     total = float(raw.sum())
     return CountingDistribution(n_bins=n_bins, probs=raw / total,
                                 raw_defect=total - 1.0)

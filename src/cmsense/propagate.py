@@ -29,9 +29,6 @@ from .models import SensorModel, operator_stacks
 
 __all__ = [
     "TimeGrid",
-    "KrausPair",
-    "GeneralizedState",
-    "kraus_pair",
     "pair_table",
     "propagate_linear",
     "evolve_density",
@@ -68,29 +65,6 @@ class TimeGrid:
     def left_times(self):
         """Left bin endpoints where operators are sampled."""
         return self.t_start + self.dt * np.arange(self.n_steps)
-
-
-@dataclass
-class KrausPair:
-    a0: np.ndarray
-    a1: np.ndarray
-
-    @property
-    def completeness_defect(self):
-        """max |a0^dag a0 + a1^dag a1 - 1|, O(dt^2) for a valid pair."""
-        d = self.a0.conj().T @ self.a0 + self.a1.conj().T @ self.a1
-        d = d - np.eye(d.shape[0])
-        return float(np.abs(d).max())
-
-
-@dataclass
-class GeneralizedState:
-    """Two-parameter generalized density operator mu_{theta1,theta2}(t)."""
-
-    mu: np.ndarray
-    theta1: float
-    theta2: float
-    t: float
 
 
 _BLOCK = 256
@@ -141,18 +115,6 @@ def _bin_times(grid, static):
     return grid.t_start + grid.dt * np.arange(1 if static else grid.n_steps)
 
 
-def kraus_pair(model: SensorModel, t: float, theta: float, dt: float, max_step: float = 0.05):
-    """The per-bin Kraus pair of ``model`` at (t, theta).
-
-    The guard dt*max(|H|, |J^dag J|) <= max_step keeps the first-order
-    bin expansion trustworthy; coarse-grid oracle runs may widen
-    max_step deliberately.
-    """
-    a0, a1 = _kraus_stacks(model.hamiltonian(t, theta)[None], model.jump(t, theta)[None],
-                           dt, max_step, [t])
-    return KrausPair(a0=a0[0], a1=a1[0])
-
-
 class PairTable:
     """Kraus pairs tabulated over a grid.
 
@@ -179,6 +141,7 @@ class PairTable:
 
 
 def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
+    """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``."""
     static = not model.time_dependent
     ts = _bin_times(grid, static)
     return PairTable(*_kraus_stacks(*operator_stacks(model, theta, ts), grid.dt, max_step, ts),
@@ -249,7 +212,8 @@ def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
 def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
                        grid: TimeGrid, max_step: float = 0.05,
                        tables: Optional[tuple] = None):
-    """Propagate mu(0) = rho_S(0) under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.
+    """The generalized density operator mu_{theta1,theta2}(T): mu(0) =
+    rho_S(0) propagated under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.
 
     At theta1 = theta2 this is exactly the evolve_density update.
     ``tables`` lets callers reuse precomputed PairTables for the two
@@ -261,5 +225,4 @@ def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
     else:
         ta, tb = tables
     mu0 = np.outer(model.initial_state, model.initial_state.conj())
-    mu = propagate_linear(ta.transfer(tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)
-    return GeneralizedState(mu=mu, theta1=theta1, theta2=theta2, t=grid.t_end)
+    return propagate_linear(ta.transfer(tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)

@@ -70,11 +70,8 @@ class _FidelityEngine:
         return self._tables[theta]
 
     def _mu(self, t1, t2):
-        st = evolve_generalized(
-            self.model, t1, t2, self.grid, self.max_step,
-            tables=(self._table(t1), self._table(t2)),
-        )
-        return st.mu
+        return evolve_generalized(self.model, t1, t2, self.grid, self.max_step,
+                                  tables=(self._table(t1), self._table(t2)))
 
     def _norm(self, theta):
         if theta not in self._norms:
@@ -95,29 +92,21 @@ class _FidelityEngine:
         return val / math.sqrt(self._norm(t1) * self._norm(t2))
 
 
-def _fidelity(model, theta1, theta2, T, dt, max_step, kind, normalized):
-    eng = _FidelityEngine(model, T, dt, max_step, kind)
-    if normalized:
-        return eng.fidelity(theta1, theta2)
-    mu = eng._mu(theta1, theta2)
-    return nuclear_norm(mu) if kind == "env" else abs(np.trace(mu))
-
-
 def env_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
-                 dt: float = 1e-3, max_step: float = 0.05, normalized: bool = True):
+                 dt: float = 1e-3, max_step: float = 0.05):
     """Fidelity of the emitted-field states at theta1 and theta2.
 
     Computed as the nuclear norm of mu_{theta1,theta2}(T), divided by
     the geometric mean of the diagonal traces (unit-trace convention).
     Symmetric in its parameter arguments.
     """
-    return _fidelity(model, theta1, theta2, T, dt, max_step, "env", normalized)
+    return _FidelityEngine(model, T, dt, max_step, "env").fidelity(theta1, theta2)
 
 
 def global_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
-                    dt: float = 1e-3, max_step: float = 0.05, normalized: bool = True):
+                    dt: float = 1e-3, max_step: float = 0.05):
     """|tr mu|, the overlap of the joint system+field states; <= env_fidelity."""
-    return _fidelity(model, theta1, theta2, T, dt, max_step, "global", normalized)
+    return _FidelityEngine(model, T, dt, max_step, "global").fidelity(theta1, theta2)
 
 
 def _qfi(model, theta, T, dt, delta, method, max_step, kind):

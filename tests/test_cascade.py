@@ -1,15 +1,15 @@
 """Cascaded sensor-decoder dynamics and the trajectory engines."""
 import hashlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from cmsense import TimeGrid, two_level_model
-from cmsense.cascade import (CountingRecord, Imperfections, cascade_generators,
-                             fisher_from_trajectories, full_width_half_max,
-                             record_log_likelihood, replay_records, sample_records,
-                             sample_trajectory, step_matrices, vacuum_probability)
+from cmsense.cascade import (Imperfections, cascade_generators, fisher_from_trajectories,
+                             full_width_half_max, replay_records, sample_records,
+                             step_matrices, vacuum_probability)
 from cmsense.decoder import stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
@@ -92,14 +92,14 @@ def test_step_tables_of_static_sensor_with_tabulated_decoder(emitter):
     grid = TimeGrid(0.0, 4.0, 2e-3)
     gen = cascade_generators(emitter, build_decoder(emitter, 0.0, grid))
     ops = step_matrices(gen, 0.1, grid)
-    assert ops.m0.shape == (grid.n_steps, 4, 4)
+    assert ops.pure and ops.a0.shape == (grid.n_steps, 4, 4)
     dt = grid.dt
     for k, t in enumerate(grid.left_times):
         h = gen.h_total(t, 0.1)
         j = gen.j_total(t, 0.1)
         m0 = np.eye(4) - 1j * dt * h - 0.5 * dt * (j.conj().T @ j)
-        assert np.abs(ops.m0[k] - m0).max() < 1e-14
-        assert np.abs(ops.m1[k] - np.sqrt(dt) * j).max() < 1e-14
+        assert np.abs(ops.a0[k] - m0).max() < 1e-14
+        assert np.abs(ops.a1[k] - np.sqrt(dt) * j).max() < 1e-14
 
 
 def test_segment_and_step_replay_agree(clicky_pair):
@@ -268,18 +268,27 @@ def test_trajectory_fisher_matches_exact_distribution_fisher():
     assert fi.value == pytest.approx(fi_exact, abs=3.5 * fi.std_error)
 
 
-def test_record_log_likelihood_matches_replay(clicky_pair):
-    grid = TimeGrid(0.0, 4.0, 2e-3)
-    rec = sample_trajectory(clicky_pair, 0.0, grid, seed=5)
-    assert isinstance(rec, CountingRecord)
-    ll = record_log_likelihood(clicky_pair, 0.0, rec, grid)
-    assert ll == pytest.approx(rec.log_likelihood, abs=1e-10)
-
-
-def test_record_length_guard(clicky_pair):
-    grid = TimeGrid(0.0, 4.0, 2e-3)
-    with pytest.raises(RecordLengthMismatch):
-        record_log_likelihood(clicky_pair, 0.0, np.zeros(7, dtype=np.int8), grid)
+@pytest.mark.parametrize("engine", ["step", "segment"])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("decoded", [False, True], ids=["emitter", "decoder"])
+def test_replay_matches_exhaustive_distribution_exactly(emitter, decoded, theta, engine):
+    # every 8-bin record: exp(logL) is the raw branch weight of the oracle,
+    # and a record of probability zero (a click from the ground state)
+    # replays to exactly -inf, with no warning on the way
+    dec = two_level_decoder(1.0, 1.0, 1.0) if decoded else None
+    gen = cascade_generators(emitter, dec)
+    n_bins, dt = 8, 0.1
+    dist = brute_counting_distribution(emitter, theta, n_bins, dt, dec=dec)
+    records = [np.flatnonzero(dist.record_bits(r)) for r in range(2 ** n_bins)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        logl = replay_records(gen, theta, records, TimeGrid(0.0, n_bins * dt, dt),
+                              engine_kind=engine, max_step=1.0)
+    raw = dist.probs * (1.0 + dist.raw_defect)
+    zero = raw == 0.0
+    assert zero.sum() == (195 if decoded else 222)
+    assert np.all(logl[zero] == -np.inf)
+    assert np.all(np.abs(np.exp(logl[~zero]) - raw[~zero]) <= 1e-13 * raw[~zero])
 
 
 def test_density_engine_agrees_with_pure_at_unit_efficiency(emitter):

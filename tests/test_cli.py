@@ -51,6 +51,17 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_ragged_grid_is_a_guard_error(tmp_path, capsys):
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"grid": {"dt": 3e-4, "t_list": [1.0]},
+                                  "estimation": {"n_traj": 0}}))
+    assert main(["validate", "--config", str(ragged)]) == 2
+    assert "error: grid.t_list" in capsys.readouterr().out
+    assert main(["run", "--config", str(ragged), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_requires_source(capsys):
     assert main(["run"]) == 2
     assert "error" in capsys.readouterr().err

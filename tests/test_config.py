@@ -37,6 +37,11 @@ def test_unknown_fields_rejected():
     ({"imperfections": {"eta": 1.5}}, "imperfections.eta"),
     ({"imperfections": {"gamma": -0.1}}, "imperfections.gamma"),
     ({"threads": 0}, "threads"),
+    # 1.0 is not a whole number of 3e-4 steps: TimeGrid would refuse it mid-run
+    ({"grid": {"dt": 3e-4, "t_list": [1.0]}, "estimation": {"n_traj": 0}}, "grid.t_list"),
+    # T = 2 is on the 1e-3 grid, the three-level horizon T + 6/0.7 is not
+    ({"model": {"kind": "three_level", "omega": 5.0, "gamma": 0.7},
+      "grid": {"dt": 1e-3, "t_list": [2.0]}}, "ends at 10.5714"),
 ])
 def test_validate_error_catalog(patch, needle):
     cfg = ExperimentConfig.from_dict(patch)

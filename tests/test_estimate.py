@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmsense import TimeGrid, two_level_model
-from cmsense.cascade import cascade_generators, replay_records, sample_trajectory
+from cmsense.cascade import cascade_generators, replay_records, sample_records
 from cmsense.decoder import two_level_decoder
 from cmsense.errors import GridTooNarrow
 from cmsense.estimate import (_refine, default_grid_width, interrogation_study,
@@ -41,11 +41,16 @@ def test_default_grid_width_formula():
     assert default_grid_width(1e-9, 20.0) == 2.0  # capped
 
 
+def _one_record(gen, grid):
+    """The click indices of the record of stream (101, 0)."""
+    return sample_records(gen, 0.0, grid, 1, seed=101)[0][0]
+
+
 def test_likelihood_curve_peaks_near_truth():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     gen = cascade_generators(m, two_level_decoder(1.0, 1.0, 1.0))
     grid = TimeGrid(0.0, 30.0, 2e-3)
-    rec = sample_trajectory(gen, 0.0, grid, seed=101)
+    rec = _one_record(gen, grid)
     curve = likelihood_curve(gen, rec, np.linspace(-1.2, 1.2, 41), grid)
     assert curve.log_likelihoods.shape == (41,)
     assert abs(curve.argmax) < 1.2
@@ -56,12 +61,11 @@ def test_likelihood_curve_equals_per_theta_replays():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     gen = cascade_generators(m, two_level_decoder(1.0, 1.0, 1.0))
     grid = TimeGrid(0.0, 5.0, 2e-3)
-    rec = sample_trajectory(gen, 0.0, grid, seed=101)
-    assert rec.n_clicks > 0
+    rec = _one_record(gen, grid)
+    assert len(rec) > 0
     thetas = np.linspace(-1.2, 1.2, 9)
     curve = likelihood_curve(gen, rec, thetas, grid)
-    idx = [np.flatnonzero(rec.clicks)]
-    per_theta = [replay_records(gen, th, idx, grid)[0] for th in thetas]
+    per_theta = [replay_records(gen, th, [rec], grid)[0] for th in thetas]
     assert np.array_equal(curve.log_likelihoods, per_theta)
 
 
@@ -69,7 +73,7 @@ def test_likelihood_curve_boundary_guard():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     gen = cascade_generators(m, two_level_decoder(1.0, 1.0, 1.0))
     grid = TimeGrid(0.0, 30.0, 2e-3)
-    rec = sample_trajectory(gen, 0.0, grid, seed=101)
+    rec = _one_record(gen, grid)
     # a one-sided window far from truth pins the maximum to its edge
     with pytest.raises(GridTooNarrow):
         likelihood_curve(gen, rec, np.linspace(2.0, 3.0, 11), grid)
