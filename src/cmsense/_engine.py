@@ -8,15 +8,19 @@ the maps of ``StepOps``: Kraus pairs on pure states (no extra Lindblad
 channels, unit detector efficiency), else superoperators on row-major
 vectorized densities (loss, dephasing, finite efficiency).
 
-* step core (``run_steps``): a batch of records advanced bin by bin; it
-  carries time-dependent models and cross-checks the segment core,
-* segment core (``run_segments``) for every static model: a run of g
-  no-click bins is the product of the rescaled binary powers a0^(2^i)
-  for the bits of g, one batched product per bit over the records whose
-  gap has it set, so a record costs O((clicks + 1) log2 n) products
-  instead of n, with no eigendecomposition and no length threshold.
-  Replay advances a whole θ set at once, the state (Θ, records, D);
-  sampling thins the step core's own uniforms and so draws its records.
+* segment core (``run_segments``) for every model: a run of no-click
+  bins is a product of rescaled no-click blocks, one batched product per
+  block size over the records that take it, so a record costs
+  O((clicks + 1) log2 n) products instead of n, with no
+  eigendecomposition and no length threshold.  A static model's blocks
+  are its binary powers a0^(2^i), taken for the bits of the gap; a
+  time-dependent model's are the aligned products of 2^i consecutive
+  bins, taken up and then down the levels (Blelloch-style interval
+  products).  Replay advances a whole θ set at once, the state
+  (Θ, records, D); sampling thins the step core's own uniforms against a
+  per-bin bound and so draws its records,
+* step core (``run_steps``): a batch of records advanced bin by bin, the
+  cross-check of the segment core.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
@@ -153,125 +157,199 @@ def _padded(rows, fill):
 
 
 class _Segments:
-    """Static maps of a θ stack: the transposed click map (Θ, D, D) and the
-    binary no-click powers a0^(2^i) / c_i with their log weight scales."""
+    """Branch maps of a θ stack as per-bin tables (Θ, entries, ...), with
+    one entry for a static model: the transposed click maps ``a1t`` and
+    the no-click block ``levels``.  Level 0 holds the per-bin no-click
+    maps; entry j of level i + 1 is the product of entries 2j and 2j + 1
+    of level i in time order, so it covers bins [j 2^(i+1), (j+1) 2^(i+1));
+    a static model's level i is its one power a0^(2^i).  Each block is
+    rescaled by an exact power of two and keeps its log weight scale."""
 
     def __init__(self, ops):
-        self.weight, self.root = ops[0].weight, ops[0].root
-        self.initial = lambda nb: np.tile(ops[0].x0, (len(ops), nb, 1)).astype(complex)
-        tab = lambda name: np.ascontiguousarray(
-            np.swapaxes(np.stack([getattr(o, name)[0] for o in ops]), -1, -2))
+        o = ops[0]
+        self.weight, self.root = o.weight, o.root
+        self.initial = lambda nb: np.tile(o.x0, (len(ops), nb, 1)).astype(complex)
+        self.static = len(o.a0) == 1
+
+        def tab(name):
+            a = np.swapaxes(np.stack([getattr(q, name) for q in ops]) if len(ops) > 1
+                            else getattr(o, name)[None], -1, -2)
+            # a per-bin stack stays a view; a static one is copied, as small
+            return np.ascontiguousarray(a) if self.static else a
+
         self.a1t = tab("a1")
         # weight of c x over weight of x: c^2 for pure states, c for densities
-        deg = 2.0 if ops[0].pure else 1.0
-        p, s = tab("a0"), np.zeros(len(ops))
-        self.powers = [(p, s)]
-        for _ in range(1, ops[0].n_steps.bit_length()):
-            p = p @ p
-            # exact power-of-two rescaling keeps the powers finite over any
+        deg = 2.0 if o.pure else 1.0
+        p = tab("a0")
+        s = np.zeros(p.shape[:2])
+        self.levels = [(p, s)]
+        # every level above 0 lives in one buffer: the next θ's tables then
+        # reuse one freed block, where separate levels fragment the heap
+        sizes = [1 if self.static else p.shape[1] >> i
+                 for i in range(1, o.n_steps.bit_length())]
+        buf = np.empty((len(ops), sum(sizes)) + p.shape[2:], dtype=complex)
+        offs = np.cumsum([0] + sizes)
+        for a, b in zip(offs[:-1], offs[1:]):
+            m = b - a
+            pairs = (p, p, s, s) if self.static else (
+                p[:, 0:2 * m:2], p[:, 1:2 * m:2], s[:, 0:2 * m:2], s[:, 1:2 * m:2])
+            p = np.matmul(pairs[0], pairs[1], out=buf[:, a:b])
+            # exact power-of-two rescaling keeps the blocks finite over any
             # record length and leaves their bits (and symmetries) intact
             e = np.frexp(np.abs(p).max(axis=(-2, -1)))[1]
-            p = p * np.ldexp(1.0, -e)[:, None, None]
-            s = 2.0 * s + deg * np.log(2.0) * e
-            self.powers.append((p, s))
+            p *= np.ldexp(1.0, -e)[..., None, None]
+            s = pairs[2] + pairs[3] + deg * np.log(2.0) * e
+            self.levels.append((p, s))
 
-    def apply(self, x, sel, a, scale=0.0, logl=None, click=False):
-        """Rows ``sel`` of the state (Θ, B, D) through the map ``a``,
-        renormalized; adds log weight + ``scale`` to ``logl`` when given.
-        Only a ``click`` can have weight zero: the record then has
-        probability zero, so logL is -inf and the row keeps its state
+    def times(self, x, sel, table, idx):
+        """Rows ``sel`` of the state (Θ, B, D) times entry ``idx[r]`` of a
+        per-bin ``table`` for each row r (its one entry when static)."""
+        if self.static:
+            return _times_rows(x, sel, table[:, 0])
+        return np.einsum("tsd,tsde->tse", x[:, sel], table[:, idx])
+
+    def apply(self, x, sel, table, idx, scales=None, logl=None, click=False):
+        """Rows ``sel`` of the state through entries ``idx`` of ``table``,
+        renormalized; adds log weight + the entries' ``scales`` to ``logl``
+        when given.  Only a ``click`` can have weight zero: the record then
+        has probability zero, so logL is -inf and the row keeps its state
         (0/0 would be NaN)."""
         if not len(sel):
             return
-        y = _times_rows(x, sel, a)
+        y = self.times(x, sel, table, idx)
         w = self.weight(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
         dead = w == 0.0 if click and not w.all() else None
         if dead is not None:
             y[dead], w[dead] = x[:, sel][dead], 1.0
         x[:, sel] = y / self.root(w)[..., None]
         if logl is not None:
-            ll = np.log(w) + np.asarray(scale)[..., None]
+            ll = np.log(w)
+            if scales is not None:
+                ll += scales[:, :1] if self.static else scales[:, idx]
             if dead is not None:
                 ll[dead] = -np.inf
             logl[:, sel] += ll
 
-    def no_clicks(self, x, rows, gaps, logl=None, first=0):
-        """Advance rows ``rows`` by ``gaps`` no-click bins: each row whose
-        gap has bit i >= ``first`` set takes power i, one product per bit."""
-        for i in range(first, int(gaps.max(initial=0)).bit_length()):
-            p, s = self.powers[i]
-            self.apply(x, rows[(gaps >> i) & 1 == 1], p, s, logl)
+    def no_clicks(self, x, rows, pos, stop, logl=None, first=0):
+        """Advance rows ``rows`` over their no-click bins [pos, stop).
+        Static maps: each row whose gap has bit i >= ``first`` set takes
+        power i.  Per-bin maps: aligned blocks, first up the levels (level
+        i where bit i of pos is set and the block fits), then down (level
+        i where it fits), at most 2 log2 n products."""
+        gaps = stop - pos
+        top = int(gaps.max(initial=0)).bit_length()
+        if self.static:
+            for i in range(first, top):
+                p, s = self.levels[i]
+                self.apply(x, rows[(gaps >> i) & 1 == 1], p, None, s, logl)
+            return
+        pos = pos.copy()
+        for i in range(top):
+            self._block(x, rows, pos, i, ((pos >> i) & 1 == 1) & (pos + (1 << i) <= stop), logl)
+        for i in reversed(range(top)):
+            self._block(x, rows, pos, i, pos + (1 << i) <= stop, logl)
+
+    def _block(self, x, rows, pos, i, fit, logl):
+        """Rows ``rows[fit]`` through their level-i block at ``pos``, which
+        then moves past it."""
+        sel = np.flatnonzero(fit)
+        p, s = self.levels[i]
+        self.apply(x, rows[sel], p, pos[sel] >> i, s, logl)
+        pos[sel] += 1 << i
 
 
 def _replay_segments(seg, click_indices, n):
     """logL (Θ, B) of the given records: per click ordinal, the no-click
     run up to the click (or to the end), then the click map."""
     ends, counts = _padded([np.append(h, n) for h in click_indices], n)
-    gaps = np.diff(ends, axis=1, prepend=-1) - 1
+    starts = np.concatenate([np.zeros((len(ends), 1), dtype=ends.dtype), ends[:, :-1] + 1],
+                            axis=1)
     x = seg.initial(len(ends))
     logl = np.zeros(x.shape[:2])
     for j in range(ends.shape[1]):
         rows = np.flatnonzero(counts > j)
-        seg.no_clicks(x, rows, gaps[rows, j], logl)
-        seg.apply(x, rows[counts[rows] > j + 1], seg.a1t, 0.0, logl, click=True)
+        seg.no_clicks(x, rows, starts[rows, j], ends[rows, j], logl)
+        clicks = rows[counts[rows] > j + 1]
+        seg.apply(x, clicks, seg.a1t, ends[clicks, j], logl=logl, click=True)
     return logl
 
 
 def _thin(seg, ops, indices, seed):
     """Draw records by thinning.  The step core clicks at bin k iff
-    u_k < p1_k, and p1_k <= eta |M1|_2^2, so only the bins whose uniform
+    u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the bins whose uniform
     lies below that bound are candidates: the state is advanced to each
-    one and p1 evaluated there.  The bound is |a1|_2^2 of a Kraus click
-    map, or |a1|_2 of the superoperator eta dt J (x) conj(J).  A bound
-    above _P1_MAX makes every bin a candidate, so the guard sees the step
-    core's bins in order.  Returns (list of click-index arrays, number of
-    candidates)."""
+    one and p1 evaluated there.  The bound is |a1_k|^2 of a Kraus click
+    map, or |a1_k| of the superoperator eta dt J (x) conj(J).  A bound
+    above _P1_MAX makes its bin a candidate for every record, so the guard
+    names the step core's bin: the first one where some record overflows.
+    Returns (list of click-index arrays, number of candidates)."""
     n, nb = ops.n_steps, len(indices)
-    # the margin covers a normalized state's weight being 1 up to round-off
-    bound = np.linalg.norm(ops.a1[0], 2) ** (2 if ops.pure else 1) * (1.0 + 1e-9)
+    # one static map takes the exact spectral norm; a per-bin stack takes
+    # the Frobenius norm, which bounds it from above at a fraction of the
+    # cost (summed over a float view: no temporary the size of the stack).
+    # The margin covers a normalized state's weight being 1 up to round-off.
+    deg = 2.0 if ops.pure else 1.0
+    if seg.static:
+        bound = np.linalg.norm(ops.a1, 2, axis=(1, 2)) ** deg
+    else:
+        v = np.ascontiguousarray(ops.a1).reshape(len(ops.a1), -1).view(np.float64)
+        bound = np.einsum("ki,ki->k", v, v) ** (deg / 2.0)
+    bound *= 1.0 + 1e-9
     # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
     # iff raw <= top, compared before any conversion
-    top = np.uint64(2 ** 64 - 1 if bound > _P1_MAX
-                    else (int(np.ceil(bound * 2.0 ** 53)) << 11) - 1)
+    lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim - np.uint64(1)))
     gens = _streams(indices, seed)
     block = max(1, min(n, _U_FLOATS // max(nb, 1)))
-    # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
-    low = np.eye(len(seg.a1t[0]), dtype=complex)[None]
-    for p, _ in seg.powers[:_LOW_BITS]:
-        low = np.concatenate([low, low @ p[0]])
+    if seg.static:
+        # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
+        low = np.eye(len(seg.a1t[0, 0]), dtype=complex)[None]
+        for p, _ in seg.levels[:_LOW_BITS]:
+            low = np.concatenate([low, low @ p[0, 0]])
     x = seg.initial(nb)
     pos = np.zeros(nb, dtype=np.int64)  # first bin not yet applied
     hits, n_cand = [[] for _ in range(nb)], 0
     for k0 in range(0, n, block):
         # each record's candidate bins in the block and their uniforms
         cols, us = [], []
+        tk = top[k0:k0 + block]
         for g in gens:
-            raw = g.random_raw(min(block, n - k0))
-            cols.append(np.flatnonzero(raw <= top))
+            raw = g.random_raw(len(tk))
+            cols.append(np.flatnonzero(raw <= tk))
             us.append((raw[cols[-1]] >> np.uint64(11)) * 2.0 ** -53)
         (cols, counts), u = _padded(cols, 0), _padded(us, 0.0)[0]
         n_cand += int(counts.sum())
+        over = []  # (bin, p1) of each evaluation above the guard
         for j in range(cols.shape[1]):
             r = np.flatnonzero(counts > j)
             k = k0 + cols[r, j]
-            gaps = k - pos[r]
-            y = np.einsum("rd,rde->re", x[0, r], low[gaps & (len(low) - 1)])
-            x[0, r] = y / seg.root(seg.weight(y))[:, None]
-            seg.no_clicks(x, r, gaps, first=_LOW_BITS)
-            cs = _times_rows(x, r, seg.a1t)[0]
+            if over and k.min() > min(over)[0]:
+                break  # every row is past the first overflow bin
+            if seg.static:
+                gaps = k - pos[r]
+                y = np.einsum("rd,rde->re", x[0, r], low[gaps & (len(low) - 1)])
+                x[0, r] = y / seg.root(seg.weight(y))[:, None]
+                seg.no_clicks(x, r, pos[r], k, first=_LOW_BITS)
+            else:
+                seg.no_clicks(x, r, pos[r], k)
+            cs = seg.times(x, r, seg.a1t, k)[0]
             p1 = seg.weight(cs)
-            _check_p1(float(p1.max()), int(k[np.argmax(p1)]), ops.dt)
+            big = p1 > _P1_MAX
+            over += zip(k[big].tolist(), p1[big].tolist())
             hit = u[r, j] < p1
             x[0, r[hit]] = cs[hit] / seg.root(p1[hit])[:, None]
             pos[r] = k + hit
             for i, kk in zip(r[hit], k[hit]):
                 hits[i].append(kk)
+        if over:
+            kb = min(over)[0]
+            _check_p1(max(q for kk, q in over if kk == kb), kb, ops.dt)
     return [np.array(h, dtype=np.int64) for h in hits], n_cand
 
 
 def run_segments(ops, indices, seed, click_indices=None):
-    """Advance a batch of records click to click under the static branch
-    maps of every θ in ``ops`` (a list of StepOps on one grid) at once.
+    """Advance a batch of records click to click under the branch maps of
+    every θ in ``ops`` (a list of StepOps on one grid) at once.
 
     With ``click_indices`` None, draws the records of trajectory
     ``indices`` by thinning (one θ only); else replays the given records.

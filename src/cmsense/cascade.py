@@ -20,10 +20,10 @@ chooses the branch maps once: Kraus pairs on pure states, else
 superoperators on vectorized densities.  Fisher information is
 estimated as the sample mean of squared central finite-difference
 scores over trajectories, with a fixed-seed counter-based stream per
-trajectory so the result is independent of chunking.  Static models
-take the click-to-click segment core (binary no-click powers, sampling
-by thinning), time-dependent ones the per-bin step core;
-``engine="step"`` forces the step core as a cross-check.
+trajectory so the result is independent of chunking.  Every model
+takes the click-to-click segment core (no-click block products, sampling
+by thinning); ``engine="step"`` forces the per-bin step core as a
+cross-check.
 Chunks run one after another in the calling thread.
 """
 
@@ -264,14 +264,12 @@ def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     return float(ops.weight(x[None])[0])
 
 
-def _resolve_engine(gen, engine):
-    """"segment" (click to click) for static models, "step" (bin by bin)
-    for time-dependent ones; "step" may be forced as a cross-check."""
-    auto = "step" if gen.time_dependent else "segment"
-    if engine not in ("auto", "step", auto):
-        raise CmsenseError(f"engine {engine!r} is not available for this model "
-                           "(static: auto, segment, step; time-dependent: auto, step)")
-    return auto if engine == "auto" else engine
+def _resolve_engine(engine):
+    """"auto" is "segment" (click to click) for every model; "step" (bin
+    by bin) may be forced as a cross-check."""
+    if engine not in ("auto", "segment", "step"):
+        raise CmsenseError(f"engine {engine!r} is not available (auto, segment, step)")
+    return "segment" if engine == "auto" else engine
 
 
 def _chunks(n, n_steps):
@@ -316,7 +314,7 @@ def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
                    engine="auto", max_step=0.05):
     """Sample n_traj records; returns (list of click-index arrays, logL, engine kind).
     ``threads`` is accepted for existing callers and has no effect."""
-    kind = _resolve_engine(gen, engine)
+    kind = _resolve_engine(engine)
     indices, logl, _ = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
                                     n_traj, seed)
     return indices, logl[0], kind
@@ -327,14 +325,16 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05)
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
 
-    The segment core replays the whole θ set in one pass, its tables
-    stacked; the step core replays one θ at a time, each table freed
-    before the next is built.
+    The segment core replays the whole θ set of a static model in one
+    pass, its tables stacked; per-bin tables (time-dependent models) and
+    the step core replay one θ at a time, each table freed before the
+    next is built.
     """
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
-    kind = _resolve_engine(gen, engine_kind)
-    sets = [thetas] if kind == "segment" else [[th] for th in thetas]
+    kind = _resolve_engine(engine_kind)
+    stacked = kind == "segment" and not gen.time_dependent
+    sets = [thetas] if stacked else [[th] for th in thetas]
     logl = np.concatenate([
         _run_records([step_matrices(gen, th, grid, max_step) for th in ths], kind,
                      len(indices), 0, indices)[1]
@@ -387,7 +387,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     """
     t0 = perf_counter()
     eps = theta_step
-    kind = _resolve_engine(gen, engine)
+    kind = _resolve_engine(engine)
     indices, _, cands = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
                                      n_traj, seed)
     lp, lm = replay_records(gen, [theta + eps, theta - eps], indices, grid,

@@ -226,10 +226,16 @@ _PIPELINES = {
 }
 
 
+def _errors(diags):
+    """The "error: " entries of ``diags`` without that prefix, which
+    ``main`` prints once."""
+    return [d[len("error: "):] for d in diags if d.startswith("error: ")]
+
+
 def run(cfg: ExperimentConfig) -> ResultBundle:
     """Execute the configured experiment; returns tables in memory."""
     diags = validate(cfg)
-    errors = [d for d in diags if d.startswith("error")]
+    errors = _errors(diags)
     if errors:
         raise ConfigInvalid("; ".join(errors))
     bundle = ResultBundle(config=cfg.to_dict())
@@ -248,7 +254,7 @@ def run(cfg: ExperimentConfig) -> ResultBundle:
     }
     # the bundle must re-validate cleanly from its own echo
     echo = ExperimentConfig.from_dict(bundle.config)
-    errs = [d for d in validate(echo) if d.startswith("error")]
+    errs = _errors(validate(echo))
     if errs:
         raise ConfigInvalid("result bundle failed re-validation: " + "; ".join(errs))
     return bundle

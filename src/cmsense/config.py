@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, format_excess
+from .errors import ConfigInvalid, NonpositiveRate, format_excess
 from .models import three_level_model, two_level_model
 from .propagate import TimeGrid
 
@@ -148,12 +148,10 @@ def scan_horizon(cfg: ExperimentConfig, t_end) -> float:
 
 
 def _model_norm_scale(cfg):
-    """Max spectral norm of H over a few sample times, for the dt lint."""
-    try:
-        t_pl = float(cfg.grid["t_list"][0])
-        sensor = build_sensor(cfg, t_plateau=t_pl)
-    except Exception:
-        return None
+    """Max spectral norm of H over a few sample times, for the dt lint;
+    raises the model's own error when the config builds none."""
+    t_pl = float(cfg.grid["t_list"][0])
+    sensor = build_sensor(cfg, t_plateau=t_pl)
     theta = float(cfg.model.get("theta", 0.0))
     if cfg.model["kind"] == "three_level":
         probe = [0.0, 0.5 * t_pl, t_pl + 1.0 / cfg.model["gamma"]]
@@ -201,14 +199,18 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if fd is not None and not (1e-6 <= fd <= 1e-1):
         diags.append("warn: estimation.fd_step: outside the trusted window [1e-6, 1e-1]")
     if dt and dt > 0 and not any(d.startswith("error") for d in diags):
-        scale = _model_norm_scale(cfg)
+        try:
+            scale = _model_norm_scale(cfg)
+        except NonpositiveRate as exc:
+            # gamma = 0 builds no model, so no dt lint and no horizon either
+            diags.append(f"error: model.gamma: {exc}")
+            scale = None
         if scale is not None and dt * scale > 0.05:
             diags.append(
                 f"error: grid.dt: dt*|H| = {format_excess(dt * scale, 0.05)} "
                 "exceeds the 0.05 step guard"
             )
-        # a grid that is not a whole number of dt steps would stop the run;
-        # only a model that builds has a horizon (three-level: gamma > 0)
+        # a grid that is not a whole number of dt steps would stop the run
         for t in (cfg.grid["t_list"] if scale is not None else []):
             end = scan_horizon(cfg, t)
             try:

@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cmsense import TimeGrid, two_level_model
+from cmsense import TimeGrid, _engine, two_level_model
 from cmsense.cascade import (Imperfections, cascade_generators, fisher_from_trajectories,
                              full_width_half_max, replay_records, sample_records,
                              step_matrices, vacuum_probability)
-from cmsense.decoder import stationary_decoder, two_level_decoder
+from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
+from cmsense.models import SensorModel, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
 
 
@@ -117,7 +118,8 @@ def _record_hash(indices):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "mismatch-4", "mismatch+4"])
+@pytest.mark.parametrize("case", ["pure", "density", "mismatch-4", "mismatch+4",
+                                  "three_level", "three_level+decoder"])
 def test_segment_core_reproduces_step_core(emitter, case):
     # thinning reads the step core's uniforms and draws the same records;
     # replays agree to round-off; the matched point scores exactly zero
@@ -127,6 +129,15 @@ def test_segment_core_reproduces_step_core(emitter, case):
     elif case == "density":
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
                                  imperfections=Imperfections(gamma=0.1, eta=0.65))
+    elif case.startswith("three_level"):
+        # the pulsed emitter on per-bin tables; the decoder is synthesized
+        # at theta = 0 and sampled far from it, so that its records click
+        grid = TimeGrid(0.0, 4.0, 1e-3)
+        sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0)
+        gen = cascade_generators(sensor)
+        if case.endswith("decoder"):
+            gen, theta = cascade_generators(sensor, build_decoder(sensor, 0.0, grid)), 3.0
+        assert gen.time_dependent
     else:
         gen = cascade_generators(emitter, two_level_decoder(1.0, float(case[8:]), 1.0))
     step = sample_records(gen, theta, grid, n, seed=8, engine="step")
@@ -138,12 +149,43 @@ def test_segment_core_reproduces_step_core(emitter, case):
     lg = replay_records(gen, thetas, step[0], grid, engine_kind="segment")
     assert np.all(np.abs(ls - lg) <= 1e-11 * np.maximum(1.0, np.abs(ls)))
     assert np.all(np.abs(step[1] - seg[1]) <= 1e-11 * np.maximum(1.0, np.abs(step[1])))
+    if case == "three_level":
+        # the +-theta tables are complex conjugates, so every score is 0.0
+        # (the symmetry gate 5 asserts)
+        assert np.array_equal(lg[0], lg[1])
     if case.startswith("mismatch"):
         # the matched decoder at theta = 0 on the same records: the
         # +-theta tables are complex conjugates, so every score is 0.0
         matched = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0))
         lp, lm = replay_records(matched, thetas, step[0], grid)
         assert np.array_equal(lp, lm)
+
+
+@pytest.mark.parametrize("n", [2, 37, 64, 1000])
+def test_aligned_blocks_match_per_bin_product(n):
+    # per-bin no-click maps: a run [pos, stop) through the aligned block
+    # levels against the plain product of its bins, with the log weight
+    # the block scales carry
+    rng = np.random.default_rng(n)
+    d = 3
+    a0 = (np.eye(d) + 0.05 * (rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))))
+    x0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    ops = _engine.StepOps(n, 0.1, a0, 0.1 * a0, x0, pure=True)
+    seg = _engine._Segments([ops])
+    assert not seg.static and len(seg.levels) == n.bit_length()
+    pairs = [(0, n), (0, 0), (n, n), (n // 2, n // 2)]
+    pairs += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(60)]
+    pos, stop = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    x = seg.initial(len(pairs))
+    logl = np.zeros((1, len(pairs)))
+    seg.no_clicks(x, np.arange(len(pairs)), pos, stop, logl)
+    for r, (a, b) in enumerate(pairs):
+        v = x0.copy()
+        for k in range(a, b):
+            v = v @ a0[k].T
+        w = np.vdot(v, v).real
+        assert logl[0, r] == pytest.approx(np.log(w), rel=1e-12, abs=1e-12)
+        assert np.allclose(x[0, r], v / np.sqrt(w), rtol=0.0, atol=1e-12)
 
 
 def test_click_overflow_guard_names_the_same_bin(clicky_pair):
@@ -158,6 +200,30 @@ def test_click_overflow_guard_names_the_same_bin(clicky_pair):
                            max_step=10.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def test_click_overflow_guard_names_the_same_bin_time_dependent():
+    # the decay rate steps from 0.5 to 1.1 at t = 2: bins 0-19 (bound
+    # 0.05) are thinned, bins from 20 on (bound 0.11) are candidates for
+    # every record.  Records reach a bin at different candidate ordinals,
+    # and the first overflow (bin 22) is not the first one met by ordinal
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sensor = SensorModel(dim=2, hamiltonian=lambda t, th: sx + th * np.diag([1.0, 0.0]),
+                         jump=lambda t, th: np.sqrt(0.5 + 0.6 * (t >= 2.0)) * sm,
+                         initial_state=np.array([0.0, 1.0]), time_dependent=True)
+    gen, grid = cascade_generators(sensor), TimeGrid(0.0, 4.0, 0.1)
+    messages = []
+    for engine in ("step", "segment"):
+        with pytest.raises(ClickProbabilityOverflow, match=r"at bin 22 ") as err:
+            sample_records(gen, 0.0, grid, 64, seed=2, engine=engine, max_step=10.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_unknown_engine_is_rejected(clicky_pair):
+    with pytest.raises(CmsenseError, match=r"\(auto, segment, step\)"):
+        sample_records(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 2e-3), 4, engine="eig")
 
 
 def test_sampling_is_deterministic_per_stream(clicky_pair):
@@ -327,15 +393,18 @@ def test_fisher_estimate_bookkeeping(clicky_pair):
 @pytest.mark.parametrize("case", ["dark", "clicking"])
 def test_halving_dev_is_none_on_round_off_scores(clicky_pair, case):
     # the synthesized decoder keeps the three-level cascade dark, so its
-    # scores are central-difference round-off (~1e-13), not information
+    # scores are central-difference round-off (~1e-13), not information.
+    # The step core is forced there: the segment core's fewer products
+    # can cancel that round-off exactly, which is a null point instead
     grid = TimeGrid(0.0, 2.0, 2e-3)
-    gen = clicky_pair
+    gen, engine = clicky_pair, "auto"
     if case == "dark":
         from cmsense.decoder import build_decoder
         from cmsense.models import three_level_model
         sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
         gen = cascade_generators(sensor, build_decoder(sensor, 0.0, grid))
-    fi = fisher_from_trajectories(gen, 0.0, grid, 20, seed=3)
+        engine = "step"
+    fi = fisher_from_trajectories(gen, 0.0, grid, 20, seed=3, engine=engine)
     if case == "dark":
         assert fi.mean_clicks == 0.0 and not fi.null_point
         assert fi.halving_dev is None

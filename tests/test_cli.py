@@ -58,8 +58,20 @@ def test_ragged_grid_is_a_guard_error(tmp_path, capsys):
     assert main(["validate", "--config", str(ragged)]) == 2
     assert "error: grid.t_list" in capsys.readouterr().out
     assert main(["run", "--config", str(ragged), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the prefix is printed once, not "error: error: grid.t_list: ..."
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid.t_list: ") and err.count("error:") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["two_level", "three_level"])
+def test_validate_rejects_a_model_that_does_not_build(tmp_path, capsys, kind):
+    # gamma = 0 passes the schema (a nonnegative rate) but builds no model
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"model": {"kind": kind, "gamma": 0.0}}))
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: model.gamma: gamma must be positive") and "ok" not in out
 
 
 def test_run_requires_source(capsys):
@@ -138,8 +150,9 @@ def test_provenance_reports_synthesized_decoder():
     (dec,) = prov["decoders"]
     assert dec["label"] == "T=0.5" and dec["herm_residual"] > 0.0
     assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
-    # the pulsed three-level model is time dependent: step core, no thinning
-    assert all(e["engine"] == "step" and e["candidates"] is None
+    # the pulsed three-level model is time dependent and still runs on the
+    # click-to-click core, which reports its thinning candidates per record
+    assert all(e["engine"] == "segment" and e["candidates"] >= e["mean_clicks"]
                for e in prov["estimators"])
 
 
