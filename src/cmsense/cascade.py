@@ -6,7 +6,8 @@ Hamiltonian
 
     H_c = H_S x 1 + 1 x H_D + (i/2)(J_D J_S^dag - J_S J_D^dag)
 
-with collective jump J_c = J_S x 1 + 1 x J_D routes the sensor
+with collective jump J_c = J_S x 1 + 1 x J_D (assembled per bin from
+the sensor's operators and the decoder's stacks) routes the sensor
 emission through the decoder before detection.  A correctly matched
 decoder interferes the two contributions destructively, so the
 detector stays dark at the decoding point and the counting record
@@ -29,14 +30,14 @@ Chunks run one after another in the calling thread.
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
 from .linalg import dagger
-from .models import SensorModel, _per_bin, _sigma, operator_stacks
+from .models import SensorModel, _sigma, operator_stacks
 from .propagate import TimeGrid, _batched_kron, _bin_times, _kraus_stacks, propagate_linear
 
 __all__ = [
@@ -93,17 +94,16 @@ class Imperfections:
 
 @dataclass(eq=False)
 class CascadeGenerators:
-    """Joint generators of the cascaded counting model.
+    """Joint counting model of a sensor and an optional decoder.
 
-    ``h_total`` and ``j_total`` map (t, theta) to joint-space matrices;
+    The joint (H_c, J_c) stacks are assembled per bin by ``step_matrices``
+    from the sensor's operators and the decoder's (H_D, J_D) stacks;
     theta enters through the sensor side only.  ``extra_lindblad`` holds
     constant undetected channels (loss, dephasing).  Exactly one of
     ``initial_state`` (pure) / ``initial_rho`` is set.
     """
 
     dim: int
-    h_total: Callable[[float, float], np.ndarray]
-    j_total: Callable[[float, float], np.ndarray]
     extra_lindblad: List[np.ndarray]
     detector_eta: float
     initial_state: Optional[np.ndarray]
@@ -144,46 +144,19 @@ def cascade_generators(sensor: SensorModel, dec=None,
     of sensor and decoder initial states; "product" forces the product;
     an explicit array is used as given (vector or density).
     """
-    imp = imperfections or Imperfections()
-    ds = sensor.dim
-    if dec is None:
-        dim = ds
-        h_total = lambda t, th: sensor.hamiltonian(t, th)
-        j_total = lambda t, th: sensor.jump(t, th)
-        time_dep = sensor.time_dependent
+    if isinstance(init, np.ndarray):
+        psi0 = init
+    elif init not in ("auto", "product"):
+        raise CmsenseError(f"init must be 'auto', 'product' or an array, got {init!r}")
+    elif dec is None:
         psi0 = sensor.initial_state
-        if isinstance(init, np.ndarray):
-            psi0 = init
-        extra = _two_level_channels(ds, 1, imp) if not imp.trivial else []
+    elif init == "product" or dec.purified_joint is None:
+        psi0 = np.kron(sensor.initial_state, dec.initial_state_d)
     else:
-        dd = dec.dim
-        dim = ds * dd
-        eye_s = np.eye(ds, dtype=complex)
-        eye_d = np.eye(dd, dtype=complex)
-
-        def h_total(t, th):
-            hs = sensor.hamiltonian(t, th)
-            js = sensor.jump(t, th)
-            hd = dec.hamiltonian_d(t)
-            jd = dec.jump_d(t)
-            return (
-                np.kron(hs, eye_d)
-                + np.kron(eye_s, hd)
-                + 0.5j * (np.kron(js.conj().T, jd) - np.kron(js, jd.conj().T))
-            )
-
-        def j_total(t, th):
-            return np.kron(sensor.jump(t, th), eye_d) + np.kron(eye_s, dec.jump_d(t))
-
-        time_dep = sensor.time_dependent or dec.time_dependent
-        if isinstance(init, np.ndarray):
-            psi0 = init
-        elif init == "product" or dec.purified_joint is None:
-            psi0 = np.kron(sensor.initial_state, dec.initial_state_d)
-        else:
-            psi0 = dec.purified_joint
-        extra = _two_level_channels(ds, dd, imp) if not imp.trivial else []
-
+        psi0 = dec.purified_joint
+    imp = imperfections or Imperfections()
+    dd = 1 if dec is None else dec.dim
+    extra = _two_level_channels(sensor.dim, dd, imp) if not imp.trivial else []
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim == 1:
         vec, rho = psi0 / np.linalg.norm(psi0), None
@@ -191,9 +164,10 @@ def cascade_generators(sensor: SensorModel, dec=None,
         rho = psi0 / np.trace(psi0).real
         vec = None
     return CascadeGenerators(
-        dim=dim, h_total=h_total, j_total=j_total, extra_lindblad=extra,
+        dim=sensor.dim * dd, extra_lindblad=extra,
         detector_eta=imp.eta, initial_state=vec, initial_rho=rho,
-        time_dependent=time_dep, sensor=sensor, decoder=dec,
+        time_dependent=sensor.time_dependent or (dec is not None and dec.time_dependent),
+        sensor=sensor, decoder=dec,
     )
 
 
@@ -206,26 +180,25 @@ def _superops(m0, j, extra, eta, dt):
     return s0, eta * dt * jj
 
 
-def _decoder_stacks(dec, ts):
-    """Per-bin (H_D, J_D) stacks: the decoder's tables, else its maps."""
-    if dec.time_dependent and dec.tables is not None:
-        t_tab, hd, jd = dec.tables
-        if len(t_tab) != len(ts) or abs(t_tab[0] - ts[0]) > 1e-12:
-            raise CmsenseError("decoder tables do not match the grid")
-        return hd, jd
-    static = not dec.time_dependent
-    return (_per_bin(dec.hamiltonian_d, ts, dec.dim, static),
-            _per_bin(dec.jump_d, ts, dec.dim, static))
+def _decoder_stacks(dec, grid, n):
+    """The decoder's (H_D, J_D) stacks over n bins of ``grid``: its one
+    pair broadcast, or its per-bin tables, which hold for their own grid only."""
+    if not dec.time_dependent:
+        return (np.broadcast_to(dec.hd, (n,) + dec.hd.shape[1:]),
+                np.broadcast_to(dec.jd, (n,) + dec.jd.shape[1:]))
+    if grid != dec.grid:
+        raise CmsenseError("decoder tables do not match the grid")
+    return dec.hd, dec.jd
 
 
-def _joint_stacks(gen: CascadeGenerators, theta, ts):
-    """Per-bin joint (H_c, J_c) stacks at the times ``ts``, assembled from
-    the sensor and decoder stacks."""
+def _joint_stacks(gen: CascadeGenerators, theta, grid, ts):
+    """Per-bin joint (H_c, J_c) stacks at the times ``ts`` of ``grid``,
+    assembled from the sensor and decoder stacks."""
     hs, js = operator_stacks(gen.sensor, theta, ts)
     dec = gen.decoder
     if dec is None:
         return hs, js
-    hd, jd = _decoder_stacks(dec, ts)
+    hd, jd = _decoder_stacks(dec, grid, len(ts))
     eye_s = np.broadcast_to(np.eye(gen.sensor.dim, dtype=complex), hs.shape)
     eye_d = np.broadcast_to(np.eye(dec.dim, dtype=complex), hd.shape)
     h = (_batched_kron(hs, eye_d) + _batched_kron(eye_s, hd)
@@ -241,7 +214,7 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     generators, else one per grid bin."""
     dt = grid.dt
     ts = _bin_times(grid, not gen.time_dependent)
-    m0, m1 = _kraus_stacks(*_joint_stacks(gen, theta, ts), dt, max_step, ts,
+    m0, m1 = _kraus_stacks(*_joint_stacks(gen, theta, grid, ts), dt, max_step, ts,
                            gen.extra_lindblad)
     eta = gen.detector_eta
     if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):

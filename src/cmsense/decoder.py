@@ -25,8 +25,8 @@ that closed form
 at the steady state, where it is exact.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .linalg import dagger, psd_sqrt, robust_inv
 from .models import SensorModel
-from .propagate import TimeGrid, pair_table, propagate_linear
+from .propagate import TimeGrid, pair_table, propagate_linear, transfer
 
 __all__ = [
     "DecoderModel",
@@ -53,8 +53,11 @@ __all__ = [
 
 @dataclass(eq=False)
 class DecoderModel:
-    """Generators of the decoding system.
+    """Generators of the decoding system, as per-bin (H_D, J_D) stacks.
 
+    ``hd``/``jd`` have shape (1, D, D) for a constant pair, else
+    (n_steps, D, D): one step-constant pair per bin of ``grid``, the
+    synthesis grid, which is None for a constant pair.
     ``initial_state_d`` is the product-form decoder state W0^dag psi_S(0)
     of the underlying theorem.  ``purified_joint`` is the joint
     sensor+decoder vector vec(R(0))/|R(0)| that the cascade uses by
@@ -65,15 +68,21 @@ class DecoderModel:
     extracted pair reproduces the left-normalized tensors.
     """
 
-    dim: int
-    hamiltonian_d: Callable[[float], np.ndarray]
-    jump_d: Callable[[float], np.ndarray]
+    hd: np.ndarray
+    jd: np.ndarray
     initial_state_d: np.ndarray
+    grid: Optional[TimeGrid] = None
     w0: Optional[np.ndarray] = None
     purified_joint: Optional[np.ndarray] = None
-    tables: Optional[tuple] = None
-    time_dependent: bool = True
     herm_residual: float = 0.0
+
+    @property
+    def dim(self):
+        return self.hd.shape[-1]
+
+    @property
+    def time_dependent(self):
+        return self.grid is not None
 
 
 def _check_unitary(w0, dim):
@@ -89,7 +98,7 @@ def _check_unitary(w0, dim):
 
 def _identity_series(tab, dim, n_steps):
     eye = np.eye(dim, dtype=complex).ravel()
-    return propagate_linear(tab.transfer(tab), eye, n_steps, series=True).reshape(-1, dim, dim)
+    return propagate_linear(transfer(tab, tab), eye, n_steps, series=True).reshape(-1, dim, dim)
 
 
 def rho_tilde(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
@@ -103,13 +112,14 @@ def rho_tilde(model: SensorModel, theta: float, grid: TimeGrid, max_step: float 
 
 def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
                   w0=None, max_step: float = 0.05, rank_tol: float = 1e-10):
-    """Synthesize tabulated decoder generators along the grid.
+    """Synthesize the decoder's per-bin generator stacks along the grid.
 
     Exact per-bin extraction from the left-normalized tensors; valid
-    for arbitrary time-dependent sensor dynamics.  H_D(t) and J_D(t)
-    are tabulated at left endpoints and interpolated as step constants,
-    matching the Kraus convention.  RankDeficientRho names the first
-    bin where rho_tilde loses rank relative to its trace.
+    for arbitrary time-dependent sensor dynamics.  H_D and J_D hold one
+    pair per bin of ``grid``, constant over the bin like the Kraus pair
+    it comes from, and the decoder is usable on that grid only.
+    RankDeficientRho names the first bin where rho_tilde loses rank
+    relative to its trace.
     """
     D = model.dim
     w0 = _check_unitary(w0, D)
@@ -141,22 +151,12 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
     herm_res = float(np.abs(h - dagger(h)).max()) if n else 0.0
     hd[:] = 0.5 * (h + dagger(h))
 
-    t0 = grid.t_start
-
-    def bin_of(t):
-        # the slack keeps a left endpoint t0 + k dt, which may divide to
-        # just below k in floating point, in its own bin k
-        return min(max(int(np.floor((t - t0) / dt + 1e-9)), 0), n - 1)
-
     return DecoderModel(
-        dim=D,
-        hamiltonian_d=lambda t: hd[bin_of(t)],
-        jump_d=lambda t: jd[bin_of(t)],
+        hd=hd, jd=jd,
         initial_state_d=w0.conj().T @ model.initial_state,
+        grid=grid,
         w0=w0,
         purified_joint=w0.ravel() / np.sqrt(D),
-        tables=(grid.left_times.copy(), hd, jd),
-        time_dependent=True,
         herm_residual=herm_res,
     )
 
@@ -219,14 +219,10 @@ def stationary_decoder(model: SensorModel, theta: float, w0=None,
     jd_mat = -rt @ j.T @ rti
 
     return DecoderModel(
-        dim=D,
-        hamiltonian_d=lambda t: hd_mat,
-        jump_d=lambda t: jd_mat,
+        hd=hd_mat[None], jd=jd_mat[None],
         initial_state_d=w0.conj().T @ model.initial_state,
         w0=w0,
         purified_joint=r.ravel() / np.linalg.norm(r.ravel()),
-        tables=None,
-        time_dependent=False,
     )
 
 
@@ -244,16 +240,8 @@ def two_level_decoder(omega, delta_d, gamma):
     """
     hd = np.array([[-delta_d, 0.5 * omega], [0.5 * omega, 0.0]], dtype=complex)
     jd = np.array([[0.0, 0.0], [np.sqrt(gamma), 0.0]], dtype=complex)
-    return DecoderModel(
-        dim=2,
-        hamiltonian_d=lambda t: hd,
-        jump_d=lambda t: jd,
-        initial_state_d=np.array([0.0, 1.0], dtype=complex),
-        w0=None,
-        purified_joint=None,
-        tables=None,
-        time_dependent=False,
-    )
+    return DecoderModel(hd=hd[None], jd=jd[None],
+                        initial_state_d=np.array([0.0, 1.0], dtype=complex))
 
 
 def verify_decoding(sensor: SensorModel, dec: DecoderModel, theta: float,

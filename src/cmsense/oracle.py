@@ -64,15 +64,14 @@ def _check_size(n_bins, dim):
         )
 
 
-def _amplitude_matrix(model, theta, n_bins, dt, max_step):
-    """(2^N, D) matrix of raw Kraus-product amplitudes."""
-    grid = TimeGrid(0.0, n_bins * dt, dt)
-    tab = pair_table(model, theta, grid, max_step)
-    amp = model.initial_state[None, :].astype(complex)
-    for k in range(n_bins):
-        a0, a1 = tab.at(k)
-        amp = np.concatenate([amp @ a0.T, amp @ a1.T], axis=0)
-    return amp
+def _branches(ops):
+    """(2^N, m) rows: the initial state of ``ops`` through the branch maps
+    of every record, enumerated bin by bin in the record-integer layout."""
+    a0, a1 = ops.per_bin(ops.a0), ops.per_bin(ops.a1)
+    branch = ops.x0[None, :].astype(complex)
+    for k in range(ops.n_steps):
+        branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
+    return branch
 
 
 def brute_global_state(model: SensorModel, theta: float, n_bins: int, dt: float,
@@ -83,7 +82,7 @@ def brute_global_state(model: SensorModel, theta: float, n_bins: int, dt: float,
     meant for; it validates discrete-formula equivalence at any dt.
     """
     _check_size(n_bins, model.dim)
-    amp = _amplitude_matrix(model, theta, n_bins, dt, max_step)
+    amp = _branches(pair_table(model, theta, TimeGrid(0.0, n_bins * dt, dt), max_step))
     raw_norm = float(np.linalg.norm(amp))
     return BinnedState(
         n_bins=n_bins, kind="global", dim_sys=model.dim,
@@ -134,9 +133,6 @@ class CountingDistribution:
     probs: np.ndarray
     raw_defect: float
 
-    def __getitem__(self, record):
-        return self.probs[int(record)]
-
     def record_bits(self, record):
         return np.array([(record >> n) & 1 for n in range(self.n_bins)],
                         dtype=np.uint8)
@@ -152,16 +148,10 @@ def brute_counting_distribution(model: SensorModel, theta: float, n_bins: int,
     """
     from .cascade import cascade_generators, step_matrices
 
-    gen = cascade_generators(model, dec) if dec is not None else \
-        cascade_generators(model)
+    gen = cascade_generators(model, dec)
     _check_size(n_bins, gen.dim)
-    grid = TimeGrid(0.0, n_bins * dt, dt)
-    ops = step_matrices(gen, theta, grid, max_step)
-    a0, a1 = ops.per_bin(ops.a0), ops.per_bin(ops.a1)
-    branch = ops.x0[None, :].astype(complex)
-    for k in range(n_bins):
-        branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
-    raw = ops.weight(branch)
+    ops = step_matrices(gen, theta, TimeGrid(0.0, n_bins * dt, dt), max_step)
+    raw = ops.weight(_branches(ops))
     total = float(raw.sum())
     return CountingDistribution(n_bins=n_bins, probs=raw / total,
                                 raw_defect=total - 1.0)

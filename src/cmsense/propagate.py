@@ -24,12 +24,14 @@ from typing import Optional
 
 import numpy as np
 
+from ._engine import StepOps
 from .errors import StepTooLarge, TraceDrift, format_excess
 from .models import SensorModel, operator_stacks
 
 __all__ = [
     "TimeGrid",
     "pair_table",
+    "transfer",
     "propagate_linear",
     "evolve_density",
     "evolve_generalized",
@@ -115,37 +117,21 @@ def _bin_times(grid, static):
     return grid.t_start + grid.dt * np.arange(1 if static else grid.n_steps)
 
 
-class PairTable:
-    """Kraus pairs tabulated over a grid.
-
-    For time-independent models a single pair is stored and shared by
-    every step; otherwise a0/a1 have one entry per bin.
-    """
-
-    def __init__(self, a0, a1, static):
-        self.a0 = a0
-        self.a1 = a1
-        self.static = static
-
-    def at(self, k):
-        if self.static:
-            return self.a0[0], self.a1[0]
-        return self.a0[k], self.a1[k]
-
-    def transfer(self, other):
-        """Per-bin maps mu -> sum_s A^s mu B^s^dag in row-major vec for
-        :func:`propagate_linear`, with A from this table and B from ``other``."""
-        maps = lambda lo, hi: (_batched_kron(self.a0[lo:hi], other.a0[lo:hi].conj())
-                               + _batched_kron(self.a1[lo:hi], other.a1[lo:hi].conj()))
-        return maps(0, 1)[0] if self.static else maps
+def transfer(ta, tb):
+    """Per-bin maps mu -> sum_s A^s mu B^s^dag in row-major vec for
+    :func:`propagate_linear`, with A from the Kraus table ``ta`` and B
+    from ``tb``: one matrix when the tables hold a single bin."""
+    maps = lambda lo, hi: (_batched_kron(ta.a0[lo:hi], tb.a0[lo:hi].conj())
+                           + _batched_kron(ta.a1[lo:hi], tb.a1[lo:hi].conj()))
+    return maps(0, 1)[0] if len(ta.a0) == 1 else maps
 
 
 def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
-    """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``."""
-    static = not model.time_dependent
-    ts = _bin_times(grid, static)
-    return PairTable(*_kraus_stacks(*operator_stacks(model, theta, ts), grid.dt, max_step, ts),
-                     static=static)
+    """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``:
+    pure StepOps from the model's initial state, one bin for a static model."""
+    ts = _bin_times(grid, not model.time_dependent)
+    a0, a1 = _kraus_stacks(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
+    return StepOps(grid.n_steps, grid.dt, a0, a1, model.initial_state, pure=True)
 
 
 def _tree_product(s):
@@ -198,7 +184,7 @@ def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
     """
     tab = pair_table(model, theta, grid, max_step)
     psi = model.initial_state
-    out = propagate_linear(tab.transfer(tab), np.outer(psi, psi.conj()).ravel(),
+    out = propagate_linear(transfer(tab, tab), np.outer(psi, psi.conj()).ravel(),
                            grid.n_steps, series=True).reshape(-1, model.dim, model.dim)
     drift = np.abs(np.trace(out, axis1=1, axis2=2).real - 1.0)
     bad = np.flatnonzero(drift[1:] > trace_tol) + 1
@@ -216,7 +202,7 @@ def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
     rho_S(0) propagated under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.
 
     At theta1 = theta2 this is exactly the evolve_density update.
-    ``tables`` lets callers reuse precomputed PairTables for the two
+    ``tables`` lets callers reuse the ``pair_table`` StepOps of the two
     parameter values (an optimization for finite-difference sweeps).
     """
     if tables is None:
@@ -225,4 +211,4 @@ def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
     else:
         ta, tb = tables
     mu0 = np.outer(model.initial_state, model.initial_state.conj())
-    return propagate_linear(ta.transfer(tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)
+    return propagate_linear(transfer(ta, tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)

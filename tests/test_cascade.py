@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cmsense import TimeGrid, _engine, two_level_model
-from cmsense.cascade import (Imperfections, cascade_generators, fisher_from_trajectories,
-                             full_width_half_max, replay_records, sample_records,
-                             step_matrices, vacuum_probability)
+from cmsense.cascade import (Imperfections, _joint_stacks, cascade_generators,
+                             fisher_from_trajectories, full_width_half_max, replay_records,
+                             sample_records, step_matrices, vacuum_probability)
 from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.models import SensorModel, three_level_model
@@ -27,10 +27,16 @@ def clicky_pair(emitter):
     return cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0))
 
 
+def _generators_at_zero(gen, theta):
+    """The joint (H_c, J_c) of the first bin of a static cascade."""
+    h, j = _joint_stacks(gen, theta, TimeGrid(0.0, 1.0, 1e-3), np.zeros(1))
+    return h[0], j[0]
+
+
 def test_cascade_dimensions_and_init(emitter):
     gen = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0))
     assert gen.dim == 4
-    h = gen.h_total(0.0, 0.0)
+    h, _ = _generators_at_zero(gen, 0.0)
     assert h.shape == (4, 4)
     assert np.abs(h - h.conj().T).max() < 1e-14
     # product initialization |g> (x) |g> when the decoder has no purified state
@@ -39,7 +45,7 @@ def test_cascade_dimensions_and_init(emitter):
 
 def test_cascade_jump_is_collective(emitter):
     gen = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0))
-    j = gen.j_total(0.0, 0.0)
+    _, j = _generators_at_zero(gen, 0.0)
     sge = np.zeros((2, 2), dtype=complex)
     sge[1, 0] = 1.0
     ref = np.kron(sge, np.eye(2)) + np.kron(np.eye(2), sge)
@@ -49,7 +55,15 @@ def test_cascade_jump_is_collective(emitter):
 def test_direct_sensor_without_decoder(emitter):
     gen = cascade_generators(emitter, None)
     assert gen.dim == 2
-    assert np.abs(gen.j_total(0.0, 0.0)[1, 0] - 1.0) < 1e-14
+    assert np.abs(_generators_at_zero(gen, 0.0)[1][1, 0] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("init", ["purified", "", ["product"]])
+@pytest.mark.parametrize("with_decoder", [False, True])
+def test_cascade_rejects_unknown_init(emitter, init, with_decoder):
+    dec = stationary_decoder(emitter, 0.0) if with_decoder else None
+    with pytest.raises(CmsenseError, match="init must be"):
+        cascade_generators(emitter, dec, init=init)
 
 
 @pytest.mark.parametrize("dt", [4e-3, 2e-3, 1e-3])
@@ -87,20 +101,23 @@ def test_replay_rejects_invalid_click_indices(clicky_pair, engine, hits):
 
 
 def test_step_tables_of_static_sensor_with_tabulated_decoder(emitter):
-    # static sensor + build_decoder tables: the joint stacks must match the
-    # per-bin joint generators bin by bin
-    from cmsense.decoder import build_decoder
+    # static sensor + decoder stacks (per-bin build_decoder tables, or the one
+    # stationary pair): the step tables must match the cascade formula bin by bin
     grid = TimeGrid(0.0, 4.0, 2e-3)
-    gen = cascade_generators(emitter, build_decoder(emitter, 0.0, grid))
-    ops = step_matrices(gen, 0.1, grid)
-    assert ops.pure and ops.a0.shape == (grid.n_steps, 4, 4)
-    dt = grid.dt
-    for k, t in enumerate(grid.left_times):
-        h = gen.h_total(t, 0.1)
-        j = gen.j_total(t, 0.1)
-        m0 = np.eye(4) - 1j * dt * h - 0.5 * dt * (j.conj().T @ j)
-        assert np.abs(ops.a0[k] - m0).max() < 1e-14
-        assert np.abs(ops.a1[k] - np.sqrt(dt) * j).max() < 1e-14
+    dt, e = grid.dt, np.eye(2)
+    for dec in (build_decoder(emitter, 0.0, grid), stationary_decoder(emitter, 0.0)):
+        ops = step_matrices(cascade_generators(emitter, dec), 0.1, grid)
+        bins = grid.n_steps if dec.time_dependent else 1
+        assert ops.pure and ops.a0.shape == (bins, 4, 4)
+        for k, t in enumerate(grid.left_times[:bins]):
+            hs, js = emitter.hamiltonian(t, 0.1), emitter.jump(t, 0.1)
+            hd, jd = dec.hd[k], dec.jd[k]
+            h = (np.kron(hs, e) + np.kron(e, hd)
+                 + 0.5j * (np.kron(js.conj().T, jd) - np.kron(js, jd.conj().T)))
+            j = np.kron(js, e) + np.kron(e, jd)
+            m0 = np.eye(4) - 1j * dt * h - 0.5 * dt * (j.conj().T @ j)
+            assert np.abs(ops.a0[k] - m0).max() < 1e-14
+            assert np.abs(ops.a1[k] - np.sqrt(dt) * j).max() < 1e-14
 
 
 def test_segment_and_step_replay_agree(clicky_pair):

@@ -6,7 +6,7 @@ from cmsense import TimeGrid, two_level_model
 from cmsense.decoder import (build_decoder, liouvillian_steady_state,
                              stationary_decoder, two_level_decoder,
                              verify_decoding)
-from cmsense.errors import (DegenerateSteadyState, NonUnitaryGauge,
+from cmsense.errors import (CmsenseError, DegenerateSteadyState, NonUnitaryGauge,
                             RankDeficientRho, RankDeficientSteadyState)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -20,8 +20,8 @@ def test_stationary_closed_form_sz_gauge(delta):
     m = two_level_model(omega=1.0, delta=delta, gamma=1.0)
     d = stationary_decoder(m, delta, w0=SZ)
     href = delta * SEE + 0.5 * SX
-    assert np.abs(d.hamiltonian_d(0.0) - href).max() < 1e-14
-    jd = d.jump_d(0.0)
+    assert np.abs(d.hd[0] - href).max() < 1e-14
+    jd = d.jd[0]
     # gauge freedom leaves |J_D|^2_F = Gamma invariant
     assert np.sum(np.abs(jd) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -29,7 +29,9 @@ def test_stationary_closed_form_sz_gauge(delta):
 def test_stationary_default_gauge_flips_drive_sign():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     d = stationary_decoder(m, 0.0)
-    assert np.abs(d.hamiltonian_d(0.0) - (-0.5 * SX)).max() < 1e-14
+    assert d.hd.shape == d.jd.shape == (1, 2, 2)
+    assert d.grid is None and not d.time_dependent
+    assert np.abs(d.hd[0] - (-0.5 * SX)).max() < 1e-14
 
 
 def test_stationary_purified_initialization_is_dark():
@@ -46,27 +48,35 @@ def test_build_decoder_relaxes_to_stationary_pair():
     devs = []
     for dt in (1e-3, 5e-4):
         b = build_decoder(m, 0.3, TimeGrid(0.0, 20.0, dt))
-        devs.append(np.abs(b.hamiltonian_d(19.5) - stat.hamiltonian_d(19.5)).max())
-        jf = np.sum(np.abs(b.jump_d(19.5)) ** 2)
+        k = round(19.5 / dt)  # the bin starting at t = 19.5
+        devs.append(np.abs(b.hd[k] - stat.hd[0]).max())
+        jf = np.sum(np.abs(b.jd[k]) ** 2)
         assert abs(jf - 1.0) < 2e-3
     assert devs[0] < 1e-4
     # leading deviation is the O(dt) synthesis error once transients decay
     assert 1.5 < devs[0] / devs[1] < 2.6
 
 
-def test_build_decoder_tables_are_step_constant():
+def test_decoder_tables_hold_on_their_own_grid_only():
+    # 1000 bins each: a foreign dt with the same bin count and first time
+    # must not pass for the synthesis grid
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
-    b = build_decoder(m, 0.0, TimeGrid(0.0, 1.0, 1e-2))
-    h_left = b.hamiltonian_d(0.5)
-    h_mid = b.hamiltonian_d(0.5 + 0.4e-2)
-    assert np.abs(h_left - h_mid).max() == 0.0
+    grid = TimeGrid(0.0, 2.0, 2e-3)
+    b = build_decoder(m, 0.0, grid)
+    assert b.time_dependent and b.grid == grid
+    assert b.hd.shape == b.jd.shape == (grid.n_steps, 2, 2)
+    with pytest.raises(CmsenseError, match="decoder tables do not match the grid"):
+        verify_decoding(m, b, 0.0, TimeGrid(0.0, 1.0, 1e-3))
+    same = TimeGrid(0.0, 2.0, 2e-3)
+    assert same is not grid
+    assert verify_decoding(m, b, 0.0, same) == verify_decoding(m, b, 0.0, grid)
 
 
 def test_build_decoder_hermiticity_residual_tracked():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     b = build_decoder(m, 0.0, TimeGrid(0.0, 2.0, 1e-3))
     assert 0.0 <= b.herm_residual < 1e-2
-    hd = b.hamiltonian_d(1.0)
+    hd = b.hd[1000]
     assert np.abs(hd - hd.conj().T).max() < 1e-14
 
 
@@ -80,8 +90,8 @@ def test_build_decoder_rank_guard_names_first_failing_bin():
 
 def test_two_level_decoder_convention():
     d = two_level_decoder(1.0, -0.7, 1.0)
-    assert np.abs(d.hamiltonian_d(0.0) - (0.7 * SEE + 0.5 * SX)).max() < 1e-14
-    j = d.jump_d(0.0)
+    assert np.abs(d.hd[0] - (0.7 * SEE + 0.5 * SX)).max() < 1e-14
+    j = d.jd[0]
     assert j[1, 0] == pytest.approx(1.0)
     assert np.array_equal(d.initial_state_d, [0.0, 1.0])
     assert d.purified_joint is None

@@ -101,7 +101,7 @@ def test_counting_distribution_with_decoder_matches_vacuum_weight(emitter):
     gen = cascade_generators(emitter, dec)
     p_vac = vacuum_probability(gen, 0.0, TimeGrid(0.0, 0.8, 0.1), max_step=1.0)
     # record 0 of the normalized distribution vs the raw no-click weight
-    assert d[0] == pytest.approx(p_vac / (1.0 + d.raw_defect), rel=1e-10)
+    assert d.probs[0] == pytest.approx(p_vac / (1.0 + d.raw_defect), rel=1e-10)
 
 
 def test_record_bits_round_trip(emitter):

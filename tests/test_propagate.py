@@ -3,7 +3,8 @@ import pytest
 
 from cmsense import TimeGrid, two_level_model, three_level_model
 from cmsense.errors import StepTooLarge, TraceDrift
-from cmsense.propagate import evolve_density, evolve_generalized, pair_table, propagate_linear
+from cmsense.propagate import (evolve_density, evolve_generalized, pair_table,
+                               propagate_linear, transfer)
 
 
 def _kraus_reference(m, t, theta, dt):
@@ -13,7 +14,8 @@ def _kraus_reference(m, t, theta, dt):
 
 
 def _first_pair(m, theta, dt, max_step=0.05):
-    return pair_table(m, theta, TimeGrid(0.0, dt, dt), max_step).at(0)
+    tab = pair_table(m, theta, TimeGrid(0.0, dt, dt), max_step)
+    return tab.a0[0], tab.a1[0]
 
 
 def test_time_grid_counts_steps():
@@ -80,18 +82,32 @@ def test_pair_table_batch_matches_loop():
     tab = pair_table(m, 0.2, grid)
     for k in (0, 1234, 4999):
         a0_ref, a1_ref = _kraus_reference(m, grid.left_times[k], 0.2, grid.dt)
-        a0, a1 = tab.at(k)
-        assert np.abs(a0 - a0_ref).max() < 1e-14
-        assert np.abs(a1 - a1_ref).max() < 1e-14
+        assert np.abs(tab.a0[k] - a0_ref).max() < 1e-14
+        assert np.abs(tab.a1[k] - a1_ref).max() < 1e-14
 
 
 def test_static_pair_table_shares_one_pair():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-3)
     tab = pair_table(m, 0.0, grid)
-    a0a, _ = tab.at(0)
-    a0b, _ = tab.at(999)
-    assert np.shares_memory(a0a, a0b)
+    assert tab.a0.shape == (1, 2, 2) and tab.n_steps == grid.n_steps
+    a0 = tab.per_bin(tab.a0)
+    assert np.shares_memory(a0[0], a0[999])
+
+
+@pytest.mark.parametrize("model", [two_level_model(omega=1.0, delta=0.3, gamma=1.0),
+                                   three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)],
+                         ids=["static_two_level", "pulsed_three_level"])
+def test_pair_table_is_the_sensor_only_step_table(model):
+    # one table form: the sensor's Kraus pairs are the decoder-free cascade's
+    from cmsense.cascade import cascade_generators, step_matrices
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    tab = pair_table(model, 0.3, grid)
+    ops = step_matrices(cascade_generators(model), 0.3, grid)
+    assert tab.pure and ops.pure and tab.n_steps == ops.n_steps == grid.n_steps
+    assert np.array_equal(tab.a0, ops.a0) and np.array_equal(tab.a1, ops.a1)
+    assert len(tab.a0) == (grid.n_steps if model.time_dependent else 1)
+    assert np.allclose(tab.x0, ops.x0, rtol=0.0, atol=1e-15)
 
 
 def test_evolve_density_trace_drift_linear_in_dt():
@@ -131,10 +147,9 @@ def test_generalized_conjugate_symmetry():
 def _loop_reference(ta, tb, mu, n_steps):
     """Per-bin sandwich mu -> sum_s A^s_a mu A^s_b^dag, one bin at a time."""
     out = [mu]
+    (a0a, a1a), (a0b, a1b) = ((t.per_bin(t.a0), t.per_bin(t.a1)) for t in (ta, tb))
     for k in range(n_steps):
-        a0a, a1a = ta.at(k)
-        a0b, a1b = tb.at(k)
-        mu = a0a @ mu @ a0b.conj().T + a1a @ mu @ a1b.conj().T
+        mu = a0a[k] @ mu @ a0b[k].conj().T + a1a[k] @ mu @ a1b[k].conj().T
         out.append(mu)
     return np.array(out)
 
@@ -152,7 +167,7 @@ def test_propagate_linear_matches_per_bin_loop(case, n_steps):
     m, form = _PRIMITIVE_CASES[case]
     grid = TimeGrid(0.0, 1.0, 1e-3)  # 1000 bins: several blocks, odd and even tree levels
     ta, tb = pair_table(m, 0.3, grid), pair_table(m, 0.35, grid)
-    maps = ta.transfer(tb)
+    maps = transfer(ta, tb)
     if form == "table":
         maps = maps(0, grid.n_steps)
     mu0 = np.outer(m.initial_state, m.initial_state.conj())
