@@ -52,6 +52,7 @@ from .qfi import (
     env_qfi,
     global_fidelity,
     global_qfi,
+    qfi_pair,
 )
 from .decoder import (
     DecoderModel,

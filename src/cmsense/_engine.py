@@ -39,6 +39,7 @@ from .errors import ClickProbabilityOverflow
 _U_FLOATS = 1 << 20  # uniforms drawn ahead per batch of records
 _P1_MAX = 0.1
 _LOW_BITS = 8  # a sampling gap below 2^_LOW_BITS bins is one table lookup
+_ABS_CHUNK = 256  # level blocks per np.abs temporary
 
 
 @dataclass(eq=False)
@@ -196,7 +197,11 @@ class _Segments:
             p = np.matmul(pairs[0], pairs[1], out=buf[:, a:b])
             # exact power-of-two rescaling keeps the blocks finite over any
             # record length and leaves their bits (and symmetries) intact
-            e = np.frexp(np.abs(p).max(axis=(-2, -1)))[1]
+            # the largest entry modulus of each block, _ABS_CHUNK blocks at a
+            # time: np.abs of a whole level would be a temporary half its size
+            amax = np.concatenate([np.abs(p[:, i:i + _ABS_CHUNK]).max(axis=(-2, -1))
+                                   for i in range(0, p.shape[1], _ABS_CHUNK)], axis=1)
+            e = np.frexp(amax)[1]
             p *= np.ldexp(1.0, -e)[..., None, None]
             s = pairs[2] + pairs[3] + deg * np.log(2.0) * e
             self.levels.append((p, s))

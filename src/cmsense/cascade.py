@@ -18,7 +18,11 @@ click probability p1 = eta tr(J_c rho J_c^dag) dt / tr(rho); its
 log-likelihood is the log-trace of the record-conditioned unnormalized
 state (-inf for a record of probability zero).  ``step_matrices``
 chooses the branch maps once: Kraus pairs on pure states, else
-superoperators on vectorized densities.  Fisher information is
+superoperators on vectorized densities.  Only H_S carries theta (unless
+the sensor's jump does), so the theta-free parts of the tables (R,
+J_c^dag J_c and sqrt(dt) J_c) are built once per generator and grid and
+kept on the generator; each theta then adds H_S x 1 and assembles its
+no-click map in place.  Fisher information is
 estimated as the sample mean of squared central finite-difference
 scores over trajectories, with a fixed-seed counter-based stream per
 trajectory so the result is independent of chunking.  Every model
@@ -28,7 +32,7 @@ cross-check.
 Chunks run one after another in the calling thread.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List, Optional, Sequence
 
@@ -38,7 +42,8 @@ from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
 from .linalg import dagger
 from .models import SensorModel, _sigma, operator_stacks
-from .propagate import TimeGrid, _batched_kron, _bin_times, _kraus_stacks, propagate_linear
+from .propagate import (_BLOCK, TimeGrid, _batched_kron, _bin_times, _decay, _frobenius,
+                        _guard, _kraus_a0, propagate_linear)
 
 __all__ = [
     "Imperfections",
@@ -100,7 +105,8 @@ class CascadeGenerators:
     from the sensor's operators and the decoder's (H_D, J_D) stacks;
     theta enters through the sensor side only.  ``extra_lindblad`` holds
     constant undetected channels (loss, dephasing).  Exactly one of
-    ``initial_state`` (pure) / ``initial_rho`` is set.
+    ``initial_state`` (pure) / ``initial_rho`` is set.  ``_fixed`` keeps
+    the theta-free parts of the tables of the last grid tabulated.
     """
 
     dim: int
@@ -111,6 +117,7 @@ class CascadeGenerators:
     time_dependent: bool
     sensor: SensorModel
     decoder: object = None
+    _fixed: object = field(default=None, init=False, repr=False)
 
 
 def _two_level_channels(dim_s, dim_d, imp: Imperfections):
@@ -191,19 +198,88 @@ def _decoder_stacks(dec, grid, n):
     return dec.hd, dec.jd
 
 
+def _coupling(js, hd, jd):
+    """The theta-free parts of the joint generators of (blocks of) the
+    sensor jump and decoder stacks: R = 1 x H_D + (i/2)(J_S^dag x J_D -
+    J_S x J_D^dag) and J_c = J_S x 1 + 1 x J_D."""
+    eye_s = np.broadcast_to(np.eye(js.shape[-1], dtype=complex), js.shape)
+    eye_d = np.broadcast_to(np.eye(hd.shape[-1], dtype=complex), hd.shape)
+    cross = _batched_kron(dagger(js), jd)
+    cross -= _batched_kron(js, dagger(jd))
+    np.multiply(0.5j, cross, out=cross)
+    r = _batched_kron(eye_s, hd)
+    r += cross
+    jc = _batched_kron(js, eye_d)
+    jc += _batched_kron(eye_s, jd)
+    return r, jc
+
+
+def _joint_h(hs, r, out=None):
+    """H_c = H_S x 1 + R, into ``out`` when given; without a decoder
+    (``r`` None) H_S itself, copied into ``out``."""
+    if r is None:
+        out[...] = hs
+        return out
+    dd = r.shape[-1] // hs.shape[-1]
+    h = _batched_kron(hs, np.broadcast_to(np.eye(dd, dtype=complex), (len(hs), dd, dd)), out)
+    h += r
+    return h
+
+
 def _joint_stacks(gen: CascadeGenerators, theta, grid, ts):
     """Per-bin joint (H_c, J_c) stacks at the times ``ts`` of ``grid``,
     assembled from the sensor and decoder stacks."""
     hs, js = operator_stacks(gen.sensor, theta, ts)
-    dec = gen.decoder
-    if dec is None:
+    if gen.decoder is None:
         return hs, js
-    hd, jd = _decoder_stacks(dec, grid, len(ts))
-    eye_s = np.broadcast_to(np.eye(gen.sensor.dim, dtype=complex), hs.shape)
-    eye_d = np.broadcast_to(np.eye(dec.dim, dtype=complex), hd.shape)
-    h = (_batched_kron(hs, eye_d) + _batched_kron(eye_s, hd)
-         + 0.5j * (_batched_kron(dagger(js), jd) - _batched_kron(js, dagger(jd))))
-    return h, _batched_kron(js, eye_d) + _batched_kron(eye_s, jd)
+    r, jc = _coupling(js, *_decoder_stacks(gen.decoder, grid, len(ts)))
+    return _joint_h(hs, r), jc
+
+
+@dataclass(eq=False)
+class _FixedParts:
+    """The theta-free parts of a cascade's tables on ``grid`` for the
+    sensor jump stack ``js``: R (None without a decoder), the decay
+    J_c^dag J_c + sum_l L_l^dag L_l with its per-bin Frobenius norms, and
+    the click map m1 = sqrt(dt) J_c (read-only: every table shares it)."""
+
+    grid: TimeGrid
+    js: np.ndarray
+    r: Optional[np.ndarray]
+    decay: np.ndarray
+    decay_norm: np.ndarray
+    m1: np.ndarray
+
+
+def _build_fixed(gen: CascadeGenerators, grid, js):
+    """The theta-free parts of ``gen`` on ``grid`` for the sensor jump
+    stack ``js``, built _BLOCK bins at a time."""
+    n, dec = len(js), gen.decoder
+    decay = np.empty((n, gen.dim, gen.dim), dtype=complex)
+    m1 = np.empty_like(decay)
+    r = None if dec is None else np.empty_like(decay)
+    if dec is not None:
+        hd, jd = _decoder_stacks(dec, grid, n)
+    for lo in range(0, n, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        jc = js[b]
+        if dec is not None:
+            r[b], jc = _coupling(jc, hd[b], jd[b])
+        decay[b] = _decay(jc, gen.extra_lindblad)
+        np.multiply(np.sqrt(grid.dt), jc, out=m1[b])
+    m1.flags.writeable = False
+    return _FixedParts(grid, js, r, decay, _frobenius(decay), m1)
+
+
+def _fixed_parts(gen: CascadeGenerators, grid, js):
+    """The generator's theta-free parts on ``grid``: kept from the last call
+    when the grid and the sensor jump stack are the same, else built anew
+    (a jump that depends on theta rebuilds them at every theta)."""
+    fixed = gen._fixed
+    if fixed is None or fixed.grid != grid or not np.array_equal(fixed.js, js):
+        gen._fixed = None  # freed before the new parts are built
+        gen._fixed = fixed = _build_fixed(gen, grid, js)
+    return fixed
 
 
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -211,11 +287,19 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
     stacks, or superoperator stacks once loss, dephasing, finite efficiency
     or a mixed initial state break purity, with one bin for static
-    generators, else one per grid bin."""
+    generators, else one per grid bin.  The theta-free parts come from the
+    generator's memo (``_fixed_parts``); theta adds H_S x 1, and the
+    no-click map is assembled in place, _BLOCK bins at a time."""
     dt = grid.dt
     ts = _bin_times(grid, not gen.time_dependent)
-    m0, m1 = _kraus_stacks(*_joint_stacks(gen, theta, grid, ts), dt, max_step, ts,
-                           gen.extra_lindblad)
+    hs, js = operator_stacks(gen.sensor, theta, ts)
+    fixed = _fixed_parts(gen, grid, js)
+    m0, m1 = np.empty_like(fixed.decay), fixed.m1
+    for lo in range(0, len(ts), _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        h = _joint_h(hs[b], None if fixed.r is None else fixed.r[b], m0[b])
+        _guard(h, fixed.decay[b], dt, max_step, ts[b], fixed.decay_norm[b])
+        _kraus_a0(h, fixed.decay[b], dt)
     eta = gen.detector_eta
     if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):
         return _engine.StepOps(grid.n_steps, dt, m0, m1, gen.initial_state, pure=True)

@@ -43,7 +43,7 @@ from .decoder import build_decoder, two_level_decoder
 from .errors import CmsenseError, ConfigInvalid
 from .estimate import interrogation_study, study_table
 from .propagate import TimeGrid
-from .qfi import env_qfi, global_qfi
+from .qfi import qfi_pair
 
 __all__ = ["ResultBundle", "run", "main"]
 
@@ -130,9 +130,12 @@ def _scan_pipeline(cfg, report):
         sensor = build_sensor(cfg, t_plateau=float(t_end))
         horizon = scan_horizon(cfg, t_end)
         grid = TimeGrid(0.0, horizon, dt)
-        ie = env_qfi(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg)).value
-        ig = global_qfi(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg)).value
-        row = [float(t_end), ie, ig]
+        env, glob = qfi_pair(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg))
+        report.setdefault("qfi", []).append({
+            "T": float(t_end), "propagations": env.propagations,
+            **{kind: {"fd_step": q.fd_step, "fidelity_evals": len(q.fidelity_samples)}
+               for kind, q in (("env", env), ("global", glob))}})
+        row = [float(t_end), env.value, glob.value]
         if n_traj > 0:
             if three:
                 dec = build_decoder(sensor, theta, grid)

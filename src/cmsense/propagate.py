@@ -72,17 +72,34 @@ class TimeGrid:
 _BLOCK = 256
 
 
-def _batched_kron(a, b):
-    """np.kron of each matrix pair of two stacks (same multiply, same bits)."""
+def _batched_kron(a, b, out=None):
+    """np.kron of each matrix pair of two stacks (same multiply, same bits),
+    written into the contiguous stack ``out`` when given."""
     n, da, db = a.shape[0], a.shape[1], b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
+    if out is None:
+        out = np.empty((n, da * db, da * db), dtype=np.result_type(a, b))
+    np.multiply(a[:, :, None, :, None], b[:, None, :, None, :],
+                out=out.reshape(n, da, db, da, db))
+    return out
 
 
-def _guard(h, decay, dt, max_step, ts):
+def _frobenius(stack):
+    """Frobenius norm of each matrix of a stack, summed over a float view:
+    no temporary the size of the stack."""
+    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", v, v))
+
+
+def _guard(h, decay, dt, max_step, ts, decay_norm=None):
     """Raise StepTooLarge at the first bin where dt*max(|H|, |decay|) in
     the spectral norm exceeds max_step.  The Frobenius norm bounds it
-    from above, so only the bins that norm flags get the exact one."""
-    load = dt * np.maximum(np.linalg.norm(h, axis=(1, 2)), np.linalg.norm(decay, axis=(1, 2)))
+    from above, so only the bins that norm flags get the exact one;
+    ``decay_norm`` is the Frobenius norm of ``decay`` when already known.
+    The margin covers the round-off of a bound that equals the spectral
+    norm (a rank-one matrix)."""
+    if decay_norm is None:
+        decay_norm = _frobenius(decay)
+    load = dt * np.maximum(_frobenius(h), decay_norm) * (1.0 + 1e-9)
     flagged = np.flatnonzero(load > max_step)
     if not len(flagged):
         return
@@ -97,6 +114,23 @@ def _guard(h, decay, dt, max_step, ts):
         )
 
 
+def _decay(j, extra=()):
+    """J^dag J + sum_l L_l^dag L_l of each bin of the jump stack ``j``."""
+    decay = np.einsum("nji,njk->nik", j.conj(), j)
+    for l in extra:
+        decay = decay + (l.conj().T @ l)[None]
+    return decay
+
+
+def _kraus_a0(h, decay, dt):
+    """a0 = 1 - i H dt - (1/2) decay dt written over the stack ``h``, with
+    the operations of that expression in its order (the same bits)."""
+    np.multiply(1j * dt, h, out=h)
+    np.subtract(np.eye(h.shape[-1], dtype=complex), h, out=h)
+    h -= 0.5 * dt * decay
+    return h
+
+
 def _kraus_stacks(h, j, dt, max_step, ts, extra=()):
     """Guarded Kraus stacks of per-bin (H, J) stacks sampled at ``ts``:
 
@@ -104,12 +138,9 @@ def _kraus_stacks(h, j, dt, max_step, ts, extra=()):
 
     with ``extra`` the constant undetected channels L_l.
     """
-    decay = np.einsum("nji,njk->nik", j.conj(), j)
-    for l in extra:
-        decay = decay + (l.conj().T @ l)[None]
+    decay = _decay(j, extra)
     _guard(h, decay, dt, max_step, ts)
-    eye = np.eye(h.shape[-1], dtype=complex)
-    return eye - 1j * dt * h - 0.5 * dt * decay, np.sqrt(dt) * j
+    return _kraus_a0(np.array(h, dtype=complex), decay, dt), np.sqrt(dt) * j
 
 
 def _bin_times(grid, static):

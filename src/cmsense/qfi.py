@@ -14,6 +14,10 @@ is complete only to O(dt^2), so raw traces carry a common O(T dt)
 defect; dividing by sqrt(tr mu_{11} tr mu_{22}) removes it exactly and
 is what makes the finite-difference curvature meaningful at practical
 grids.
+
+``qfi_pair`` computes I_E and I_G from one engine: both kinds read the
+same mu(theta1, theta2), so a generalized state that both step searches
+need is propagated once.
 """
 
 import math
@@ -32,6 +36,7 @@ __all__ = [
     "global_fidelity",
     "env_qfi",
     "global_qfi",
+    "qfi_pair",
 ]
 
 # finite-difference step selection: accept delta when the worse of the
@@ -46,41 +51,53 @@ _CROSSCHECK_TOL = 1e-10
 
 @dataclass
 class QfiResult:
+    """A QFI estimate; ``propagations`` counts the generalized-state
+    propagations of the engine that computed it (shared with the other
+    result of a ``qfi_pair``)."""
+
     value: float
     fd_step: float
     fidelity_samples: list = field(default_factory=list)
     method: str = "central_3pt"
     raw_second_difference: float = 0.0
+    propagations: int = 0
 
 
 class _FidelityEngine:
-    """Caches Kraus tables and diagonal traces across a QFI call."""
+    """Caches Kraus tables and generalized states mu(theta1, theta2) by
+    their parameter pair, so that both fidelity kinds share them."""
 
-    def __init__(self, model, T, dt, max_step, kind):
+    def __init__(self, model, T, dt, max_step):
         self.model = model
         self.grid = TimeGrid(0.0, T, dt)
         self.max_step = max_step
-        self.kind = kind
         self._tables = {}
-        self._norms = {}
+        self._mus = {}
 
     def _table(self, theta):
         if theta not in self._tables:
             self._tables[theta] = pair_table(self.model, theta, self.grid, self.max_step)
         return self._tables[theta]
 
+    @property
+    def propagations(self):
+        return len(self._mus)
+
     def _mu(self, t1, t2):
-        return evolve_generalized(self.model, t1, t2, self.grid, self.max_step,
-                                  tables=(self._table(t1), self._table(t2)))
+        if (t1, t2) not in self._mus:
+            self._mus[t1, t2] = evolve_generalized(
+                self.model, t1, t2, self.grid, self.max_step,
+                tables=(self._table(t1), self._table(t2)))
+        return self._mus[t1, t2]
 
     def _norm(self, theta):
-        if theta not in self._norms:
-            self._norms[theta] = float(np.trace(self._mu(theta, theta)).real)
-        return self._norms[theta]
+        return float(np.trace(self._mu(theta, theta)).real)
 
-    def fidelity(self, t1, t2):
+    def fidelity(self, t1, t2, kind):
+        """Unit-trace fidelity of ``kind`` "env" (nuclear norm of mu) or
+        "global" (|tr mu|)."""
         mu = self._mu(t1, t2)
-        if self.kind == "env":
+        if kind == "env":
             val = nuclear_norm(mu)
             alt = nuclear_norm_eig(mu)
             if abs(val - alt) > _CROSSCHECK_TOL * max(1.0, abs(val)):
@@ -100,22 +117,21 @@ def env_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
     the geometric mean of the diagonal traces (unit-trace convention).
     Symmetric in its parameter arguments.
     """
-    return _FidelityEngine(model, T, dt, max_step, "env").fidelity(theta1, theta2)
+    return _FidelityEngine(model, T, dt, max_step).fidelity(theta1, theta2, "env")
 
 
 def global_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
                     dt: float = 1e-3, max_step: float = 0.05):
     """|tr mu|, the overlap of the joint system+field states; <= env_fidelity."""
-    return _FidelityEngine(model, T, dt, max_step, "global").fidelity(theta1, theta2)
+    return _FidelityEngine(model, T, dt, max_step).fidelity(theta1, theta2, "global")
 
 
-def _qfi(model, theta, T, dt, delta, method, max_step, kind):
-    eng = _FidelityEngine(model, T, dt, max_step, kind)
+def _qfi(eng, theta, delta, method, kind):
     samples = []
 
     def infidelity(d):
-        fp = eng.fidelity(theta, theta + d)
-        fm = eng.fidelity(theta, theta - d)
+        fp = eng.fidelity(theta, theta + d, kind)
+        fm = eng.fidelity(theta, theta - d, kind)
         samples.append((d, fp))
         samples.append((-d, fm))
         return fp, fm, max(1.0 - fp, 1.0 - fm)
@@ -156,6 +172,7 @@ def _qfi(model, theta, T, dt, delta, method, max_step, kind):
         fidelity_samples=samples,
         method=method,
         raw_second_difference=raw,
+        propagations=eng.propagations,
     )
 
 
@@ -172,11 +189,24 @@ def env_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
     find such a step raises StepSelectionFailed.  method="richardson"
     combines d and d/2 to cancel the leading O(d^2) bias.
     """
-    return _qfi(model, theta, T, dt, delta, method, max_step, "env")
+    return _qfi(_FidelityEngine(model, T, dt, max_step), theta, delta, method, "env")
 
 
 def global_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
                delta: float = 1e-3, method: str = "central_3pt",
                max_step: float = 0.05):
     """QFI of the joint system+field state; upper-bounds env_qfi."""
-    return _qfi(model, theta, T, dt, delta, method, max_step, "global")
+    return _qfi(_FidelityEngine(model, T, dt, max_step), theta, delta, method, "global")
+
+
+def qfi_pair(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
+             delta: float = 1e-3, method: str = "central_3pt",
+             max_step: float = 0.05):
+    """(env_qfi, global_qfi) results from one fidelity engine: equal to
+    the two separate calls, with each shared generalized state
+    propagated once."""
+    eng = _FidelityEngine(model, T, dt, max_step)
+    env = _qfi(eng, theta, delta, method, "env")
+    glob = _qfi(eng, theta, delta, method, "global")
+    env.propagations = glob.propagations
+    return env, glob

@@ -12,7 +12,7 @@ from cmsense.cascade import (Imperfections, _joint_stacks, cascade_generators,
                              sample_records, step_matrices, vacuum_probability)
 from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
-from cmsense.models import SensorModel, three_level_model
+from cmsense.models import SensorModel, operator_stacks, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
 
 
@@ -449,3 +449,106 @@ def test_matched_stationary_cascade_stays_dark(emitter):
     idx, _, _ = sample_records(gen, 0.0, grid, 200, seed=1)
     total_clicks = sum(len(i) for i in idx)
     assert total_clicks == 0
+
+
+def _table_bytes(ops):
+    return ops.a0.tobytes(), ops.a1.tobytes(), ops.x0.tobytes(), ops.pure
+
+
+_MEMO_GRID = TimeGrid(0.0, 2.0, 2e-3)
+_THREE_GRID = TimeGrid(0.0, 10.0, 2e-3)  # the pulse sequence and 6/gamma of decay
+_THETAS = [0.0, 1e-3, -1e-3, 5e-4, 2e-3]
+
+
+def _memo_cascades():
+    two = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    three = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
+    return {
+        "two_level_decoder": lambda: cascade_generators(two, two_level_decoder(1.0, 0.0, 1.0)),
+        "stationary_decoder": lambda: cascade_generators(two, stationary_decoder(two, 0.0)),
+        "three_level_build_decoder": lambda: cascade_generators(
+            three, build_decoder(three, 0.0, _THREE_GRID)),
+        "three_level_direct": lambda: cascade_generators(three),
+        "imperfections": lambda: cascade_generators(
+            two, two_level_decoder(1.0, 0.0, 1.0),
+            imperfections=Imperfections(gamma=0.1, eta=0.65)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_memo_cascades()))
+def test_theta_free_parts_are_built_once_and_exact(name, monkeypatch):
+    # a theta sequence on one generator reuses its theta-free parts and gives
+    # tables bit for bit those of a fresh generator at each theta
+    from cmsense import cascade
+    make = _memo_cascades()[name]
+    grid = _THREE_GRID if name.startswith("three") else _MEMO_GRID
+    fresh = [_table_bytes(step_matrices(make(), th, grid)) for th in _THETAS]
+    builds = []
+    build = cascade._build_fixed
+    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+    gen = make()
+    for th, ref in zip(_THETAS, fresh):
+        assert _table_bytes(step_matrices(gen, th, grid)) == ref
+    assert len(builds) == 1
+
+
+def test_theta_dependent_jump_rebuilds_the_theta_free_parts(monkeypatch):
+    from cmsense import cascade
+    sge = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    base = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    sensor = SensorModel(dim=2, hamiltonian=base.hamiltonian,
+                         jump=lambda t, th: np.sqrt(1.0 + th) * sge,
+                         initial_state=base.initial_state, time_dependent=False)
+    make = lambda: cascade_generators(sensor, two_level_decoder(1.0, 0.0, 1.0))
+    fresh = [_table_bytes(step_matrices(make(), th, _MEMO_GRID)) for th in _THETAS]
+    builds = []
+    build = cascade._build_fixed
+    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+    gen = make()
+    assert [_table_bytes(step_matrices(gen, th, _MEMO_GRID)) for th in _THETAS] == fresh
+    assert len(builds) == len(_THETAS)
+
+
+def test_second_grid_replaces_the_theta_free_parts(clicky_pair):
+    gen = cascade_generators(clicky_pair.sensor, clicky_pair.decoder)
+    other = TimeGrid(0.0, 1.0, 1e-3)
+    for grid in (_MEMO_GRID, other, _MEMO_GRID):
+        fresh = cascade_generators(clicky_pair.sensor, clicky_pair.decoder)
+        assert _table_bytes(step_matrices(gen, 0.2, grid)) == \
+            _table_bytes(step_matrices(fresh, 0.2, grid))
+        assert gen._fixed.grid == grid and not gen._fixed.m1.flags.writeable
+
+
+def test_theta_free_parts_serve_every_replay_of_an_estimate(monkeypatch):
+    # sampling, the +-eps replays and the eps/2 halving replays of one Fisher
+    # estimate share one build of the theta-free parts
+    from cmsense import cascade
+    three = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
+    grid = _THREE_GRID
+    gen = cascade_generators(three, build_decoder(three, 0.05, grid))
+    builds, tables = [], []
+    build, tab = cascade._build_fixed, cascade.step_matrices
+    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(cascade, "step_matrices", lambda *a: tables.append(a[1]) or tab(*a))
+    fi = fisher_from_trajectories(gen, 0.0, grid, 8, seed=2)
+    assert fi.halving_dev is not None and len(tables) == 5 and len(builds) == 1
+
+
+@pytest.mark.parametrize("name", ["two_level_decoder", "stationary_decoder",
+                                  "three_level_build_decoder"])
+def test_joint_hamiltonian_order_is_exact_on_builtin_cascades(name):
+    # H_c is summed as H_S x 1 + R; the earlier order (H_S x 1 + 1 x H_D) +
+    # cross gives the same bits, because no entry has three nonzero terms
+    gen = _memo_cascades()[name]()
+    grid = _THREE_GRID if name.startswith("three") else _MEMO_GRID
+    ts = grid.left_times if gen.time_dependent else np.zeros(1)
+    h, _ = _joint_stacks(gen, 1e-3, grid, ts)
+    hs, js = operator_stacks(gen.sensor, 1e-3, ts)
+    hd, jd = (np.broadcast_to(a, (len(ts),) + a.shape[1:]) for a in (gen.decoder.hd,
+                                                                    gen.decoder.jd))
+    es, ed = np.eye(hs.shape[-1]), np.eye(hd.shape[-1])
+    kron = lambda a, b: np.stack([np.kron(x, y) for x, y in zip(a, b)])
+    dag = lambda a: np.conj(np.swapaxes(a, -1, -2))
+    old = ((kron(hs, [ed] * len(ts)) + kron([es] * len(ts), hd))
+           + 0.5j * (kron(dag(js), jd) - kron(js, dag(jd))))
+    assert h.tobytes() == old.tobytes()

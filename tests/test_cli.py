@@ -192,3 +192,45 @@ def test_result_bundle_csv_precision(tmp_path):
     b.add_table("t", ["x"], [[0.1 + 0.2]])
     text = b.csv_bytes("t").decode()
     assert text.splitlines()[1] == repr(0.1 + 0.2)  # full precision
+
+
+_THREE_LEVEL = dict(
+    preset="fig3_heisenberg",
+    model={"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0, "theta": 0.0},
+    grid={"dt": 2e-3, "t_list": [0.5]}, estimation={"n_traj": 4})
+
+
+def test_provenance_reports_qfi_engine():
+    from cmsense.config import build_sensor
+    from cmsense.qfi import qfi_pair
+    cfg = ExperimentConfig.from_dict(_tiny_cfg(grid={"dt": 2e-3, "t_list": [3.0]}))
+    bundle = run(cfg)
+    env, glob = qfi_pair(build_sensor(cfg), 0.0, 3.0, dt=2e-3)
+    assert bundle.provenance["qfi"] == [{
+        "T": 3.0, "propagations": 9,
+        "env": {"fd_step": env.fd_step, "fidelity_evals": len(env.fidelity_samples)},
+        "global": {"fd_step": glob.fd_step, "fidelity_evals": len(glob.fidelity_samples)}}]
+    assert b"propagations" not in bundle.csv_bytes("qfi_scan")
+
+
+def test_scan_row_builds_each_table_once(monkeypatch):
+    # one three-level scan row: I_E and I_G share every generalized state (half
+    # the propagations of two separate engines), and each Fisher estimate
+    # builds its cascade's theta-free parts once
+    from cmsense import cascade, qfi
+    from cmsense.config import build_sensor, scan_horizon
+    props, builds = [], []
+    evolve, build = qfi.evolve_generalized, cascade._build_fixed
+    monkeypatch.setattr(qfi, "evolve_generalized",
+                        lambda *a, **k: props.append(1) or evolve(*a, **k))
+    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+    cfg = ExperimentConfig.from_dict(_tiny_cfg(**_THREE_LEVEL))
+    bundle = run(cfg)
+    row = len(props)
+    assert bundle.provenance["qfi"][0]["propagations"] == row
+    assert len(builds) == len(bundle.provenance["estimators"]) == 2
+    props.clear()
+    sensor, horizon = build_sensor(cfg, t_plateau=0.5), scan_horizon(cfg, 0.5)
+    qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
+    qfi.global_qfi(sensor, 0.0, horizon, dt=2e-3)
+    assert 2 * row == len(props) == 18

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cmsense import (env_fidelity, env_qfi, global_fidelity, global_qfi,
-                     two_level_model)
+                     three_level_model, two_level_model)
+from cmsense.qfi import qfi_pair
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +68,19 @@ def test_qfi_positive_and_symmetric_under_detuning_sign():
     qm = env_qfi(two_level_model(1.0, -0.4, 1.0), -0.4, T=8.0, dt=2e-3).value
     assert qp > 0
     assert qp == pytest.approx(qm, rel=1e-6)
+
+
+@pytest.mark.parametrize("model, T", [(two_level_model(1.0, 0.0, 1.0), 4.0),
+                                      (three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), 6.5)],
+                         ids=["static_two_level", "pulsed_three_level"])
+def test_qfi_pair_equals_separate_calls(model, T):
+    # one engine serves both kinds: the same numbers as two separate
+    # engines, from half the generalized-state propagations
+    env, glob = qfi_pair(model, 0.0, T, dt=2e-3)
+    sep_env, sep_glob = env_qfi(model, 0.0, T, dt=2e-3), global_qfi(model, 0.0, T, dt=2e-3)
+    for got, ref in ((env, sep_env), (glob, sep_glob)):
+        assert got.value == ref.value and got.fd_step == ref.fd_step
+        assert got.fidelity_samples == ref.fidelity_samples
+        assert got.raw_second_difference == ref.raw_second_difference
+    assert env.propagations == glob.propagations == sep_env.propagations == 9
+    assert sep_glob.propagations == 9
