@@ -18,7 +18,10 @@ vectorized densities (loss, dephasing, finite efficiency).
   bins, taken up and then down the levels (Blelloch-style interval
   products).  Replay advances a whole θ set at once, the state
   (Θ, records, D); sampling thins the step core's own uniforms against a
-  per-bin bound and so draws its records,
+  per-bin bound and so draws its records.  Given the θ-derivatives of
+  the maps, replay also carries each record's tangent dx through the
+  block-triangular maps [[A, 0], [dA, A]] (levels and their derivatives
+  built alike) and returns the exact score d logL/dθ,
 * step core (``run_steps``): a batch of records advanced bin by bin, the
   cross-check of the segment core.
 
@@ -40,6 +43,8 @@ _U_FLOATS = 1 << 20  # uniforms drawn ahead per batch of records
 _P1_MAX = 0.1
 _LOW_BITS = 8  # a sampling gap below 2^_LOW_BITS bins is one table lookup
 _ABS_CHUNK = 256  # level blocks per np.abs temporary
+# a score below this many eps_mach times its tangent's norm is round-off
+_SCORE_ROUNDOFF = 1e3
 
 
 @dataclass(eq=False)
@@ -164,37 +169,56 @@ class _Segments:
     maps; entry j of level i + 1 is the product of entries 2j and 2j + 1
     of level i in time order, so it covers bins [j 2^(i+1), (j+1) 2^(i+1));
     a static model's level i is its one power a0^(2^i).  Each block is
-    rescaled by an exact power of two and keeps its log weight scale."""
+    rescaled by an exact power of two and keeps its log weight scale.
 
-    def __init__(self, ops):
+    Given the θ-derivatives ``tangent`` = (da0, da1) of the maps of one θ
+    (da1 None where zero, da0 possibly one static matrix), each level
+    also carries its derivative, dP = dP_a P_b + P_a dP_b, rescaled with
+    its level, and ``da1t`` the click map's: a level is (P, log scale, dP
+    or None)."""
+
+    def __init__(self, ops, tangent=None):
         o = ops[0]
-        self.weight, self.root = o.weight, o.root
+        self.weight, self.root, self.pure = o.weight, o.root, o.pure
+        self.scoring = tangent is not None
         self.initial = lambda nb: np.tile(o.x0, (len(ops), nb, 1)).astype(complex)
         self.static = len(o.a0) == 1
 
-        def tab(name):
-            a = np.swapaxes(np.stack([getattr(q, name) for q in ops]) if len(ops) > 1
-                            else getattr(o, name)[None], -1, -2)
+        def tab(stacks):
+            a = np.swapaxes(np.stack(stacks) if len(stacks) > 1 else stacks[0][None], -1, -2)
             # a per-bin stack stays a view; a static one is copied, as small
             return np.ascontiguousarray(a) if self.static else a
 
-        self.a1t = tab("a1")
+        da0, da1 = tangent or (None, None)
+        self.a1t = tab([q.a1 for q in ops])
+        self.da1t = None if da1 is None else tab([da1])
         # weight of c x over weight of x: c^2 for pure states, c for densities
         deg = 2.0 if o.pure else 1.0
-        p = tab("a0")
+        p, dp = tab([q.a0 for q in ops]), None if da0 is None else tab([da0])
+        if dp is not None and len(dp[0]) < len(p[0]):  # one static matrix for every bin
+            dp = np.broadcast_to(dp, p.shape)
         s = np.zeros(p.shape[:2])
-        self.levels = [(p, s)]
-        # every level above 0 lives in one buffer: the next θ's tables then
-        # reuse one freed block, where separate levels fragment the heap
+        self.levels = [(p, s, dp)]
+        # every level above 0 lives in one buffer (their derivatives in a
+        # second): the next θ's tables then reuse one freed block, where
+        # separate levels fragment the heap
         sizes = [1 if self.static else p.shape[1] >> i
                  for i in range(1, o.n_steps.bit_length())]
         buf = np.empty((len(ops), sum(sizes)) + p.shape[2:], dtype=complex)
+        dbuf = None if dp is None else np.empty_like(buf)
         offs = np.cumsum([0] + sizes)
         for a, b in zip(offs[:-1], offs[1:]):
-            m = b - a
-            pairs = (p, p, s, s) if self.static else (
-                p[:, 0:2 * m:2], p[:, 1:2 * m:2], s[:, 0:2 * m:2], s[:, 1:2 * m:2])
-            p = np.matmul(pairs[0], pairs[1], out=buf[:, a:b])
+            even, odd = ((slice(None),) * 2 if self.static else
+                         (slice(0, 2 * (b - a), 2), slice(1, 2 * (b - a), 2)))
+            pa, pb, sa, sb = p[:, even], p[:, odd], s[:, even], s[:, odd]
+            p = np.matmul(pa, pb, out=buf[:, a:b])
+            if dp is not None:
+                dpb = dp[:, odd]
+                dp = np.matmul(dp[:, even], pb, out=dbuf[:, a:b])
+                # + P_a dP_b, _ABS_CHUNK blocks at a time: no level-sized temporary
+                for c in range(0, b - a, _ABS_CHUNK):
+                    c = slice(c, c + _ABS_CHUNK)
+                    dp[:, c] += pa[:, c] @ dpb[:, c]
             # exact power-of-two rescaling keeps the blocks finite over any
             # record length and leaves their bits (and symmetries) intact
             # the largest entry modulus of each block, _ABS_CHUNK blocks at a
@@ -202,9 +226,12 @@ class _Segments:
             amax = np.concatenate([np.abs(p[:, i:i + _ABS_CHUNK]).max(axis=(-2, -1))
                                    for i in range(0, p.shape[1], _ABS_CHUNK)], axis=1)
             e = np.frexp(amax)[1]
-            p *= np.ldexp(1.0, -e)[..., None, None]
-            s = pairs[2] + pairs[3] + deg * np.log(2.0) * e
-            self.levels.append((p, s))
+            scale = np.ldexp(1.0, -e)[..., None, None]
+            p *= scale
+            if dp is not None:
+                dp *= scale
+            s = sa + sb + deg * np.log(2.0) * e
+            self.levels.append((p, s, dp))
 
     def times(self, x, sel, table, idx):
         """Rows ``sel`` of the state (Θ, B, D) times entry ``idx[r]`` of a
@@ -213,20 +240,33 @@ class _Segments:
             return _times_rows(x, sel, table[:, 0])
         return np.einsum("tsd,tsde->tse", x[:, sel], table[:, idx])
 
-    def apply(self, x, sel, table, idx, scales=None, logl=None, click=False):
-        """Rows ``sel`` of the state through entries ``idx`` of ``table``,
-        renormalized; adds log weight + the entries' ``scales`` to ``logl``
-        when given.  Only a ``click`` can have weight zero: the record then
-        has probability zero, so logL is -inf and the row keeps its state
-        (0/0 would be NaN)."""
+    def apply(self, x, sel, level, idx, logl=None, click=False, dx=None):
+        """Rows ``sel`` of the state through entries ``idx`` of the
+        ``level`` (table, log scales or None, derivative or None),
+        renormalized; adds log weight + the entries' scales to ``logl``
+        when given.  The tangent ``dx``, when given, goes through the
+        block-triangular map: dx A + x dA, renormalized with x.  Only a
+        ``click`` can have weight zero: the record then has probability
+        zero, so logL is -inf and the row keeps its state (0/0 would be
+        NaN)."""
         if not len(sel):
             return
+        table, scales, dtable = level
         y = self.times(x, sel, table, idx)
+        if dx is not None:
+            dy = self.times(dx, sel, table, idx)
+            if dtable is not None:
+                dy += self.times(x, sel, dtable, idx)
         w = self.weight(y.reshape(-1, y.shape[-1])).reshape(y.shape[:-1])
         dead = w == 0.0 if click and not w.all() else None
         if dead is not None:
             y[dead], w[dead] = x[:, sel][dead], 1.0
-        x[:, sel] = y / self.root(w)[..., None]
+            if dx is not None:
+                dy[dead] = dx[:, sel][dead]
+        r = self.root(w)[..., None]
+        x[:, sel] = y / r
+        if dx is not None:
+            dx[:, sel] = dy / r
         if logl is not None:
             ll = np.log(w)
             if scales is not None:
@@ -235,48 +275,62 @@ class _Segments:
                 ll[dead] = -np.inf
             logl[:, sel] += ll
 
-    def no_clicks(self, x, rows, pos, stop, logl=None, first=0):
-        """Advance rows ``rows`` over their no-click bins [pos, stop).
-        Static maps: each row whose gap has bit i >= ``first`` set takes
-        power i.  Per-bin maps: aligned blocks, first up the levels (level
-        i where bit i of pos is set and the block fits), then down (level
-        i where it fits), at most 2 log2 n products."""
+    def no_clicks(self, x, rows, pos, stop, logl=None, first=0, dx=None):
+        """Advance rows ``rows`` (and their tangent ``dx``) over their
+        no-click bins [pos, stop).  Static maps: each row whose gap has bit
+        i >= ``first`` set takes power i.  Per-bin maps: aligned blocks,
+        first up the levels (level i where bit i of pos is set and the
+        block fits), then down (level i where it fits), at most 2 log2 n
+        products."""
         gaps = stop - pos
         top = int(gaps.max(initial=0)).bit_length()
         if self.static:
             for i in range(first, top):
-                p, s = self.levels[i]
-                self.apply(x, rows[(gaps >> i) & 1 == 1], p, None, s, logl)
+                self.apply(x, rows[(gaps >> i) & 1 == 1], self.levels[i], None, logl, dx=dx)
             return
         pos = pos.copy()
         for i in range(top):
-            self._block(x, rows, pos, i, ((pos >> i) & 1 == 1) & (pos + (1 << i) <= stop), logl)
+            self._block(x, rows, pos, i, ((pos >> i) & 1 == 1) & (pos + (1 << i) <= stop),
+                        logl, dx)
         for i in reversed(range(top)):
-            self._block(x, rows, pos, i, pos + (1 << i) <= stop, logl)
+            self._block(x, rows, pos, i, pos + (1 << i) <= stop, logl, dx)
 
-    def _block(self, x, rows, pos, i, fit, logl):
+    def _block(self, x, rows, pos, i, fit, logl, dx):
         """Rows ``rows[fit]`` through their level-i block at ``pos``, which
         then moves past it."""
         sel = np.flatnonzero(fit)
-        p, s = self.levels[i]
-        self.apply(x, rows[sel], p, pos[sel] >> i, s, logl)
+        self.apply(x, rows[sel], self.levels[i], pos[sel] >> i, logl, dx=dx)
         pos[sel] += 1 << i
+
+    def scores(self, x, dx):
+        """d log w / dθ of each row's weight w: 2 Re<x|dx> / |x|^2 on pure
+        states, (dx . vec 1) / (x . vec 1) on densities.  A score below
+        _SCORE_ROUNDOFF eps_mach times its tangent's norm is round-off, a
+        null point of exact arithmetic, and is exactly 0."""
+        flat = lambda v: v.reshape(-1, v.shape[-1])
+        dw = (2.0 * np.einsum("bi,bi->b", flat(dx), flat(x).conj()).real if self.pure
+              else self.weight(flat(dx)))
+        s = (dw / self.weight(flat(x))).reshape(x.shape[:-1])
+        s[np.abs(s) < _SCORE_ROUNDOFF * np.finfo(float).eps * np.linalg.norm(dx, axis=-1)] = 0.0
+        return s
 
 
 def _replay_segments(seg, click_indices, n):
-    """logL (Θ, B) of the given records: per click ordinal, the no-click
-    run up to the click (or to the end), then the click map."""
+    """logL (Θ, B) of the given records, or their scores d logL/dθ (1, B)
+    when ``seg`` holds tangent maps: per click ordinal, the no-click run
+    up to the click (or to the end), then the click map."""
     ends, counts = _padded([np.append(h, n) for h in click_indices], n)
     starts = np.concatenate([np.zeros((len(ends), 1), dtype=ends.dtype), ends[:, :-1] + 1],
                             axis=1)
     x = seg.initial(len(ends))
-    logl = np.zeros(x.shape[:2])
+    dx = np.zeros_like(x) if seg.scoring else None
+    logl = None if seg.scoring else np.zeros(x.shape[:2])
     for j in range(ends.shape[1]):
         rows = np.flatnonzero(counts > j)
-        seg.no_clicks(x, rows, starts[rows, j], ends[rows, j], logl)
+        seg.no_clicks(x, rows, starts[rows, j], ends[rows, j], logl, dx=dx)
         clicks = rows[counts[rows] > j + 1]
-        seg.apply(x, clicks, seg.a1t, ends[clicks, j], logl=logl, click=True)
-    return logl
+        seg.apply(x, clicks, (seg.a1t, None, seg.da1t), ends[clicks, j], logl, True, dx)
+    return seg.scores(x, dx) if seg.scoring else logl
 
 
 def _thin(seg, ops, indices, seed):
@@ -309,7 +363,7 @@ def _thin(seg, ops, indices, seed):
     if seg.static:
         # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
         low = np.eye(len(seg.a1t[0, 0]), dtype=complex)[None]
-        for p, _ in seg.levels[:_LOW_BITS]:
+        for p, _, _ in seg.levels[:_LOW_BITS]:
             low = np.concatenate([low, low @ p[0, 0]])
     x = seg.initial(nb)
     pos = np.zeros(nb, dtype=np.int64)  # first bin not yet applied
@@ -352,17 +406,17 @@ def _thin(seg, ops, indices, seed):
     return [np.array(h, dtype=np.int64) for h in hits], n_cand
 
 
-def run_segments(ops, indices, seed, click_indices=None):
-    """Advance a batch of records click to click under the branch maps of
-    every θ in ``ops`` (a list of StepOps on one grid) at once.
+def run_segments(seg, ops, indices, seed, click_indices=None):
+    """Advance a batch of records click to click under the tables ``seg``
+    of a θ stack, whose first θ has the StepOps ``ops``.
 
     With ``click_indices`` None, draws the records of trajectory
-    ``indices`` by thinning (one θ only); else replays the given records.
-    logL always comes from the replay, so a sampled record replays to the
-    same bits.  Returns (click-index arrays, logL (Θ, B), candidates).
+    ``indices`` by thinning (one θ only); else takes the given records.
+    Replays them to logL (Θ, B), so a sampled record replays to the same
+    bits, or to their scores (``_replay_segments``).  Returns
+    (click-index arrays, logL or scores, candidates).
     """
-    seg = _Segments(ops)
     n_cand = 0
     if click_indices is None:
-        click_indices, n_cand = _thin(seg, ops[0], indices, seed)
-    return click_indices, _replay_segments(seg, click_indices, ops[0].n_steps), n_cand
+        click_indices, n_cand = _thin(seg, ops, indices, seed)
+    return click_indices, _replay_segments(seg, click_indices, ops.n_steps), n_cand

@@ -18,21 +18,20 @@ click probability p1 = eta tr(J_c rho J_c^dag) dt / tr(rho); its
 log-likelihood is the log-trace of the record-conditioned unnormalized
 state (-inf for a record of probability zero).  ``step_matrices``
 chooses the branch maps once: Kraus pairs on pure states, else
-superoperators on vectorized densities.  Only H_S carries theta (unless
-the sensor's jump does), so the theta-free parts of the tables (R,
-J_c^dag J_c and sqrt(dt) J_c) are built once per generator and grid and
-kept on the generator; each theta then adds H_S x 1 and assembles its
-no-click map in place.  Fisher information is
-estimated as the sample mean of squared central finite-difference
-scores over trajectories, with a fixed-seed counter-based stream per
-trajectory so the result is independent of chunking.  Every model
-takes the click-to-click segment core (no-click block products, sampling
-by thinning); ``engine="step"`` forces the per-bin step core as a
-cross-check.
+superoperators on vectorized densities, built block by block from the
+sensor and decoder stacks.  Fisher information is estimated as the
+sample mean of squared scores d logL/dθ over trajectories: the record
+likelihood is a product of per-bin maps, so each score is exact from
+one replay of the record with its tangent under the maps at θ and their
+θ-derivative.  Every trajectory has a fixed-seed counter-based stream,
+so the result is independent of chunking.  Every model takes the
+click-to-click segment core (no-click block products, sampling by
+thinning); ``engine="step"`` forces the per-bin step core as a
+cross-check of sampling and replay.
 Chunks run one after another in the calling thread.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence
 
@@ -42,8 +41,8 @@ from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
 from .linalg import dagger
 from .models import SensorModel, _sigma, operator_stacks
-from .propagate import (_BLOCK, TimeGrid, _batched_kron, _bin_times, _decay, _frobenius,
-                        _guard, _kraus_a0, propagate_linear)
+from .propagate import (TimeGrid, _batched_kron, _bin_times, _joint, _kraus_tables,
+                        propagate_linear)
 
 __all__ = [
     "Imperfections",
@@ -62,10 +61,6 @@ __all__ = [
 
 _CHUNK = 256
 _CHUNK_BINS = 1 << 24
-# a score below this many eps_mach * max(1, |logL+-|) / eps is round-off
-_SCORE_ROUNDOFF = 1e3
-# share of the records replayed again at half the finite-difference step
-_HALVING_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -105,8 +100,7 @@ class CascadeGenerators:
     from the sensor's operators and the decoder's (H_D, J_D) stacks;
     theta enters through the sensor side only.  ``extra_lindblad`` holds
     constant undetected channels (loss, dephasing).  Exactly one of
-    ``initial_state`` (pure) / ``initial_rho`` is set.  ``_fixed`` keeps
-    the theta-free parts of the tables of the last grid tabulated.
+    ``initial_state`` (pure) / ``initial_rho`` is set.
     """
 
     dim: int
@@ -117,7 +111,6 @@ class CascadeGenerators:
     time_dependent: bool
     sensor: SensorModel
     decoder: object = None
-    _fixed: object = field(default=None, init=False, repr=False)
 
 
 def _two_level_channels(dim_s, dim_d, imp: Imperfections):
@@ -198,109 +191,17 @@ def _decoder_stacks(dec, grid, n):
     return dec.hd, dec.jd
 
 
-def _coupling(js, hd, jd):
-    """The theta-free parts of the joint generators of (blocks of) the
-    sensor jump and decoder stacks: R = 1 x H_D + (i/2)(J_S^dag x J_D -
-    J_S x J_D^dag) and J_c = J_S x 1 + 1 x J_D."""
-    eye_s = np.broadcast_to(np.eye(js.shape[-1], dtype=complex), js.shape)
-    eye_d = np.broadcast_to(np.eye(hd.shape[-1], dtype=complex), hd.shape)
-    cross = _batched_kron(dagger(js), jd)
-    cross -= _batched_kron(js, dagger(jd))
-    np.multiply(0.5j, cross, out=cross)
-    r = _batched_kron(eye_s, hd)
-    r += cross
-    jc = _batched_kron(js, eye_d)
-    jc += _batched_kron(eye_s, jd)
-    return r, jc
-
-
-def _joint_h(hs, r, out=None):
-    """H_c = H_S x 1 + R, into ``out`` when given; without a decoder
-    (``r`` None) H_S itself, copied into ``out``."""
-    if r is None:
-        out[...] = hs
-        return out
-    dd = r.shape[-1] // hs.shape[-1]
-    h = _batched_kron(hs, np.broadcast_to(np.eye(dd, dtype=complex), (len(hs), dd, dd)), out)
-    h += r
-    return h
-
-
-def _joint_stacks(gen: CascadeGenerators, theta, grid, ts):
-    """Per-bin joint (H_c, J_c) stacks at the times ``ts`` of ``grid``,
-    assembled from the sensor and decoder stacks."""
-    hs, js = operator_stacks(gen.sensor, theta, ts)
-    if gen.decoder is None:
-        return hs, js
-    r, jc = _coupling(js, *_decoder_stacks(gen.decoder, grid, len(ts)))
-    return _joint_h(hs, r), jc
-
-
-@dataclass(eq=False)
-class _FixedParts:
-    """The theta-free parts of a cascade's tables on ``grid`` for the
-    sensor jump stack ``js``: R (None without a decoder), the decay
-    J_c^dag J_c + sum_l L_l^dag L_l with its per-bin Frobenius norms, and
-    the click map m1 = sqrt(dt) J_c (read-only: every table shares it)."""
-
-    grid: TimeGrid
-    js: np.ndarray
-    r: Optional[np.ndarray]
-    decay: np.ndarray
-    decay_norm: np.ndarray
-    m1: np.ndarray
-
-
-def _build_fixed(gen: CascadeGenerators, grid, js):
-    """The theta-free parts of ``gen`` on ``grid`` for the sensor jump
-    stack ``js``, built _BLOCK bins at a time."""
-    n, dec = len(js), gen.decoder
-    decay = np.empty((n, gen.dim, gen.dim), dtype=complex)
-    m1 = np.empty_like(decay)
-    r = None if dec is None else np.empty_like(decay)
-    if dec is not None:
-        hd, jd = _decoder_stacks(dec, grid, n)
-    for lo in range(0, n, _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        jc = js[b]
-        if dec is not None:
-            r[b], jc = _coupling(jc, hd[b], jd[b])
-        decay[b] = _decay(jc, gen.extra_lindblad)
-        np.multiply(np.sqrt(grid.dt), jc, out=m1[b])
-    m1.flags.writeable = False
-    return _FixedParts(grid, js, r, decay, _frobenius(decay), m1)
-
-
-def _fixed_parts(gen: CascadeGenerators, grid, js):
-    """The generator's theta-free parts on ``grid``: kept from the last call
-    when the grid and the sensor jump stack are the same, else built anew
-    (a jump that depends on theta rebuilds them at every theta)."""
-    fixed = gen._fixed
-    if fixed is None or fixed.grid != grid or not np.array_equal(fixed.js, js):
-        gen._fixed = None  # freed before the new parts are built
-        gen._fixed = fixed = _build_fixed(gen, grid, js)
-    return fixed
-
-
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                   max_step: float = 0.05) -> _engine.StepOps:
     """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
     stacks, or superoperator stacks once loss, dephasing, finite efficiency
     or a mixed initial state break purity, with one bin for static
-    generators, else one per grid bin.  The theta-free parts come from the
-    generator's memo (``_fixed_parts``); theta adds H_S x 1, and the
-    no-click map is assembled in place, _BLOCK bins at a time."""
-    dt = grid.dt
+    generators, else one per grid bin."""
+    dt, eta = grid.dt, gen.detector_eta
     ts = _bin_times(grid, not gen.time_dependent)
-    hs, js = operator_stacks(gen.sensor, theta, ts)
-    fixed = _fixed_parts(gen, grid, js)
-    m0, m1 = np.empty_like(fixed.decay), fixed.m1
-    for lo in range(0, len(ts), _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        h = _joint_h(hs[b], None if fixed.r is None else fixed.r[b], m0[b])
-        _guard(h, fixed.decay[b], dt, max_step, ts[b], fixed.decay_norm[b])
-        _kraus_a0(h, fixed.decay[b], dt)
-    eta = gen.detector_eta
+    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts))
+    m0, m1 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), dt, max_step, ts,
+                           dec, gen.extra_lindblad)
     if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):
         return _engine.StepOps(grid.n_steps, dt, m0, m1, gen.initial_state, pure=True)
     if len(ts) * gen.dim ** 4 * 16 > 2e9:
@@ -310,6 +211,51 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
         rho = np.outer(gen.initial_state, gen.initial_state.conj())
     s0, s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
     return _engine.StepOps(grid.n_steps, dt, s0, s1, rho.ravel(), pure=False)
+
+
+def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step):
+    """The theta-derivatives (da0, da1) of the branch maps ``ops`` of
+    ``gen`` at theta, da1 None where it is zero.  (dH_S, dJ_S) is the
+    central difference of the sensor stacks at theta +/- theta_step (exact
+    up to round-off for a sensor affine in theta); the rest is the product
+    rule.  A theta-free jump (every built-in sensor) leaves the Kraus
+    derivative da0 = -i dt (dH_S x 1), one static matrix when dH_S does not
+    change in time, and da1 = 0.  Superoperators do not keep the Kraus
+    stacks, so these are built again for their product rule."""
+    dt, eta = grid.dt, gen.detector_eta
+    ts = _bin_times(grid, not gen.time_dependent)
+    (hp, jp), (hm, jm) = (operator_stacks(gen.sensor, theta + e, ts)
+                          for e in (theta_step, -theta_step))
+    dhs, djs = ((p - m) / (2.0 * theta_step) for p, m in ((hp, hm), (jp, jm)))
+    fixed_jump = not djs.any()
+    if fixed_jump and (dhs == dhs[:1]).all():
+        dhs, djs = dhs[:1], djs[:1]
+    n, dec = len(dhs), None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts))
+    dh, djc = dhs, djs
+    if dec is not None:
+        # dH_c = dH_S x 1 + dR is H_c of (dH_S, dJ_S) with H_D = 0; dJ_c = dJ_S x 1
+        eye_d = np.eye(gen.decoder.dim, dtype=complex)[None]
+        dh = _joint(dhs, djs, (np.zeros_like(dec[0][:n]), dec[1][:n]),
+                    np.empty((n, gen.dim, gen.dim), dtype=complex))[0]
+        djc = _batched_kron(djs, eye_d)
+    da0, da1 = -1j * dt * dh, None
+    if not (fixed_jump and ops.pure):
+        m0, m1 = (ops.a0, ops.a1) if ops.pure else _kraus_tables(
+            *operator_stacks(gen.sensor, theta, ts), dt, max_step, ts, dec, gen.extra_lindblad)
+        jc = m1 / np.sqrt(dt)
+    if not fixed_jump:
+        x = np.einsum("nji,njk->nik", djc.conj(), jc)  # dJ_c^dag J_c
+        da0 -= 0.5 * dt * (x + dagger(x))
+        da1 = np.sqrt(dt) * djc
+    if ops.pure:
+        return da0, da1
+    # the product rule on the superoperators of _superops
+    da0 = np.broadcast_to(da0, m0.shape)
+    ds0 = _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
+    if da1 is None:
+        return ds0, None
+    djj = dt * (_batched_kron(djc, jc.conj()) + _batched_kron(jc, djc.conj()))
+    return ds0 + (1.0 - eta) * djj, eta * djj
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -337,17 +283,21 @@ def _chunks(n, n_steps):
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _run_records(ops, kind, n_records, seed, given=None):
+def _run_records(ops, kind, n_records, seed, given=None, tangent=None):
     """Sample (``given`` None) or replay the records ``given`` chunk by
-    chunk, under the list ``ops`` of per-θ StepOps (one for sampling and
-    for the step core); returns (list of click-index arrays, logL
-    (Θ, n_records), thinning candidates of the segment core's sampling)."""
+    chunk, under the list ``ops`` of per-θ StepOps (one for sampling, for
+    the step core and for scores); returns (list of click-index arrays,
+    logL (Θ, n_records), thinning candidates of the segment core's
+    sampling).  With the ``tangent`` maps (da0, da1) of the one θ, the
+    segment core scores the records instead: d logL/dθ (1, n_records).
+    The segment core's tables are built once for every chunk."""
+    seg = _engine._Segments(ops, tangent) if kind == "segment" else None
     hits, logl, cands = [], [], 0
     for a, b in _chunks(n_records, ops[0].n_steps):
         idx = np.arange(a, b)
         sub = None if given is None else given[a:b]
         if kind == "segment":
-            h, ll, c = _engine.run_segments(ops, idx, seed, sub)
+            h, ll, c = _engine.run_segments(seg, ops[0], idx, seed, sub)
         else:
             (h, ll), c = _engine.run_steps(ops[0], idx, seed, sub), 0
         hits += h
@@ -403,15 +353,13 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05)
 class FisherEstimate:
     """Monte Carlo Fisher information of the counting record.
 
-    value = mean of squared finite-difference scores; std_error is the
-    standard error of that mean.  mean_score should vanish within a few
+    value = mean of squared scores d logL/dθ; std_error is the standard
+    error of that mean.  mean_score should vanish within a few
     mean_score_se (it does up to the O(dt) discretization bias);
-    halving_dev reports the largest relative change of a score when the
-    finite-difference step is halved, over the diagnostic subset (None
-    when all its scores are round-off: a dark or null record set);
+    theta_step is the step of the sensor-operator difference;
     null_point is set when every score is exactly zero; n_steps, chunks
-    (record chunks per pass), seconds (wall time) and candidates (mean
-    thinning candidates per record, None on the step core) the cost.
+    (record chunks), seconds (wall time) and candidates (mean thinning
+    candidates per record) the cost.
     """
 
     value: float
@@ -420,61 +368,39 @@ class FisherEstimate:
     theta_step: float
     mean_score: float
     mean_score_se: float
-    halving_dev: Optional[float]
     mean_clicks: float
-    engine: str
     seed: int
     null_point: bool
     n_steps: int
     chunks: int
     seconds: float
-    candidates: Optional[float]
+    candidates: float
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                              n_traj: int, theta_step: float = 1e-3,
-                             seed: int = 0, engine: str = "auto",
-                             max_step: float = 0.05) -> FisherEstimate:
+                             seed: int = 0, max_step: float = 0.05) -> FisherEstimate:
     """Estimate the Fisher information of the record at theta.
 
-    Samples records at theta, replays each at theta +/- theta_step and
-    averages the squared central-difference score.  A fraction of the
-    records is replayed again at half the step as a discretization
-    check.
+    Samples records at theta on the segment core and replays each once
+    with its tangent under the branch maps at theta and their derivative
+    (``_tangent``), which gives the exact score d logL/dθ of the record.
     """
     t0 = perf_counter()
-    eps = theta_step
-    kind = _resolve_engine(engine)
-    indices, _, cands = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
-                                     n_traj, seed)
-    lp, lm = replay_records(gen, [theta + eps, theta - eps], indices, grid,
-                            kind, max_step)
-    scores = (lp - lm) / (2.0 * eps)
-
-    m = int(np.ceil(_HALVING_FRACTION * n_traj))
-    halving_dev = 0.0
-    ulp = np.finfo(float).eps * np.maximum(1.0, np.maximum(abs(lp[:m]), abs(lm[:m]))) / eps
-    if m > 0 and np.all(np.abs(scores[:m]) < _SCORE_ROUNDOFF * ulp):
-        halving_dev = None
-    elif m > 0:
-        lp2, lm2 = replay_records(gen, [theta + 0.5 * eps, theta - 0.5 * eps],
-                                  indices[:m], grid, kind, max_step)
-        s2 = (lp2 - lm2) / eps
-        scale = max(float(np.abs(scores[:m]).max(initial=0.0)), 1e-12)
-        halving_dev = float(np.abs(s2 - scores[:m]).max(initial=0.0) / scale)
-
+    ops = step_matrices(gen, theta, grid, max_step)
+    indices, scores, cands = _run_records(
+        [ops], "segment", n_traj, seed,
+        tangent=_tangent(gen, theta, grid, ops, theta_step, max_step))
+    scores = scores[0]
     sq = scores ** 2
-    value = float(sq.mean())
-    std_error = float(sq.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    mean_clicks = float(np.mean([len(h) for h in indices]))
+    se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
     return FisherEstimate(
-        value=value, std_error=std_error, n_traj=n_traj, theta_step=eps,
-        mean_score=float(scores.mean()),
-        mean_score_se=float(scores.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0,
-        halving_dev=halving_dev, mean_clicks=mean_clicks, engine=kind, seed=seed,
+        value=float(sq.mean()), std_error=se(sq), n_traj=n_traj, theta_step=theta_step,
+        mean_score=float(scores.mean()), mean_score_se=se(scores),
+        mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
         chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
-        candidates=cands / n_traj if kind == "segment" else None,
+        candidates=cands / n_traj,
     )
 
 

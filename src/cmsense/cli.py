@@ -95,9 +95,8 @@ def _report_fisher(report, label, fi):
     a warning when every score is exactly zero (a null point, where the
     estimate reads 0 +/- 0 whatever the information is)."""
     report.setdefault("estimators", []).append({
-        "label": label, "engine": fi.engine, "n_traj": fi.n_traj,
-        "mean_clicks": fi.mean_clicks, "mean_score": fi.mean_score,
-        "mean_score_se": fi.mean_score_se, "halving_dev": fi.halving_dev,
+        "label": label, "n_traj": fi.n_traj, "mean_clicks": fi.mean_clicks,
+        "mean_score": fi.mean_score, "mean_score_se": fi.mean_score_se,
         "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
         "candidates": fi.candidates,
     })

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._engine import StepOps
 from .errors import StepTooLarge, TraceDrift, format_excess
+from .linalg import dagger
 from .models import SensorModel, operator_stacks
 
 __all__ = [
@@ -74,8 +75,9 @@ _BLOCK = 256
 
 def _batched_kron(a, b, out=None):
     """np.kron of each matrix pair of two stacks (same multiply, same bits),
-    written into the contiguous stack ``out`` when given."""
-    n, da, db = a.shape[0], a.shape[1], b.shape[1]
+    a stack of one matrix paired with every matrix of the other, written
+    into the contiguous stack ``out`` when given."""
+    n, da, db = max(len(a), len(b)), a.shape[1], b.shape[1]
     if out is None:
         out = np.empty((n, da * db, da * db), dtype=np.result_type(a, b))
     np.multiply(a[:, :, None, :, None], b[:, None, :, None, :],
@@ -90,16 +92,13 @@ def _frobenius(stack):
     return np.sqrt(np.einsum("ki,ki->k", v, v))
 
 
-def _guard(h, decay, dt, max_step, ts, decay_norm=None):
+def _guard(h, decay, dt, max_step, ts):
     """Raise StepTooLarge at the first bin where dt*max(|H|, |decay|) in
     the spectral norm exceeds max_step.  The Frobenius norm bounds it
-    from above, so only the bins that norm flags get the exact one;
-    ``decay_norm`` is the Frobenius norm of ``decay`` when already known.
+    from above, so only the bins that norm flags get the exact one.
     The margin covers the round-off of a bound that equals the spectral
     norm (a rank-one matrix)."""
-    if decay_norm is None:
-        decay_norm = _frobenius(decay)
-    load = dt * np.maximum(_frobenius(h), decay_norm) * (1.0 + 1e-9)
+    load = dt * np.maximum(_frobenius(h), _frobenius(decay)) * (1.0 + 1e-9)
     flagged = np.flatnonzero(load > max_step)
     if not len(flagged):
         return
@@ -114,33 +113,49 @@ def _guard(h, decay, dt, max_step, ts, decay_norm=None):
         )
 
 
-def _decay(j, extra=()):
-    """J^dag J + sum_l L_l^dag L_l of each bin of the jump stack ``j``."""
-    decay = np.einsum("nji,njk->nik", j.conj(), j)
-    for l in extra:
-        decay = decay + (l.conj().T @ l)[None]
-    return decay
+def _joint(hs, js, dec, out):
+    """The joint (H, J) of blocks of sensor stacks, H written into ``out``:
+    (H_S, J_S) without a decoder, else their cascade into the decoder
+    stacks dec = (H_D, J_D): H_c = H_S x 1 + [1 x H_D + (i/2)(J_S^dag x J_D
+    - J_S x J_D^dag)] and J_c = J_S x 1 + 1 x J_D."""
+    if dec is None:
+        out[...] = hs
+        return out, js
+    hd, jd = dec
+    eye_s, eye_d = (np.eye(a.shape[-1], dtype=complex)[None] for a in (js, hd))
+    cross = _batched_kron(dagger(js), jd)
+    cross -= _batched_kron(js, dagger(jd))
+    np.multiply(0.5j, cross, out=cross)
+    r = _batched_kron(eye_s, hd)
+    r += cross
+    h = _batched_kron(hs, eye_d, out)
+    h += r
+    jc = _batched_kron(js, eye_d)
+    jc += _batched_kron(eye_s, jd)
+    return h, jc
 
 
-def _kraus_a0(h, decay, dt):
-    """a0 = 1 - i H dt - (1/2) decay dt written over the stack ``h``, with
-    the operations of that expression in its order (the same bits)."""
-    np.multiply(1j * dt, h, out=h)
-    np.subtract(np.eye(h.shape[-1], dtype=complex), h, out=h)
-    h -= 0.5 * dt * decay
-    return h
-
-
-def _kraus_stacks(h, j, dt, max_step, ts, extra=()):
-    """Guarded Kraus stacks of per-bin (H, J) stacks sampled at ``ts``:
-
-        a0 = 1 - i H dt - (1/2) (J^dag J + sum_l L_l^dag L_l) dt,   a1 = sqrt(dt) J,
-
-    with ``extra`` the constant undetected channels L_l.
-    """
-    decay = _decay(j, extra)
-    _guard(h, decay, dt, max_step, ts)
-    return _kraus_a0(np.array(h, dtype=complex), decay, dt), np.sqrt(dt) * j
+def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=()):
+    """Guarded Kraus stacks of per-bin sensor stacks sampled at ``ts``,
+    cascaded into the decoder stacks ``dec`` when given (``_joint``):
+    a0 = 1 - i H dt - (1/2)(J^dag J + sum_l L_l^dag L_l) dt and a1 =
+    sqrt(dt) J, with ``extra`` the constant undetected channels L_l.
+    Built _BLOCK bins at a time into the two stacks, keeping nothing else."""
+    n, dim = len(hs), hs.shape[-1] * (1 if dec is None else dec[0].shape[-1])
+    a0 = np.empty((n, dim, dim), dtype=complex)
+    a1 = np.empty_like(a0)
+    for lo in range(0, n, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        h, j = _joint(hs[b], js[b], None if dec is None else (dec[0][b], dec[1][b]), a0[b])
+        decay = np.einsum("nji,njk->nik", j.conj(), j)
+        for l in extra:
+            decay = decay + (l.conj().T @ l)[None]
+        _guard(h, decay, dt, max_step, ts[b])
+        np.multiply(1j * dt, h, out=h)  # a0 over H, in the order of its formula
+        np.subtract(np.eye(dim, dtype=complex), h, out=h)
+        h -= 0.5 * dt * decay
+        np.multiply(np.sqrt(dt), j, out=a1[b])
+    return a0, a1
 
 
 def _bin_times(grid, static):
@@ -161,7 +176,7 @@ def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float
     """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``:
     pure StepOps from the model's initial state, one bin for a static model."""
     ts = _bin_times(grid, not model.time_dependent)
-    a0, a1 = _kraus_stacks(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
+    a0, a1 = _kraus_tables(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
     return StepOps(grid.n_steps, grid.dt, a0, a1, model.initial_state, pure=True)
 
 

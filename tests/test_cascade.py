@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cmsense import TimeGrid, _engine, two_level_model
-from cmsense.cascade import (Imperfections, _joint_stacks, cascade_generators,
+from cmsense import TimeGrid, _engine, cascade, two_level_model
+from cmsense.cascade import (Imperfections, cascade_generators,
                              fisher_from_trajectories, full_width_half_max, replay_records,
                              sample_records, step_matrices, vacuum_probability)
 from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.models import SensorModel, operator_stacks, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
+from cmsense.propagate import _joint
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,13 @@ def emitter():
 def clicky_pair(emitter):
     # decoder detuned off the matched point so records carry clicks
     return cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0))
+
+
+def _joint_stacks(gen, theta, grid, ts):
+    """Per-bin joint (H_c, J_c) stacks of ``gen`` at the times ``ts`` of ``grid``."""
+    hs, js = operator_stacks(gen.sensor, theta, ts)
+    dec = None if gen.decoder is None else cascade._decoder_stacks(gen.decoder, grid, len(ts))
+    return _joint(hs, js, dec, np.empty((len(ts), gen.dim, gen.dim), dtype=complex))
 
 
 def _generators_at_zero(gen, theta):
@@ -407,29 +415,6 @@ def test_fisher_estimate_bookkeeping(clicky_pair):
     assert fi.n_steps == grid.n_steps and fi.chunks == 1 and fi.seconds > 0.0
 
 
-@pytest.mark.parametrize("case", ["dark", "clicking"])
-def test_halving_dev_is_none_on_round_off_scores(clicky_pair, case):
-    # the synthesized decoder keeps the three-level cascade dark, so its
-    # scores are central-difference round-off (~1e-13), not information.
-    # The step core is forced there: the segment core's fewer products
-    # can cancel that round-off exactly, which is a null point instead
-    grid = TimeGrid(0.0, 2.0, 2e-3)
-    gen, engine = clicky_pair, "auto"
-    if case == "dark":
-        from cmsense.decoder import build_decoder
-        from cmsense.models import three_level_model
-        sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
-        gen = cascade_generators(sensor, build_decoder(sensor, 0.0, grid))
-        engine = "step"
-    fi = fisher_from_trajectories(gen, 0.0, grid, 20, seed=3, engine=engine)
-    if case == "dark":
-        assert fi.mean_clicks == 0.0 and not fi.null_point
-        assert fi.halving_dev is None
-    else:
-        assert fi.mean_clicks > 0.0
-        assert np.isfinite(fi.halving_dev) and 0.0 <= fi.halving_dev < 0.1
-
-
 def test_full_width_half_max_of_peak_and_dip():
     x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     peak = np.array([0.0, 0.25, 1.0, 0.25, 0.0])
@@ -451,16 +436,21 @@ def test_matched_stationary_cascade_stays_dark(emitter):
     assert total_clicks == 0
 
 
-def _table_bytes(ops):
-    return ops.a0.tobytes(), ops.a1.tobytes(), ops.x0.tobytes(), ops.pure
-
-
-_MEMO_GRID = TimeGrid(0.0, 2.0, 2e-3)
+_GRID = TimeGrid(0.0, 2.0, 2e-3)
 _THREE_GRID = TimeGrid(0.0, 10.0, 2e-3)  # the pulse sequence and 6/gamma of decay
-_THETAS = [0.0, 1e-3, -1e-3, 5e-4, 2e-3]
+_LOSSY = Imperfections(gamma=0.1, eta=0.65)
 
 
-def _memo_cascades():
+def _theta_jump_sensor():
+    """The two-level emitter with a jump that depends on theta."""
+    sge = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    base = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    return SensorModel(dim=2, hamiltonian=base.hamiltonian,
+                       jump=lambda t, th: np.sqrt(1.0 + th) * sge,
+                       initial_state=base.initial_state, time_dependent=False)
+
+
+def _cascades():
     two = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     three = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
     return {
@@ -470,68 +460,171 @@ def _memo_cascades():
             three, build_decoder(three, 0.0, _THREE_GRID)),
         "three_level_direct": lambda: cascade_generators(three),
         "imperfections": lambda: cascade_generators(
-            two, two_level_decoder(1.0, 0.0, 1.0),
-            imperfections=Imperfections(gamma=0.1, eta=0.65)),
+            two, two_level_decoder(1.0, 0.0, 1.0), imperfections=_LOSSY),
+        "imperfections_build_decoder": lambda: cascade_generators(
+            two, build_decoder(two, 0.0, _GRID), imperfections=_LOSSY),
+        "theta_jump": lambda: cascade_generators(_theta_jump_sensor(),
+                                                 two_level_decoder(1.0, 0.0, 1.0)),
+        "theta_jump_density": lambda: cascade_generators(
+            _theta_jump_sensor(), two_level_decoder(1.0, 0.0, 1.0), imperfections=_LOSSY),
     }
 
 
-@pytest.mark.parametrize("name", list(_memo_cascades()))
-def test_theta_free_parts_are_built_once_and_exact(name, monkeypatch):
-    # a theta sequence on one generator reuses its theta-free parts and gives
-    # tables bit for bit those of a fresh generator at each theta
-    from cmsense import cascade
-    make = _memo_cascades()[name]
-    grid = _THREE_GRID if name.startswith("three") else _MEMO_GRID
-    fresh = [_table_bytes(step_matrices(make(), th, grid)) for th in _THETAS]
-    builds = []
-    build = cascade._build_fixed
-    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+def _scored_cascades():
+    """(cascade, theta, grid): static and time-dependent, pure and density, a
+    synthesized decoder and a theta-dependent jump, each where records click
+    (the three-level decoder is synthesized at theta = 0 and sampled far from it)."""
+    c = _cascades()
+    short, short_grid = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0), TimeGrid(0.0, 4.0, 1e-3)
+    return {
+        "two_level_decoder": (c["two_level_decoder"], 0.3, _GRID),
+        "three_level_direct": (c["three_level_direct"], 0.2, _THREE_GRID),
+        "three_level_build_decoder": (
+            lambda: cascade_generators(short, build_decoder(short, 0.0, short_grid)),
+            3.0, short_grid),
+        **{name: (c[name], 0.3, _GRID) for name in (
+            "imperfections", "imperfections_build_decoder", "theta_jump", "theta_jump_density")},
+    }
+
+
+def _scores(gen, theta, grid, records, theta_step=1e-3):
+    """Scores of the given records from one table and its derivative."""
+    ops = step_matrices(gen, theta, grid)
+    tangent = cascade._tangent(gen, theta, grid, ops, theta_step, 0.05)
+    return ops, tangent, cascade._run_records([ops], "segment", len(records), 0, records,
+                                              tangent)[1][0]
+
+
+def _scored_case(name):
+    make, theta, grid = _scored_cascades()[name]
     gen = make()
-    for th, ref in zip(_THETAS, fresh):
-        assert _table_bytes(step_matrices(gen, th, grid)) == ref
-    assert len(builds) == 1
+    records = sample_records(gen, theta, grid, 8, seed=17)[0]
+    assert sum(len(h) for h in records) > 0
+    return gen, theta, grid, records
 
 
-def test_theta_dependent_jump_rebuilds_the_theta_free_parts(monkeypatch):
-    from cmsense import cascade
-    sge = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    base = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
-    sensor = SensorModel(dim=2, hamiltonian=base.hamiltonian,
-                         jump=lambda t, th: np.sqrt(1.0 + th) * sge,
-                         initial_state=base.initial_state, time_dependent=False)
-    make = lambda: cascade_generators(sensor, two_level_decoder(1.0, 0.0, 1.0))
-    fresh = [_table_bytes(step_matrices(make(), th, _MEMO_GRID)) for th in _THETAS]
-    builds = []
-    build = cascade._build_fixed
-    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
-    gen = make()
-    assert [_table_bytes(step_matrices(gen, th, _MEMO_GRID)) for th in _THETAS] == fresh
-    assert len(builds) == len(_THETAS)
+def _reference_scores(ops, tangent, records):
+    """d log w / dtheta of each record, bin by bin: (x, dx) -> (A x, A dx + dA x)
+    through the no-click or click map of each bin and its derivative."""
+    n = ops.n_steps
+    full = lambda a: np.broadcast_to(a, (n,) + ops.a0.shape[1:])
+    da0, da1 = tangent
+    maps = [(full(ops.a0), full(da0)),
+            (full(ops.a1), full(np.zeros_like(ops.a1[:1]) if da1 is None else da1))]
+    x = np.tile(ops.x0, (len(records), 1)).astype(complex)
+    dx = np.zeros_like(x)
+    clicks = np.zeros((len(records), n), dtype=bool)
+    for r, h in enumerate(records):
+        clicks[r, h] = True
+    for k in range(n):
+        (a, da) = (np.where(clicks[:, k, None, None], m1[k], m0[k])
+                   for m0, m1 in zip(*maps))
+        x, dx = (np.einsum("bij,bj->bi", a, x),
+                 np.einsum("bij,bj->bi", a, dx) + np.einsum("bij,bj->bi", da, x))
+        norm = np.linalg.norm(x, axis=1)[:, None]
+        x, dx = x / norm, dx / norm
+    if ops.pure:
+        return 2.0 * np.einsum("bi,bi->b", dx, x.conj()).real / np.linalg.norm(x, axis=1) ** 2
+    tv = np.eye(int(round(np.sqrt(len(ops.x0))))).ravel()
+    return (dx @ tv).real / (x @ tv).real
 
 
-def test_second_grid_replaces_the_theta_free_parts(clicky_pair):
-    gen = cascade_generators(clicky_pair.sensor, clicky_pair.decoder)
-    other = TimeGrid(0.0, 1.0, 1e-3)
-    for grid in (_MEMO_GRID, other, _MEMO_GRID):
-        fresh = cascade_generators(clicky_pair.sensor, clicky_pair.decoder)
-        assert _table_bytes(step_matrices(gen, 0.2, grid)) == \
-            _table_bytes(step_matrices(fresh, 0.2, grid))
-        assert gen._fixed.grid == grid and not gen._fixed.m1.flags.writeable
+@pytest.mark.parametrize("name", list(_scored_cascades()))
+def test_scores_match_per_bin_reference(name):
+    # the segment core's tangent levels against the plain per-bin product
+    gen, theta, grid, records = _scored_case(name)
+    ops, tangent, scores = _scores(gen, theta, grid, records)
+    ref = _reference_scores(ops, tangent, records)
+    assert np.all(np.abs(scores - ref) <= 1e-12 * np.abs(ref).max())
 
 
-def test_theta_free_parts_serve_every_replay_of_an_estimate(monkeypatch):
-    # sampling, the +-eps replays and the eps/2 halving replays of one Fisher
-    # estimate share one build of the theta-free parts
-    from cmsense import cascade
-    three = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
-    grid = _THREE_GRID
-    gen = cascade_generators(three, build_decoder(three, 0.05, grid))
-    builds, tables = [], []
-    build, tab = cascade._build_fixed, cascade.step_matrices
-    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
+@pytest.mark.parametrize("name", list(_scored_cascades()))
+def test_scores_match_replay_differences(name):
+    # the +-eps difference of replayed logL is the score up to O(eps^2):
+    # halving eps quarters the gap
+    gen, theta, grid, records = _scored_case(name)
+    scores = _scores(gen, theta, grid, records)[2]
+    gaps = []
+    for eps in (1e-3, 5e-4):
+        lp, lm = replay_records(gen, [theta + eps, theta - eps], records, grid)
+        gaps.append(np.abs((lp - lm) / (2.0 * eps) - scores).max())
+    assert gaps[0] <= 1e-5 * np.abs(scores).max()
+    assert 3.0 < gaps[0] / gaps[1] < 5.0
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["kraus", "superoperator"])
+@pytest.mark.parametrize("decoded", [False, True], ids=["emitter", "decoder"])
+def test_scores_match_exhaustive_distribution(emitter, decoded, density):
+    # every 8-bin record of positive probability at theta = 0.7: the score is
+    # the derivative of the oracle's log raw weight.  A density initial state
+    # puts the same model on superoperators
+    dec = two_level_decoder(1.0, 1.0, 1.0) if decoded else None
+    gen = cascade_generators(emitter, dec)
+    if density:
+        psi = gen.initial_state
+        gen = cascade_generators(emitter, dec, init=np.outer(psi, psi.conj()))
+    n_bins, dt, theta, h = 8, 0.1, 0.7, 1e-4
+    grid = TimeGrid(0.0, n_bins * dt, dt)
+    raw = {}
+    for th in (theta - h, theta, theta + h):
+        dist = brute_counting_distribution(emitter, th, n_bins, dt, dec=dec)
+        raw[th] = dist.probs * (1.0 + dist.raw_defect)
+    records = [np.flatnonzero(dist.record_bits(r)) for r in range(2 ** n_bins)]
+    ops = step_matrices(gen, theta, grid, max_step=1.0)
+    assert ops.pure is not density
+    tangent = cascade._tangent(gen, theta, grid, ops, 1e-3, 1.0)
+    scores = cascade._run_records([ops], "segment", len(records), 0, records, tangent)[1][0]
+    live = raw[theta] > 0.0
+    ref = (np.log(raw[theta + h][live]) - np.log(raw[theta - h][live])) / (2.0 * h)
+    assert np.all(np.abs(scores[live] - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", ["two_level_direct", "two_level_decoder", "three_level_direct"])
+def test_scores_are_exact_zeros_at_the_symmetric_point(case, monkeypatch):
+    # gate 5's setup (and the two-level pair at the resonant point): at
+    # theta = 0 the tangent cancels exactly, with no round-off floor needed
+    monkeypatch.setattr(_engine, "_SCORE_ROUNDOFF", 0.0)
+    two = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    grid = TimeGrid(0.0, 10.0, 2e-3)
+    gen = {"two_level_direct": lambda: cascade_generators(two),
+           "two_level_decoder": lambda: cascade_generators(two, two_level_decoder(1.0, 0.0, 1.0)),
+           "three_level_direct": lambda: cascade_generators(
+               three_level_model(0.0, 5.0, 1.0, T_plateau=50.0))}[case]()
+    if case == "three_level_direct":
+        grid = TimeGrid(0.0, 56.0, 1e-3)
+    fi = fisher_from_trajectories(gen, 0.0, grid, 64, theta_step=1e-3, seed=29)
+    assert fi.mean_clicks > 1.0 and fi.null_point and fi.value == 0.0
+
+
+def test_round_off_floor_zeroes_only_null_point_scores(monkeypatch):
+    # the synthesized decoder keeps the three-level cascade dark at theta = 0:
+    # its scores there are round-off, far below the floor, and become exact
+    # zeros (a null point); at theta = 1e-6 the floor leaves every score as is
+    sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+    gen = cascade_generators(sensor, build_decoder(sensor, 0.0, _GRID))
+    records = [np.array([], dtype=np.int64)] * 4
+    fi = fisher_from_trajectories(gen, 0.0, _GRID, 4, seed=3)
+    assert fi.mean_clicks == 0.0 and fi.null_point and fi.value == 0.0
+    floored = {th: _scores(gen, th, _GRID, records)[2] for th in (0.0, 1e-6)}
+    monkeypatch.setattr(_engine, "_SCORE_ROUNDOFF", 0.0)
+    raw = {th: _scores(gen, th, _GRID, records)[2] for th in (0.0, 1e-6)}
+    assert np.all(floored[0.0] == 0.0) and np.all(raw[0.0] != 0.0)
+    assert np.all(np.abs(raw[0.0]) < 1e-15)
+    assert np.array_equal(floored[1e-6], raw[1e-6]) and np.all(np.abs(raw[1e-6]) > 1e-8)
+
+
+def test_fisher_estimate_builds_one_table_and_one_level_set(clicky_pair, monkeypatch):
+    # one table at theta and one set of levels serve sampling and scoring of
+    # every chunk (three here)
+    tables, levels = [], []
+    tab, segments = cascade.step_matrices, _engine._Segments
     monkeypatch.setattr(cascade, "step_matrices", lambda *a: tables.append(a[1]) or tab(*a))
-    fi = fisher_from_trajectories(gen, 0.0, grid, 8, seed=2)
-    assert fi.halving_dev is not None and len(tables) == 5 and len(builds) == 1
+    monkeypatch.setattr(_engine, "_Segments", lambda *a: levels.append(1) or segments(*a))
+    monkeypatch.setattr(cascade, "_CHUNK", 8)
+    monkeypatch.setattr(cascade, "_CHUNK_BINS", 8 * _GRID.n_steps)
+    fi = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 20, seed=2)
+    assert fi.chunks == 3 and fi.mean_clicks > 0.0
+    assert tables == [0.3] and len(levels) == 1
 
 
 @pytest.mark.parametrize("name", ["two_level_decoder", "stationary_decoder",
@@ -539,8 +632,8 @@ def test_theta_free_parts_serve_every_replay_of_an_estimate(monkeypatch):
 def test_joint_hamiltonian_order_is_exact_on_builtin_cascades(name):
     # H_c is summed as H_S x 1 + R; the earlier order (H_S x 1 + 1 x H_D) +
     # cross gives the same bits, because no entry has three nonzero terms
-    gen = _memo_cascades()[name]()
-    grid = _THREE_GRID if name.startswith("three") else _MEMO_GRID
+    gen = _cascades()[name]()
+    grid = _THREE_GRID if name.startswith("three") else _GRID
     ts = grid.left_times if gen.time_dependent else np.zeros(1)
     h, _ = _joint_stacks(gen, 1e-3, grid, ts)
     hs, js = operator_stacks(gen.sensor, 1e-3, ts)

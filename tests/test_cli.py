@@ -126,12 +126,11 @@ def test_provenance_reports_estimators_and_null_point():
     est = prov["estimators"]
     assert [e["label"] for e in est] == ["delta_mis=0.0", "delta_mis=4.0"]
     for e in est:
-        assert set(e) == {"label", "engine", "n_traj", "mean_clicks", "mean_score",
-                          "mean_score_se", "halving_dev", "n_steps", "chunks",
-                          "seconds", "candidates"}
-        # a static cascade runs on the click-to-click core, which reports
+        assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
+                          "mean_score_se", "n_steps", "chunks", "seconds", "candidates"}
+        # every estimate samples on the click-to-click core, which reports
         # its thinning candidates (at least the clicks) per record
-        assert e["engine"] == "segment" and e["n_traj"] == 16
+        assert e["n_traj"] == 16
         assert e["n_steps"] == 500 and e["chunks"] == 1 and e["seconds"] > 0.0
         assert e["candidates"] >= e["mean_clicks"] and e["candidates"] > 0.0
     assert all(b"candidates" not in bundle.csv_bytes(name) for name in bundle.tables)
@@ -152,8 +151,7 @@ def test_provenance_reports_synthesized_decoder():
     assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
     # the pulsed three-level model is time dependent and still runs on the
     # click-to-click core, which reports its thinning candidates per record
-    assert all(e["engine"] == "segment" and e["candidates"] >= e["mean_clicks"]
-               for e in prov["estimators"])
+    assert all(e["candidates"] >= e["mean_clicks"] for e in prov["estimators"])
 
 
 def test_run_byte_identical(tmp_path):
@@ -213,22 +211,19 @@ def test_provenance_reports_qfi_engine():
     assert b"propagations" not in bundle.csv_bytes("qfi_scan")
 
 
-def test_scan_row_builds_each_table_once(monkeypatch):
-    # one three-level scan row: I_E and I_G share every generalized state (half
-    # the propagations of two separate engines), and each Fisher estimate
-    # builds its cascade's theta-free parts once
-    from cmsense import cascade, qfi
+def test_scan_row_propagates_each_generalized_state_once(monkeypatch):
+    # one three-level scan row: I_E and I_G share every generalized state,
+    # half the propagations of two separate engines
+    from cmsense import qfi
     from cmsense.config import build_sensor, scan_horizon
-    props, builds = [], []
-    evolve, build = qfi.evolve_generalized, cascade._build_fixed
+    props = []
+    evolve = qfi.evolve_generalized
     monkeypatch.setattr(qfi, "evolve_generalized",
                         lambda *a, **k: props.append(1) or evolve(*a, **k))
-    monkeypatch.setattr(cascade, "_build_fixed", lambda *a: builds.append(1) or build(*a))
     cfg = ExperimentConfig.from_dict(_tiny_cfg(**_THREE_LEVEL))
     bundle = run(cfg)
     row = len(props)
     assert bundle.provenance["qfi"][0]["propagations"] == row
-    assert len(builds) == len(bundle.provenance["estimators"]) == 2
     props.clear()
     sensor, horizon = build_sensor(cfg, t_plateau=0.5), scan_horizon(cfg, 0.5)
     qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
