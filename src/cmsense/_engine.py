@@ -1,28 +1,28 @@
 """Trajectory engines for photon-counting records.
 
 A record is the array of its click bin indices.  Its likelihood is the
-trace of the record-conditioned state, so drawing a record and replaying
-a given one are the same product of per-bin {no click, click} maps:
-sampling draws each outcome, replay is handed it.  Both cores work on
-the maps of ``StepOps``: Kraus pairs on pure states (no extra Lindblad
+trace of the record-conditioned state, a product of per-bin {no click,
+click} maps.  Records are drawn one way, by thinning (``_thin``), and
+replayed to their logL by either of two cores.  All of them work on the
+maps of ``StepOps``: Kraus pairs on pure states (no extra Lindblad
 channels, unit detector efficiency), else superoperators on row-major
 vectorized densities (loss, dephasing, finite efficiency).
 
-* segment core (``run_segments``) for every model: a run of no-click
-  bins is a product of rescaled no-click blocks, one batched product per
-  block size over the records that take it, so a record costs
-  O((clicks + 1) log2 n) products instead of n, with no
+* segment core (``_Segments``, ``_replay_segments``) for every model: a
+  run of no-click bins is a product of rescaled no-click blocks, one
+  batched product per block size over the records that take it, so a
+  record costs O((clicks + 1) log2 n) products instead of n, with no
   eigendecomposition and no length threshold.  A static model's blocks
   are its binary powers a0^(2^i), taken for the bits of the gap; a
   time-dependent model's are the aligned products of 2^i consecutive
   bins, taken up and then down the levels (Blelloch-style interval
   products).  Replay advances a whole θ set at once, the state
-  (Θ, records, D); sampling thins the step core's own uniforms against a
-  per-bin bound and so draws its records.  Given the θ-derivatives of
-  the maps, replay also carries each record's tangent dx through the
-  block-triangular maps [[A, 0], [dA, A]] (levels and their derivatives
-  built alike) and returns the exact score d logL/dθ,
-* step core (``run_steps``): a batch of records advanced bin by bin, the
+  (Θ, records, D).  Given the θ-derivatives of the maps, replay also
+  carries each record's tangent dx through the block-triangular maps
+  [[A, 0], [dA, A]] (levels and their derivatives built alike) and
+  returns the exact score d logL/dθ.  Thinning advances the state over
+  the same blocks from one candidate bin to the next,
+* step core (``run_steps``): a batch of records replayed bin by bin, the
   cross-check of the segment core.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
@@ -80,10 +80,6 @@ class StepOps:
         return np.broadcast_to(a, (self.n_steps,) + a.shape[1:])
 
 
-def _streams(indices, seed):
-    return [np.random.Philox(key=[seed, int(i)]) for i in indices]
-
-
 def _check_p1(p1max, k, dt):
     if p1max > _P1_MAX:
         raise ClickProbabilityOverflow(
@@ -99,42 +95,22 @@ def _times_rows(x, sel, a):
     return (rows @ a)[..., :len(sel), :]
 
 
-def run_steps(ops, indices, seed, click_indices=None):
-    """Advance a batch of records bin by bin through the branch maps of
-    ``ops``: with ``click_indices`` None, draws the records of trajectory
-    ``indices`` from their (seed, index) streams, else replays the given
-    click-index arrays.  Returns (list of click-index arrays, logL (B,)).
-    """
-    n, nb = ops.n_steps, len(indices)
+def run_steps(ops, click_indices):
+    """Replay the click-index arrays ``click_indices`` bin by bin through
+    the branch maps of ``ops``: logL (B,)."""
+    n, nb = ops.n_steps, len(click_indices)
     weight, root = ops.weight, ops.root
     a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (ops.a0, ops.a1))
-    sampling = click_indices is None
     hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
-    if sampling:
-        gens = [np.random.Generator(b) for b in _streams(indices, seed)]
-        block = max(1, _U_FLOATS // max(nb, 1))
-    else:
-        for r, h in enumerate(click_indices):
-            hits[h, r] = True
+    for r, h in enumerate(click_indices):
+        hits[h, r] = True
     x = np.tile(ops.x0, (nb, 1)).astype(complex)
     logl = np.zeros(nb)
     for k in range(n):
-        hit = hits[k]
-        if sampling:
-            if k % block == 0:
-                # filled in place: a stacked list of draws doubles peak RSS
-                ut = np.empty((nb, min(block, n - k)))
-                for g, row in zip(gens, ut):
-                    g.random(out=row)
-                u = ut.T
-            cs = x @ a1t[k]
-            b1 = weight(cs)
-            _check_p1(float(b1.max(initial=0.0)), k, ops.dt)
-            np.less(u[k % block], b1, out=hit)
         out = x @ a0t[k]
-        sel = np.flatnonzero(hit)
+        sel = np.flatnonzero(hits[k])
         if len(sel):
-            out[sel] = cs[sel] if sampling else _times_rows(x, sel, a1t[k])
+            out[sel] = _times_rows(x, sel, a1t[k])
         w = weight(out)
         if len(sel) and not w[sel].all():
             # a click of weight zero: the record has probability zero, so
@@ -146,10 +122,7 @@ def run_steps(ops, indices, seed, click_indices=None):
         out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
         x = out
         logl += np.log(w)
-    if sampling:
-        rec, k = np.nonzero(hits.T)
-        click_indices = np.split(k, np.cumsum(np.bincount(rec, minlength=nb))[:-1])
-    return click_indices, logl
+    return logl
 
 
 def _padded(rows, fill):
@@ -334,14 +307,15 @@ def _replay_segments(seg, click_indices, n):
 
 
 def _thin(seg, ops, indices, seed):
-    """Draw records by thinning.  The step core clicks at bin k iff
-    u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the bins whose uniform
-    lies below that bound are candidates: the state is advanced to each
-    one and p1 evaluated there.  The bound is |a1_k|^2 of a Kraus click
-    map, or |a1_k| of the superoperator eta dt J (x) conj(J).  A bound
-    above _P1_MAX makes its bin a candidate for every record, so the guard
-    names the step core's bin: the first one where some record overflows.
-    Returns (list of click-index arrays, number of candidates)."""
+    """Draw the records of trajectory ``indices`` under the tables ``seg``
+    of the one θ whose StepOps are ``ops``.  A record clicks at bin k iff
+    its k-th uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the
+    bins whose uniform lies below that bound are candidates: the state is
+    advanced to each one and p1 evaluated there.  The bound is |a1_k|^2 of
+    a Kraus click map, or |a1_k| of the superoperator eta dt J (x) conj(J).
+    A bound above _P1_MAX makes its bin a candidate for every record, so
+    the guard names the first bin, in time order, where some record
+    overflows.  Returns (list of click-index arrays, number of candidates)."""
     n, nb = ops.n_steps, len(indices)
     # one static map takes the exact spectral norm; a per-bin stack takes
     # the Frobenius norm, which bounds it from above at a fraction of the
@@ -358,7 +332,7 @@ def _thin(seg, ops, indices, seed):
     # iff raw <= top, compared before any conversion
     lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim - np.uint64(1)))
-    gens = _streams(indices, seed)
+    gens = [np.random.Philox(key=[seed, int(i)]) for i in indices]
     block = max(1, min(n, _U_FLOATS // max(nb, 1)))
     if seg.static:
         # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
@@ -404,19 +378,3 @@ def _thin(seg, ops, indices, seed):
             kb = min(over)[0]
             _check_p1(max(q for kk, q in over if kk == kb), kb, ops.dt)
     return [np.array(h, dtype=np.int64) for h in hits], n_cand
-
-
-def run_segments(seg, ops, indices, seed, click_indices=None):
-    """Advance a batch of records click to click under the tables ``seg``
-    of a θ stack, whose first θ has the StepOps ``ops``.
-
-    With ``click_indices`` None, draws the records of trajectory
-    ``indices`` by thinning (one θ only); else takes the given records.
-    Replays them to logL (Θ, B), so a sampled record replays to the same
-    bits, or to their scores (``_replay_segments``).  Returns
-    (click-index arrays, logL or scores, candidates).
-    """
-    n_cand = 0
-    if click_indices is None:
-        click_indices, n_cand = _thin(seg, ops, indices, seed)
-    return click_indices, _replay_segments(seg, click_indices, ops.n_steps), n_cand

@@ -24,10 +24,10 @@ sample mean of squared scores d logL/dθ over trajectories: the record
 likelihood is a product of per-bin maps, so each score is exact from
 one replay of the record with its tangent under the maps at θ and their
 θ-derivative.  Every trajectory has a fixed-seed counter-based stream,
-so the result is independent of chunking.  Every model takes the
-click-to-click segment core (no-click block products, sampling by
-thinning); ``engine="step"`` forces the per-bin step core as a
-cross-check of sampling and replay.
+so the result is independent of chunking.  Records are drawn by
+thinning, and every model replays them on the click-to-click segment
+core (no-click block products); ``engine="step"`` replays them on the
+per-bin step core instead, as a cross-check.
 Chunks run one after another in the calling thread.
 """
 
@@ -268,8 +268,8 @@ def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
 
 
 def _resolve_engine(engine):
-    """"auto" is "segment" (click to click) for every model; "step" (bin
-    by bin) may be forced as a cross-check."""
+    """The replay core: "auto" is "segment" (click to click) for every
+    model; "step" (bin by bin) may be forced as a cross-check."""
     if engine not in ("auto", "segment", "step"):
         raise CmsenseError(f"engine {engine!r} is not available (auto, segment, step)")
     return "segment" if engine == "auto" else engine
@@ -277,32 +277,35 @@ def _resolve_engine(engine):
 
 def _chunks(n, n_steps):
     """Spans of trajectory indices: all n records, split so that a chunk
-    holds at most _CHUNK_BINS record-bins (the step core holds a bool
-    per record-bin) but at least _CHUNK records."""
+    holds at most _CHUNK_BINS record-bins (the step core's replay holds a
+    bool per record-bin, and thinning makes nb ceil(n_steps nb / _U_FLOATS)
+    draw calls for a chunk of nb records) but at least _CHUNK records."""
     size = max(_CHUNK, _CHUNK_BINS // max(n_steps, 1))
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _run_records(ops, kind, n_records, seed, given=None, tangent=None):
-    """Sample (``given`` None) or replay the records ``given`` chunk by
-    chunk, under the list ``ops`` of per-θ StepOps (one for sampling, for
-    the step core and for scores); returns (list of click-index arrays,
-    logL (Θ, n_records), thinning candidates of the segment core's
-    sampling).  With the ``tangent`` maps (da0, da1) of the one θ, the
+    """Draw (``given`` None) or take the records ``given`` chunk by chunk,
+    under the list ``ops`` of per-θ StepOps (one for sampling, for the
+    step core and for scores), and replay them on the ``kind`` core;
+    returns (list of click-index arrays, logL (Θ, n_records), thinning
+    candidates).  With the ``tangent`` maps (da0, da1) of the one θ, the
     segment core scores the records instead: d logL/dθ (1, n_records).
-    The segment core's tables are built once for every chunk."""
-    seg = _engine._Segments(ops, tangent) if kind == "segment" else None
+    The segment tables, which thinning draws with, are built once for
+    every chunk."""
+    sampling = given is None
+    seg = _engine._Segments(ops, tangent) if sampling or kind == "segment" else None
     hits, logl, cands = [], [], 0
     for a, b in _chunks(n_records, ops[0].n_steps):
-        idx = np.arange(a, b)
-        sub = None if given is None else given[a:b]
-        if kind == "segment":
-            h, ll, c = _engine.run_segments(seg, ops[0], idx, seed, sub)
+        if sampling:
+            h, c = _engine._thin(seg, ops[0], np.arange(a, b), seed)
+            cands += c
         else:
-            (h, ll), c = _engine.run_steps(ops[0], idx, seed, sub), 0
+            h = given[a:b]
+        ll = (_engine._replay_segments(seg, h, ops[0].n_steps) if kind == "segment"
+              else _engine.run_steps(ops[0], h))
         hits += h
         logl.append(np.reshape(ll, (len(ops), -1)))
-        cands += c
     return hits, np.concatenate(logl, axis=1), cands
 
 
@@ -319,8 +322,11 @@ def _check_click_indices(indices, n_steps):
 
 def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
                    engine="auto", max_step=0.05):
-    """Sample n_traj records; returns (list of click-index arrays, logL, engine kind).
-    ``threads`` is accepted for existing callers and has no effect."""
+    """Sample n_traj records by thinning; returns (list of click-index
+    arrays, logL, engine kind).  ``engine`` picks the core that replays
+    the drawn records to their logL: "auto" and "segment" the segment
+    core, "step" the per-bin step core.  ``threads`` is accepted for
+    existing callers and has no effect."""
     kind = _resolve_engine(engine)
     indices, logl, _ = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
                                     n_traj, seed)
@@ -382,9 +388,10 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
                              seed: int = 0, max_step: float = 0.05) -> FisherEstimate:
     """Estimate the Fisher information of the record at theta.
 
-    Samples records at theta on the segment core and replays each once
-    with its tangent under the branch maps at theta and their derivative
-    (``_tangent``), which gives the exact score d logL/dθ of the record.
+    Draws records at theta by thinning and replays each once on the
+    segment core with its tangent under the branch maps at theta and
+    their derivative (``_tangent``), which gives the exact score
+    d logL/dθ of the record.
     """
     t0 = perf_counter()
     ops = step_matrices(gen, theta, grid, max_step)

@@ -72,7 +72,6 @@ class DecoderModel:
     jd: np.ndarray
     initial_state_d: np.ndarray
     grid: Optional[TimeGrid] = None
-    w0: Optional[np.ndarray] = None
     purified_joint: Optional[np.ndarray] = None
     herm_residual: float = 0.0
 
@@ -157,7 +156,6 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
         hd=hd, jd=jd,
         initial_state_d=w0.conj().T @ model.initial_state,
         grid=grid,
-        w0=w0,
         purified_joint=w0.ravel() / np.sqrt(D),
         herm_residual=herm_res,
     )
@@ -223,7 +221,6 @@ def stationary_decoder(model: SensorModel, theta: float, w0=None,
     return DecoderModel(
         hd=hd_mat[None], jd=jd_mat[None],
         initial_state_d=w0.conj().T @ model.initial_state,
-        w0=w0,
         purified_joint=r.ravel() / np.linalg.norm(r.ravel()),
     )
 

@@ -275,7 +275,6 @@ def three_level_model(delta, omega, gamma, p1=None, p2=None, T_plateau=None):
         theta_ref=delta,
         time_dependent=True,
     )
-    model.pulses = (p1, p2)
     model.hamiltonian_batch = ham_batch
     return model
 

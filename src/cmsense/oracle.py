@@ -123,7 +123,8 @@ def uhlmann_fidelity(rho1, rho2):
 
 @dataclass(eq=False)
 class CountingDistribution:
-    """Exhaustive record probabilities, keyed by the record integer.
+    """Exhaustive record probabilities, keyed by the record integer, whose
+    bit n is a click in bin n.
 
     ``probs[r]`` is normalized; ``raw_defect`` is (raw sum) - 1, the
     accumulated per-bin completeness defect.
@@ -132,10 +133,6 @@ class CountingDistribution:
     n_bins: int
     probs: np.ndarray
     raw_defect: float
-
-    def record_bits(self, record):
-        return np.array([(record >> n) & 1 for n in range(self.n_bins)],
-                        dtype=np.uint8)
 
 
 def brute_counting_distribution(model: SensorModel, theta: float, n_bins: int,

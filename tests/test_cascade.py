@@ -84,16 +84,15 @@ def test_vacuum_probability_defect_linear_in_dt(emitter, dt):
     assert abs(1.0 - p) == pytest.approx(0.184 * dt, rel=0.12)
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "segment", "segment_density"])
+@pytest.mark.parametrize("case", ["segment", "segment_density"])
 def test_replay_reproduces_sampled_loglikelihood(emitter, clicky_pair, case):
     grid = TimeGrid(0.0, 10.0, 2e-3)
     gen = clicky_pair
     if case.endswith("density"):
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
                                  imperfections=Imperfections(gamma=0.1, eta=0.65))
-    engine = "segment" if case.startswith("segment") else "step"
-    idx, ll, kind = sample_records(gen, 0.0, grid, 32, seed=3, engine=engine)
-    assert kind == engine
+    idx, ll, kind = sample_records(gen, 0.0, grid, 32, seed=3, engine="segment")
+    assert kind == "segment"
     ll2 = replay_records(gen, 0.0, idx, grid, engine_kind=kind)
     assert np.abs(ll - ll2).max() == 0.0
 
@@ -143,12 +142,43 @@ def _record_hash(indices):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "mismatch-4", "mismatch+4",
-                                  "three_level", "three_level+decoder"])
-def test_segment_core_reproduces_step_core(emitter, case):
-    # thinning reads the step core's uniforms and draws the same records;
-    # replays agree to round-off; the matched point scores exactly zero
-    grid, n, theta = TimeGrid(0.0, 5.0, 2e-3), 128, 0.0
+def _reference_records(ops, indices, seed):
+    """The per-bin sampler: the records of trajectory ``indices`` drawn bin
+    by bin under the branch maps of ``ops``, one uniform per bin from each
+    record's Philox(seed, index) stream and a click where it lies below
+    p1 = weight(x a1).  Returns (list of click-index arrays, logL (B,))."""
+    n, nb = ops.n_steps, len(indices)
+    weight, root = ops.weight, ops.root
+    a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (ops.a0, ops.a1))
+    hits = np.zeros((n, nb), dtype=bool)
+    gens = [np.random.Generator(np.random.Philox(key=[seed, int(i)])) for i in indices]
+    block = max(1, _engine._U_FLOATS // max(nb, 1))
+    x = np.tile(ops.x0, (nb, 1)).astype(complex)
+    logl = np.zeros(nb)
+    for k in range(n):
+        if k % block == 0:
+            ut = np.empty((nb, min(block, n - k)))
+            for g, row in zip(gens, ut):
+                g.random(out=row)
+            u = ut.T
+        cs = x @ a1t[k]
+        b1 = weight(cs)
+        _engine._check_p1(float(b1.max(initial=0.0)), k, ops.dt)
+        np.less(u[k % block], b1, out=hits[k])
+        out = x @ a0t[k]
+        sel = np.flatnonzero(hits[k])
+        out[sel] = cs[sel]  # a drawn click has weight p1 > u >= 0
+        w = weight(out)
+        out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
+        x = out
+        logl += np.log(w)
+    rec, k = np.nonzero(hits.T)
+    return np.split(k, np.cumsum(np.bincount(rec, minlength=nb))[:-1]), logl
+
+
+def _sampling_case(emitter, case):
+    """(cascade, theta, grid) of a sampling cross-check case, where records click."""
+    grid, theta = TimeGrid(0.0, 5.0, 2e-3), 0.0
     if case == "pure":
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0))
     elif case == "density":
@@ -165,15 +195,26 @@ def test_segment_core_reproduces_step_core(emitter, case):
         assert gen.time_dependent
     else:
         gen = cascade_generators(emitter, two_level_decoder(1.0, float(case[8:]), 1.0))
+    return gen, theta, grid
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "mismatch-4", "mismatch+4",
+                                  "three_level", "three_level+decoder"])
+def test_segment_core_reproduces_step_core(emitter, case):
+    # thinning reads the per-bin sampler's uniforms and draws the same
+    # records; replays agree to round-off; the matched point scores exactly zero
+    gen, theta, grid = _sampling_case(emitter, case)
+    n = 128
+    ref = _reference_records(step_matrices(gen, theta, grid), np.arange(n), 8)
     step = sample_records(gen, theta, grid, n, seed=8, engine="step")
     seg = sample_records(gen, theta, grid, n, seed=8)
-    assert seg[2] == "segment" and sum(len(h) for h in step[0]) > n // 2
-    assert _record_hash(seg[0]) == _record_hash(step[0])
+    assert seg[2] == "segment" and sum(len(h) for h in ref[0]) > n // 2
+    assert _record_hash(seg[0]) == _record_hash(ref[0]) == _record_hash(step[0])
     thetas = theta + np.array([1e-3, -1e-3])
-    ls = replay_records(gen, thetas, step[0], grid, engine_kind="step")
-    lg = replay_records(gen, thetas, step[0], grid, engine_kind="segment")
+    ls = replay_records(gen, thetas, ref[0], grid, engine_kind="step")
+    lg = replay_records(gen, thetas, ref[0], grid, engine_kind="segment")
     assert np.all(np.abs(ls - lg) <= 1e-11 * np.maximum(1.0, np.abs(ls)))
-    assert np.all(np.abs(step[1] - seg[1]) <= 1e-11 * np.maximum(1.0, np.abs(step[1])))
+    assert np.all(np.abs(ref[1] - seg[1]) <= 1e-11 * np.maximum(1.0, np.abs(ref[1])))
     if case == "three_level":
         # the +-theta tables are complex conjugates, so every score is 0.0
         # (the symmetry gate 5 asserts)
@@ -182,8 +223,20 @@ def test_segment_core_reproduces_step_core(emitter, case):
         # the matched decoder at theta = 0 on the same records: the
         # +-theta tables are complex conjugates, so every score is 0.0
         matched = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0))
-        lp, lm = replay_records(matched, thetas, step[0], grid)
+        lp, lm = replay_records(matched, thetas, ref[0], grid)
         assert np.array_equal(lp, lm)
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "three_level+decoder"])
+def test_step_engine_sampling_matches_per_bin_reference(emitter, case):
+    # records drawn by thinning and replayed bin by bin are the per-bin
+    # sampler's, records and logL, to the bit
+    gen, theta, grid = _sampling_case(emitter, case)
+    idx, ll = _reference_records(step_matrices(gen, theta, grid), np.arange(64), 5)
+    step = sample_records(gen, theta, grid, 64, seed=5, engine="step")
+    assert step[2] == "step" and sum(len(h) for h in idx) > 0
+    assert _record_hash(step[0]) == _record_hash(idx)
+    assert step[1].tobytes() == ll.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 37, 64, 1000])
@@ -215,16 +268,23 @@ def test_aligned_blocks_match_per_bin_product(n):
 
 def test_click_overflow_guard_names_the_same_bin(clicky_pair):
     # with max_step widened and dt = 0.2 the bound |M1|^2 = 0.4 exceeds the
-    # guard, so every bin is a thinning candidate and the segment core
-    # stops at the step core's bin
+    # guard, so every bin is a thinning candidate and thinning stops at
+    # the per-bin sampler's bin
     grid = TimeGrid(0.0, 4.0, 0.2)
+    _assert_same_overflow(clicky_pair, grid, 1, r"at bin \d+")
+
+
+def _assert_same_overflow(gen, grid, seed, match):
+    """sample_records raises the per-bin sampler's overflow message."""
     messages = []
+    with pytest.raises(ClickProbabilityOverflow, match=match) as err:
+        _reference_records(step_matrices(gen, 0.0, grid, 10.0), np.arange(64), seed)
+    messages.append(str(err.value))
     for engine in ("step", "segment"):
-        with pytest.raises(ClickProbabilityOverflow, match=r"at bin \d+") as err:
-            sample_records(clicky_pair, 0.0, grid, 64, seed=1, engine=engine,
-                           max_step=10.0)
+        with pytest.raises(ClickProbabilityOverflow, match=match) as err:
+            sample_records(gen, 0.0, grid, 64, seed=seed, engine=engine, max_step=10.0)
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_click_overflow_guard_names_the_same_bin_time_dependent():
@@ -237,13 +297,8 @@ def test_click_overflow_guard_names_the_same_bin_time_dependent():
     sensor = SensorModel(dim=2, hamiltonian=lambda t, th: sx + th * np.diag([1.0, 0.0]),
                          jump=lambda t, th: np.sqrt(0.5 + 0.6 * (t >= 2.0)) * sm,
                          initial_state=np.array([0.0, 1.0]), time_dependent=True)
-    gen, grid = cascade_generators(sensor), TimeGrid(0.0, 4.0, 0.1)
-    messages = []
-    for engine in ("step", "segment"):
-        with pytest.raises(ClickProbabilityOverflow, match=r"at bin 22 ") as err:
-            sample_records(gen, 0.0, grid, 64, seed=2, engine=engine, max_step=10.0)
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    _assert_same_overflow(cascade_generators(sensor), TimeGrid(0.0, 4.0, 0.1), 2,
+                          r"at bin 22 ")
 
 
 def test_unknown_engine_is_rejected(clicky_pair):
@@ -359,6 +414,12 @@ def test_trajectory_fisher_matches_exact_distribution_fisher():
     assert fi.value == pytest.approx(fi_exact, abs=3.5 * fi.std_error)
 
 
+def _all_records(n_bins):
+    """Every record over n_bins as click-index arrays, in the oracle's
+    order: bit n of the record integer is a click in bin n."""
+    return [np.flatnonzero((r >> np.arange(n_bins)) & 1) for r in range(2 ** n_bins)]
+
+
 @pytest.mark.parametrize("engine", ["step", "segment"])
 @pytest.mark.parametrize("theta", [0.0, 0.7])
 @pytest.mark.parametrize("decoded", [False, True], ids=["emitter", "decoder"])
@@ -370,7 +431,7 @@ def test_replay_matches_exhaustive_distribution_exactly(emitter, decoded, theta,
     gen = cascade_generators(emitter, dec)
     n_bins, dt = 8, 0.1
     dist = brute_counting_distribution(emitter, theta, n_bins, dt, dec=dec)
-    records = [np.flatnonzero(dist.record_bits(r)) for r in range(2 ** n_bins)]
+    records = _all_records(n_bins)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         logl = replay_records(gen, theta, records, TimeGrid(0.0, n_bins * dt, dt),
@@ -383,11 +444,15 @@ def test_replay_matches_exhaustive_distribution_exactly(emitter, decoded, theta,
 
 
 def test_density_engine_agrees_with_pure_at_unit_efficiency(emitter):
+    # a density initial state puts the lossless, unit-efficiency model on
+    # superoperators (trivial imperfections alone keep it on Kraus pairs)
     dec = two_level_decoder(1.0, 1.0, 1.0)
     gen_pure = cascade_generators(emitter, dec)
-    gen_dens = cascade_generators(emitter, dec,
-                                  imperfections=Imperfections(gamma=0.0, eta=1.0))
+    psi = gen_pure.initial_state
+    gen_dens = cascade_generators(emitter, dec, imperfections=Imperfections(gamma=0.0, eta=1.0),
+                                  init=np.outer(psi, psi.conj()))
     grid = TimeGrid(0.0, 6.0, 2e-3)
+    assert step_matrices(gen_dens, 0.0, grid).pure is False
     idx, _, _ = sample_records(gen_pure, 0.0, grid, 16, seed=13)
     ll_p = replay_records(gen_pure, 0.0, idx, grid)
     ll_d = replay_records(gen_dens, 0.0, idx, grid)
@@ -569,7 +634,7 @@ def test_scores_match_exhaustive_distribution(emitter, decoded, density):
     for th in (theta - h, theta, theta + h):
         dist = brute_counting_distribution(emitter, th, n_bins, dt, dec=dec)
         raw[th] = dist.probs * (1.0 + dist.raw_defect)
-    records = [np.flatnonzero(dist.record_bits(r)) for r in range(2 ** n_bins)]
+    records = _all_records(n_bins)
     ops = step_matrices(gen, theta, grid, max_step=1.0)
     assert ops.pure is not density
     tangent = cascade._tangent(gen, theta, grid, ops, 1e-3, 1.0)
