@@ -20,8 +20,9 @@ vectorized densities (loss, dephasing, finite efficiency).
   (Θ, records, D).  Given the θ-derivatives of the maps, replay also
   carries each record's tangent dx through the block-triangular maps
   [[A, 0], [dA, A]] (levels and their derivatives built alike) and
-  returns the exact score d logL/dθ.  Thinning advances the state over
-  the same blocks from one candidate bin to the next,
+  returns the exact score d logL/dθ.  Thinning advances a copy of each
+  record's state after its last click over the same blocks to a batch of
+  its candidate bins at once,
 * step core (``run_steps``): a batch of records replayed bin by bin, the
   cross-check of the segment core.
 
@@ -39,9 +40,10 @@ import numpy as np
 
 from .errors import ClickProbabilityOverflow
 
-_U_FLOATS = 1 << 20  # uniforms drawn ahead per batch of records
+_PIECE = 1 << 14  # raw draws per Philox call of thinning
+_PAIR_ROWS = 2048  # candidate evaluations per thinning round
+_PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
 _P1_MAX = 0.1
-_LOW_BITS = 8  # a sampling gap below 2^_LOW_BITS bins is one table lookup
 _ABS_CHUNK = 256  # level blocks per np.abs temporary
 # a score below this many eps_mach times its tangent's norm is round-off
 _SCORE_ROUNDOFF = 1e3
@@ -126,12 +128,12 @@ def run_steps(ops, click_indices):
 
 
 def _padded(rows, fill):
-    """Ragged 1-D arrays as the rows of one array padded with ``fill``,
-    and their lengths."""
+    """Ragged 1-D arrays as the rows of one array padded with ``fill``
+    (at least one ``fill`` per row), and their lengths."""
     counts = np.array([len(a) for a in rows], dtype=np.int64)
-    out = np.full((len(rows), counts.max(initial=0)), fill)
-    for r, a in enumerate(rows):
-        out[r, :len(a)] = a
+    out = np.full((len(rows), counts.max(initial=0) + 1), fill)
+    out[np.arange(out.shape[1]) < counts[:, None]] = np.concatenate([np.empty(0, out.dtype),
+                                                                     *rows])
     return out, counts
 
 
@@ -237,9 +239,11 @@ class _Segments:
             if dx is not None:
                 dy[dead] = dx[:, sel][dead]
         r = self.root(w)[..., None]
-        x[:, sel] = y / r
+        y /= r
+        x[:, sel] = y
         if dx is not None:
-            dx[:, sel] = dy / r
+            dy /= r
+            dx[:, sel] = dy
         if logl is not None:
             ll = np.log(w)
             if scales is not None:
@@ -248,17 +252,17 @@ class _Segments:
                 ll[dead] = -np.inf
             logl[:, sel] += ll
 
-    def no_clicks(self, x, rows, pos, stop, logl=None, first=0, dx=None):
+    def no_clicks(self, x, rows, pos, stop, logl=None, dx=None):
         """Advance rows ``rows`` (and their tangent ``dx``) over their
         no-click bins [pos, stop).  Static maps: each row whose gap has bit
-        i >= ``first`` set takes power i.  Per-bin maps: aligned blocks,
+        i set takes power i.  Per-bin maps: aligned blocks,
         first up the levels (level i where bit i of pos is set and the
         block fits), then down (level i where it fits), at most 2 log2 n
         products."""
         gaps = stop - pos
         top = int(gaps.max(initial=0)).bit_length()
         if self.static:
-            for i in range(first, top):
+            for i in range(top):
                 self.apply(x, rows[(gaps >> i) & 1 == 1], self.levels[i], None, logl, dx=dx)
             return
         pos = pos.copy()
@@ -292,7 +296,8 @@ def _replay_segments(seg, click_indices, n):
     """logL (Θ, B) of the given records, or their scores d logL/dθ (1, B)
     when ``seg`` holds tangent maps: per click ordinal, the no-click run
     up to the click (or to the end), then the click map."""
-    ends, counts = _padded([np.append(h, n) for h in click_indices], n)
+    ends, counts = _padded(click_indices, n)
+    counts += 1  # the run after the last click ends at n
     starts = np.concatenate([np.zeros((len(ends), 1), dtype=ends.dtype), ends[:, :-1] + 1],
                             axis=1)
     x = seg.initial(len(ends))
@@ -306,16 +311,65 @@ def _replay_segments(seg, click_indices, n):
     return seg.scores(x, dx) if seg.scoring else logl
 
 
+def _candidates(top, indices, seed):
+    """Each record's candidate bins (raw draw <= ``top``) and their
+    uniforms, flat in record order as record * n + bin, with the records'
+    candidate counts.  Record ``index`` draws from Philox(key=[seed,
+    index]) at counter 0, one Philox re-keyed through its state (cheaper
+    than a new one), in pieces of at most _PIECE values: whole records at
+    once when one fits, else one record in pieces."""
+    n, nb = len(top), len(indices)
+    if n == 0:  # an empty grid draws nothing
+        return np.empty(0, np.int64), np.empty(0), np.zeros(nb, np.int64)
+    per = max(1, _PIECE // n)  # whole records per piece
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # counter 0, empty buffer: only the key changes
+
+    def stream(i):
+        state["state"]["key"] = np.array([seed, i], np.uint64)
+        bitgen.state = state
+        return bitgen
+
+    def pieces():  # (flat offset, raw draws)
+        if per > 1:
+            for a in range(0, nb, per):
+                yield a * n, np.concatenate([stream(i).random_raw(n)
+                                             for i in indices[a:a + per]])
+            return
+        for r, i in enumerate(indices):
+            stream(i)
+            for k0 in range(0, n, _PIECE):
+                yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
+
+    # 4-byte positions where they fit: a chunk holds many candidates
+    dtype = np.int32 if nb * n < 2 ** 31 else np.int64
+    flat, us = [np.empty(0, dtype)], [np.empty(0)]
+    for f0, raw in pieces():
+        k = f0 % n
+        tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
+        f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
+        flat.append((f + f0).astype(dtype))
+        us.append((raw[f] >> np.uint64(11)) * 2.0 ** -53)
+    flat = np.concatenate(flat)
+    starts = np.searchsorted(flat, (np.arange(nb + 1) * n).astype(dtype))  # same dtype: no copy
+    return flat, np.concatenate(us), np.diff(starts)
+
+
 def _thin(seg, ops, indices, seed):
     """Draw the records of trajectory ``indices`` under the tables ``seg``
     of the one θ whose StepOps are ``ops``.  A record clicks at bin k iff
     its k-th uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the
-    bins whose uniform lies below that bound are candidates: the state is
-    advanced to each one and p1 evaluated there.  The bound is |a1_k|^2 of
-    a Kraus click map, or |a1_k| of the superoperator eta dt J (x) conj(J).
-    A bound above _P1_MAX makes its bin a candidate for every record, so
-    the guard names the first bin, in time order, where some record
-    overflows.  Returns (list of click-index arrays, number of candidates)."""
+    bins whose uniform lies below that bound are candidates.  The bound is
+    |a1_k|^2 of a Kraus click map, or |a1_k| of the superoperator
+    eta dt J (x) conj(J).  A record's state changes only at a click, so
+    candidates are decided in rounds: each round takes the next w
+    undecided candidates of every live record (w * records <= the pair
+    budget), advances a copy of each record's state after its last click
+    to all of them at once, and keeps the first with u < p1; the
+    evaluations past it are void.  A bound above _P1_MAX makes its bin a
+    candidate for every record, so the guard, over valid evaluations,
+    names the first bin in time order where some record overflows.
+    Returns (list of click-index arrays, number of candidates)."""
     n, nb = ops.n_steps, len(indices)
     # one static map takes the exact spectral norm; a per-bin stack takes
     # the Frobenius norm, which bounds it from above at a fraction of the
@@ -332,49 +386,52 @@ def _thin(seg, ops, indices, seed):
     # iff raw <= top, compared before any conversion
     lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim - np.uint64(1)))
-    gens = [np.random.Philox(key=[seed, int(i)]) for i in indices]
-    block = max(1, min(n, _U_FLOATS // max(nb, 1)))
-    if seg.static:
-        # a gap's low bits in one gathered product: a0t^g for g < 2^_LOW_BITS
-        low = np.eye(len(seg.a1t[0, 0]), dtype=complex)[None]
-        for p, _, _ in seg.levels[:_LOW_BITS]:
-            low = np.concatenate([low, low @ p[0, 0]])
-    x = seg.initial(nb)
-    pos = np.zeros(nb, dtype=np.int64)  # first bin not yet applied
-    hits, n_cand = [[] for _ in range(nb)], 0
-    for k0 in range(0, n, block):
-        # each record's candidate bins in the block and their uniforms
-        cols, us = [], []
-        tk = top[k0:k0 + block]
-        for g in gens:
-            raw = g.random_raw(len(tk))
-            cols.append(np.flatnonzero(raw <= tk))
-            us.append((raw[cols[-1]] >> np.uint64(11)) * 2.0 ** -53)
-        (cols, counts), u = _padded(cols, 0), _padded(us, 0.0)[0]
-        n_cand += int(counts.sum())
-        over = []  # (bin, p1) of each evaluation above the guard
-        for j in range(cols.shape[1]):
-            r = np.flatnonzero(counts > j)
-            k = k0 + cols[r, j]
-            if over and k.min() > min(over)[0]:
-                break  # every row is past the first overflow bin
-            if seg.static:
-                gaps = k - pos[r]
-                y = np.einsum("rd,rde->re", x[0, r], low[gaps & (len(low) - 1)])
-                x[0, r] = y / seg.root(seg.weight(y))[:, None]
-                seg.no_clicks(x, r, pos[r], k, first=_LOW_BITS)
-            else:
-                seg.no_clicks(x, r, pos[r], k)
-            cs = seg.times(x, r, seg.a1t, k)[0]
-            p1 = seg.weight(cs)
-            big = p1 > _P1_MAX
-            over += zip(k[big].tolist(), p1[big].tolist())
-            hit = u[r, j] < p1
-            x[0, r[hit]] = cs[hit] / seg.root(p1[hit])[:, None]
-            pos[r] = k + hit
-            for i, kk in zip(r[hit], k[hit]):
-                hits[i].append(kk)
-        if over:
-            kb = min(over)[0]
-            _check_p1(max(q for kk, q in over if kk == kb), kb, ops.dt)
-    return [np.array(h, dtype=np.int64) for h in hits], n_cand
+    flat, u, counts = _candidates(top, indices, seed)
+    # per-bin maps are gathered per pair: bound the gathered entries too
+    d2 = seg.a1t.shape[-1] ** 2
+    budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))
+    x = seg.initial(nb)  # each record's state after its last click
+    pos = np.zeros(nb, dtype=np.int64)  # the bin after its last click
+    ends = np.cumsum(counts)
+    nxt = ends - counts  # its next undecided candidate
+    hit_rec, hit_bin, over_bin, over_p1 = [], [], [], []
+    kb = n  # the first bin where a valid evaluation overflowed (n: none yet)
+    while True:
+        live = np.flatnonzero(nxt < ends)
+        if not len(live):
+            break
+        c = np.minimum(max(1, budget // len(live)), ends[live] - nxt[live])
+        first = np.cumsum(c) - c  # each live record's first pair
+        rec = np.repeat(live, c)
+        ci = nxt[rec] + np.arange(len(rec)) - np.repeat(first, c)
+        k = flat[ci] - rec * n
+        xp, rows = x[:, rec], np.arange(len(rec))
+        seg.no_clicks(xp, rows, pos[rec], k)
+        cs = seg.times(xp, rows, seg.a1t, k)[0]
+        p1 = seg.weight(cs)
+        hit = u[ci] < p1
+        # a pair is valid until its record's first hit in the round
+        before = np.cumsum(hit) - hit
+        valid = before == np.repeat(before[first], c)
+        big = valid & (p1 > _P1_MAX)
+        if big.any():
+            over_bin.append(k[big])
+            over_p1.append(p1[big])
+            # later rounds look only at candidates up to the first overflow
+            kb = min(kb, int(k[big].min()))
+            last = (np.arange(nb) * n + kb).astype(flat.dtype)
+            ends = np.minimum(ends, np.searchsorted(flat, last, "right"))
+        nxt[live] += np.add.reduceat(valid, first)
+        h = np.flatnonzero(hit & valid)
+        r = rec[h]
+        x[:, r] = cs[h] / seg.root(p1[h])[:, None]
+        pos[r] = k[h] + 1
+        hit_rec.append(r)
+        hit_bin.append(k[h])
+    if over_bin:
+        ob, op = np.concatenate(over_bin), np.concatenate(over_p1)
+        _check_p1(op[ob == kb].max(), kb, ops.dt)
+    rec = np.concatenate([np.empty(0, np.int64)] + hit_rec)
+    order = np.argsort(rec, kind="stable")
+    bins = np.concatenate([np.empty(0, np.int64)] + hit_bin)[order]
+    return np.split(bins, np.cumsum(np.bincount(rec, minlength=nb))[:-1]), len(flat)

@@ -278,13 +278,21 @@ def _resolve_engine(engine):
 def _chunks(n, n_steps):
     """Spans of trajectory indices: all n records, split so that a chunk
     holds at most _CHUNK_BINS record-bins (the step core's replay holds a
-    bool per record-bin, and thinning makes nb ceil(n_steps nb / _U_FLOATS)
-    draw calls for a chunk of nb records) but at least _CHUNK records."""
+    bool per record-bin) but at least _CHUNK records."""
     size = max(_CHUNK, _CHUNK_BINS // max(n_steps, 1))
     return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _run_records(ops, kind, n_records, seed, given=None, tangent=None):
+def _lap(clock, key, t0):
+    """Add the seconds since ``t0`` to ``clock[key]`` when a clock is
+    given; returns the time now."""
+    t = perf_counter()
+    if clock is not None:
+        clock[key] = clock.get(key, 0.0) + t - t0
+    return t
+
+
+def _run_records(ops, kind, n_records, seed, given=None, tangent=None, clock=None):
     """Draw (``given`` None) or take the records ``given`` chunk by chunk,
     under the list ``ops`` of per-θ StepOps (one for sampling, for the
     step core and for scores), and replay them on the ``kind`` core;
@@ -292,18 +300,23 @@ def _run_records(ops, kind, n_records, seed, given=None, tangent=None):
     candidates).  With the ``tangent`` maps (da0, da1) of the one θ, the
     segment core scores the records instead: d logL/dθ (1, n_records).
     The segment tables, which thinning draws with, are built once for
-    every chunk."""
+    every chunk.  A ``clock`` dict accumulates the seconds of the table
+    build ("table_s"), of thinning ("sample_s") and of replay ("score_s")."""
     sampling = given is None
+    t = perf_counter()
     seg = _engine._Segments(ops, tangent) if sampling or kind == "segment" else None
+    t = _lap(clock, "table_s", t)
     hits, logl, cands = [], [], 0
     for a, b in _chunks(n_records, ops[0].n_steps):
         if sampling:
             h, c = _engine._thin(seg, ops[0], np.arange(a, b), seed)
             cands += c
+            t = _lap(clock, "sample_s", t)
         else:
             h = given[a:b]
         ll = (_engine._replay_segments(seg, h, ops[0].n_steps) if kind == "segment"
               else _engine.run_steps(ops[0], h))
+        t = _lap(clock, "score_s", t)
         hits += h
         logl.append(np.reshape(ll, (len(ops), -1)))
     return hits, np.concatenate(logl, axis=1), cands
@@ -365,7 +378,10 @@ class FisherEstimate:
     theta_step is the step of the sensor-operator difference;
     null_point is set when every score is exactly zero; n_steps, chunks
     (record chunks), seconds (wall time) and candidates (mean thinning
-    candidates per record) the cost.
+    candidates per record) the cost, and table_s (branch maps, their
+    derivative and the no-click levels), sample_s (thinning) and score_s
+    (the tangent replay) the seconds of its stages, which sum to at most
+    ``seconds``.
     """
 
     value: float
@@ -381,6 +397,9 @@ class FisherEstimate:
     chunks: int
     seconds: float
     candidates: float
+    table_s: float
+    sample_s: float
+    score_s: float
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -395,9 +414,10 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     """
     t0 = perf_counter()
     ops = step_matrices(gen, theta, grid, max_step)
-    indices, scores, cands = _run_records(
-        [ops], "segment", n_traj, seed,
-        tangent=_tangent(gen, theta, grid, ops, theta_step, max_step))
+    tangent = _tangent(gen, theta, grid, ops, theta_step, max_step)
+    clock = {"table_s": perf_counter() - t0, "sample_s": 0.0, "score_s": 0.0}
+    indices, scores, cands = _run_records([ops], "segment", n_traj, seed, tangent=tangent,
+                                          clock=clock)
     scores = scores[0]
     sq = scores ** 2
     se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
@@ -407,7 +427,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
         chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
-        candidates=cands / n_traj,
+        candidates=cands / n_traj, **clock,
     )
 
 

@@ -98,7 +98,8 @@ def _report_fisher(report, label, fi):
         "label": label, "n_traj": fi.n_traj, "mean_clicks": fi.mean_clicks,
         "mean_score": fi.mean_score, "mean_score_se": fi.mean_score_se,
         "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
-        "candidates": fi.candidates,
+        "candidates": fi.candidates, "table_s": fi.table_s, "sample_s": fi.sample_s,
+        "score_s": fi.score_s,
     })
     if fi.null_point:
         report.setdefault("warnings", []).append(

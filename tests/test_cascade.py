@@ -152,7 +152,7 @@ def _reference_records(ops, indices, seed):
     a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (ops.a0, ops.a1))
     hits = np.zeros((n, nb), dtype=bool)
     gens = [np.random.Generator(np.random.Philox(key=[seed, int(i)])) for i in indices]
-    block = max(1, _engine._U_FLOATS // max(nb, 1))
+    block = max(1, (1 << 20) // max(nb, 1))  # bins of uniforms drawn ahead per stream
     x = np.tile(ops.x0, (nb, 1)).astype(complex)
     logl = np.zeros(nb)
     for k in range(n):
@@ -287,23 +287,81 @@ def _assert_same_overflow(gen, grid, seed, match):
     assert messages[0] == messages[1] == messages[2]
 
 
+def _stepped_decay():
+    """A sensor whose decay rate steps from 0.5 to 1.1 at t = 2."""
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return cascade_generators(SensorModel(
+        dim=2, hamiltonian=lambda t, th: sx + th * np.diag([1.0, 0.0]),
+        jump=lambda t, th: np.sqrt(0.5 + 0.6 * (t >= 2.0)) * sm,
+        initial_state=np.array([0.0, 1.0]), time_dependent=True))
+
+
 def test_click_overflow_guard_names_the_same_bin_time_dependent():
     # the decay rate steps from 0.5 to 1.1 at t = 2: bins 0-19 (bound
     # 0.05) are thinned, bins from 20 on (bound 0.11) are candidates for
     # every record.  Records reach a bin at different candidate ordinals,
     # and the first overflow (bin 22) is not the first one met by ordinal
-    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sensor = SensorModel(dim=2, hamiltonian=lambda t, th: sx + th * np.diag([1.0, 0.0]),
-                         jump=lambda t, th: np.sqrt(0.5 + 0.6 * (t >= 2.0)) * sm,
-                         initial_state=np.array([0.0, 1.0]), time_dependent=True)
-    _assert_same_overflow(cascade_generators(sensor), TimeGrid(0.0, 4.0, 0.1), 2,
-                          r"at bin 22 ")
+    _assert_same_overflow(_stepped_decay(), TimeGrid(0.0, 4.0, 0.1), 2, r"at bin 22 ")
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_click_overflow_guards_hold_in_small_rounds(clicky_pair, rows, monkeypatch):
+    # one or three candidate evaluations per thinning round: the guard
+    # still counts only valid evaluations and names the per-bin sampler's bin
+    monkeypatch.setattr(_engine, "_PAIR_ROWS", rows)
+    _assert_same_overflow(clicky_pair, TimeGrid(0.0, 4.0, 0.2), 1, r"at bin \d+")
+    _assert_same_overflow(_stepped_decay(), TimeGrid(0.0, 4.0, 0.1), 2, r"at bin 22 ")
+
+
+def test_thinning_evaluates_nothing_past_the_first_overflow(monkeypatch):
+    # a scalar model whose click probability is exactly 0.01 before bin 25
+    # and 0.5 from it on: every record overflows at bin 25.  With one
+    # evaluation per record and round, each evaluation is valid, so once a
+    # record has met bin 25 no round looks past it
+    n, kb = 40, 25
+    p = np.where(np.arange(n) < kb, 0.01, 0.5)
+    ops = _engine.StepOps(n, 0.1, np.sqrt(1.0 - p)[:, None, None] + 0j,
+                          np.sqrt(p)[:, None, None] + 0j, np.ones(1, dtype=complex), pure=True)
+    seen, times = [], _engine._Segments.times
+
+    def spy(self, x, sel, table, idx):
+        if table is self.a1t:
+            seen.append(int(np.max(idx)))
+        return times(self, x, sel, table, idx)
+
+    monkeypatch.setattr(_engine._Segments, "times", spy)
+    monkeypatch.setattr(_engine, "_PAIR_ROWS", 1)
+    with pytest.raises(ClickProbabilityOverflow, match=r"^click probability 0.5 > 0.1 at bin 25 "):
+        _engine._thin(_engine._Segments([ops]), ops, np.arange(16), 3)
+    assert max(seen) == kb
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "three_level+decoder"])
+@pytest.mark.parametrize("name, value", [("_PAIR_ROWS", 1), ("_PAIR_ROWS", 3), ("_PIECE", 7)],
+                         ids=["rounds_of_1", "rounds_of_3", "pieces_of_7"])
+def test_thinning_rounds_and_draw_pieces_match_per_bin_reference(emitter, case, name, value,
+                                                                 monkeypatch):
+    # one or three candidate evaluations per round (records decided a
+    # candidate or a few at a time), or streams drawn in pieces of 7
+    # values: shorter than the grid, and splitting Philox's buffer of 4
+    monkeypatch.setattr(_engine, name, value)
+    gen, theta, grid = _sampling_case(emitter, case)
+    ref = _reference_records(step_matrices(gen, theta, grid), np.arange(64), 5)[0]
+    assert sum(len(h) for h in ref) > 0
+    for engine in ("auto", "step"):
+        idx = sample_records(gen, theta, grid, 64, seed=5, engine=engine)[0]
+        assert _record_hash(idx) == _record_hash(ref)
 
 
 def test_unknown_engine_is_rejected(clicky_pair):
     with pytest.raises(CmsenseError, match=r"\(auto, segment, step\)"):
         sample_records(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 2e-3), 4, engine="eig")
+
+
+def test_empty_grid_samples_empty_records(clicky_pair):
+    idx, logl, _ = sample_records(clicky_pair, 0.0, TimeGrid(0.0, 0.0, 1e-3), 3, seed=1)
+    assert [len(h) for h in idx] == [0, 0, 0] and logl.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sampling_is_deterministic_per_stream(clicky_pair):
@@ -478,6 +536,9 @@ def test_fisher_estimate_bookkeeping(clicky_pair):
     assert abs(fi.mean_score) < 5.0 * fi.mean_score_se
     assert fi.mean_clicks > 0.5
     assert fi.n_steps == grid.n_steps and fi.chunks == 1 and fi.seconds > 0.0
+    # table build, thinning and tangent replay, inside the wall time
+    stages = (fi.table_s, fi.sample_s, fi.score_s)
+    assert min(stages) > 0.0 and sum(stages) <= fi.seconds
 
 
 def test_full_width_half_max_of_peak_and_dip():

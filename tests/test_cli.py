@@ -127,7 +127,11 @@ def test_provenance_reports_estimators_and_null_point():
     assert [e["label"] for e in est] == ["delta_mis=0.0", "delta_mis=4.0"]
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
-                          "mean_score_se", "n_steps", "chunks", "seconds", "candidates"}
+                          "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
+                          "table_s", "sample_s", "score_s"}
+        # the stage timers: table build, thinning, tangent replay
+        stages = (e["table_s"], e["sample_s"], e["score_s"])
+        assert min(stages) > 0.0 and sum(stages) <= e["seconds"]
         # every estimate samples on the click-to-click core, which reports
         # its thinning candidates (at least the clicks) per record
         assert e["n_traj"] == 16
