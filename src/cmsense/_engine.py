@@ -23,8 +23,9 @@ vectorized densities (loss, dephasing, finite efficiency).
   returns the exact score d logL/dθ.  Thinning advances a copy of each
   record's state after its last click over the same blocks to a batch of
   its candidate bins at once,
-* step core (``run_steps``): a batch of records replayed bin by bin, the
-  cross-check of the segment core.
+* step core (``run_steps``): the cross-check, a walk over the same tables
+  bin by bin through ``_Segments.apply``, the one state update of both
+  cores and of thinning; both cores replay a θ stack.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
@@ -97,33 +98,20 @@ def _times_rows(x, sel, a):
     return (rows @ a)[..., :len(sel), :]
 
 
-def run_steps(ops, click_indices):
-    """Replay the click-index arrays ``click_indices`` bin by bin through
-    the branch maps of ``ops``: logL (B,)."""
-    n, nb = ops.n_steps, len(click_indices)
-    weight, root = ops.weight, ops.root
-    a0t, a1t = (np.swapaxes(ops.per_bin(a), -1, -2) for a in (ops.a0, ops.a1))
-    hits = np.zeros((n, nb), dtype=bool)  # bin-major: one contiguous row per bin
+def run_steps(seg, click_indices, n):
+    """Replay the click-index arrays ``click_indices`` over ``n`` bins bin
+    by bin through the per-bin maps of the tables ``seg``: logL (Θ, B).
+    At bin k the records that click there take the click map, the others
+    the no-click map (level 0), each through ``_Segments.apply``."""
+    hits = np.zeros((n, len(click_indices)), dtype=bool)  # bin-major: one row per bin
     for r, h in enumerate(click_indices):
         hits[h, r] = True
-    x = np.tile(ops.x0, (nb, 1)).astype(complex)
-    logl = np.zeros(nb)
-    for k in range(n):
-        out = x @ a0t[k]
-        sel = np.flatnonzero(hits[k])
-        if len(sel):
-            out[sel] = _times_rows(x, sel, a1t[k])
-        w = weight(out)
-        if len(sel) and not w[sel].all():
-            # a click of weight zero: the record has probability zero, so
-            # logL is -inf and the row keeps its state (0/0 would be NaN)
-            dead = sel[w[sel] == 0.0]
-            out[dead], w[dead], logl[dead] = x[dead], 1.0, -np.inf
-        # in place out / root(w): numpy divides complex by real as a
-        # multiply by the reciprocal, so the bits are the same
-        out.view(np.float64)[...] *= (1.0 / root(w))[..., None]
-        x = out
-        logl += np.log(w)
+    x = seg.initial(len(click_indices))
+    logl = np.zeros(x.shape[:2])
+    no_click, click = (seg.levels[0][0], None, None), (seg.a1t, None, None)
+    for k, h in enumerate(hits):
+        seg.apply(x, np.flatnonzero(~h), no_click, k, logl)
+        seg.apply(x, np.flatnonzero(h), click, k, logl, True)
     return logl
 
 
@@ -210,9 +198,10 @@ class _Segments:
 
     def times(self, x, sel, table, idx):
         """Rows ``sel`` of the state (Θ, B, D) times entry ``idx[r]`` of a
-        per-bin ``table`` for each row r (its one entry when static)."""
-        if self.static:
-            return _times_rows(x, sel, table[:, 0])
+        per-bin ``table`` for each row r, or entry ``idx`` for every row
+        when it is one bin index, by gemm (its one entry when static)."""
+        if self.static or np.ndim(idx) == 0:
+            return _times_rows(x, sel, table[:, 0 if self.static else idx])
         return np.einsum("tsd,tsde->tse", x[:, sel], table[:, idx])
 
     def apply(self, x, sel, level, idx, logl=None, click=False, dx=None):
@@ -383,9 +372,11 @@ def _thin(seg, ops, indices, seed):
         bound = np.einsum("ki,ki->k", v, v) ** (deg / 2.0)
     bound *= 1.0 + 1e-9
     # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
-    # iff raw <= top, compared before any conversion
+    # iff raw <= top, compared before any conversion; a bound of 0 leaves
+    # top 0 (only raw 0, u = 0, which never clicks), not a wrap to 2^64 - 1
     lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
-    top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim - np.uint64(1)))
+    lim = np.maximum(lim, np.uint64(1)) - np.uint64(1)
+    top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
     flat, u, counts = _candidates(top, indices, seed)
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2

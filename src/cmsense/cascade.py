@@ -294,31 +294,30 @@ def _lap(clock, key, t0):
 
 def _run_records(ops, kind, n_records, seed, given=None, tangent=None, clock=None):
     """Draw (``given`` None) or take the records ``given`` chunk by chunk,
-    under the list ``ops`` of per-θ StepOps (one for sampling, for the
-    step core and for scores), and replay them on the ``kind`` core;
-    returns (list of click-index arrays, logL (Θ, n_records), thinning
-    candidates).  With the ``tangent`` maps (da0, da1) of the one θ, the
-    segment core scores the records instead: d logL/dθ (1, n_records).
-    The segment tables, which thinning draws with, are built once for
-    every chunk.  A ``clock`` dict accumulates the seconds of the table
-    build ("table_s"), of thinning ("sample_s") and of replay ("score_s")."""
-    sampling = given is None
+    under the list ``ops`` of per-θ StepOps (one for sampling and for
+    scores), and replay them on the ``kind`` core; returns (list of
+    click-index arrays, logL (Θ, n_records), thinning candidates).  With
+    the ``tangent`` maps (da0, da1) of the one θ, the segment core scores
+    the records instead: d logL/dθ (1, n_records).  The segment tables,
+    which thinning and both cores run on, are built once for every chunk.
+    A ``clock`` dict accumulates the seconds of the table build
+    ("table_s"), of thinning ("sample_s") and of replay ("score_s")."""
     t = perf_counter()
-    seg = _engine._Segments(ops, tangent) if sampling or kind == "segment" else None
+    seg = _engine._Segments(ops, tangent)
     t = _lap(clock, "table_s", t)
-    hits, logl, cands = [], [], 0
+    replay = {"segment": _engine._replay_segments, "step": _engine.run_steps}[kind]
+    hits, logl, cands = [], [np.empty((len(ops), 0))], 0  # no records: (Θ, 0)
     for a, b in _chunks(n_records, ops[0].n_steps):
-        if sampling:
+        if given is None:
             h, c = _engine._thin(seg, ops[0], np.arange(a, b), seed)
             cands += c
             t = _lap(clock, "sample_s", t)
         else:
             h = given[a:b]
-        ll = (_engine._replay_segments(seg, h, ops[0].n_steps) if kind == "segment"
-              else _engine.run_steps(ops[0], h))
+        ll = replay(seg, h, ops[0].n_steps)
         t = _lap(clock, "score_s", t)
         hits += h
-        logl.append(np.reshape(ll, (len(ops), -1)))
+        logl.append(ll)
     return hits, np.concatenate(logl, axis=1), cands
 
 
@@ -351,16 +350,14 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05)
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
 
-    The segment core replays the whole θ set of a static model in one
-    pass, its tables stacked; per-bin tables (time-dependent models) and
-    the step core replay one θ at a time, each table freed before the
-    next is built.
+    Either core replays the whole θ set of a static model in one pass,
+    its tables stacked; per-bin tables (time-dependent models) replay one
+    θ at a time, each table freed before the next is built.
     """
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
     kind = _resolve_engine(engine_kind)
-    stacked = kind == "segment" and not gen.time_dependent
-    sets = [thetas] if stacked else [[th] for th in thetas]
+    sets = [[th] for th in thetas] if gen.time_dependent else [thetas]
     logl = np.concatenate([
         _run_records([step_matrices(gen, th, grid, max_step) for th in ths], kind,
                      len(indices), 0, indices)[1]
@@ -412,6 +409,8 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     their derivative (``_tangent``), which gives the exact score
     d logL/dθ of the record.
     """
+    if n_traj < 1:
+        raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
     t0 = perf_counter()
     ops = step_matrices(gen, theta, grid, max_step)
     tangent = _tangent(gen, theta, grid, ops, theta_step, max_step)

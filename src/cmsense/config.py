@@ -193,6 +193,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     est = cfg.estimation
     if est.get("n_traj", 0) < 0:
         diags.append("error: estimation.n_traj: negative")
+    elif est.get("n_traj", 0) == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
+        # these presets only estimate Fisher information from records
+        diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")
     if cfg.preset == "fig2_mle" and est.get("n_records", 0) < 1000:
         diags.append("warn: estimation.n_records: below 1000, variance estimate unstable")
     fd = est.get("fd_step")

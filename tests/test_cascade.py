@@ -314,15 +314,20 @@ def test_click_overflow_guards_hold_in_small_rounds(clicky_pair, rows, monkeypat
     _assert_same_overflow(_stepped_decay(), TimeGrid(0.0, 4.0, 0.1), 2, r"at bin 22 ")
 
 
+def _scalar_ops(p):
+    """A one-dimensional per-bin model whose click probability at bin k is
+    exactly p[k]."""
+    return _engine.StepOps(len(p), 0.1, np.sqrt(1.0 - p)[:, None, None] + 0j,
+                           np.sqrt(p)[:, None, None] + 0j, np.ones(1, dtype=complex), pure=True)
+
+
 def test_thinning_evaluates_nothing_past_the_first_overflow(monkeypatch):
     # a scalar model whose click probability is exactly 0.01 before bin 25
     # and 0.5 from it on: every record overflows at bin 25.  With one
     # evaluation per record and round, each evaluation is valid, so once a
     # record has met bin 25 no round looks past it
     n, kb = 40, 25
-    p = np.where(np.arange(n) < kb, 0.01, 0.5)
-    ops = _engine.StepOps(n, 0.1, np.sqrt(1.0 - p)[:, None, None] + 0j,
-                          np.sqrt(p)[:, None, None] + 0j, np.ones(1, dtype=complex), pure=True)
+    ops = _scalar_ops(np.where(np.arange(n) < kb, 0.01, 0.5))
     seen, times = [], _engine._Segments.times
 
     def spy(self, x, sel, table, idx):
@@ -362,6 +367,34 @@ def test_unknown_engine_is_rejected(clicky_pair):
 def test_empty_grid_samples_empty_records(clicky_pair):
     idx, logl, _ = sample_records(clicky_pair, 0.0, TimeGrid(0.0, 0.0, 1e-3), 3, seed=1)
     assert [len(h) for h in idx] == [0, 0, 0] and logl.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_thinning_skips_bins_whose_click_bound_is_zero():
+    # no click map on bins 0-499 and p1 = 0.01 after: a bound of 0 makes
+    # no candidate (a wrap to the every-record bound would add 500 per
+    # record), and the records are the per-bin sampler's
+    ops = _scalar_ops(np.where(np.arange(1000) < 500, 0.0, 0.01))
+    idx, cands = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 3)
+    clicks = sum(len(h) for h in idx)
+    assert clicks > 64 and cands < 2 * clicks
+    assert min(h[0] for h in idx if len(h)) >= 500
+    assert _record_hash(idx) == _record_hash(_reference_records(ops, np.arange(64), 3)[0])
+
+
+@pytest.mark.parametrize("engine", ["segment", "step"])
+@pytest.mark.parametrize("model", ["static", "time_dependent"])
+def test_zero_records_sample_and_replay_empty(clicky_pair, engine, model):
+    gen = clicky_pair if model == "static" else _stepped_decay()
+    grid = TimeGrid(0.0, 1.0, 0.01)
+    idx, logl, kind = sample_records(gen, 0.0, grid, 0, engine=engine)
+    assert idx == [] and logl.shape == (0,) and kind == engine
+    assert replay_records(gen, 0.0, [], grid, engine).shape == (0,)
+    assert replay_records(gen, THETA_SET, [], grid, engine).shape == (5, 0)
+
+
+def test_fisher_estimate_needs_records(clicky_pair):
+    with pytest.raises(CmsenseError, match="n_traj"):
+        fisher_from_trajectories(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 0.01), 0)
 
 
 def test_sampling_is_deterministic_per_stream(clicky_pair):
@@ -412,18 +445,22 @@ def test_chunk_size_does_not_change_results(emitter, imp, monkeypatch):
     assert a[3].shape == (5, 40) and np.array_equal(a[3], b[3])
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "segment", "three_level"])
+@pytest.mark.parametrize("case", ["pure", "density", "segment", "step", "step_density",
+                                  "three_level"])
 def test_replay_theta_set_matches_per_theta(emitter, clicky_pair, case):
     # hand-made records: no click at all, bins where exactly one record
     # clicks (5, 40, 999: a 1-row click branch) and a bin shared by two
-    # (17); static models replay a 41-value grid in one stacked pass
+    # (17); static models replay a 41-value grid (the bin-by-bin step
+    # core, 5 values) in one stacked pass
     grid = TimeGrid(0.0, 2.0, 2e-3)  # 1000 bins
     gen, kind, thetas = clicky_pair, "auto", 0.3 + np.linspace(-0.2, 0.2, 41)
-    if case == "density":
+    if case.startswith(("segment", "step")):
+        kind = case.split("_")[0]
+    if kind == "step":
+        thetas = 0.3 + THETA_SET
+    if case.endswith("density"):
         gen = cascade_generators(emitter, two_level_decoder(1.0, 1.0, 1.0),
                                  imperfections=Imperfections(gamma=0.1, eta=0.65))
-    elif case == "segment":
-        kind = "segment"
     elif case == "three_level":
         from cmsense.decoder import build_decoder
         from cmsense.models import three_level_model

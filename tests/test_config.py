@@ -42,6 +42,10 @@ def test_unknown_fields_rejected():
     # T = 2 is on the 1e-3 grid, the three-level horizon T + 6/0.7 is not
     ({"model": {"kind": "three_level", "omega": 5.0, "gamma": 0.7},
       "grid": {"dt": 1e-3, "t_list": [2.0]}}, "ends at 10.5714"),
+    # presets that only estimate from records cannot run without any
+    ({"preset": "fig2_mismatch", "mismatch": {"values": [0.0]},
+      "estimation": {"n_traj": 0}}, "estimation.n_traj"),
+    ({"preset": "fig4_imperfections", "estimation": {"n_traj": 0}}, "estimation.n_traj"),
 ])
 def test_validate_error_catalog(patch, needle):
     cfg = ExperimentConfig.from_dict(patch)
@@ -105,6 +109,14 @@ def test_all_presets_validate_clean():
         cfg = preset_config(name)
         errs = [d for d in validate(cfg) if d.startswith("error")]
         assert errs == [], (name, errs)
+
+
+@pytest.mark.parametrize("name", ["fig2_qfi_scan", "fig2_mle", "fig3_heisenberg", "custom"])
+def test_zero_records_stay_valid_where_fisher_is_optional(name):
+    # a scan runs QFI-only and the MLE takes its default Fisher count
+    cfg = preset_config(name)
+    cfg.estimation["n_traj"] = 0
+    assert not [d for d in validate(cfg) if d.startswith("error")]
 
 
 def test_load_config(tmp_path):
