@@ -58,7 +58,6 @@ from .decoder import (
     DecoderModel,
     build_decoder,
     liouvillian_steady_state,
-    rho_tilde,
     stationary_decoder,
     two_level_decoder,
     verify_decoding,

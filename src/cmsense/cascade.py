@@ -41,8 +41,8 @@ from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
 from .linalg import dagger
 from .models import SensorModel, _sigma, operator_stacks
-from .propagate import (TimeGrid, _batched_kron, _bin_times, _joint, _kraus_tables,
-                        propagate_linear)
+from .propagate import (STEP_GUARD, TimeGrid, _batched_kron, _bin_times, _joint,
+                        _kraus_tables, propagate_linear)
 
 __all__ = [
     "Imperfections",
@@ -192,7 +192,7 @@ def _decoder_stacks(dec, grid, n):
 
 
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
-                  max_step: float = 0.05) -> _engine.StepOps:
+                  max_step: float = STEP_GUARD) -> _engine.StepOps:
     """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
     stacks, or superoperator stacks once loss, dephasing, finite efficiency
     or a mixed initial state break purity, with one bin for static
@@ -259,7 +259,7 @@ def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step):
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
-                       max_step: float = 0.05):
+                       max_step: float = STEP_GUARD):
     """Probability that the detector never clicks over the grid: the
     weight of the initial state after the product of all no-click maps."""
     ops = step_matrices(gen, theta, grid, max_step)
@@ -333,19 +333,22 @@ def _check_click_indices(indices, n_steps):
 
 
 def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
-                   engine="auto", max_step=0.05):
+                   engine="auto", max_step=STEP_GUARD):
     """Sample n_traj records by thinning; returns (list of click-index
     arrays, logL, engine kind).  ``engine`` picks the core that replays
     the drawn records to their logL: "auto" and "segment" the segment
     core, "step" the per-bin step core.  ``threads`` is accepted for
-    existing callers and has no effect."""
+    existing callers and has no effect.  Zero records give empty
+    results; a negative count raises CmsenseError."""
+    if n_traj < 0:
+        raise CmsenseError(f"n_traj = {n_traj}: a record count cannot be negative")
     kind = _resolve_engine(engine)
     indices, logl, _ = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
                                     n_traj, seed)
     return indices, logl[0], kind
 
 
-def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=0.05):
+def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=STEP_GUARD):
     """Log-likelihoods of stored records (click-index arrays) at the
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
@@ -401,7 +404,7 @@ class FisherEstimate:
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
                              n_traj: int, theta_step: float = 1e-3,
-                             seed: int = 0, max_step: float = 0.05) -> FisherEstimate:
+                             seed: int = 0, max_step: float = STEP_GUARD) -> FisherEstimate:
     """Estimate the Fisher information of the record at theta.
 
     Draws records at theta by thinning and replays each once on the
@@ -464,7 +467,7 @@ class MismatchResult:
 
 def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float],
                    grid: TimeGrid, n_traj: int, theta_step: float = 1e-3,
-                   seed: int = 0, max_step: float = 0.05) -> MismatchResult:
+                   seed: int = 0) -> MismatchResult:
     """Fisher information versus decoder detuning mismatch.
 
     For each mismatch dm the decoder is the two-level pair with detuning
@@ -488,7 +491,7 @@ def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float
         fishers.append(
             fisher_from_trajectories(
                 gen, theta, grid, n_traj, theta_step=theta_step,
-                seed=seed + 7919 * i, max_step=max_step,
+                seed=seed + 7919 * i,
             )
         )
     xs = np.asarray(mismatches, dtype=float)

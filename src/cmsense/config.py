@@ -8,14 +8,14 @@ knob they set can be overridden in a custom config.
 
 import copy
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfigInvalid, NonpositiveRate, format_excess
 from .models import three_level_model, two_level_model
-from .propagate import TimeGrid
+from .propagate import STEP_GUARD, TimeGrid
 
 __all__ = [
     "ExperimentConfig",
@@ -82,17 +82,7 @@ class ExperimentConfig:
     out: str = "results"
 
     def to_dict(self):
-        return {
-            "preset": self.preset,
-            "model": dict(self.model),
-            "grid": dict(self.grid),
-            "estimation": dict(self.estimation),
-            "imperfections": dict(self.imperfections),
-            "mismatch": dict(self.mismatch),
-            "seed": self.seed,
-            "threads": self.threads,
-            "out": self.out,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -196,7 +186,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     elif est.get("n_traj", 0) == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
         # these presets only estimate Fisher information from records
         diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")
-    if cfg.preset == "fig2_mle" and est.get("n_records", 0) < 1000:
+    if cfg.preset == "fig2_mle" and est.get("n_records", 0) < 2:
+        diags.append("error: estimation.n_records: the variance needs at least 2 records")
+    elif cfg.preset == "fig2_mle" and est.get("n_records", 0) < 1000:
         diags.append("warn: estimation.n_records: below 1000, variance estimate unstable")
     fd = est.get("fd_step")
     if fd is not None and not (1e-6 <= fd <= 1e-1):
@@ -208,10 +200,10 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             # gamma = 0 builds no model, so no dt lint and no horizon either
             diags.append(f"error: model.gamma: {exc}")
             scale = None
-        if scale is not None and dt * scale > 0.05:
+        if scale is not None and dt * scale > STEP_GUARD:
             diags.append(
-                f"error: grid.dt: dt*|H| = {format_excess(dt * scale, 0.05)} "
-                "exceeds the 0.05 step guard"
+                f"error: grid.dt: dt*|H| = {format_excess(dt * scale, STEP_GUARD)} "
+                f"exceeds the {STEP_GUARD} step guard"
             )
         # a grid that is not a whole number of dt steps would stop the run
         for t in (cfg.grid["t_list"] if scale is not None else []):

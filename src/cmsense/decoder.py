@@ -42,13 +42,16 @@ from .propagate import TimeGrid, pair_table, propagate_linear, transfer
 
 __all__ = [
     "DecoderModel",
-    "rho_tilde",
     "build_decoder",
     "stationary_decoder",
     "two_level_decoder",
     "liouvillian_steady_state",
     "verify_decoding",
 ]
+
+_RANK_TOL = 1e-10  # floor of rho_tilde's smallest eigenvalue over its trace
+_KERNEL_TOL = 1e-9  # Lindblad eigenvalues below this times the largest are the kernel
+_MIN_POPULATION = 1e-10  # floor of the steady-state populations
 
 
 @dataclass(eq=False)
@@ -96,21 +99,13 @@ def _check_unitary(w0, dim):
 
 
 def _identity_series(tab, dim, n_steps):
+    """rho_tilde at every grid time: the master equation solved from the
+    identity, rho_tilde(0) = 1_D, under the Kraus table ``tab``."""
     eye = np.eye(dim, dtype=complex).ravel()
     return propagate_linear(transfer(tab, tab), eye, n_steps, series=True).reshape(-1, dim, dim)
 
 
-def rho_tilde(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
-    """Solve the master equation from the identity: rho_tilde(0) = 1_D.
-
-    Same discrete update as the density propagation; trace is conserved
-    at D up to the first-order completeness defect.
-    """
-    return _identity_series(pair_table(model, theta, grid, max_step), model.dim, grid.n_steps)
-
-
-def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
-                  w0=None, max_step: float = 0.05, rank_tol: float = 1e-10):
+def build_decoder(model: SensorModel, theta: float, grid: TimeGrid, w0=None):
     """Synthesize the decoder's per-bin generator stacks along the grid.
 
     Exact per-bin extraction from the left-normalized tensors; valid
@@ -122,7 +117,7 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
     """
     D = model.dim
     w0 = _check_unitary(w0, D)
-    tab = pair_table(model, theta, grid, max_step)
+    tab = pair_table(model, theta, grid)
     n = grid.n_steps
     dt = grid.dt
 
@@ -133,7 +128,7 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
     rt = _identity_series(tab, D, n)[1:]
     ev, vec = np.linalg.eigh(0.5 * (rt + dagger(rt)))
     tr = np.trace(rt, axis1=1, axis2=2).real
-    bad = np.flatnonzero(ev[:, 0] <= rank_tol * tr)
+    bad = np.flatnonzero(ev[:, 0] <= _RANK_TOL * tr)
     if len(bad):
         k = int(bad[0])
         raise RankDeficientRho(
@@ -141,7 +136,7 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
             f"(min eigenvalue {ev[k, 0]:.3e}, trace {tr[k]:.3e})"
         )
     # r = sqrt(rho_tilde) W0 has the singular values sqrt(ev), so the floor
-    # above bounds its condition number by 1/sqrt(rank_tol)
+    # above bounds its condition number by 1/sqrt(_RANK_TOL)
     r = (vec * np.sqrt(ev)[:, None, :]) @ dagger(vec) @ w0
     ri = np.linalg.inv(r)
     r_prev = np.concatenate([w0[None], r[:-1]])
@@ -161,15 +156,15 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid,
     )
 
 
-def liouvillian_steady_state(model: SensorModel, theta: float, t: float = 0.0,
-                             kernel_tol: float = 1e-9):
-    """Unique steady state of the (time-independent) Lindblad generator.
+def liouvillian_steady_state(model: SensorModel, theta: float):
+    """Unique steady state of the (time-independent) Lindblad generator,
+    its operators taken at t = 0.
 
     Raises DegenerateSteadyState when the generator kernel is not
     one-dimensional.
     """
-    h = model.hamiltonian(t, theta)
-    j = model.jump(t, theta)
+    h = model.hamiltonian(0.0, theta)
+    j = model.jump(0.0, theta)
     D = model.dim
     eye = np.eye(D)
     jj = j.conj().T @ j
@@ -180,7 +175,7 @@ def liouvillian_steady_state(model: SensorModel, theta: float, t: float = 0.0,
     )
     w, v = np.linalg.eig(L)
     scale = max(1.0, float(np.abs(w).max()))
-    null = np.where(np.abs(w) < kernel_tol * scale)[0]
+    null = np.where(np.abs(w) < _KERNEL_TOL * scale)[0]
     if len(null) != 1:
         raise DegenerateSteadyState(
             f"Lindblad kernel dimension {len(null)} (eigenvalues {w[null]})"
@@ -191,8 +186,7 @@ def liouvillian_steady_state(model: SensorModel, theta: float, t: float = 0.0,
     return rho
 
 
-def stationary_decoder(model: SensorModel, theta: float, w0=None,
-                       min_population: float = 1e-10):
+def stationary_decoder(model: SensorModel, theta: float, w0=None):
     """Constant decoder generators from the steady-state closed form.
 
     Exact in the large-t limit of ``build_decoder`` (no gauge motion at
@@ -205,9 +199,9 @@ def stationary_decoder(model: SensorModel, theta: float, w0=None,
     w0 = _check_unitary(w0, D)
     rho_ss = liouvillian_steady_state(model, theta)
     p = np.linalg.eigvalsh(rho_ss)
-    if p.min() <= min_population:
+    if p.min() <= _MIN_POPULATION:
         raise RankDeficientSteadyState(
-            f"steady-state population {p.min():.3e} at or below {min_population}"
+            f"steady-state population {p.min():.3e} at or below {_MIN_POPULATION}"
         )
     r = psd_sqrt(D * rho_ss) @ w0
     rt = r.T
@@ -244,7 +238,7 @@ def two_level_decoder(omega, delta_d, gamma):
 
 
 def verify_decoding(sensor: SensorModel, dec: DecoderModel, theta: float,
-                    grid: TimeGrid, init="auto", max_step: float = 0.05):
+                    grid: TimeGrid):
     """Probability of the all-zeros record for the cascaded pair.
 
     A correct decoder keeps its output field dark: P_vac = 1 - O(dt)
@@ -252,5 +246,5 @@ def verify_decoding(sensor: SensorModel, dec: DecoderModel, theta: float,
     """
     from .cascade import cascade_generators, vacuum_probability
 
-    gen = cascade_generators(sensor, dec, init=init)
-    return vacuum_probability(gen, theta, grid, max_step=max_step)
+    gen = cascade_generators(sensor, dec)
+    return vacuum_probability(gen, theta, grid)

@@ -20,7 +20,7 @@ from .cascade import (
     replay_records,
     sample_records,
 )
-from .errors import GridTooNarrow
+from .errors import CmsenseError, GridTooNarrow
 from .propagate import TimeGrid
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _FLAT_TOL = 1e-12
+_GRID_WIDTH_CAP = 2.0
 
 
 @dataclass(eq=False)
@@ -64,11 +65,11 @@ def _refine(grid, logl, flat_center=None):
 
 
 def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
-                     grid: TimeGrid, max_step: float = 0.05) -> LikelihoodCurve:
+                     grid: TimeGrid) -> LikelihoodCurve:
     """Log-likelihood of one record (its click-index array) over
     theta_grid, with refined argmax."""
     theta_grid = np.asarray(theta_grid, dtype=float)
-    logl = replay_records(gen, theta_grid, [record], grid, max_step=max_step)[:, 0]
+    logl = replay_records(gen, theta_grid, [record], grid)[:, 0]
     est = _refine(theta_grid, logl,
                   flat_center=float(theta_grid[len(theta_grid) // 2]))
     if est is None:
@@ -78,7 +79,7 @@ def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
     return LikelihoodCurve(theta_grid=theta_grid, log_likelihoods=logl, argmax=est)
 
 
-def default_grid_width(fisher_value, t_end, cap=2.0):
+def default_grid_width(fisher_value, t_end):
     """Half-width heuristic 5/sqrt(F), capped for near-zero information.
 
     F is the Fisher information of a whole record of duration t_end, so
@@ -86,8 +87,8 @@ def default_grid_width(fisher_value, t_end, cap=2.0):
     """
     f = max(fisher_value, 0.0)
     if f <= 0.0:
-        return cap
-    return float(min(5.0 / np.sqrt(f), cap))
+        return _GRID_WIDTH_CAP
+    return float(min(5.0 / np.sqrt(f), _GRID_WIDTH_CAP))
 
 
 @dataclass(eq=False)
@@ -116,8 +117,7 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
                         n_records: int, dt: float, theta_step: float = 1e-3,
                         seed: int = 0, n_grid: int = 41,
                         grid_width: Optional[float] = None,
-                        fisher_n_traj: Optional[int] = None,
-                        max_step: float = 0.05) -> List[InterrogationRow]:
+                        fisher_n_traj: Optional[int] = None) -> List[InterrogationRow]:
     """Repeated-interrogation variance study.
 
     For each interrogation time T: estimate the record Fisher
@@ -129,24 +129,27 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
 
     Records whose likelihood peaks on the grid boundary are estimated
     at the boundary and counted in n_boundary rather than raised, so a
-    handful of outliers cannot abort a long study.
+    handful of outliers cannot abort a long study.  The variance needs
+    n_records >= 2; fewer raise CmsenseError.
     """
+    if n_records < 2:
+        raise CmsenseError(
+            f"n_records = {n_records}: a variance study needs at least two records")
     rows = []
     for it, t_end in enumerate(t_list):
         g = gen(t_end) if callable(gen) else gen
         tgrid = TimeGrid(0.0, float(t_end), dt)
         fi = fisher_from_trajectories(
             g, theta_true, tgrid, fisher_n_traj or min(n_records, 2000),
-            theta_step=theta_step, seed=seed + 1009 * it + 1, max_step=max_step,
+            theta_step=theta_step, seed=seed + 1009 * it + 1,
         )
         indices, _, _ = sample_records(
-            g, theta_true, tgrid, n_records, seed=seed + 1009 * it, max_step=max_step,
+            g, theta_true, tgrid, n_records, seed=seed + 1009 * it,
         )
         width = grid_width if grid_width is not None else \
             default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
-        logl = replay_records(g, tgrid_theta, indices, tgrid,
-                              max_step=max_step)  # (n_grid, n_records)
+        logl = replay_records(g, tgrid_theta, indices, tgrid)  # (n_grid, n_records)
         ests = np.empty(n_records)
         n_boundary = 0
         for r in range(n_records):
@@ -155,7 +158,7 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
                 n_boundary += 1
                 est = float(tgrid_theta[int(np.argmax(logl[:, r]))])
             ests[r] = est
-        var = float(ests.var(ddof=1)) if n_records > 1 else 0.0
+        var = float(ests.var(ddof=1))
         # precision per interrogation: Var(mean of K) = var/K, so
         # 1/(K * Var(mean)) = 1/var reduces to the single-record inverse
         # variance, directly comparable to the per-record Fisher value.

@@ -17,29 +17,31 @@ __all__ = [
     "dagger",
 ]
 
+_CLIP_TOL = 1e-10
+_REL_TOL = 1e-10
+
 
 def dagger(m):
     """Conjugate transpose (of each matrix of a stack)."""
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def psd_sqrt(m, clip_tol=1e-10):
+def psd_sqrt(m):
     """Principal square root of a positive semidefinite matrix.
 
     Uses a Hermitian eigendecomposition and clips small negative
     eigenvalues (round-off) to zero.  Eigenvalues below
-    ``-clip_tol * trace`` indicate the input was not actually PSD and
+    ``-_CLIP_TOL * trace`` indicate the input was not actually PSD and
     raise ``RankDeficientRho``.
 
     :param m: Hermitian PSD matrix.
-    :param clip_tol: relative tolerance for negative-eigenvalue clipping.
     :returns: Hermitian PSD square root, same shape as ``m``.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {m.shape}")
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    floor = -clip_tol * max(abs(np.sum(w)), 1.0)
+    floor = -_CLIP_TOL * max(abs(np.sum(w)), 1.0)
     if np.any(w < floor):
         raise RankDeficientRho(
             f"matrix has eigenvalue {w.min():.3e} below PSD floor {floor:.3e}"
@@ -64,17 +66,17 @@ def nuclear_norm_eig(m):
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def robust_inv(m, rel_tol=1e-10):
+def robust_inv(m):
     """Inverse with a conditioning guard, for one matrix or a stack.
 
     Falls back to nothing: if the smallest singular value is below
-    ``rel_tol`` times the largest the matrix is treated as rank
+    ``_REL_TOL`` times the largest the matrix is treated as rank
     deficient and ``RankDeficientRho`` is raised, since a silently
     regularised pseudo-inverse would corrupt the synthesis algebra.
     """
     m = np.asarray(m)
     s = np.linalg.svd(m, compute_uv=False)
-    bad = np.flatnonzero(s[..., -1] <= rel_tol * s[..., 0])
+    bad = np.flatnonzero(s[..., -1] <= _REL_TOL * s[..., 0])
     if len(bad):
         s = s.reshape(-1, s.shape[-1])[bad[0]]
         raise RankDeficientRho(

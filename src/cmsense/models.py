@@ -193,18 +193,16 @@ def two_level_model(omega, delta, gamma):
     )
 
 
-def default_pulses(omega, T_plateau, gamma=1.0, tau=None, sigma=None, t_c=None, pi_sign=1):
+def default_pulses(omega, T_plateau, gamma=1.0, sigma=None):
     """Default pulse pair for the three-level protocol.
 
-    tau = 2/gamma, sigma = 0.05/gamma, pi-pulse center t_c =
-    T_plateau + 1/gamma unless overridden.  All values in 1/gamma
-    units with gamma the emission rate.
+    Ramp time tau = 2/gamma and pi-pulse center t_c = T_plateau +
+    1/gamma; pi-pulse width sigma = 0.05/gamma unless given.  All values
+    in 1/gamma units with gamma the emission rate.
     """
-    tau = 2.0 / gamma if tau is None else tau
     sigma = 0.05 / gamma if sigma is None else sigma
-    t_c = T_plateau + 1.0 / gamma if t_c is None else t_c
-    p1 = PulseEnvelope(kind="plateau", amplitude=omega, tau=tau, T=T_plateau)
-    p2 = PulseEnvelope(kind="gaussian_pi", t_c=t_c, sigma=sigma, sign=pi_sign)
+    p1 = PulseEnvelope(kind="plateau", amplitude=omega, tau=2.0 / gamma, T=T_plateau)
+    p2 = PulseEnvelope(kind="gaussian_pi", t_c=T_plateau + 1.0 / gamma, sigma=sigma)
     return p1, p2
 
 

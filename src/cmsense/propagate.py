@@ -71,6 +71,8 @@ class TimeGrid:
 
 
 _BLOCK = 256
+# the step guard: the largest dt*max(|H|, |J^dag J|) a Kraus table accepts
+STEP_GUARD = 0.05
 
 
 def _batched_kron(a, b, out=None):
@@ -172,7 +174,7 @@ def transfer(ta, tb):
     return maps(0, 1)[0] if len(ta.a0) == 1 else maps
 
 
-def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = 0.05):
+def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = STEP_GUARD):
     """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``:
     pure StepOps from the model's initial state, one bin for a static model."""
     ts = _bin_times(grid, not model.time_dependent)
@@ -220,7 +222,7 @@ def propagate_linear(maps, x0, n_steps, series=False):
 
 
 def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
-                   max_step: float = 0.05, trace_tol: float = 1e-2):
+                   max_step: float = STEP_GUARD, trace_tol: float = 1e-2):
     """Master-equation evolution by repeated Kraus application.
 
     Returns the full (n_steps+1, D, D) trajectory of density matrices.
@@ -242,7 +244,7 @@ def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
 
 
 def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
-                       grid: TimeGrid, max_step: float = 0.05,
+                       grid: TimeGrid, max_step: float = STEP_GUARD,
                        tables: Optional[tuple] = None):
     """The generalized density operator mu_{theta1,theta2}(T): mu(0) =
     rho_S(0) propagated under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.

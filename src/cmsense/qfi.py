@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CmsenseError, StepSelectionFailed
 from .linalg import nuclear_norm, nuclear_norm_eig
 from .models import SensorModel
-from .propagate import TimeGrid, evolve_generalized, pair_table
+from .propagate import STEP_GUARD, TimeGrid, evolve_generalized, pair_table
 
 __all__ = [
     "QfiResult",
@@ -58,8 +58,6 @@ class QfiResult:
     value: float
     fd_step: float
     fidelity_samples: list = field(default_factory=list)
-    method: str = "central_3pt"
-    raw_second_difference: float = 0.0
     propagations: int = 0
 
 
@@ -67,7 +65,7 @@ class _FidelityEngine:
     """Caches Kraus tables and generalized states mu(theta1, theta2) by
     their parameter pair, so that both fidelity kinds share them."""
 
-    def __init__(self, model, T, dt, max_step):
+    def __init__(self, model, T, dt, max_step=STEP_GUARD):
         self.model = model
         self.grid = TimeGrid(0.0, T, dt)
         self.max_step = max_step
@@ -110,7 +108,7 @@ class _FidelityEngine:
 
 
 def env_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
-                 dt: float = 1e-3, max_step: float = 0.05):
+                 dt: float = 1e-3, max_step: float = STEP_GUARD):
     """Fidelity of the emitted-field states at theta1 and theta2.
 
     Computed as the nuclear norm of mu_{theta1,theta2}(T), divided by
@@ -121,12 +119,12 @@ def env_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
 
 
 def global_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
-                    dt: float = 1e-3, max_step: float = 0.05):
+                    dt: float = 1e-3):
     """|tr mu|, the overlap of the joint system+field states; <= env_fidelity."""
-    return _FidelityEngine(model, T, dt, max_step).fidelity(theta1, theta2, "global")
+    return _FidelityEngine(model, T, dt).fidelity(theta1, theta2, "global")
 
 
-def _qfi(eng, theta, delta, method, kind):
+def _qfi(eng, theta, delta, kind):
     samples = []
 
     def infidelity(d):
@@ -158,27 +156,16 @@ def _qfi(eng, theta, delta, method, kind):
         if it > 60:
             raise StepSelectionFailed("step bisection failed to converge")
 
-    def second_diff(dd, fpp, fmm):
-        return 4.0 * (2.0 - fpp - fmm) / dd**2
-
-    raw = second_diff(d, fp, fm)
-    if method == "richardson":
-        fp2, fm2, _ = infidelity(d / 2.0)
-        raw = (4.0 * second_diff(d / 2.0, fp2, fm2) - raw) / 3.0
-    value = max(raw, 0.0)
     return QfiResult(
-        value=value,
+        value=max(4.0 * (2.0 - fp - fm) / d**2, 0.0),
         fd_step=d,
         fidelity_samples=samples,
-        method=method,
-        raw_second_difference=raw,
         propagations=eng.propagations,
     )
 
 
 def env_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-            delta: float = 1e-3, method: str = "central_3pt",
-            max_step: float = 0.05):
+            delta: float = 1e-3):
     """QFI of the emission field via symmetric second difference.
 
     value = 4 [2 - F(theta, theta+d) - F(theta, theta-d)] / d^2
@@ -186,27 +173,25 @@ def env_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
     using F(theta, theta) = 1 (exact under the unit-trace convention).
     The step d starts at ``delta`` and is auto-adjusted by geometric
     bisection until the infidelity lands in [1e-6, 1e-2]; failure to
-    find such a step raises StepSelectionFailed.  method="richardson"
-    combines d and d/2 to cancel the leading O(d^2) bias.
+    find such a step raises StepSelectionFailed.  The value carries the
+    O(d^2) bias of the second difference.
     """
-    return _qfi(_FidelityEngine(model, T, dt, max_step), theta, delta, method, "env")
+    return _qfi(_FidelityEngine(model, T, dt), theta, delta, "env")
 
 
 def global_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-               delta: float = 1e-3, method: str = "central_3pt",
-               max_step: float = 0.05):
+               delta: float = 1e-3):
     """QFI of the joint system+field state; upper-bounds env_qfi."""
-    return _qfi(_FidelityEngine(model, T, dt, max_step), theta, delta, method, "global")
+    return _qfi(_FidelityEngine(model, T, dt), theta, delta, "global")
 
 
 def qfi_pair(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-             delta: float = 1e-3, method: str = "central_3pt",
-             max_step: float = 0.05):
+             delta: float = 1e-3):
     """(env_qfi, global_qfi) results from one fidelity engine: equal to
     the two separate calls, with each shared generalized state
     propagated once."""
-    eng = _FidelityEngine(model, T, dt, max_step)
-    env = _qfi(eng, theta, delta, method, "env")
-    glob = _qfi(eng, theta, delta, method, "global")
+    eng = _FidelityEngine(model, T, dt)
+    env = _qfi(eng, theta, delta, "env")
+    glob = _qfi(eng, theta, delta, "global")
     env.propagations = glob.propagations
     return env, glob

@@ -392,6 +392,11 @@ def test_zero_records_sample_and_replay_empty(clicky_pair, engine, model):
     assert replay_records(gen, THETA_SET, [], grid, engine).shape == (5, 0)
 
 
+def test_negative_record_count_raises(clicky_pair):
+    with pytest.raises(CmsenseError, match="n_traj"):
+        sample_records(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 0.01), -3)
+
+
 def test_fisher_estimate_needs_records(clicky_pair):
     with pytest.raises(CmsenseError, match="n_traj"):
         fisher_from_trajectories(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 0.01), 0)

@@ -46,6 +46,10 @@ def test_unknown_fields_rejected():
     ({"preset": "fig2_mismatch", "mismatch": {"values": [0.0]},
       "estimation": {"n_traj": 0}}, "estimation.n_traj"),
     ({"preset": "fig4_imperfections", "estimation": {"n_traj": 0}}, "estimation.n_traj"),
+    # a variance study has no variance below two records
+    ({"preset": "fig2_mle", "estimation": {"n_records": -5}}, "estimation.n_records"),
+    ({"preset": "fig2_mle", "estimation": {"n_records": 0}}, "estimation.n_records"),
+    ({"preset": "fig2_mle", "estimation": {"n_records": 1}}, "estimation.n_records"),
 ])
 def test_validate_error_catalog(patch, needle):
     cfg = ExperimentConfig.from_dict(patch)
@@ -66,8 +70,11 @@ def test_validate_warnings():
     assert not any(d.startswith("error") for d in diags)
 
     cfg = preset_config("fig2_mle")
-    cfg.estimation["n_records"] = 50
-    assert any("n_records" in d for d in validate(cfg))
+    for n in (2, 50, 999):
+        cfg.estimation["n_records"] = n
+        diags = validate(cfg)
+        assert any(d.startswith("warn") and "n_records" in d for d in diags), diags
+        assert not any(d.startswith("error") for d in diags), diags
 
 
 def test_mismatch_preset_requires_values():

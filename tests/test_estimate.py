@@ -4,7 +4,7 @@ import pytest
 from cmsense import TimeGrid, two_level_model
 from cmsense.cascade import cascade_generators, replay_records, sample_records
 from cmsense.decoder import two_level_decoder
-from cmsense.errors import GridTooNarrow
+from cmsense.errors import CmsenseError, GridTooNarrow
 from cmsense.estimate import (_refine, default_grid_width, interrogation_study,
                               likelihood_curve, study_table)
 
@@ -39,6 +39,14 @@ def test_default_grid_width_formula():
     assert default_grid_width(100.0, 20.0) == pytest.approx(0.5)
     assert default_grid_width(0.0, 20.0) == 2.0
     assert default_grid_width(1e-9, 20.0) == 2.0  # capped
+
+
+@pytest.mark.parametrize("n_records", [-5, 0, 1])
+def test_interrogation_study_needs_two_records(n_records):
+    # the variance of fewer than two estimates is undefined, not infinite precision
+    gen = cascade_generators(two_level_model(1.0, 0.0, 1.0), two_level_decoder(1.0, 1.0, 1.0))
+    with pytest.raises(CmsenseError, match="n_records"):
+        interrogation_study(gen, 0.0, [1.0], n_records=n_records, dt=2e-3)
 
 
 def _one_record(gen, grid):

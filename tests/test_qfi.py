@@ -81,6 +81,5 @@ def test_qfi_pair_equals_separate_calls(model, T):
     for got, ref in ((env, sep_env), (glob, sep_glob)):
         assert got.value == ref.value and got.fd_step == ref.fd_step
         assert got.fidelity_samples == ref.fidelity_samples
-        assert got.raw_second_difference == ref.raw_second_difference
     assert env.propagations == glob.propagations == sep_env.propagations == 9
     assert sep_glob.propagations == 9

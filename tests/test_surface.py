@@ -1,6 +1,7 @@
 """Public surface: every exported name resolves, the demos import only
-names the package still has, and the benchmark calls cmsense only with
-names and keywords it still has (demos and benchmark are parsed, not run)."""
+names the package still has, the benchmark calls cmsense only with
+names and keywords it still has, and every defaulted keyword of a public
+function is set by some call (demos and benchmark are parsed, not run)."""
 import ast
 import importlib
 import inspect
@@ -97,3 +98,61 @@ def test_benchmark_bindings_resolve():
             unknown += [f"{file}: {call}({k}=)" for k in keywords
                         if k not in {q.name for q in params}]
     assert not unknown, f"benchmark calls cmsense with what it does not take: {unknown}"
+
+
+# defaulted keywords of public functions that no call sets, and why each
+# stays settable all the same
+UNSET_ALLOWED = {
+    "decoder.build_decoder.w0": "the synthesis gauge, which both synthesis routes take",
+    "qfi.qfi_pair.delta": "the CLI passes estimation.fd_step to it through **",
+    "oracle.counting_fisher_exact.dec": "reference code: the oracle keeps its full signature",
+    "oracle.counting_fisher_exact.max_step": "reference code: the oracle keeps its full signature",
+}
+
+
+def _call_settings():
+    """{called name: {(positional argument count, keyword names)}} over every
+    call ``f(...)`` or ``x.f(...)`` in src/, tests/, demos/ and perfbench/.
+    A ``*args`` call sets every positional parameter; ``**kwargs`` sets none."""
+    calls = {}
+    for path in sorted(p for d in ("src", "tests", "demos", "perfbench")
+                       for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            npos = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                    else len(node.args))
+            calls.setdefault(name, set()).add(
+                (npos, frozenset(k.arg for k in node.keywords if k.arg)))
+    return calls
+
+
+def _unset_keywords():
+    """``module.function.parameter`` of each defaulted parameter of a function
+    in a cmsense module's ``__all__`` that no call sets, by keyword or by
+    position (calls are matched by the function's name)."""
+    calls, unset = _call_settings(), []
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for fname in getattr(mod, "__all__", ()):
+            fn = getattr(mod, fname)
+            if not inspect.isfunction(fn) or fn.__module__ != name:
+                continue
+            for i, p in enumerate(inspect.signature(fn).parameters.values()):
+                positional = p.kind is p.POSITIONAL_OR_KEYWORD
+                if p.default is not p.empty and not any(
+                        p.name in kws or (positional and npos > i)
+                        for npos, kws in calls.get(fname, ())):
+                    unset.append(f"{name.split('.', 1)[1]}.{fname}.{p.name}")
+    return unset
+
+
+def test_every_public_keyword_has_a_caller():
+    # a keyword no caller sets is a configuration nothing runs: make it a
+    # constant, or give its reason in UNSET_ALLOWED
+    unset = set(_unset_keywords())
+    extra, stale = sorted(unset - set(UNSET_ALLOWED)), sorted(set(UNSET_ALLOWED) - unset)
+    assert not extra, f"{len(extra)} defaulted keywords that no call sets: {extra}"
+    assert not stale, f"allowed as unset, but now set or gone: {stale}"
