@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClickProbabilityOverflow
+from .linalg import frobenius_sq
 
 _PIECE = 1 << 14  # raw draws per Philox call of thinning
 _PAIR_ROWS = 2048  # candidate evaluations per thinning round
@@ -362,14 +363,13 @@ def _thin(seg, ops, indices, seed):
     n, nb = ops.n_steps, len(indices)
     # one static map takes the exact spectral norm; a per-bin stack takes
     # the Frobenius norm, which bounds it from above at a fraction of the
-    # cost (summed over a float view: no temporary the size of the stack).
-    # The margin covers a normalized state's weight being 1 up to round-off.
+    # cost.  The margin covers a normalized state's weight being 1 up to
+    # round-off.
     deg = 2.0 if ops.pure else 1.0
     if seg.static:
         bound = np.linalg.norm(ops.a1, 2, axis=(1, 2)) ** deg
     else:
-        v = np.ascontiguousarray(ops.a1).reshape(len(ops.a1), -1).view(np.float64)
-        bound = np.einsum("ki,ki->k", v, v) ** (deg / 2.0)
+        bound = frobenius_sq(ops.a1) ** (deg / 2.0)
     bound *= 1.0 + 1e-9
     # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
     # iff raw <= top, compared before any conversion; a bound of 0 leaves

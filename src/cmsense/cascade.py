@@ -67,29 +67,27 @@ _CHUNK_BINS = 1 << 24
 class Imperfections:
     """Static hardware imperfections of a two-level cascade.
 
-    gamma: photon loss rate per factor (channel sqrt(gamma)|g><e|),
-    gamma_dep: dephasing rate per factor (channel sqrt(gamma_dep) sigma_z);
-        defaults to gamma when None,
+    gamma: photon loss rate per factor (channel sqrt(gamma)|g><e|), and
+        the dephasing rate per factor (channel sqrt(gamma) sigma_z),
     eta: detector efficiency in (0, 1].
     """
 
     gamma: float = 0.0
-    gamma_dep: Optional[float] = None
     eta: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise CmsenseError(f"eta must be in (0, 1], got {self.eta}")
-        if self.gamma < 0 or (self.gamma_dep is not None and self.gamma_dep < 0):
+        if self.gamma < 0:
             raise CmsenseError("imperfection rates must be nonnegative")
 
     @property
     def dephasing(self):
-        return self.gamma if self.gamma_dep is None else self.gamma_dep
+        return self.gamma
 
     @property
     def trivial(self):
-        return self.gamma == 0.0 and self.dephasing == 0.0 and self.eta == 1.0
+        return self.gamma == 0.0 and self.eta == 1.0
 
 
 @dataclass(eq=False)
@@ -122,15 +120,11 @@ def _two_level_channels(dim_s, dim_d, imp: Imperfections):
     sz = np.diag([1.0, -1.0]).astype(complex)
     eye_d = np.eye(dim_d, dtype=complex)
     chans = []
-    if imp.gamma > 0:
-        chans.append(np.sqrt(imp.gamma) * np.kron(sge, eye_d))
-        if dim_d == 2:
-            chans.append(np.sqrt(imp.gamma) * np.kron(np.eye(2), sge))
-    gd = imp.dephasing
-    if gd > 0:
-        chans.append(np.sqrt(gd) * np.kron(sz, eye_d))
-        if dim_d == 2:
-            chans.append(np.sqrt(gd) * np.kron(np.eye(2), sz))
+    if imp.gamma > 0:  # loss, then dephasing, on each factor
+        for op in (sge, sz):
+            chans.append(np.sqrt(imp.gamma) * np.kron(op, eye_d))
+            if dim_d == 2:
+                chans.append(np.sqrt(imp.gamma) * np.kron(np.eye(2), op))
     return chans
 
 

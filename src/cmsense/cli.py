@@ -7,8 +7,10 @@ results), validate (schema + physics lints, no execution), presets
 All tables are plain CSV, UTF-8, '.' decimal separator, one header
 row; a provenance.json sidecar echoes the config, library versions
 and derived scalars.  Identical config + seed reproduce the CSV bytes
-exactly.  The config's ``threads`` key is still validated but changes
-nothing: every record batch runs in the calling thread.
+exactly.  A config that ``validate`` rejects, malformed values included,
+stops with one "error: ..." line and exit status 2, as does a guard that
+stops a run.  The config's ``threads`` key is still validated but
+changes nothing: every record batch runs in the calling thread.
 """
 
 import argparse
@@ -108,15 +110,9 @@ def _report_fisher(report, label, fi):
 
 
 def _fisher(gen, theta, grid, n_traj, cfg, report, label):
-    fi = fisher_from_trajectories(gen, theta, grid, n_traj,
-                                  theta_step=cfg.estimation["theta_step"], seed=cfg.seed)
+    fi = fisher_from_trajectories(gen, theta, grid, n_traj, seed=cfg.seed)
     _report_fisher(report, label, fi)
     return fi
-
-
-def _qfi_kwargs(cfg):
-    fd = cfg.estimation.get("fd_step")
-    return {} if fd is None else {"delta": fd}
 
 
 def _scan_pipeline(cfg, report):
@@ -130,7 +126,7 @@ def _scan_pipeline(cfg, report):
         sensor = build_sensor(cfg, t_plateau=float(t_end))
         horizon = scan_horizon(cfg, t_end)
         grid = TimeGrid(0.0, horizon, dt)
-        env, glob = qfi_pair(sensor, theta, horizon, dt=dt, **_qfi_kwargs(cfg))
+        env, glob = qfi_pair(sensor, theta, horizon, dt=dt)
         report.setdefault("qfi", []).append({
             "T": float(t_end), "propagations": env.propagations,
             **{kind: {"fd_step": q.fd_step, "fidelity_evals": len(q.fidelity_samples)}
@@ -163,10 +159,8 @@ def _mle_pipeline(cfg, report):
     est = cfg.estimation
     rows = interrogation_study(
         gen, theta, [float(t) for t in cfg.grid["t_list"]],
-        int(est["n_records"]), float(cfg.grid["dt"]),
-        theta_step=est["theta_step"], seed=cfg.seed,
-        n_grid=int(est["n_grid"]), grid_width=est["grid_width"],
-        fisher_n_traj=int(est["n_traj"]) or None,
+        int(est["n_records"]), float(cfg.grid["dt"]), seed=cfg.seed,
+        n_grid=int(est["n_grid"]), fisher_n_traj=int(est["n_traj"]) or None,
     )
     for r in rows:
         _report_fisher(report, f"T={r.t_end}", r.fisher_estimate)
@@ -181,8 +175,7 @@ def _mismatch_pipeline(cfg, report):
     grid = TimeGrid(0.0, float(cfg.grid["t_list"][0]), float(cfg.grid["dt"]))
     res = mismatch_sweep(
         sensor, theta, [float(v) for v in cfg.mismatch["values"]], grid,
-        int(cfg.estimation["n_traj"]), theta_step=cfg.estimation["theta_step"],
-        seed=cfg.seed,
+        int(cfg.estimation["n_traj"]), seed=cfg.seed,
     )
     for dm, f in zip(res.mismatches, res.fisher):
         _report_fisher(report, f"delta_mis={dm}", f)
@@ -200,14 +193,10 @@ def _imperfections_pipeline(cfg, report):
     n_traj = int(cfg.estimation["n_traj"])
     ideal = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
                     report, "ideal")
-    etas = cfg.imperfections["eta_list"] or [cfg.imperfections["eta"]]
-    gammas = cfg.imperfections["gamma_list"] or [cfg.imperfections["gamma"]]
     rows = []
-    for eta in etas:
-        for gam in gammas:
-            imp = Imperfections(gamma=float(gam),
-                                gamma_dep=cfg.imperfections["gamma_dep"],
-                                eta=float(eta))
+    for eta in cfg.imperfections["eta_list"]:
+        for gam in cfg.imperfections["gamma_list"]:
+            imp = Imperfections(gamma=float(gam), eta=float(eta))
             fi = _fisher(cascade_generators(sensor, dec, imperfections=imp),
                          theta, grid, n_traj, cfg, report, f"eta={eta} gamma={gam}")
             ratio = fi.value / ideal.value if ideal.value > 0 else float("nan")

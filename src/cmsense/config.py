@@ -3,11 +3,14 @@
 A config is one JSON document; all rates and times are in natural
 units with the emission rate of the main transition set to 1.  The
 presets reproduce the library's headline studies at desk scale; every
-knob they set can be overridden in a custom config.
+key they set can be overridden in a custom config.  The schema holds
+only keys that change a run.  ``validate`` checks the type and range of
+every key from one table, ``_CHECKS``, then what involves several keys.
 """
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import List, Optional
 
@@ -47,21 +50,8 @@ _DEFAULTS = {
         "theta": 0.0,
     },
     "grid": {"dt": 2e-3, "t_list": [20.0]},
-    "estimation": {
-        "fd_step": None,
-        "theta_step": 1e-3,
-        "n_traj": 2000,
-        "n_records": 1000,
-        "n_grid": 41,
-        "grid_width": None,
-    },
-    "imperfections": {
-        "gamma": 0.0,
-        "gamma_dep": None,
-        "eta": 1.0,
-        "eta_list": None,
-        "gamma_list": None,
-    },
+    "estimation": {"n_traj": 2000, "n_records": 1000, "n_grid": 41},
+    "imperfections": {"eta_list": [1.0], "gamma_list": [0.0]},
     "mismatch": {"values": None},
     "seed": 0,
     "threads": 1,
@@ -72,11 +62,12 @@ _DEFAULTS = {
 @dataclass(eq=False)
 class ExperimentConfig:
     preset: str = "custom"
-    model: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["model"]))
-    grid: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["grid"]))
-    estimation: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["estimation"]))
-    imperfections: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["imperfections"]))
-    mismatch: dict = dc_field(default_factory=lambda: dict(_DEFAULTS["mismatch"]))
+    model: dict = dc_field(default_factory=lambda: copy.deepcopy(_DEFAULTS["model"]))
+    grid: dict = dc_field(default_factory=lambda: copy.deepcopy(_DEFAULTS["grid"]))
+    estimation: dict = dc_field(default_factory=lambda: copy.deepcopy(_DEFAULTS["estimation"]))
+    imperfections: dict = dc_field(
+        default_factory=lambda: copy.deepcopy(_DEFAULTS["imperfections"]))
+    mismatch: dict = dc_field(default_factory=lambda: copy.deepcopy(_DEFAULTS["mismatch"]))
     seed: int = 0
     threads: int = 1
     out: str = "results"
@@ -137,86 +128,107 @@ def scan_horizon(cfg: ExperimentConfig, t_end) -> float:
     return float(t_end) + (6.0 / cfg.model["gamma"] if three else 0.0)
 
 
-def _model_norm_scale(cfg):
-    """Max spectral norm of H over a few sample times, for the dt lint;
-    raises the model's own error when the config builds none."""
+def _step_load(cfg):
+    """dt * max(|H|, |J^dag J|) in the spectral norm, the load the Kraus
+    table guard checks, at a few probe times of the sensor alone (the
+    cascade with a decoder is not linted); raises the model's own error
+    when the config builds none."""
     t_pl = float(cfg.grid["t_list"][0])
     sensor = build_sensor(cfg, t_plateau=t_pl)
-    theta = float(cfg.model.get("theta", 0.0))
+    theta = float(cfg.model["theta"])
     if cfg.model["kind"] == "three_level":
         probe = [0.0, 0.5 * t_pl, t_pl + 1.0 / cfg.model["gamma"]]
     else:
         probe = [0.0]
-    return max(float(np.linalg.norm(sensor.hamiltonian(t, theta), 2)) for t in probe)
+
+    def load(t):
+        j = sensor.jump(t, theta)
+        return max(np.linalg.norm(sensor.hamiltonian(t, theta), 2),
+                   np.linalg.norm(j.conj().T @ j, 2))
+    return cfg.grid["dt"] * float(max(load(t) for t in probe))
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int_at_least(lo):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _numbers(ok=lambda x: True):
+    """A check of a nonempty list of numbers that each pass ``ok``."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(
+        _number(x) and ok(x) for x in v)
+
+
+# (key, check, message) for every key of the schema; "a.b" is key b of
+# the section a.  The message may name the value as {v!r}.
+_CHECKS = (
+    ("preset", lambda v: v in PRESET_NAMES, "unknown preset {v!r}"),
+    ("model.kind", lambda v: v in ("two_level", "three_level"), "unknown kind {v!r}"),
+    ("model.omega", lambda v: _number(v) and v >= 0, "must be a nonnegative number"),
+    ("model.delta", _number, "must be a number"),
+    ("model.gamma", lambda v: _number(v) and v >= 0, "must be a nonnegative number"),
+    ("model.theta", _number, "must be a number"),
+    ("grid.dt", lambda v: _number(v) and v > 0, "must be a positive number"),
+    ("grid.t_list", _numbers(lambda t: t > 0), "needs a list of positive interrogation times"),
+    ("estimation.n_traj", _int_at_least(0), "must be an integer >= 0"),
+    ("estimation.n_records", _int_at_least(0), "must be an integer >= 0"),
+    ("estimation.n_grid", _int_at_least(3), "must be an integer >= 3 (parabolic refinement)"),
+    ("imperfections.eta_list", _numbers(lambda e: 0 < e <= 1),
+     "needs a list of detector efficiencies in (0, 1], got {v!r}"),
+    ("imperfections.gamma_list", _numbers(lambda g: g >= 0),
+     "needs a list of nonnegative rates, got {v!r}"),
+    ("mismatch.values", lambda v: v is None or _numbers()(v), "must be null or a list of numbers"),
+    ("seed", _int_at_least(0), "must be an integer >= 0"),
+    ("threads", _int_at_least(1), "must be an integer >= 1"),
+    ("out", lambda v: isinstance(v, str) and v != "", "must be a nonempty path"),
+)
+
+
+def _value(cfg, key):
+    section, _, sub = key.partition(".")
+    val = getattr(cfg, section)
+    return val.get(sub) if sub else val
 
 
 def validate(cfg: ExperimentConfig) -> List[str]:
     """Schema checks plus physics lints.  Empty list means runnable.
 
-    Entries are prefixed "error:" (blocks run) or "warn:".
+    Entries are prefixed "error:" (blocks run) or "warn:".  The checks
+    across keys run only on a config whose every key passes ``_CHECKS``.
     """
-    diags = []
-    if cfg.preset not in PRESET_NAMES:
-        diags.append(f"error: preset: unknown preset {cfg.preset!r}")
-    m = cfg.model
-    if m.get("kind") not in ("two_level", "three_level"):
-        diags.append(f"error: model.kind: unknown kind {m.get('kind')!r}")
-    for key in ("omega", "gamma"):
-        if not np.isfinite(m.get(key, np.nan)) or m.get(key, -1) < 0:
-            diags.append(f"error: model.{key}: must be a nonnegative number")
-    dt = cfg.grid.get("dt", 0.0)
-    if not (np.isfinite(dt) and dt > 0):
-        diags.append("error: grid.dt: must be positive")
-    t_list = cfg.grid.get("t_list") or []
-    if not t_list or any(t <= 0 for t in t_list):
-        diags.append("error: grid.t_list: needs positive interrogation times")
-    imp = cfg.imperfections
-    eta = imp.get("eta", 1.0)
-    if not (0.0 < eta <= 1.0):
-        diags.append(f"error: imperfections.eta: {eta} outside (0, 1]")
-    if eta == 0.0:
-        diags.append("warn: imperfections.eta: zero-information detector")
-    for key in ("gamma", "gamma_dep"):
-        val = imp.get(key)
-        if val is not None and val < 0:
-            diags.append(f"error: imperfections.{key}: negative rate")
-    est = cfg.estimation
-    if est.get("n_traj", 0) < 0:
-        diags.append("error: estimation.n_traj: negative")
-    elif est.get("n_traj", 0) == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
+    diags = [f"error: {key}: " + msg.format(v=_value(cfg, key))
+             for key, ok, msg in _CHECKS if not ok(_value(cfg, key))]
+    if diags:
+        return diags
+    dt, est = cfg.grid["dt"], cfg.estimation
+    try:
+        load = _step_load(cfg)
+    except NonpositiveRate as exc:
+        # gamma = 0 builds no model, so no dt lint and no horizon either
+        return [f"error: model.gamma: {exc}"]
+    if load > STEP_GUARD:
+        diags.append(f"error: grid.dt: dt*max(|H|, |J^dag J|) = "
+                     f"{format_excess(load, STEP_GUARD)} exceeds the {STEP_GUARD} step guard")
+    # a grid that is not a whole number of dt steps would stop the run
+    for t in cfg.grid["t_list"]:
+        end = scan_horizon(cfg, t)
+        try:
+            TimeGrid(0.0, end, dt)
+        except ValueError:
+            diags.append(f"error: grid.t_list: the grid of T = {t:g} ends at {end:g}, "
+                         f"not a multiple of dt = {dt:g}")
+    if est["n_traj"] == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
         # these presets only estimate Fisher information from records
         diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")
-    if cfg.preset == "fig2_mle" and est.get("n_records", 0) < 2:
+    if cfg.preset == "fig2_mle" and est["n_records"] < 2:
         diags.append("error: estimation.n_records: the variance needs at least 2 records")
-    elif cfg.preset == "fig2_mle" and est.get("n_records", 0) < 1000:
+    elif cfg.preset == "fig2_mle" and est["n_records"] < 1000:
         diags.append("warn: estimation.n_records: below 1000, variance estimate unstable")
-    fd = est.get("fd_step")
-    if fd is not None and not (1e-6 <= fd <= 1e-1):
-        diags.append("warn: estimation.fd_step: outside the trusted window [1e-6, 1e-1]")
-    if dt and dt > 0 and not any(d.startswith("error") for d in diags):
-        try:
-            scale = _model_norm_scale(cfg)
-        except NonpositiveRate as exc:
-            # gamma = 0 builds no model, so no dt lint and no horizon either
-            diags.append(f"error: model.gamma: {exc}")
-            scale = None
-        if scale is not None and dt * scale > STEP_GUARD:
-            diags.append(
-                f"error: grid.dt: dt*|H| = {format_excess(dt * scale, STEP_GUARD)} "
-                f"exceeds the {STEP_GUARD} step guard"
-            )
-        # a grid that is not a whole number of dt steps would stop the run
-        for t in (cfg.grid["t_list"] if scale is not None else []):
-            end = scan_horizon(cfg, t)
-            try:
-                TimeGrid(0.0, end, dt)
-            except ValueError:
-                diags.append(f"error: grid.t_list: the grid of T = {t:g} ends at {end:g}, "
-                             f"not a multiple of dt = {dt:g}")
-    if cfg.preset == "fig2_mismatch" and not (cfg.mismatch.get("values")):
+    if cfg.preset == "fig2_mismatch" and cfg.mismatch["values"] is None:
         diags.append("error: mismatch.values: required for the mismatch preset")
-    if cfg.threads < 1:
-        diags.append("error: threads: must be >= 1")
     return diags
 
 

@@ -114,18 +114,16 @@ class InterrogationRow:
 
 
 def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
-                        n_records: int, dt: float, theta_step: float = 1e-3,
-                        seed: int = 0, n_grid: int = 41,
-                        grid_width: Optional[float] = None,
+                        n_records: int, dt: float, seed: int = 0, n_grid: int = 41,
                         fisher_n_traj: Optional[int] = None) -> List[InterrogationRow]:
     """Repeated-interrogation variance study.
 
     For each interrogation time T: estimate the record Fisher
     information, draw n_records independent records at theta_true,
-    estimate theta record-by-record on a shared grid, and report
-    1/(n_records * Var) next to the Fisher value.  ``gen`` is either a
-    fixed generator set or a callable T -> generators (needed when the
-    drive pulses depend on T).
+    estimate theta record-by-record on a shared grid of half-width
+    ``default_grid_width``, and report 1/(n_records * Var) next to the
+    Fisher value.  ``gen`` is either a fixed generator set or a callable
+    T -> generators (needed when the drive pulses depend on T).
 
     Records whose likelihood peaks on the grid boundary are estimated
     at the boundary and counted in n_boundary rather than raised, so a
@@ -141,13 +139,12 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         tgrid = TimeGrid(0.0, float(t_end), dt)
         fi = fisher_from_trajectories(
             g, theta_true, tgrid, fisher_n_traj or min(n_records, 2000),
-            theta_step=theta_step, seed=seed + 1009 * it + 1,
+            seed=seed + 1009 * it + 1,
         )
         indices, _, _ = sample_records(
             g, theta_true, tgrid, n_records, seed=seed + 1009 * it,
         )
-        width = grid_width if grid_width is not None else \
-            default_grid_width(fi.value, t_end)
+        width = default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
         logl = replay_records(g, tgrid_theta, indices, tgrid)  # (n_grid, n_records)
         ests = np.empty(n_records)

@@ -15,6 +15,7 @@ __all__ = [
     "nuclear_norm_eig",
     "robust_inv",
     "dagger",
+    "frobenius_sq",
 ]
 
 _CLIP_TOL = 1e-10
@@ -24,6 +25,13 @@ _REL_TOL = 1e-10
 def dagger(m):
     """Conjugate transpose (of each matrix of a stack)."""
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+def frobenius_sq(stack):
+    """Squared Frobenius norm of each matrix of a complex stack, summed
+    over a float view: no temporary the size of the stack."""
+    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ki,ki->k", v, v)
 
 
 def psd_sqrt(m):

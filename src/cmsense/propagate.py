@@ -26,7 +26,7 @@ import numpy as np
 
 from ._engine import StepOps
 from .errors import StepTooLarge, TraceDrift, format_excess
-from .linalg import dagger
+from .linalg import dagger, frobenius_sq
 from .models import SensorModel, operator_stacks
 
 __all__ = [
@@ -87,20 +87,14 @@ def _batched_kron(a, b, out=None):
     return out
 
 
-def _frobenius(stack):
-    """Frobenius norm of each matrix of a stack, summed over a float view:
-    no temporary the size of the stack."""
-    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    return np.sqrt(np.einsum("ki,ki->k", v, v))
-
-
 def _guard(h, decay, dt, max_step, ts):
     """Raise StepTooLarge at the first bin where dt*max(|H|, |decay|) in
     the spectral norm exceeds max_step.  The Frobenius norm bounds it
     from above, so only the bins that norm flags get the exact one.
     The margin covers the round-off of a bound that equals the spectral
     norm (a rank-one matrix)."""
-    load = dt * np.maximum(_frobenius(h), _frobenius(decay)) * (1.0 + 1e-9)
+    frob = lambda m: np.sqrt(frobenius_sq(m))
+    load = dt * np.maximum(frob(h), frob(decay)) * (1.0 + 1e-9)
     flagged = np.flatnonzero(load > max_step)
     if not len(flagged):
         return

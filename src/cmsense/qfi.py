@@ -39,8 +39,9 @@ __all__ = [
     "qfi_pair",
 ]
 
-# finite-difference step selection: accept delta when the worse of the
-# two infidelities lands in this window
+# finite-difference step selection: start at _DELTA_START and accept the
+# step when the worse of the two infidelities lands in this window
+_DELTA_START = 1e-3
 _WINDOW_LO = 1e-6
 _WINDOW_HI = 1e-2
 _DELTA_MIN = 1e-6
@@ -124,7 +125,7 @@ def global_fidelity(model: SensorModel, theta1: float, theta2: float, T: float,
     return _FidelityEngine(model, T, dt).fidelity(theta1, theta2, "global")
 
 
-def _qfi(eng, theta, delta, kind):
+def _qfi(eng, theta, kind):
     samples = []
 
     def infidelity(d):
@@ -134,9 +135,7 @@ def _qfi(eng, theta, delta, kind):
         samples.append((-d, fm))
         return fp, fm, max(1.0 - fp, 1.0 - fm)
 
-    d = float(delta)
-    lo, hi = _DELTA_MIN, _DELTA_MAX
-    d = min(max(d, lo), hi)
+    d, lo, hi = _DELTA_START, _DELTA_MIN, _DELTA_MAX
     fp, fm, w = infidelity(d)
     it = 0
     while not (_WINDOW_LO <= w <= _WINDOW_HI):
@@ -164,34 +163,31 @@ def _qfi(eng, theta, delta, kind):
     )
 
 
-def env_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-            delta: float = 1e-3):
+def env_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3):
     """QFI of the emission field via symmetric second difference.
 
     value = 4 [2 - F(theta, theta+d) - F(theta, theta-d)] / d^2
 
     using F(theta, theta) = 1 (exact under the unit-trace convention).
-    The step d starts at ``delta`` and is auto-adjusted by geometric
+    The step d starts at 1e-3 and is auto-adjusted by geometric
     bisection until the infidelity lands in [1e-6, 1e-2]; failure to
     find such a step raises StepSelectionFailed.  The value carries the
     O(d^2) bias of the second difference.
     """
-    return _qfi(_FidelityEngine(model, T, dt), theta, delta, "env")
+    return _qfi(_FidelityEngine(model, T, dt), theta, "env")
 
 
-def global_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-               delta: float = 1e-3):
+def global_qfi(model: SensorModel, theta: float, T: float, dt: float = 1e-3):
     """QFI of the joint system+field state; upper-bounds env_qfi."""
-    return _qfi(_FidelityEngine(model, T, dt), theta, delta, "global")
+    return _qfi(_FidelityEngine(model, T, dt), theta, "global")
 
 
-def qfi_pair(model: SensorModel, theta: float, T: float, dt: float = 1e-3,
-             delta: float = 1e-3):
+def qfi_pair(model: SensorModel, theta: float, T: float, dt: float = 1e-3):
     """(env_qfi, global_qfi) results from one fidelity engine: equal to
     the two separate calls, with each shared generalized state
     propagated once."""
     eng = _FidelityEngine(model, T, dt)
-    env = _qfi(eng, theta, delta, "env")
-    glob = _qfi(eng, theta, delta, "global")
+    env = _qfi(eng, theta, "env")
+    glob = _qfi(eng, theta, "global")
     env.propagations = glob.propagations
     return env, glob

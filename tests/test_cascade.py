@@ -562,7 +562,6 @@ def test_density_engine_agrees_with_pure_at_unit_efficiency(emitter):
 def test_imperfections_defaults():
     imp = Imperfections(gamma=0.1)
     assert imp.dephasing == pytest.approx(0.1)
-    assert Imperfections(gamma=0.1, gamma_dep=0.0).dephasing == 0.0
     with pytest.raises(CmsenseError):
         Imperfections(eta=0.0)
     with pytest.raises(CmsenseError):

@@ -48,6 +48,11 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 2
     assert "grid.dt" in capsys.readouterr().out
 
+    # a malformed value is a diagnostic and exit 2, not a traceback
+    bad.write_text(json.dumps({"threads": "2"}))
+    assert main(["validate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().out.startswith("error: threads: ")
+
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
 

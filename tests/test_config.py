@@ -16,6 +16,13 @@ def test_default_round_trip():
     assert validate(cfg) == []
 
 
+def test_default_lists_are_not_shared():
+    ExperimentConfig().grid["t_list"].append(5.0)
+    ExperimentConfig().imperfections["eta_list"].append(0.5)
+    assert ExperimentConfig().grid["t_list"] == [20.0]
+    assert ExperimentConfig.from_dict({}).imperfections["eta_list"] == [1.0]
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(ConfigInvalid, match="unknown field"):
         ExperimentConfig.from_dict({"typo": 1})
@@ -25,6 +32,12 @@ def test_unknown_fields_rejected():
         ExperimentConfig.from_dict([1, 2])
     with pytest.raises(ConfigInvalid, match="expected"):
         ExperimentConfig.from_dict({"model": 3})
+    # the keys that every run left at one value are gone
+    for section, key in [("estimation", "fd_step"), ("estimation", "theta_step"),
+                         ("estimation", "grid_width"), ("imperfections", "gamma_dep"),
+                         ("imperfections", "eta"), ("imperfections", "gamma")]:
+        with pytest.raises(ConfigInvalid, match=f"{section}.{key}: unknown field"):
+            ExperimentConfig.from_dict({section: {key: 1.0}})
 
 
 @pytest.mark.parametrize("patch,needle", [
@@ -34,8 +47,11 @@ def test_unknown_fields_rejected():
     ({"grid": {"dt": 0.0}}, "grid.dt"),
     ({"grid": {"t_list": []}}, "grid.t_list"),
     ({"grid": {"t_list": [-5.0]}}, "grid.t_list"),
-    ({"imperfections": {"eta": 1.5}}, "imperfections.eta"),
-    ({"imperfections": {"gamma": -0.1}}, "imperfections.gamma"),
+    # every entry of the imperfection grid, as Imperfections checks it
+    ({"preset": "fig4_imperfections", "imperfections": {"eta_list": [1.5]}},
+     "imperfections.eta"),
+    ({"preset": "fig4_imperfections", "imperfections": {"gamma_list": [-0.1]}},
+     "imperfections.gamma"),
     ({"threads": 0}, "threads"),
     # 1.0 is not a whole number of 3e-4 steps: TimeGrid would refuse it mid-run
     ({"grid": {"dt": 3e-4, "t_list": [1.0]}, "estimation": {"n_traj": 0}}, "grid.t_list"),
@@ -50,6 +66,19 @@ def test_unknown_fields_rejected():
     ({"preset": "fig2_mle", "estimation": {"n_records": -5}}, "estimation.n_records"),
     ({"preset": "fig2_mle", "estimation": {"n_records": 0}}, "estimation.n_records"),
     ({"preset": "fig2_mle", "estimation": {"n_records": 1}}, "estimation.n_records"),
+    ({"imperfections": {"eta_list": []}}, "imperfections.eta_list"),
+    # malformed values are diagnostics, not exceptions
+    ({"grid": {"t_list": ["a"]}}, "grid.t_list"),
+    ({"grid": {"t_list": 5}}, "grid.t_list"),
+    ({"grid": {"dt": "x"}}, "grid.dt"),
+    ({"model": {"theta": "q"}}, "model.theta"),
+    ({"estimation": {"n_traj": "5"}}, "estimation.n_traj"),
+    ({"threads": "2"}, "threads"),
+    ({"estimation": {"n_grid": 2}}, "estimation.n_grid"),
+    ({"seed": -1}, "seed"),
+    ({"preset": "fig2_mismatch", "mismatch": {"values": ["a"]}}, "mismatch.values"),
+    # J^dag J loads the step too: 30 * 2e-3 = 0.06 > 0.05
+    ({"model": {"gamma": 30.0}}, "step guard"),
 ])
 def test_validate_error_catalog(patch, needle):
     cfg = ExperimentConfig.from_dict(patch)
@@ -63,12 +92,19 @@ def test_validate_step_guard():
     assert any("step guard" in d for d in diags)
 
 
-def test_validate_warnings():
-    cfg = ExperimentConfig.from_dict({"estimation": {"fd_step": 0.5}})
-    diags = validate(cfg)
-    assert any(d.startswith("warn") and "fd_step" in d for d in diags)
-    assert not any(d.startswith("error") for d in diags)
+def test_validate_builds_no_kraus_table(monkeypatch):
+    # the step lint reads the model's operators at a few probe times only
+    from cmsense import cascade, propagate
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate built a Kraus table")
+    for module in (cascade, propagate):
+        monkeypatch.setattr(module, "_kraus_tables", forbidden)
+    for name in PRESET_NAMES:
+        validate(preset_config(name))
+
+
+def test_validate_warnings():
     cfg = preset_config("fig2_mle")
     for n in (2, 50, 999):
         cfg.estimation["n_records"] = n

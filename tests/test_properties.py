@@ -63,8 +63,8 @@ def test_fidelity_bounds(t1, t2, omega, delta, theta):
 def test_global_dominates_emission(delta):
     # tracing out the sensor can only lose information
     m = two_level_model(1.0, delta, 1.0)
-    ie = env_qfi(m, delta, 4.0, dt=2e-3, delta=1e-3).value
-    ig = global_qfi(m, delta, 4.0, dt=2e-3, delta=1e-3).value
+    ie = env_qfi(m, delta, 4.0, dt=2e-3).value
+    ig = global_qfi(m, delta, 4.0, dt=2e-3).value
     assert ig >= ie - 1e-6 * max(1.0, ie)
     assert ie >= 0.0
 

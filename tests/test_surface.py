@@ -1,7 +1,8 @@
 """Public surface: every exported name resolves, the demos import only
 names the package still has, the benchmark calls cmsense only with
 names and keywords it still has, and every defaulted keyword of a public
-function is set by some call (demos and benchmark are parsed, not run)."""
+function is set by some call to a value other than its default (demos
+and benchmark are parsed, not run)."""
 import ast
 import importlib
 import inspect
@@ -104,15 +105,29 @@ def test_benchmark_bindings_resolve():
 # stays settable all the same
 UNSET_ALLOWED = {
     "decoder.build_decoder.w0": "the synthesis gauge, which both synthesis routes take",
-    "qfi.qfi_pair.delta": "the CLI passes estimation.fd_step to it through **",
+    "cascade.mismatch_sweep.theta_step": "gate 6 and the mle_consistency demo pass it",
+    "oracle.brute_env_state.max_step": "reference code: the oracle keeps its full signature",
     "oracle.counting_fisher_exact.dec": "reference code: the oracle keeps its full signature",
     "oracle.counting_fisher_exact.max_step": "reference code: the oracle keeps its full signature",
+    "oracle.counting_fisher_exact.theta_step":
+        "reference code: the oracle keeps its full signature",
 }
+
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression node, else _NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_LITERAL
 
 
 def _call_settings():
-    """{called name: {(positional argument count, keyword names)}} over every
-    call ``f(...)`` or ``x.f(...)`` in src/, tests/, demos/ and perfbench/.
+    """{called name: [(positional argument count, {keyword: literal value})]}
+    over every call ``f(...)`` or ``x.f(...)`` in src/, tests/, demos/ and
+    perfbench/, with _NOT_LITERAL for a keyword value that is no literal.
     A ``*args`` call sets every positional parameter; ``**kwargs`` sets none."""
     calls = {}
     for path in sorted(p for d in ("src", "tests", "demos", "perfbench")
@@ -124,15 +139,16 @@ def _call_settings():
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
             npos = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
                     else len(node.args))
-            calls.setdefault(name, set()).add(
-                (npos, frozenset(k.arg for k in node.keywords if k.arg)))
+            calls.setdefault(name, []).append(
+                (npos, {k.arg: _literal(k.value) for k in node.keywords if k.arg}))
     return calls
 
 
 def _unset_keywords():
     """``module.function.parameter`` of each defaulted parameter of a function
-    in a cmsense module's ``__all__`` that no call sets, by keyword or by
-    position (calls are matched by the function's name)."""
+    in a cmsense module's ``__all__`` that no call sets, by position or by
+    keyword to anything but a literal equal to the default (calls are
+    matched by the function's name)."""
     calls, unset = _call_settings(), []
     for name in MODULES:
         mod = importlib.import_module(name)
@@ -143,15 +159,21 @@ def _unset_keywords():
             for i, p in enumerate(inspect.signature(fn).parameters.values()):
                 positional = p.kind is p.POSITIONAL_OR_KEYWORD
                 if p.default is not p.empty and not any(
-                        p.name in kws or (positional and npos > i)
+                        (positional and npos > i)
+                        or (p.name in kws and not _equal(kws[p.name], p.default))
                         for npos, kws in calls.get(fname, ())):
                     unset.append(f"{name.split('.', 1)[1]}.{fname}.{p.name}")
     return unset
 
 
+def _equal(value, default):
+    return type(value) is type(default) and value == default
+
+
 def test_every_public_keyword_has_a_caller():
-    # a keyword no caller sets is a configuration nothing runs: make it a
-    # constant, or give its reason in UNSET_ALLOWED
+    # a keyword no caller sets, or that every caller sets to its default,
+    # is a configuration nothing runs: make it a constant, or give its
+    # reason in UNSET_ALLOWED
     unset = set(_unset_keywords())
     extra, stale = sorted(unset - set(UNSET_ALLOWED)), sorted(set(UNSET_ALLOWED) - unset)
     assert not extra, f"{len(extra)} defaulted keywords that no call sets: {extra}"
