@@ -56,7 +56,8 @@ class StepOps:
     """Per-bin branch maps of a cascaded counting model.
 
     ``a0``/``a1`` are the (bins, m, m) no-click / click stacks, one bin
-    shared by every step for a static model, else n_steps bins, and
+    shared by every step for a static model, else n_steps bins (a static
+    jump's click stack is a read-only broadcast of one matrix), and
     ``x0`` the initial state: Kraus pairs and a state vector when
     ``pure``, else superoperators on row-major vectorized densities (they
     include loss, dephasing and the (1 - eta) feed-through) and vec(rho).

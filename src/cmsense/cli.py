@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from time import perf_counter
 
 import numpy as np
 
@@ -126,17 +127,21 @@ def _scan_pipeline(cfg, report):
         sensor = build_sensor(cfg, t_plateau=float(t_end))
         horizon = scan_horizon(cfg, t_end)
         grid = TimeGrid(0.0, horizon, dt)
+        t0 = perf_counter()
         env, glob = qfi_pair(sensor, theta, horizon, dt=dt)
         report.setdefault("qfi", []).append({
             "T": float(t_end), "propagations": env.propagations,
+            "seconds": perf_counter() - t0,
             **{kind: {"fd_step": q.fd_step, "fidelity_evals": len(q.fidelity_samples)}
                for kind, q in (("env", env), ("global", glob))}})
         row = [float(t_end), env.value, glob.value]
         if n_traj > 0:
             if three:
+                t0 = perf_counter()
                 dec = build_decoder(sensor, theta, grid)
                 report.setdefault("decoders", []).append(
-                    {"label": f"T={t_end}", "herm_residual": dec.herm_residual})
+                    {"label": f"T={t_end}", "herm_residual": dec.herm_residual,
+                     "seconds": perf_counter() - t0})
             else:
                 dec = _matched_two_level(cfg, theta)
             fd = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
@@ -164,6 +169,7 @@ def _mle_pipeline(cfg, report):
     )
     for r in rows:
         _report_fisher(report, f"T={r.t_end}", r.fisher_estimate)
+        report["estimators"][-1]["grid_s"] = r.grid_s  # the theta-grid replay
     table = study_table(rows)
     header = list(table[0].keys())
     return header, [[d[k] for k in header] for d in table]

@@ -9,6 +9,7 @@ explicit outputs, not hidden tuning.
 """
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -103,6 +104,7 @@ class InterrogationRow:
     n_boundary: int
     grid_width: float
     fisher_estimate: FisherEstimate
+    grid_s: float  # seconds of the likelihood-grid replay
 
     @property
     def fisher(self):
@@ -146,7 +148,9 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         )
         width = default_grid_width(fi.value, t_end)
         tgrid_theta = theta_true + np.linspace(-width, width, n_grid)
+        t0 = perf_counter()
         logl = replay_records(g, tgrid_theta, indices, tgrid)  # (n_grid, n_records)
+        grid_s = perf_counter() - t0
         ests = np.empty(n_records)
         n_boundary = 0
         for r in range(n_records):
@@ -164,7 +168,7 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
             t_end=float(t_end), inv_var_per_k=inv_var, n_records=n_records, seed=seed,
             mean_estimate=float(ests.mean()), variance=var,
             bias=float(ests.mean() - theta_true), n_boundary=n_boundary,
-            grid_width=width, fisher_estimate=fi,
+            grid_width=width, fisher_estimate=fi, grid_s=grid_s,
         ))
     return rows
 

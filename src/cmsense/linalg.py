@@ -5,6 +5,8 @@ for the brute-force checks, <= 16 in the main loops), so we prefer
 eigendecompositions over iterative methods and accuracy over speed.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficientRho
@@ -29,9 +31,14 @@ def dagger(m):
 
 def frobenius_sq(stack):
     """Squared Frobenius norm of each matrix of a complex stack, summed
-    over a float view: no temporary the size of the stack."""
-    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    return np.einsum("ki,ki->k", v, v)
+    over a float view: no temporary the size of the stack.  A stride-0
+    stack of several entries (one matrix broadcast over them) takes the
+    norm of its one matrix, broadcast."""
+    one = len(stack) > 1 and stack.strides[0] == 0
+    v = np.ascontiguousarray(stack[:1] if one else stack)
+    v = v.reshape(len(v), math.prod(v.shape[1:])).view(np.float64)
+    sq = np.einsum("ki,ki->k", v, v)
+    return np.broadcast_to(sq, len(stack)) if one else sq
 
 
 def psd_sqrt(m):

@@ -17,6 +17,13 @@ fidelities on unit-trace states.
 
 All propagation is by products of per-bin maps (``propagate_linear``);
 densities in row-major vec, where mu -> A mu B^dag is A (x) conj(B).
+
+A jump that depends on neither t nor theta (every built-in sensor) comes
+from ``operator_stacks`` as a stride-0 broadcast of one matrix, and the
+tables keep it so: one J^dag J per block, a click stack ``a1`` that is
+a read-only broadcast of one matrix, and one click kron per two-sided
+map.  Per-bin jumps (a decoder's, or a sensor's that varies with t)
+take the same formulas bin by bin, with the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -87,17 +94,25 @@ def _batched_kron(a, b, out=None):
     return out
 
 
+def _static(stack):
+    """Whether a (bins, m, m) stack of several bins is one matrix for every
+    bin: a stride-0 broadcast view, as ``operator_stacks`` returns a static
+    jump.  A one-bin stack takes the per-bin route, which costs no more."""
+    return len(stack) > 1 and stack.strides[0] == 0
+
+
 def _guard(h, decay, dt, max_step, ts):
     """Raise StepTooLarge at the first bin where dt*max(|H|, |decay|) in
-    the spectral norm exceeds max_step.  The Frobenius norm bounds it
-    from above, so only the bins that norm flags get the exact one.
-    The margin covers the round-off of a bound that equals the spectral
-    norm (a rank-one matrix)."""
+    the spectral norm exceeds max_step, ``decay`` one matrix for every bin
+    or one per bin.  The Frobenius norm bounds it from above, so only the
+    bins that norm flags get the exact one.  The margin covers the
+    round-off of a bound that equals the spectral norm (a rank-one matrix)."""
     frob = lambda m: np.sqrt(frobenius_sq(m))
     load = dt * np.maximum(frob(h), frob(decay)) * (1.0 + 1e-9)
     flagged = np.flatnonzero(load > max_step)
     if not len(flagged):
         return
+    decay = np.broadcast_to(decay, h.shape)
     load = dt * np.maximum(np.linalg.norm(h[flagged], 2, axis=(1, 2)),
                            np.linalg.norm(decay[flagged], 2, axis=(1, 2)))
     bad = np.flatnonzero(load > max_step)
@@ -119,16 +134,18 @@ def _joint(hs, js, dec, out):
         return out, js
     hd, jd = dec
     eye_s, eye_d = (np.eye(a.shape[-1], dtype=complex)[None] for a in (js, hd))
-    cross = _batched_kron(dagger(js), jd)
-    cross -= _batched_kron(js, dagger(jd))
+    # a static jump enters as its one matrix, broadcast by the products
+    js1 = js[:1] if _static(js) else js
+    jd1 = jd[:1] if _static(jd) else jd
+    cross = _batched_kron(dagger(js1), jd1)
+    cross -= _batched_kron(js1, dagger(jd1))
     np.multiply(0.5j, cross, out=cross)
     r = _batched_kron(eye_s, hd)
     r += cross
     h = _batched_kron(hs, eye_d, out)
     h += r
-    jc = _batched_kron(js, eye_d)
-    jc += _batched_kron(eye_s, jd)
-    return h, jc
+    jc = np.add(_batched_kron(js1, eye_d), _batched_kron(eye_s, jd1))
+    return h, jc if len(jc) == len(js) else np.broadcast_to(jc, js.shape[:1] + jc.shape[1:])
 
 
 def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=()):
@@ -136,21 +153,29 @@ def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=()):
     cascaded into the decoder stacks ``dec`` when given (``_joint``):
     a0 = 1 - i H dt - (1/2)(J^dag J + sum_l L_l^dag L_l) dt and a1 =
     sqrt(dt) J, with ``extra`` the constant undetected channels L_l.
-    Built _BLOCK bins at a time into the two stacks, keeping nothing else."""
+    Built _BLOCK bins at a time into the two stacks, keeping nothing else.
+    A static joint jump (stride-0 ``js``, and decoder jump if cascaded)
+    takes one J^dag J per block, and a1 is a read-only broadcast of one
+    matrix."""
     n, dim = len(hs), hs.shape[-1] * (1 if dec is None else dec[0].shape[-1])
+    static = _static(js) and (dec is None or _static(dec[1]))
     a0 = np.empty((n, dim, dim), dtype=complex)
-    a1 = np.empty_like(a0)
+    a1 = np.empty((0 if static else n, dim, dim), dtype=complex)  # static: set below
     for lo in range(0, n, _BLOCK):
         b = slice(lo, lo + _BLOCK)
         h, j = _joint(hs[b], js[b], None if dec is None else (dec[0][b], dec[1][b]), a0[b])
-        decay = np.einsum("nji,njk->nik", j.conj(), j)
+        if static:
+            j = j[:1]
+            a1 = np.broadcast_to(np.sqrt(dt) * j, a0.shape)
+        else:
+            np.multiply(np.sqrt(dt), j, out=a1[b])
+        decay = dagger(j) @ j
         for l in extra:
             decay = decay + (l.conj().T @ l)[None]
         _guard(h, decay, dt, max_step, ts[b])
         np.multiply(1j * dt, h, out=h)  # a0 over H, in the order of its formula
         np.subtract(np.eye(dim, dtype=complex), h, out=h)
         h -= 0.5 * dt * decay
-        np.multiply(np.sqrt(dt), j, out=a1[b])
     return a0, a1
 
 
@@ -162,15 +187,25 @@ def _bin_times(grid, static):
 def transfer(ta, tb):
     """Per-bin maps mu -> sum_s A^s mu B^s^dag in row-major vec for
     :func:`propagate_linear`, with A from the Kraus table ``ta`` and B
-    from ``tb``: one matrix when the tables hold a single bin."""
-    maps = lambda lo, hi: (_batched_kron(ta.a0[lo:hi], tb.a0[lo:hi].conj())
-                           + _batched_kron(ta.a1[lo:hi], tb.a1[lo:hi].conj()))
+    from ``tb``: one matrix when the tables hold a single bin.  Static
+    click stacks (read-only broadcasts of one matrix) give one click kron,
+    added to each block's no-click krons."""
+    click = None
+    if _static(ta.a1) and _static(tb.a1):
+        click = _batched_kron(ta.a1[:1], tb.a1[:1].conj())
+
+    def maps(lo, hi):
+        m = _batched_kron(ta.a0[lo:hi], tb.a0[lo:hi].conj())
+        m += _batched_kron(ta.a1[lo:hi], tb.a1[lo:hi].conj()) if click is None else click
+        return m
     return maps(0, 1)[0] if len(ta.a0) == 1 else maps
 
 
 def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = STEP_GUARD):
     """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``:
-    pure StepOps from the model's initial state, one bin for a static model."""
+    pure StepOps from the model's initial state, one bin for a static model.
+    A jump that does not change in time leaves ``a1`` a read-only broadcast
+    of its one matrix (stride 0)."""
     ts = _bin_times(grid, not model.time_dependent)
     a0, a1 = _kraus_tables(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
     return StepOps(grid.n_steps, grid.dt, a0, a1, model.initial_state, pure=True)

@@ -15,6 +15,7 @@ from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthM
 from cmsense.models import SensorModel, operator_stacks, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
 from cmsense.propagate import _joint
+from conftest import modulated_jump_sensor
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +370,16 @@ def test_empty_grid_samples_empty_records(clicky_pair):
     assert [len(h) for h in idx] == [0, 0, 0] and logl.tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("case", ["pulsed_three_level", "modulated_jump"])
+def test_empty_grid_samples_empty_records_on_per_bin_tables(case):
+    # a time-dependent model has empty per-bin tables on an empty grid
+    sensor = {"pulsed_three_level": lambda: three_level_model(0.0, 5.0, 1.0, T_plateau=0.5),
+              "modulated_jump": modulated_jump_sensor}[case]()
+    idx, logl, _ = sample_records(cascade_generators(sensor), 0.0, TimeGrid(0.0, 0.0, 1e-3), 3,
+                                  seed=1)
+    assert [len(h) for h in idx] == [0, 0, 0] and logl.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_thinning_skips_bins_whose_click_bound_is_zero():
     # no click map on bins 0-499 and p1 = 0.01 after: a bound of 0 makes
     # no candidate (a wrap to the every-record bound would add 500 per
@@ -634,12 +645,15 @@ def _cascades():
                                                  two_level_decoder(1.0, 0.0, 1.0)),
         "theta_jump_density": lambda: cascade_generators(
             _theta_jump_sensor(), two_level_decoder(1.0, 0.0, 1.0), imperfections=_LOSSY),
+        "modulated_jump": lambda: cascade_generators(modulated_jump_sensor(),
+                                                     two_level_decoder(1.0, 0.0, 1.0)),
     }
 
 
 def _scored_cascades():
     """(cascade, theta, grid): static and time-dependent, pure and density, a
-    synthesized decoder and a theta-dependent jump, each where records click
+    synthesized decoder, a theta-dependent jump and one that varies in time,
+    each where records click
     (the three-level decoder is synthesized at theta = 0 and sampled far from it)."""
     c = _cascades()
     short, short_grid = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0), TimeGrid(0.0, 4.0, 1e-3)
@@ -650,7 +664,8 @@ def _scored_cascades():
             lambda: cascade_generators(short, build_decoder(short, 0.0, short_grid)),
             3.0, short_grid),
         **{name: (c[name], 0.3, _GRID) for name in (
-            "imperfections", "imperfections_build_decoder", "theta_jump", "theta_jump_density")},
+            "imperfections", "imperfections_build_decoder", "theta_jump", "theta_jump_density",
+            "modulated_jump")},
     }
 
 
@@ -795,7 +810,7 @@ def test_fisher_estimate_builds_one_table_and_one_level_set(clicky_pair, monkeyp
 
 
 @pytest.mark.parametrize("name", ["two_level_decoder", "stationary_decoder",
-                                  "three_level_build_decoder"])
+                                  "three_level_build_decoder", "modulated_jump"])
 def test_joint_hamiltonian_order_is_exact_on_builtin_cascades(name):
     # H_c is summed as H_S x 1 + R; the earlier order (H_S x 1 + 1 x H_D) +
     # cross gives the same bits, because no entry has three nonzero terms

@@ -157,6 +157,9 @@ def test_provenance_reports_synthesized_decoder():
     prov = bundle.provenance
     (dec,) = prov["decoders"]
     assert dec["label"] == "T=0.5" and dec["herm_residual"] > 0.0
+    assert set(dec) == {"label", "herm_residual", "seconds"} and dec["seconds"] > 0.0
+    assert [set(q) for q in prov["qfi"]] == [{"T", "propagations", "seconds", "env", "global"}]
+    assert b"seconds" not in bundle.csv_bytes("heisenberg")
     assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
     # the pulsed three-level model is time dependent and still runs on the
     # click-to-click core, which reports its thinning candidates per record
@@ -213,11 +216,26 @@ def test_provenance_reports_qfi_engine():
     cfg = ExperimentConfig.from_dict(_tiny_cfg(grid={"dt": 2e-3, "t_list": [3.0]}))
     bundle = run(cfg)
     env, glob = qfi_pair(build_sensor(cfg), 0.0, 3.0, dt=2e-3)
-    assert bundle.provenance["qfi"] == [{
+    (row,) = bundle.provenance["qfi"]
+    assert row.pop("seconds") > 0.0  # the stage timer of the row's qfi_pair
+    assert row == {
         "T": 3.0, "propagations": 9,
         "env": {"fd_step": env.fd_step, "fidelity_evals": len(env.fidelity_samples)},
-        "global": {"fd_step": glob.fd_step, "fidelity_evals": len(glob.fidelity_samples)}}]
+        "global": {"fd_step": glob.fd_step, "fidelity_evals": len(glob.fidelity_samples)}}
     assert b"propagations" not in bundle.csv_bytes("qfi_scan")
+    assert b"seconds" not in bundle.csv_bytes("qfi_scan")
+
+
+def test_provenance_reports_mle_grid_replay():
+    # each interrogation time's estimator entry times its likelihood-grid replay
+    bundle = run(ExperimentConfig.from_dict(_tiny_cfg(
+        preset="fig2_mle", model={"omega": 1.0, "delta": 1.0, "gamma": 1.0, "theta": 1.0},
+        grid={"dt": 2e-3, "t_list": [1.0, 2.0]},
+        estimation={"n_traj": 8, "n_records": 8, "n_grid": 11})))
+    est = bundle.provenance["estimators"]
+    assert [e["label"] for e in est] == ["T=1.0", "T=2.0"]
+    assert all(e["grid_s"] > 0.0 for e in est)
+    assert b"grid_s" not in bundle.csv_bytes("mle")
 
 
 def test_scan_row_propagates_each_generalized_state_once(monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmsense.linalg import dagger, nuclear_norm, nuclear_norm_eig, psd_sqrt, robust_inv
+from cmsense.linalg import (dagger, frobenius_sq, nuclear_norm, nuclear_norm_eig, psd_sqrt,
+                            robust_inv)
 from cmsense.errors import RankDeficientRho
 
 
@@ -14,6 +15,22 @@ def random_complex(rng, n, m=None):
 def test_dagger_is_conjugate_transpose(rng):
     a = random_complex(rng, 3, 5)
     assert np.array_equal(dagger(a), a.conj().T)
+
+
+def test_frobenius_sq_of_a_broadcast_stack_reads_one_matrix(rng, monkeypatch):
+    # a stride-0 stack (a static jump's) is one matrix: its norm is taken
+    # once and broadcast, with the bits of the norms of a contiguous copy
+    a = random_complex(rng, 3)
+    stack = np.broadcast_to(a, (1000, 3, 3))
+    ref = frobenius_sq(np.ascontiguousarray(stack))
+    assert np.allclose(ref, np.linalg.norm(a) ** 2, rtol=1e-15, atol=0.0)
+    seen, contiguous = [], np.ascontiguousarray
+    monkeypatch.setattr(np, "ascontiguousarray", lambda x: seen.append(x.shape) or contiguous(x))
+    sq = frobenius_sq(stack)
+    assert seen == [(1, 3, 3)]
+    assert sq.shape == (1000,) and sq.strides == (0,)
+    assert contiguous(sq).tobytes() == ref.tobytes()
+    assert frobenius_sq(stack[:0]).shape == (0,)
 
 
 def test_psd_sqrt_squares_back(rng):

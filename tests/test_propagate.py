@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from cmsense import TimeGrid, two_level_model, three_level_model
+from cmsense._engine import StepOps
 from cmsense.errors import StepTooLarge, TraceDrift
-from cmsense.propagate import (evolve_density, evolve_generalized, pair_table,
-                               propagate_linear, transfer)
+from cmsense.models import operator_stacks
+from cmsense.propagate import (STEP_GUARD, _kraus_tables, evolve_density, evolve_generalized,
+                               pair_table, propagate_linear, transfer)
+from conftest import modulated_jump_sensor
 
 
 def _kraus_reference(m, t, theta, dt):
@@ -76,14 +79,21 @@ def test_step_guard_names_first_offending_bin():
             build()
 
 
-def test_pair_table_batch_matches_loop():
-    m = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
+def _check_batch_matches_loop(m):
     grid = TimeGrid(0.0, 5.0, 1e-3)
     tab = pair_table(m, 0.2, grid)
     for k in (0, 1234, 4999):
         a0_ref, a1_ref = _kraus_reference(m, grid.left_times[k], 0.2, grid.dt)
         assert np.abs(tab.a0[k] - a0_ref).max() < 1e-14
         assert np.abs(tab.a1[k] - a1_ref).max() < 1e-14
+
+
+def test_pair_table_batch_matches_loop():
+    _check_batch_matches_loop(three_level_model(0.0, 5.0, 1.0, T_plateau=4.0))
+
+
+def test_pair_table_of_a_time_varying_jump_matches_loop():
+    _check_batch_matches_loop(modulated_jump_sensor())
 
 
 def test_static_pair_table_shares_one_pair():
@@ -95,9 +105,70 @@ def test_static_pair_table_shares_one_pair():
     assert np.shares_memory(a0[0], a0[999])
 
 
+def test_static_jump_stays_one_matrix():
+    # the pulsed emitter's jump is one matrix for every bin: its click stack
+    # is a read-only broadcast of it; a jump that varies in time is per bin
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    tab = pair_table(three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), 0.3, grid)
+    assert tab.a1.shape == (grid.n_steps, 3, 3) and tab.a0.shape == tab.a1.shape
+    assert tab.a1.strides[0] == 0 and not tab.a1.flags.writeable
+    per_bin = pair_table(modulated_jump_sensor(), 0.3, grid).a1
+    assert per_bin.strides[0] != 0 and not np.array_equal(per_bin[0], per_bin[500])
+
+
+def _per_bin_copies(*stacks):
+    """Contiguous copies of operator stacks: static ones lose their stride 0
+    and take the per-bin route of the table builders."""
+    return [np.ascontiguousarray(a) for a in stacks]
+
+
+def test_static_jump_pair_table_is_bitwise_the_per_bin_formulas():
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    ts = grid.left_times
+    tab = pair_table(m, 0.3, grid)
+    a0, a1 = _kraus_tables(*_per_bin_copies(*operator_stacks(m, 0.3, ts)), grid.dt,
+                           STEP_GUARD, ts)
+    assert a1.strides[0] != 0
+    assert tab.a0.tobytes() == a0.tobytes()
+    assert np.ascontiguousarray(tab.a1).tobytes() == a1.tobytes()
+
+
+@pytest.mark.parametrize("cascade", ["direct", "build_decoder"])
+def test_static_jump_step_matrices_are_bitwise_the_per_bin_formulas(cascade):
+    from cmsense.cascade import cascade_generators, step_matrices
+    from cmsense.decoder import build_decoder
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    ts = grid.left_times
+    dec = None if cascade == "direct" else build_decoder(m, 0.0, grid)
+    ops = step_matrices(cascade_generators(m, dec), 0.3, grid)
+    a0, a1 = _kraus_tables(*_per_bin_copies(*operator_stacks(m, 0.3, ts)), grid.dt,
+                           STEP_GUARD, ts, None if dec is None else _per_bin_copies(dec.hd, dec.jd))
+    assert ops.pure and (ops.a1.strides[0] == 0) is (dec is None)
+    assert ops.a0.tobytes() == a0.tobytes()
+    assert np.ascontiguousarray(ops.a1).tobytes() == a1.tobytes()
+
+
+@pytest.mark.parametrize("static", [(True, True), (True, False), (False, True)],
+                         ids=["both_static", "a_static", "b_static"])
+def test_static_click_kron_is_bitwise_the_per_bin_transfer(static):
+    # one click kron added to every bin's no-click kron gives the bits of
+    # the per-bin sum, also when only one side's click stack is static
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    ta, tb = pair_table(m, 0.3, grid), pair_table(m, 0.35, grid)
+    copy = lambda t: StepOps(t.n_steps, t.dt, t.a0, np.ascontiguousarray(t.a1), t.x0, pure=True)
+    fast = transfer(*(t if s else copy(t) for t, s in zip((ta, tb), static)))
+    slow = transfer(copy(ta), copy(tb))
+    for lo, hi in [(0, 256), (256, 512), (744, 1000), (999, 1000)]:
+        assert fast(lo, hi).tobytes() == slow(lo, hi).tobytes()
+
+
 @pytest.mark.parametrize("model", [two_level_model(omega=1.0, delta=0.3, gamma=1.0),
-                                   three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)],
-                         ids=["static_two_level", "pulsed_three_level"])
+                                   three_level_model(0.0, 5.0, 1.0, T_plateau=0.5),
+                                   modulated_jump_sensor()],
+                         ids=["static_two_level", "pulsed_three_level", "modulated_jump"])
 def test_pair_table_is_the_sensor_only_step_table(model):
     # one table form: the sensor's Kraus pairs are the decoder-free cascade's
     from cmsense.cascade import cascade_generators, step_matrices
@@ -158,6 +229,7 @@ _PRIMITIVE_CASES = {
     "static_two_level": (two_level_model(omega=1.0, delta=0.3, gamma=1.0), "transfer"),
     "pulsed_three_level": (three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), "transfer"),
     "pulsed_three_level_table": (three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), "table"),
+    "modulated_jump": (modulated_jump_sensor(), "transfer"),
 }
 
 
