@@ -30,9 +30,7 @@ from .errors import (
     TraceDrift,
 )
 from .models import (
-    PulseEnvelope,
     SensorModel,
-    default_pulses,
     gaussian_pi_envelope,
     plateau_envelope,
     three_level_model,

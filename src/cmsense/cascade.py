@@ -82,10 +82,6 @@ class Imperfections:
             raise CmsenseError("imperfection rates must be nonnegative")
 
     @property
-    def dephasing(self):
-        return self.gamma
-
-    @property
     def trivial(self):
         return self.gamma == 0.0 and self.eta == 1.0
 

@@ -38,8 +38,8 @@ from .config import (
     build_sensor,
     load_config,
     preset_config,
+    grid_ends,
     preset_summaries,
-    scan_horizon,
     validate,
 )
 from .decoder import build_decoder, two_level_decoder
@@ -123,9 +123,8 @@ def _scan_pipeline(cfg, report):
     n_traj = int(cfg.estimation["n_traj"])
     three = cfg.model["kind"] == "three_level"
     rows = []
-    for t_end in cfg.grid["t_list"]:
-        sensor = build_sensor(cfg, t_plateau=float(t_end))
-        horizon = scan_horizon(cfg, t_end)
+    for t_end, horizon in grid_ends(cfg):
+        sensor = build_sensor(cfg, t_plateau=t_end)
         grid = TimeGrid(0.0, horizon, dt)
         t0 = perf_counter()
         env, glob = qfi_pair(sensor, theta, horizon, dt=dt)
@@ -163,7 +162,7 @@ def _mle_pipeline(cfg, report):
     gen = cascade_generators(sensor, dec)
     est = cfg.estimation
     rows = interrogation_study(
-        gen, theta, [float(t) for t in cfg.grid["t_list"]],
+        gen, theta, [end for _, end in grid_ends(cfg)],
         int(est["n_records"]), float(cfg.grid["dt"]), seed=cfg.seed,
         n_grid=int(est["n_grid"]), fisher_n_traj=int(est["n_traj"]) or None,
     )
@@ -178,7 +177,7 @@ def _mle_pipeline(cfg, report):
 def _mismatch_pipeline(cfg, report):
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
-    grid = TimeGrid(0.0, float(cfg.grid["t_list"][0]), float(cfg.grid["dt"]))
+    grid = TimeGrid(0.0, grid_ends(cfg)[0][1], float(cfg.grid["dt"]))
     res = mismatch_sweep(
         sensor, theta, [float(v) for v in cfg.mismatch["values"]], grid,
         int(cfg.estimation["n_traj"]), seed=cfg.seed,
@@ -195,7 +194,7 @@ def _imperfections_pipeline(cfg, report):
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
     dec = _matched_two_level(cfg, theta)
-    grid = TimeGrid(0.0, float(cfg.grid["t_list"][0]), float(cfg.grid["dt"]))
+    grid = TimeGrid(0.0, grid_ends(cfg)[0][1], float(cfg.grid["dt"]))
     n_traj = int(cfg.estimation["n_traj"])
     ideal = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
                     report, "ideal")

@@ -16,9 +16,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, NonpositiveRate, format_excess
-from .models import three_level_model, two_level_model
-from .propagate import STEP_GUARD, TimeGrid
+from .errors import ConfigInvalid, StepTooLarge
+from .linalg import dagger
+from .models import operator_stacks, three_level_model, two_level_model
+from .propagate import STEP_GUARD, TimeGrid, _bin_times, _guard, _static
 
 __all__ = [
     "ExperimentConfig",
@@ -28,7 +29,7 @@ __all__ = [
     "load_config",
     "validate",
     "build_sensor",
-    "scan_horizon",
+    "grid_ends",
 ]
 
 PRESET_NAMES = (
@@ -121,31 +122,35 @@ def build_sensor(cfg: ExperimentConfig, t_plateau: Optional[float] = None):
     raise ConfigInvalid(f"model.kind: unknown kind {m['kind']!r}")
 
 
-def scan_horizon(cfg: ExperimentConfig, t_end) -> float:
-    """End of the grid a scan runs at interrogation time t_end: the
-    three-level pulse sequence is followed by 6/gamma of free decay."""
-    three = cfg.model["kind"] == "three_level"
-    return float(t_end) + (6.0 / cfg.model["gamma"] if three else 0.0)
+# presets that run a scan: one grid per interrogation time of t_list
+_SCANS = ("fig2_qfi_scan", "fig3_heisenberg", "custom")
 
 
-def _step_load(cfg):
-    """dt * max(|H|, |J^dag J|) in the spectral norm, the load the Kraus
-    table guard checks, at a few probe times of the sensor alone (the
-    cascade with a decoder is not linted); raises the model's own error
-    when the config builds none."""
-    t_pl = float(cfg.grid["t_list"][0])
-    sensor = build_sensor(cfg, t_plateau=t_pl)
-    theta = float(cfg.model["theta"])
-    if cfg.model["kind"] == "three_level":
-        probe = [0.0, 0.5 * t_pl, t_pl + 1.0 / cfg.model["gamma"]]
-    else:
-        probe = [0.0]
+def grid_ends(cfg: ExperimentConfig):
+    """(T, end) of each grid [0, end] a run of ``cfg`` builds, in order.
+    A scan runs every T of t_list, the three-level pulse sequence followed
+    by 6/gamma of free decay; fig2_mle runs every T, and fig2_mismatch and
+    fig4_imperfections the first T alone, each on [0, T]."""
+    ts = [float(t) for t in cfg.grid["t_list"]]
+    if cfg.preset in _SCANS:
+        tail = 6.0 / cfg.model["gamma"] if cfg.model["kind"] == "three_level" else 0.0
+        return [(t, t + tail) for t in ts]
+    return [(t, t) for t in (ts if cfg.preset == "fig2_mle" else ts[:1])]
 
-    def load(t):
-        j = sensor.jump(t, theta)
-        return max(np.linalg.norm(sensor.hamiltonian(t, theta), 2),
-                   np.linalg.norm(j.conj().T @ j, 2))
-    return cfg.grid["dt"] * float(max(load(t) for t in probe))
+
+def _step_error(cfg, t, grid):
+    """The Kraus table guard (``propagate._guard``) on the stacks of the
+    sensor the run builds for T = t, over every bin of its ``grid`` (the
+    cascade with a decoder is not linted): the diagnostic, or None."""
+    sensor = build_sensor(cfg, t_plateau=t if cfg.preset in _SCANS else None)
+    ts = _bin_times(grid, not sensor.time_dependent)
+    h, j = operator_stacks(sensor, float(cfg.model["theta"]), ts)
+    j = j[:1] if _static(j) else j
+    try:
+        _guard(h, dagger(j) @ j, grid.dt, STEP_GUARD, ts)
+    except StepTooLarge as exc:
+        return f"error: grid.dt: step guard: {exc}"
+    return None
 
 
 def _number(v):
@@ -169,7 +174,8 @@ _CHECKS = (
     ("model.kind", lambda v: v in ("two_level", "three_level"), "unknown kind {v!r}"),
     ("model.omega", lambda v: _number(v) and v >= 0, "must be a nonnegative number"),
     ("model.delta", _number, "must be a number"),
-    ("model.gamma", lambda v: _number(v) and v >= 0, "must be a nonnegative number"),
+    # the words of the models' own error: gamma = 0 builds no model
+    ("model.gamma", lambda v: _number(v) and v > 0, "gamma must be positive, got {v!r}"),
     ("model.theta", _number, "must be a number"),
     ("grid.dt", lambda v: _number(v) and v > 0, "must be a positive number"),
     ("grid.t_list", _numbers(lambda t: t > 0), "needs a list of positive interrogation times"),
@@ -204,22 +210,19 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if diags:
         return diags
     dt, est = cfg.grid["dt"], cfg.estimation
-    try:
-        load = _step_load(cfg)
-    except NonpositiveRate as exc:
-        # gamma = 0 builds no model, so no dt lint and no horizon either
-        return [f"error: model.gamma: {exc}"]
-    if load > STEP_GUARD:
-        diags.append(f"error: grid.dt: dt*max(|H|, |J^dag J|) = "
-                     f"{format_excess(load, STEP_GUARD)} exceeds the {STEP_GUARD} step guard")
-    # a grid that is not a whole number of dt steps would stop the run
-    for t in cfg.grid["t_list"]:
-        end = scan_horizon(cfg, t)
+    step = None
+    for t, end in grid_ends(cfg):
         try:
-            TimeGrid(0.0, end, dt)
+            grid = TimeGrid(0.0, end, dt)
         except ValueError:
+            # a grid that is not a whole number of dt steps would stop the run
             diags.append(f"error: grid.t_list: the grid of T = {t:g} ends at {end:g}, "
                          f"not a multiple of dt = {dt:g}")
+            continue
+        if step is None:  # the first grid that trips the guard
+            step = _step_error(cfg, t, grid)
+    if step:
+        diags.append(step)
     if est["n_traj"] == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
         # these presets only estimate Fisher information from records
         diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   presets theta is the drive detuning Delta.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -26,12 +26,10 @@ from .errors import (
 
 __all__ = [
     "SensorModel",
-    "PulseEnvelope",
     "two_level_model",
     "three_level_model",
     "plateau_envelope",
     "gaussian_pi_envelope",
-    "default_pulses",
     "two_level_steady_state",
 ]
 
@@ -44,19 +42,22 @@ class SensorModel:
     :param hamiltonian: map (t, theta) -> D x D Hermitian ndarray.
     :param jump: map (t, theta) -> D x D ndarray (monitored channel).
     :param initial_state: normalized D-component state vector.
-    :param theta_name: label of the estimated parameter.
-    :param theta_ref: nominal parameter value used by presets.
+    :param theta_ref: the value a preset builds the model at (the config's
+        ``model.delta``); a label that no computation reads.
     :param time_dependent: False when hamiltonian/jump ignore t, which
         lets propagators reuse a single Kraus pair for the whole grid.
+    :param stacks: optional map (ts, theta) -> (H, J), two (len(ts), D, D)
+        stacks of the operators at the times ts, for a time-dependent
+        model that evaluates them a whole grid at a time.
     """
 
     dim: int
     hamiltonian: Callable[[float, float], np.ndarray]
     jump: Callable[[float, float], np.ndarray]
     initial_state: np.ndarray
-    theta_name: str = "Delta"
     theta_ref: float = 0.0
     time_dependent: bool = True
+    stacks: Optional[Callable[[np.ndarray, float], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         psi = np.asarray(self.initial_state, dtype=complex)
@@ -64,37 +65,6 @@ class SensorModel:
         if abs(n - 1.0) > 1e-12:
             psi = psi / n
         self.initial_state = psi
-
-
-@dataclass(frozen=True)
-class PulseEnvelope:
-    """Drive-pulse envelope description.
-
-    kind "plateau": smooth turn-on/turn-off window of length T with
-    ramp time tau and interior amplitude -amplitude (the literal
-    evaluation of the window formula carries a minus sign inside;
-    physics is invariant under this phase together with a frame
-    choice).
-
-    kind "gaussian_pi": Gaussian pulse centered at t_c of width sigma
-    whose time-integrated Rabi area is exactly pi; the amplitude
-    field is derived from sigma, not free.
-    """
-
-    kind: str
-    amplitude: float = 0.0
-    tau: float = 0.0
-    T: float = 0.0
-    t_c: float = 0.0
-    sigma: float = 0.0
-    sign: int = 1
-
-    def __call__(self, t):
-        if self.kind == "plateau":
-            return plateau_envelope(t, self.amplitude, self.tau, self.T)
-        if self.kind == "gaussian_pi":
-            return gaussian_pi_envelope(t, self.t_c, self.sigma, self.sign)
-        raise PulseShapeMismatch(f"unknown envelope kind {self.kind!r}")
 
 
 def plateau_envelope(t, omega1, tau, T):
@@ -147,19 +117,13 @@ def _per_bin(fn, ts, dim, static):
 
 
 def operator_stacks(model: SensorModel, theta, ts):
-    """Per-bin (H, J) stacks of ``model`` at the times ``ts``.
-
-    H comes from the model's ``hamiltonian_batch`` hook when it has one
-    (such models have a time-independent jump), is evaluated once and
-    broadcast for a static model, and is otherwise evaluated bin by bin.
-    """
-    batch = getattr(model, "hamiltonian_batch", None) if model.time_dependent else None
-    static_j = batch is not None or not model.time_dependent
-    j = _per_bin(lambda t: model.jump(t, theta), ts, model.dim, static_j)
-    if batch is not None:
-        return batch(ts, theta), j
-    return _per_bin(lambda t: model.hamiltonian(t, theta), ts, model.dim,
-                    not model.time_dependent), j
+    """Per-bin (H, J) stacks of ``model`` at the times ``ts``: the model's
+    own ``stacks`` when it is time dependent and has them, one evaluation
+    broadcast for a static model, else bin by bin."""
+    if model.time_dependent and model.stacks is not None:
+        return model.stacks(ts, theta)
+    return tuple(_per_bin(lambda t: op(t, theta), ts, model.dim, not model.time_dependent)
+                 for op in (model.hamiltonian, model.jump))
 
 
 def two_level_model(omega, delta, gamma):
@@ -168,7 +132,7 @@ def two_level_model(omega, delta, gamma):
     H(theta) = -theta |e><e| + (omega/2)(|e><g| + |g><e|)
     J = sqrt(gamma) |g><e|
 
-    theta is bound to the detuning; ``delta`` sets theta_ref.
+    theta is bound to the detuning; ``delta`` only sets theta_ref.
     """
     if gamma <= 0:
         raise NonpositiveRate(f"gamma must be positive, got {gamma}")
@@ -187,26 +151,12 @@ def two_level_model(omega, delta, gamma):
         hamiltonian=ham,
         jump=jump,
         initial_state=np.array([0.0, 1.0], dtype=complex),
-        theta_name="Delta",
         theta_ref=delta,
         time_dependent=False,
     )
 
 
-def default_pulses(omega, T_plateau, gamma=1.0, sigma=None):
-    """Default pulse pair for the three-level protocol.
-
-    Ramp time tau = 2/gamma and pi-pulse center t_c = T_plateau +
-    1/gamma; pi-pulse width sigma = 0.05/gamma unless given.  All values
-    in 1/gamma units with gamma the emission rate.
-    """
-    sigma = 0.05 / gamma if sigma is None else sigma
-    p1 = PulseEnvelope(kind="plateau", amplitude=omega, tau=2.0 / gamma, T=T_plateau)
-    p2 = PulseEnvelope(kind="gaussian_pi", t_c=T_plateau + 1.0 / gamma, sigma=sigma)
-    return p1, p2
-
-
-def three_level_model(delta, omega, gamma, p1=None, p2=None, T_plateau=None):
+def three_level_model(delta, omega, gamma, T_plateau):
     """Three-level emitter (basis {e, g, r}) with time-dependent drives.
 
     H(t, theta) = theta |e><e|
@@ -214,67 +164,37 @@ def three_level_model(delta, omega, gamma, p1=None, p2=None, T_plateau=None):
     J = sqrt(gamma) |g><e|
     initial state (|g> - |r>)/sqrt(2).
 
-    The g->e drive is the plateau window p1, the r->e drive the
-    short pi pulse p2 applied after the window closes.  Provide
-    either both envelopes or T_plateau (then defaults are built with
-    ``default_pulses``).
+    The g->e drive p1 is the plateau window of length T_plateau with
+    ramp time 2/gamma and amplitude omega; the r->e drive p2 is the pi
+    pulse of width 0.05/gamma centred 1/gamma after the window closes.
+    The operators are written once, as the ``stacks`` of a grid; the
+    scalar ``hamiltonian`` and ``jump`` are their one-bin stacks.  theta
+    is bound to the detuning; ``delta`` only sets theta_ref.
     """
     if gamma <= 0:
         raise NonpositiveRate(f"gamma must be positive, got {gamma}")
-    if p1 is None or p2 is None:
-        if T_plateau is None:
-            raise PulseShapeMismatch("need either (p1, p2) or T_plateau")
-        dp1, dp2 = default_pulses(omega, T_plateau, gamma)
-        p1 = dp1 if p1 is None else p1
-        p2 = dp2 if p2 is None else p2
-    if p1.kind != "plateau":
-        raise PulseShapeMismatch(f"p1 must be a plateau envelope, got {p1.kind!r}")
-    if p2.kind != "gaussian_pi":
-        raise PulseShapeMismatch(f"p2 must be a gaussian_pi envelope, got {p2.kind!r}")
-    if p2.sigma > 0.2 / gamma:
-        raise GaussianTooWide(
-            f"pi-pulse sigma {p2.sigma} exceeds 0.2/gamma = {0.2 / gamma}"
-        )
+    jop = np.sqrt(gamma) * _sigma(1, 0, 3)
 
-    see = _sigma(0, 0, 3)
-    seg = _sigma(0, 1, 3)
-    sge = _sigma(1, 0, 3)
-    ser = _sigma(0, 2, 3)
-    sre = _sigma(2, 0, 3)
-    jop = np.sqrt(gamma) * sge
-
-    def ham(t, theta):
-        o1 = p1(t)
-        o2 = p2(t)
-        return theta * see + 0.5 * (o1 * (seg + sge) + o2 * (ser + sre))
-
-    def jump(t, theta):
-        return jop
-
-    def ham_batch(ts, theta):
-        # vectorized assembly over a whole grid of left endpoints
-        ts = np.asarray(ts, dtype=float)
-        o1 = np.asarray(plateau_envelope(ts, p1.amplitude, p1.tau, p1.T))
-        o2 = np.asarray(gaussian_pi_envelope(ts, p2.t_c, p2.sigma, p2.sign))
+    def stacks(ts, theta):
+        o1 = plateau_envelope(ts, omega, 2.0 / gamma, T_plateau)
+        o2 = gaussian_pi_envelope(ts, T_plateau + 1.0 / gamma, 0.05 / gamma)
         hs = np.zeros((len(ts), 3, 3), dtype=complex)
         hs[:, 0, 0] = theta
         hs[:, 0, 1] = 0.5 * o1
         hs[:, 1, 0] = 0.5 * o1
         hs[:, 0, 2] = 0.5 * o2
         hs[:, 2, 0] = 0.5 * o2
-        return hs
+        return hs, np.broadcast_to(jop, hs.shape)
 
-    model = SensorModel(
+    return SensorModel(
         dim=3,
-        hamiltonian=ham,
-        jump=jump,
+        hamiltonian=lambda t, theta: stacks([t], theta)[0][0],
+        jump=lambda t, theta: stacks([t], theta)[1][0],
         initial_state=np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-        theta_name="Delta",
         theta_ref=delta,
         time_dependent=True,
+        stacks=stacks,
     )
-    model.hamiltonian_batch = ham_batch
-    return model
 
 
 def two_level_steady_state(omega, delta, gamma):

@@ -69,9 +69,26 @@ def test_ragged_grid_is_a_guard_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_validate_checks_the_grid_the_run_builds(tmp_path, capsys):
+    # fig4_imperfections runs on [0, T], not on a scan's [0, T + 6/gamma]:
+    # T = 1 is not a whole number of 3.5e-3 steps (7 is), T = 0.7 is (6.7 is not)
+    cfgfile = tmp_path / "cfg.json"
+    model = {"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0, "theta": 0.0}
+    for t_end, ragged in ((1.0, True), (0.7, False)):
+        cfgfile.write_text(json.dumps({"preset": "fig4_imperfections", "model": model,
+                                       "grid": {"dt": 3.5e-3, "t_list": [t_end]}}))
+        assert main(["validate", "--config", str(cfgfile)]) == (2 if ragged else 0)
+        assert ("error: grid.t_list: the grid of T = 1 ends at 1," in
+                capsys.readouterr().out) is ragged
+    cfgfile.write_text(json.dumps({"preset": "fig4_imperfections", "model": model,
+                                   "grid": {"dt": 3.5e-3, "t_list": [1.0]}}))
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: grid.t_list: ")
+
+
 @pytest.mark.parametrize("kind", ["two_level", "three_level"])
 def test_validate_rejects_a_model_that_does_not_build(tmp_path, capsys, kind):
-    # gamma = 0 passes the schema (a nonnegative rate) but builds no model
+    # gamma = 0 builds no model
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"model": {"kind": kind, "gamma": 0.0}}))
     assert main(["validate", "--config", str(cfgfile)]) == 2
@@ -242,7 +259,7 @@ def test_scan_row_propagates_each_generalized_state_once(monkeypatch):
     # one three-level scan row: I_E and I_G share every generalized state,
     # half the propagations of two separate engines
     from cmsense import qfi
-    from cmsense.config import build_sensor, scan_horizon
+    from cmsense.config import build_sensor, grid_ends
     props = []
     evolve = qfi.evolve_generalized
     monkeypatch.setattr(qfi, "evolve_generalized",
@@ -252,7 +269,8 @@ def test_scan_row_propagates_each_generalized_state_once(monkeypatch):
     row = len(props)
     assert bundle.provenance["qfi"][0]["propagations"] == row
     props.clear()
-    sensor, horizon = build_sensor(cfg, t_plateau=0.5), scan_horizon(cfg, 0.5)
+    (t, horizon), = grid_ends(cfg)
+    sensor = build_sensor(cfg, t_plateau=t)
     qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
     qfi.global_qfi(sensor, 0.0, horizon, dt=2e-3)
     assert 2 * row == len(props) == 18

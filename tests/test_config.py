@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cmsense.config import (ExperimentConfig, PRESET_NAMES, build_sensor,
+from cmsense.config import (ExperimentConfig, PRESET_NAMES, build_sensor, grid_ends,
                             load_config, preset_config, preset_summaries,
                             validate)
-from cmsense.errors import ConfigInvalid
+from cmsense.errors import ConfigInvalid, StepTooLarge
+from cmsense.propagate import TimeGrid, pair_table
 
 
 def test_default_round_trip():
@@ -92,8 +93,27 @@ def test_validate_step_guard():
     assert any("step guard" in d for d in diags)
 
 
+@pytest.mark.parametrize("dt", [4e-3, 2e-3])
+def test_step_lint_agrees_with_the_run_guard_at_the_pi_pulse(dt):
+    # the pi pulse puts 0.5 * pi / (0.05 sqrt(2 pi)) = 12.5 into H at
+    # t = T + 1: a load of 0.0501 at dt = 4e-3, above the 0.05 guard, and
+    # half that at dt = 2e-3
+    cfg = ExperimentConfig.from_dict({"model": {"kind": "three_level", "omega": 5.0},
+                                      "grid": {"dt": dt, "t_list": [2.0]},
+                                      "estimation": {"n_traj": 0}})
+    linted = [d for d in validate(cfg) if d.startswith("error")]
+    assert all(d.startswith("error: grid.dt: ") for d in linted)
+    (t, end), = grid_ends(cfg)
+    try:
+        pair_table(build_sensor(cfg, t_plateau=t), 0.0, TimeGrid(0.0, end, dt))
+        guarded = False
+    except StepTooLarge:
+        guarded = True
+    assert bool(linted) is guarded is (dt == 4e-3)
+
+
 def test_validate_builds_no_kraus_table(monkeypatch):
-    # the step lint reads the model's operators at a few probe times only
+    # the step lint guards the sensor's operator stacks, not its Kraus tables
     from cmsense import cascade, propagate
 
     def forbidden(*args, **kwargs):

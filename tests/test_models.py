@@ -3,9 +3,8 @@ import pytest
 
 from cmsense import three_level_model, two_level_model
 from cmsense.decoder import liouvillian_steady_state
-from cmsense.errors import GaussianTooWide, NonpositiveRate, PulseShapeMismatch
-from cmsense.models import (default_pulses, gaussian_pi_envelope,
-                            plateau_envelope, two_level_steady_state)
+from cmsense.errors import NonpositiveRate
+from cmsense.models import gaussian_pi_envelope, plateau_envelope, two_level_steady_state
 
 
 def test_two_level_operators():
@@ -68,12 +67,6 @@ def test_gaussian_pulse_area_is_pi():
     assert neg == pytest.approx(-np.pi, rel=1e-8)
 
 
-def test_default_pulse_timing():
-    p1, p2 = default_pulses(5.0, 50.0, 1.0)
-    assert p1.kind == "plateau" and p1.T == 50.0 and p1.tau == 2.0
-    assert p2.kind == "gaussian_pi" and p2.t_c == 51.0 and p2.sigma == 0.05
-
-
 def test_three_level_hamiltonian_structure():
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=50.0)
     h = m.hamiltonian(25.0, 0.7)
@@ -89,17 +82,27 @@ def test_three_level_hamiltonian_structure():
     assert init[0] == 0.0 and init[1].real > 0 and init[2].real < 0
 
 
-def test_three_level_batch_matches_pointwise():
-    m = three_level_model(0.0, 5.0, 1.0, T_plateau=20.0)
-    ts = np.linspace(0.0, 26.0, 301)
-    hb = m.hamiltonian_batch(ts, 0.3)
-    hp = np.stack([m.hamiltonian(t, 0.3) for t in ts])
-    assert np.abs(hb - hp).max() < 1e-12
-
-
-def test_three_level_envelope_validation():
-    with pytest.raises(PulseShapeMismatch):
-        three_level_model(0.0, 5.0, 1.0)
-    p1, p2 = default_pulses(5.0, 50.0, 1.0, sigma=0.5)
-    with pytest.raises(GaussianTooWide):
-        three_level_model(0.0, 5.0, 1.0, p1=p1, p2=p2)
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_three_level_stacks_follow_the_pulse_protocol(gamma):
+    # the plateau ramps over 2/gamma, and the pi pulse of width 0.05/gamma
+    # sits 1/gamma after the window closes
+    T, omega = 20.0, 5.0
+    m = three_level_model(0.0, omega, gamma, T_plateau=T)
+    ts = np.linspace(0.0, T + 6.0 / gamma, 3001)
+    hs, js = m.stacks(ts, 0.3)
+    o1 = plateau_envelope(ts, omega, 2.0 / gamma, T)
+    o2 = gaussian_pi_envelope(ts, T + 1.0 / gamma, 0.05 / gamma)
+    ref = np.zeros((len(ts), 3, 3), dtype=complex)
+    ref[:, 0, 0] = 0.3
+    ref[:, 0, 1] = ref[:, 1, 0] = 0.5 * o1
+    ref[:, 0, 2] = ref[:, 2, 0] = 0.5 * o2
+    assert np.array_equal(hs, ref)
+    # the times sample the pi pulse near its peak
+    assert np.abs(o2).max() > 0.5 * np.pi / (0.05 / gamma * np.sqrt(2.0 * np.pi))
+    # one jump matrix for every bin, a stride-0 broadcast
+    assert js.shape == hs.shape and js.strides[0] == 0
+    assert np.array_equal(js[0], np.sqrt(gamma) * np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    # the scalar operators are the one-bin stacks
+    k = 1234
+    assert np.array_equal(m.hamiltonian(ts[k], 0.3), hs[k])
+    assert np.array_equal(m.jump(ts[k], 0.3), js[k])

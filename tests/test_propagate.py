@@ -4,7 +4,7 @@ import pytest
 from cmsense import TimeGrid, two_level_model, three_level_model
 from cmsense._engine import StepOps
 from cmsense.errors import StepTooLarge, TraceDrift
-from cmsense.models import operator_stacks
+from cmsense.models import SensorModel, operator_stacks
 from cmsense.propagate import (STEP_GUARD, _kraus_tables, evolve_density, evolve_generalized,
                                pair_table, propagate_linear, transfer)
 from conftest import modulated_jump_sensor
@@ -94,6 +94,19 @@ def test_pair_table_batch_matches_loop():
 
 def test_pair_table_of_a_time_varying_jump_matches_loop():
     _check_batch_matches_loop(modulated_jump_sensor())
+
+
+def test_stacks_with_a_time_varying_jump_give_per_bin_jump_tables():
+    # a stacks hook says nothing about the jump: one that varies in time
+    # gets the per-bin tables of the bin-by-bin (t, theta) maps
+    loop = modulated_jump_sensor()
+    sge = loop.jump(0.0, 0.0)  # gamma(0) = 1
+
+    def stacks(ts, theta):
+        h = np.broadcast_to(loop.hamiltonian(0.0, theta), (len(ts), 2, 2))
+        return h, np.sqrt(1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)))[:, None, None] * sge
+    _check_batch_matches_loop(SensorModel(dim=2, hamiltonian=loop.hamiltonian, jump=loop.jump,
+                                          initial_state=loop.initial_state, stacks=stacks))
 
 
 def test_static_pair_table_shares_one_pair():
