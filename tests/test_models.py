@@ -67,6 +67,18 @@ def test_gaussian_pulse_area_is_pi():
     assert neg == pytest.approx(-np.pi, rel=1e-8)
 
 
+def test_default_pulse_timing():
+    # plateau ramp tau = 2/gamma, pi pulse centred at t_c = T + 1/gamma
+    # with width sigma = 0.05/gamma
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=50.0)
+    for t in (0.5, 1.0, 25.0, 49.0, 49.5):
+        assert m.hamiltonian(t, 0.0)[0, 1] == 0.5 * plateau_envelope(t, 5.0, 2.0, 50.0)
+    for t in (50.9, 51.0, 51.05, 51.1):
+        assert m.hamiltonian(t, 0.0)[0, 2] == 0.5 * gaussian_pi_envelope(t, 51.0, 0.05)
+    peak = 0.5 * np.pi / (0.05 * np.sqrt(2.0 * np.pi))
+    assert m.hamiltonian(51.0, 0.0)[0, 2] == pytest.approx(peak, rel=1e-12)
+
+
 def test_three_level_hamiltonian_structure():
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=50.0)
     h = m.hamiltonian(25.0, 0.7)
@@ -106,3 +118,13 @@ def test_three_level_stacks_follow_the_pulse_protocol(gamma):
     k = 1234
     assert np.array_equal(m.hamiltonian(ts[k], 0.3), hs[k])
     assert np.array_equal(m.jump(ts[k], 0.3), js[k])
+
+
+def test_three_level_batch_matches_pointwise():
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=20.0)
+    ts = np.linspace(0.0, 26.0, 301)
+    hb, jb = m.stacks(ts, 0.3)
+    hp = np.stack([m.hamiltonian(t, 0.3) for t in ts])
+    jp = np.stack([m.jump(t, 0.3) for t in ts])
+    assert np.abs(hb - hp).max() < 1e-12
+    assert np.abs(jb - jp).max() < 1e-12
