@@ -20,12 +20,23 @@ vectorized densities (loss, dephasing, finite efficiency).
   (Θ, records, D).  Given the θ-derivatives of the maps, replay also
   carries each record's tangent dx through the block-triangular maps
   [[A, 0], [dA, A]] (levels and their derivatives built alike) and
-  returns the exact score d logL/dθ.  Thinning advances a copy of each
-  record's state after its last click over the same blocks to a batch of
-  its candidate bins at once,
+  returns the exact score d logL/dθ,
 * step core (``run_steps``): the cross-check, a walk over the same tables
   bin by bin through ``_Segments.apply``, the one state update of both
-  cores and of thinning; both cores replay a θ stack.
+  cores (renormalized by a product with 1/root, which is numpy's complex
+  division by the real root to the bit); both cores replay a θ stack.
+
+Thinning decides each record's candidate bins in rounds.  A round
+advances copies of every live record's latest decided state over the
+segment core's blocks to a batch of its candidates at once
+(``_Segments.advance``): plain block products, with no renormalization
+between levels; a row is rescaled by an exact power of two only when its
+squared norm would leave a safe range.  The click probability is then one
+ratio per candidate, p1 = weight(y a1) / weight(y).  On a static model a
+record that misses every candidate of a round goes on from its last one,
+not from its last click, so a round walks only the bits of the gap since
+then; per-bin tables go on from the last click, since a walk from an
+unaligned bin takes up to twice the levels of one from an aligned start.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
@@ -47,6 +58,14 @@ _PAIR_ROWS = 2048  # candidate evaluations per thinning round
 _PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
 _P1_MAX = 0.1
 _ABS_CHUNK = 256  # level blocks per np.abs temporary
+# thinning's unnormalized states keep their squared norm within 2^(+-_SAFE_EXP):
+# a block may then shrink it by up to 2^-958 before it leaves the normal range.
+# This holds for the tables of a measurement (no-click and click maps summing
+# to a trace-preserving step), where a block's shrink is the no-click
+# probability of a span that the drawn record does not click in; for other
+# tables it is an assumption (see _Segments.advance)
+_SAFE_EXP = 64
+_SAFE_LO, _SAFE_HI = 2.0 ** -_SAFE_EXP, 2.0 ** _SAFE_EXP
 # a score below this many eps_mach times its tangent's norm is round-off
 _SCORE_ROUNDOFF = 1e3
 
@@ -209,9 +228,10 @@ class _Segments:
     def apply(self, x, sel, level, idx, logl=None, click=False, dx=None):
         """Rows ``sel`` of the state through entries ``idx`` of the
         ``level`` (table, log scales or None, derivative or None),
-        renormalized; adds log weight + the entries' scales to ``logl``
-        when given.  The tangent ``dx``, when given, goes through the
-        block-triangular map: dx A + x dA, renormalized with x.  Only a
+        renormalized by multiplying their float view by 1/root(weight);
+        adds log weight + the entries' scales to ``logl`` when given.  The
+        tangent ``dx``, when given, goes through the block-triangular map:
+        dx A + x dA, renormalized with x.  Only a
         ``click`` can have weight zero: the record then has probability
         zero, so logL is -inf and the row keeps its state (0/0 would be
         NaN)."""
@@ -229,11 +249,13 @@ class _Segments:
             y[dead], w[dead] = x[:, sel][dead], 1.0
             if dx is not None:
                 dy[dead] = dx[:, sel][dead]
-        r = self.root(w)[..., None]
-        y /= r
+        # times 1/root on the float view: numpy's complex division by a
+        # real root is this same product, bit for bit, at half the cost
+        r = (1.0 / self.root(w))[..., None]
+        y.view(np.float64)[...] *= r
         x[:, sel] = y
         if dx is not None:
-            dy /= r
+            dy.view(np.float64)[...] *= r
             dx[:, sel] = dy
         if logl is not None:
             ll = np.log(w)
@@ -245,30 +267,59 @@ class _Segments:
 
     def no_clicks(self, x, rows, pos, stop, logl=None, dx=None):
         """Advance rows ``rows`` (and their tangent ``dx``) over their
-        no-click bins [pos, stop).  Static maps: each row whose gap has bit
-        i set takes power i.  Per-bin maps: aligned blocks,
-        first up the levels (level i where bit i of pos is set and the
-        block fits), then down (level i where it fits), at most 2 log2 n
-        products."""
+        no-click bins [pos, stop), each block through ``apply``."""
+        for sel, i, idx in self.blocks(rows, pos, stop):
+            self.apply(x, sel, self.levels[i], idx, logl, dx=dx)
+
+    def advance(self, x, rows, pos, stop):
+        """Advance rows ``rows`` of the state (1, B, D) over their no-click
+        bins [pos, stop) without renormalizing: each block is a plain
+        product, and only a row whose squared norm leaves [2^-_SAFE_EXP,
+        2^_SAFE_EXP] is rescaled, by an exact power of two, back to about
+        1.  A block (entries below 1) grows a row's norm by at most a
+        factor D, its squared norm by D^2, so no product overflows.  The
+        range is checked after each block, so a row that a strongly
+        decaying mode shrinks is brought back before its weight underflows
+        only while one block shrinks its squared norm by at most 2^-958.
+        On the tables of a measurement that shrink is the no-click
+        probability of the block's bins (on a density, at least its square
+        over D), and thinning advances only over bins the drawn record
+        does not click in, so it meets a smaller one with about that
+        probability; on other tables the bound is assumed."""
+        for sel, i, idx in self.blocks(rows, pos, stop):
+            y = self.times(x, sel, self.levels[i][0], idx)
+            yv = y.view(np.float64)
+            n2 = np.einsum("...i,...i->...", yv, yv)  # |y|^2, by one fast reduction
+            if n2.min() < _SAFE_LO or n2.max() > _SAFE_HI:
+                out = (n2 < _SAFE_LO) | (n2 > _SAFE_HI)
+                yv[out] *= np.ldexp(1.0, -(np.frexp(n2[out])[1] // 2))[:, None]
+            x[:, sel] = y
+
+    def blocks(self, rows, pos, stop):
+        """The no-click blocks that take rows ``rows`` over their bins
+        [pos, stop), in time order for each row: (rows, level i, entries).
+        Static maps: each row whose gap has bit i set takes power i (entries
+        None).  Per-bin maps: aligned blocks, first up the levels (level i
+        where bit i of pos is set and the block fits), then down (level i
+        where it fits), at most 2 log2 n blocks.  Levels that no row takes
+        are skipped."""
         gaps = stop - pos
         top = int(gaps.max(initial=0)).bit_length()
         if self.static:
             for i in range(top):
-                self.apply(x, rows[(gaps >> i) & 1 == 1], self.levels[i], None, logl, dx=dx)
+                sel = rows[(gaps >> i) & 1 == 1]
+                if len(sel):
+                    yield sel, i, None
             return
         pos = pos.copy()
-        for i in range(top):
-            self._block(x, rows, pos, i, ((pos >> i) & 1 == 1) & (pos + (1 << i) <= stop),
-                        logl, dx)
-        for i in reversed(range(top)):
-            self._block(x, rows, pos, i, pos + (1 << i) <= stop, logl, dx)
-
-    def _block(self, x, rows, pos, i, fit, logl, dx):
-        """Rows ``rows[fit]`` through their level-i block at ``pos``, which
-        then moves past it."""
-        sel = np.flatnonzero(fit)
-        self.apply(x, rows[sel], self.levels[i], pos[sel] >> i, logl, dx=dx)
-        pos[sel] += 1 << i
+        for up, i in [(True, i) for i in range(top)] + [(False, i) for i in reversed(range(top))]:
+            fit = pos + (1 << i) <= stop
+            if up:
+                fit &= (pos >> i) & 1 == 1
+            sel = np.flatnonzero(fit)
+            if len(sel):
+                yield rows[sel], i, pos[sel] >> i
+                pos[sel] += 1 << i
 
     def scores(self, x, dx):
         """d log w / dθ of each row's weight w: 2 Re<x|dx> / |x|^2 on pure
@@ -355,11 +406,17 @@ def _thin(seg, ops, indices, seed):
     eta dt J (x) conj(J).  A record's state changes only at a click, so
     candidates are decided in rounds: each round takes the next w
     undecided candidates of every live record (w * records <= the pair
-    budget), advances a copy of each record's state after its last click
-    to all of them at once, and keeps the first with u < p1; the
-    evaluations past it are void.  A bound above _P1_MAX makes its bin a
-    candidate for every record, so the guard, over valid evaluations,
-    names the first bin in time order where some record overflows.
+    budget), advances a copy of each record's latest decided state to all
+    of them at once (``_Segments.advance``: plain block products, no
+    renormalization), takes p1 = weight(y a1) / weight(y) once per
+    candidate and keeps the first with u < p1; the evaluations past it are
+    void.  The decided state is the normalized click state after a hit;
+    after a round without one it is, for a static model, the unnormalized
+    state at the round's last candidate, from which the next round goes
+    on (per-bin tables keep the click state).  A bound above _P1_MAX
+    makes its bin a candidate for every record, so the guard, over valid
+    evaluations, names the first bin in time order where some record
+    overflows.
     Returns (list of click-index arrays, number of candidates)."""
     n, nb = ops.n_steps, len(indices)
     # one static map takes the exact spectral norm; a per-bin stack takes
@@ -382,8 +439,8 @@ def _thin(seg, ops, indices, seed):
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
     budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))
-    x = seg.initial(nb)  # each record's state after its last click
-    pos = np.zeros(nb, dtype=np.int64)  # the bin after its last click
+    x = seg.initial(nb)  # each record's latest decided state
+    pos = np.zeros(nb, dtype=np.int64)  # the bin it stands at
     ends = np.cumsum(counts)
     nxt = ends - counts  # its next undecided candidate
     hit_rec, hit_bin, over_bin, over_p1 = [], [], [], []
@@ -398,9 +455,10 @@ def _thin(seg, ops, indices, seed):
         ci = nxt[rec] + np.arange(len(rec)) - np.repeat(first, c)
         k = flat[ci] - rec * n
         xp, rows = x[:, rec], np.arange(len(rec))
-        seg.no_clicks(xp, rows, pos[rec], k)
+        seg.advance(xp, rows, pos[rec], k)
         cs = seg.times(xp, rows, seg.a1t, k)[0]
-        p1 = seg.weight(cs)
+        w1 = seg.weight(cs)
+        p1 = w1 / seg.weight(xp[0])
         hit = u[ci] < p1
         # a pair is valid until its record's first hit in the round
         before = np.cumsum(hit) - hit
@@ -413,13 +471,18 @@ def _thin(seg, ops, indices, seed):
             kb = min(kb, int(k[big].min()))
             last = (np.arange(nb) * n + kb).astype(flat.dtype)
             ends = np.minimum(ends, np.searchsorted(flat, last, "right"))
-        nxt[live] += np.add.reduceat(valid, first)
-        h = np.flatnonzero(hit & valid)
-        r = rec[h]
-        x[:, r] = cs[h] / seg.root(p1[h])[:, None]
-        pos[r] = k[h] + 1
+        taken = np.add.reduceat(valid, first)
+        nxt[live] += taken
+        # each live record's last valid pair: its hit, else its last candidate
+        j = first + taken - 1
+        h = hit[j]
+        if seg.static:  # per-bin tables go on from the last click (module docstring)
+            x[:, live], pos[live] = xp[:, j], k[j]
+        r, jh = live[h], j[h]
+        x[0, r] = cs[jh] / seg.root(w1[jh])[:, None]
+        pos[r] = k[jh] + 1
         hit_rec.append(r)
-        hit_bin.append(k[h])
+        hit_bin.append(k[jh])
     if over_bin:
         ob, op = np.concatenate(over_bin), np.concatenate(over_p1)
         _check_p1(op[ob == kb].max(), kb, ops.dt)

@@ -187,20 +187,38 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     stacks, or superoperator stacks once loss, dephasing, finite efficiency
     or a mixed initial state break purity, with one bin for static
     generators, else one per grid bin."""
+    return _theta_tables(gen, [theta], grid, max_step)[0]
+
+
+def _sensor_stacks(sensor, thetas, ts):
+    """The sensor's (H, J) stacks at the times ``ts`` for each θ of
+    ``thetas``, one after another as the bins of one stack."""
+    hs, js = zip(*(operator_stacks(sensor, th, ts) for th in thetas))
+    return (hs[0], js[0]) if len(thetas) == 1 else (np.concatenate(hs), np.concatenate(js))
+
+
+def _theta_tables(gen, thetas, grid, max_step):
+    """The ``step_matrices`` of each θ of ``thetas``, a static model's θ
+    as the bins of one stacked ``_kraus_tables`` pass: the same per-bin
+    arithmetic, so the same bits.  Per-bin tables come one θ per call."""
     dt, eta = grid.dt, gen.detector_eta
     ts = _bin_times(grid, not gen.time_dependent)
-    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts))
-    m0, m1 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), dt, max_step, ts,
-                           dec, gen.extra_lindblad)
+    n = len(ts)
+    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, n * len(thetas))
+    m0, m1 = _kraus_tables(*_sensor_stacks(gen.sensor, thetas, ts), dt, max_step,
+                           np.tile(ts, len(thetas)), dec, gen.extra_lindblad)
     if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):
-        return _engine.StepOps(grid.n_steps, dt, m0, m1, gen.initial_state, pure=True)
-    if len(ts) * gen.dim ** 4 * 16 > 2e9:
-        raise CmsenseError("time-dependent superoperator table too large")
-    rho = gen.initial_rho
-    if rho is None:
-        rho = np.outer(gen.initial_state, gen.initial_state.conj())
-    s0, s1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
-    return _engine.StepOps(grid.n_steps, dt, s0, s1, rho.ravel(), pure=False)
+        x0, pure = gen.initial_state, True
+    else:
+        if n * gen.dim ** 4 * 16 > 2e9:
+            raise CmsenseError("time-dependent superoperator table too large")
+        rho = gen.initial_rho
+        if rho is None:
+            rho = np.outer(gen.initial_state, gen.initial_state.conj())
+        m0, m1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
+        x0, pure = rho.ravel(), False
+    return [_engine.StepOps(grid.n_steps, dt, m0[i * n:(i + 1) * n], m1[i * n:(i + 1) * n],
+                            x0, pure=pure) for i in range(len(thetas))]
 
 
 def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step):
@@ -282,16 +300,28 @@ def _lap(clock, key, t0):
     return t
 
 
+def _distinct(records):
+    """The distinct click-index arrays of ``records`` in first-seen order,
+    and the position of each record's copy among them."""
+    first = {}
+    inverse = np.array([first.setdefault(np.asarray(h, dtype=np.int64).tobytes(), len(first))
+                        for h in records], dtype=np.intp)
+    return [records[i] for i in np.unique(inverse, return_index=True)[1]], inverse
+
+
 def _run_records(ops, kind, n_records, seed, given=None, tangent=None, clock=None):
     """Draw (``given`` None) or take the records ``given`` chunk by chunk,
     under the list ``ops`` of per-θ StepOps (one for sampling and for
     scores), and replay them on the ``kind`` core; returns (list of
-    click-index arrays, logL (Θ, n_records), thinning candidates).  With
-    the ``tangent`` maps (da0, da1) of the one θ, the segment core scores
-    the records instead: d logL/dθ (1, n_records).  The segment tables,
-    which thinning and both cores run on, are built once for every chunk.
-    A ``clock`` dict accumulates the seconds of the table build
-    ("table_s"), of thinning ("sample_s") and of replay ("score_s")."""
+    click-index arrays, logL (Θ, n_records), thinning candidates).  Each
+    distinct record of a chunk is replayed once and its row copied to its
+    repeats: a row does not depend on the other records of its batch, so
+    this is bit for bit the replay of every record.  With the ``tangent`` maps
+    (da0, da1) of the one θ, the segment core scores the records instead:
+    d logL/dθ (1, n_records).  The segment tables, which thinning and
+    both cores run on, are built once for every chunk.  A ``clock`` dict
+    accumulates the seconds of the table build ("table_s"), of thinning
+    ("sample_s") and of replay ("score_s")."""
     t = perf_counter()
     seg = _engine._Segments(ops, tangent)
     t = _lap(clock, "table_s", t)
@@ -304,10 +334,10 @@ def _run_records(ops, kind, n_records, seed, given=None, tangent=None, clock=Non
             t = _lap(clock, "sample_s", t)
         else:
             h = given[a:b]
-        ll = replay(seg, h, ops[0].n_steps)
+        distinct, inverse = _distinct(h)
+        logl.append(replay(seg, distinct, ops[0].n_steps)[:, inverse])
         t = _lap(clock, "score_s", t)
         hits += h
-        logl.append(ll)
     return hits, np.concatenate(logl, axis=1), cands
 
 
@@ -343,18 +373,19 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=STEP_
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
 
-    Either core replays the whole θ set of a static model in one pass,
-    its tables stacked; per-bin tables (time-dependent models) replay one
-    θ at a time, each table freed before the next is built.
+    A static model replays the whole θ set in one pass on either core,
+    its tables built in one stacked pass (``_theta_tables``); per-bin
+    tables (time-dependent models) replay one θ at a time, each table
+    freed before the next is built.  Each distinct record is replayed
+    once (``_run_records``).
     """
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
     kind = _resolve_engine(engine_kind)
     sets = [[th] for th in thetas] if gen.time_dependent else [thetas]
-    logl = np.concatenate([
-        _run_records([step_matrices(gen, th, grid, max_step) for th in ths], kind,
-                     len(indices), 0, indices)[1]
-        for ths in sets])
+    logl = np.concatenate([_run_records(_theta_tables(gen, ths, grid, max_step), kind,
+                                        len(indices), 0, indices)[1]
+                           for ths in sets])
     return logl if np.ndim(theta) else logl[0]
 
 

@@ -124,6 +124,8 @@ def build_sensor(cfg: ExperimentConfig, t_plateau: Optional[float] = None):
 
 # presets that run a scan: one grid per interrogation time of t_list
 _SCANS = ("fig2_qfi_scan", "fig3_heisenberg", "custom")
+# presets that cascade the sensor into a two-level decoder
+_TWO_LEVEL_DECODED = ("fig2_mle", "fig2_mismatch", "fig4_imperfections")
 
 
 def grid_ends(cfg: ExperimentConfig):
@@ -210,6 +212,9 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if diags:
         return diags
     dt, est = cfg.grid["dt"], cfg.estimation
+    if cfg.preset in _TWO_LEVEL_DECODED and cfg.model["kind"] != "two_level":
+        diags.append(f"error: model.kind: {cfg.preset} decodes with a two-level decoder "
+                     f"and needs the two_level model, got {cfg.model['kind']!r}")
     step = None
     for t, end in grid_ends(cfg):
         try:

@@ -124,8 +124,10 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
     information, draw n_records independent records at theta_true,
     estimate theta record-by-record on a shared grid of half-width
     ``default_grid_width``, and report 1/(n_records * Var) next to the
-    Fisher value.  ``gen`` is either a fixed generator set or a callable
-    T -> generators (needed when the drive pulses depend on T).
+    Fisher value.  The grid replay builds the tables of a static model's
+    whole grid in one pass and replays each distinct record once
+    (``replay_records``).  ``gen`` is either a fixed generator set or a
+    callable T -> generators (needed when the drive pulses depend on T).
 
     Records whose likelihood peaks on the grid boundary are estimated
     at the boundary and counted in n_boundary rather than raised, so a

@@ -826,3 +826,140 @@ def test_joint_hamiltonian_order_is_exact_on_builtin_cascades(name):
     old = ((kron(hs, [ed] * len(ts)) + kron([es] * len(ts), hd))
            + 0.5j * (kron(dag(js), jd) - kron(js, dag(jd))))
     assert h.tobytes() == old.tobytes()
+
+
+def test_thinning_keeps_a_strongly_decaying_mode_in_range():
+    # the state sits in a mode that decays by b = 2^-0.3 per bin and
+    # clicks with p1 = 1e-3 there: over a gap of ~1800 bins its squared
+    # norm falls below 2^-1074, so thinning's unnormalized products would
+    # reach 0/0 without the range guard.  No single block (at most 1024
+    # bins, a factor 2^-600 on the squared norm) leaves the normal range
+    n, b, p = 2047, 2.0 ** -0.3, 1e-3
+    ops = _engine.StepOps(n, 0.1, np.diag([1.0, b])[None] + 0j,
+                          np.diag([0.0, np.sqrt(p)])[None] + 0j,
+                          np.array([0.0, 1.0], dtype=complex), pure=True)
+    ref = _reference_records(ops, np.arange(64), 6)[0]
+    gaps = np.concatenate([np.diff(np.concatenate([[-1], h, [n]])) for h in ref])
+    assert gaps.max() > 1800
+    idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6)
+    assert _record_hash(idx) == _record_hash(ref)
+
+
+def test_thinning_restarts_from_the_last_candidate_of_a_round(monkeypatch):
+    # one record, four candidate evaluations per round: a round without a
+    # hit hands its last candidate's state to the next round, and a hit on
+    # the last candidate ends the round on the click state, from the bin
+    # after it.  The no-click map turns the state by one radian per bin and
+    # only one of its two modes clicks, so a state taken one bin off clicks
+    # with another probability.  Both kinds of round end occur here (read
+    # off the candidates and the per-bin sampler's clicks)
+    monkeypatch.setattr(_engine, "_PAIR_ROWS", 4)
+    n, p = 2000, 0.05
+    turn = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
+    ops = _engine.StepOps(n, 0.1, turn[None] + 0j, np.diag([np.sqrt(p), 0.0])[None] + 0j,
+                          np.array([1.0, 0.0], dtype=complex), pure=True)
+    seg = _engine._Segments([ops])
+    ref = _reference_records(ops, np.arange(16), 5)[0]
+    events = {"miss": 0, "hit": 0}
+    for i in range(16):
+        idx, _ = _engine._thin(seg, ops, np.array([i]), 5)
+        assert np.array_equal(idx[0], ref[i])
+        u = (np.random.Philox(key=[5, i]).random_raw(n) >> np.uint64(11)) * 2.0 ** -53
+        cands = np.flatnonzero(u < p * (1.0 + 1e-9))
+        j = 0  # the rounds: four candidates, or up to the first hit
+        while j < len(cands):
+            group = cands[j:j + 4]
+            hits = np.flatnonzero(np.isin(group, ref[i]))
+            if len(hits):
+                events["hit"] += hits[0] == len(group) - 1 and len(group) > 1
+                j += hits[0] + 1
+            else:
+                events["miss"] += len(group) == 4
+                j += len(group)
+    assert events["miss"] > 0 and events["hit"] > 0
+
+
+def _distinct_cases():
+    """(cascade, θ values, grid) whose records repeat."""
+    c = _cascades()
+    three = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0)
+    three_grid = TimeGrid(0.0, 4.0, 1e-3)
+    return {
+        "pure": (c["two_level_decoder"](), THETA_SET, _GRID),
+        "density": (c["imperfections"](), THETA_SET, _GRID),
+        "per_bin": (c["modulated_jump"](), [0.3], _GRID),
+        "per_bin_density": (c["imperfections_build_decoder"](), [0.3], _GRID),
+        "three_level": (cascade_generators(three, build_decoder(three, 0.0, three_grid)), [3.0],
+                        three_grid),
+    }
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "per_bin", "per_bin_density",
+                                  "three_level"])
+@pytest.mark.parametrize("kind", ["segment", "step", "score"])
+def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
+    # records repeat (dark ones most); on per-bin tables one more has
+    # probability zero under a click map emptied at bin 7.  Each distinct
+    # record replayed once and its row copied to its repeats is, bit for
+    # bit, the replay of every record
+    gen, thetas, grid = _distinct_cases()[case]
+    records = sample_records(gen, thetas[0], grid, 24, seed=3)[0]
+    records += [np.array([], dtype=np.int64), records[0], np.array([7]), np.array([7])]
+    assert len(cascade._distinct(records)[0]) < len(records)
+    if kind == "score":
+        thetas = thetas[:1]
+    ops = [step_matrices(gen, th, grid) for th in thetas]
+    per_bin = len(ops[0].a0) > 1
+    for o in ops if per_bin else ():  # no click at bin 7: [7] has probability zero
+        o.a1 = np.array(o.a1)
+        o.a1[7] = 0.0
+    tangent = (cascade._tangent(gen, thetas[0], grid, ops[0], 1e-3, 0.05) if kind == "score"
+               else None)
+    core = "step" if kind == "step" else "segment"
+    got = cascade._run_records(ops, core, len(records), 0, records, tangent)[1]
+    seg = _engine._Segments(ops, tangent)
+    every = (_engine.run_steps if core == "step" else _engine._replay_segments)(
+        seg, records, grid.n_steps)
+    assert got.shape == (len(thetas), len(records)) and got.tobytes() == every.tobytes()
+    if per_bin and kind != "score":
+        assert np.all(got[:, -1] == -np.inf) and np.all(np.isfinite(got[:, :-2]))
+
+
+@pytest.mark.parametrize("case", ["pure", "density", "theta_jump", "theta_jump_density"])
+def test_stacked_theta_tables_match_per_theta_tables(case):
+    # a static model's 41-value grid from one stacked table pass, bit for
+    # bit the tables of each θ alone
+    name = {"pure": "two_level_decoder", "density": "imperfections"}.get(case, case)
+    gen = _cascades()[name]()
+    thetas = 0.3 + np.linspace(-0.2, 0.2, 41)
+    stacked = cascade._theta_tables(gen, list(thetas), _GRID, 0.05)
+    assert len(stacked) == 41
+    for th, ops in zip(thetas, stacked):
+        one = step_matrices(gen, th, _GRID)
+        assert ops.pure is one.pure and ops.a0.shape == one.a0.shape == (1,) + one.a0.shape[1:]
+        for a, b in ((ops.a0, one.a0), (ops.a1, one.a1), (ops.x0, one.x0)):
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("model", ["static", "per_bin"])
+@pytest.mark.parametrize("pure", [True, False], ids=["kraus", "superoperator"])
+def test_apply_renormalizes_as_the_complex_division(model, pure):
+    # the float-view product by 1/root is numpy's complex division by the
+    # real root, bit for bit, on the state and on its tangent
+    rng = np.random.default_rng(4)
+    n, d = (1 if model == "static" else 40), (3 if pure else 9)
+    rand = lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)
+    ops = [_engine.StepOps(40, 0.1, rand(n, d, d), rand(n, d, d), rand(d), pure)
+           for _ in range(2)]
+    seg = _engine._Segments(ops, (rand(n, d, d), None))
+    x, dx = rand(2, 30, d), rand(2, 30, d)
+    sel = np.array([0, 3, 4, 11, 29])
+    idx = None if model == "static" else rng.integers(0, n, size=len(sel))
+    level = seg.levels[0]
+    y = seg.times(x, sel, level[0], idx)
+    dy = seg.times(dx, sel, level[0], idx) + seg.times(x, sel, level[2], idx)
+    w = seg.weight(y.reshape(-1, d)).reshape(y.shape[:-1])
+    r = seg.root(w)[..., None]
+    seg.apply(x, sel, level, idx, dx=dx)
+    assert x[:, sel].tobytes() == (y / r).tobytes()
+    assert dx[:, sel].tobytes() == (dy / r).tobytes()

@@ -70,10 +70,10 @@ def test_ragged_grid_is_a_guard_error(tmp_path, capsys):
 
 
 def test_validate_checks_the_grid_the_run_builds(tmp_path, capsys):
-    # fig4_imperfections runs on [0, T], not on a scan's [0, T + 6/gamma]:
-    # T = 1 is not a whole number of 3.5e-3 steps (7 is), T = 0.7 is (6.7 is not)
+    # fig4_imperfections runs on [0, T]: T = 1 is not a whole number of
+    # 3.5e-3 steps (7 is), T = 0.7 is
     cfgfile = tmp_path / "cfg.json"
-    model = {"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0, "theta": 0.0}
+    model = {"kind": "two_level", "omega": 1.0, "delta": 1.0, "gamma": 1.0, "theta": 1.0}
     for t_end, ragged in ((1.0, True), (0.7, False)):
         cfgfile.write_text(json.dumps({"preset": "fig4_imperfections", "model": model,
                                        "grid": {"dt": 3.5e-3, "t_list": [t_end]}}))
@@ -84,6 +84,46 @@ def test_validate_checks_the_grid_the_run_builds(tmp_path, capsys):
                                    "grid": {"dt": 3.5e-3, "t_list": [1.0]}}))
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: grid.t_list: ")
+
+
+def test_validate_rejects_a_three_level_sensor_with_a_two_level_decoder(tmp_path, capsys):
+    # this config ran and wrote 1.0,0.0,0.0,0.0,nan: the pulsed three-level
+    # sensor cascaded into the two-level decoder that fig4_imperfections builds
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "preset": "fig4_imperfections",
+        "model": {"kind": "three_level", "omega": 5.0, "delta": 0.0, "gamma": 1.0, "theta": 0.0},
+        "grid": {"dt": 3.5e-3, "t_list": [0.7]}, "estimation": {"n_traj": 16}}))
+    assert main(["validate", "--config", str(cfgfile)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: model.kind: fig4_imperfections") and "ok" not in out
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: model.kind: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_validates_once(monkeypatch):
+    # the echo of the config is checked to read back as the config, not
+    # validated a second time
+    from cmsense import cli
+    calls = []
+    check = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda cfg: calls.append(cfg) or check(cfg))
+    bundle = run(ExperimentConfig.from_dict(_tiny_cfg(estimation={"n_traj": 0})))
+    assert len(calls) == 1 and bundle.config["seed"] == 3
+
+
+def test_run_refuses_a_pipeline_that_changes_its_config(monkeypatch):
+    # the echo is taken before the pipeline runs, so a pipeline that
+    # changes the config in place would leave a stale echo behind
+    from cmsense import cli
+
+    def pipeline(cfg, report):
+        cfg.model["omega"] = 2.0
+        return ["x"], [[1.0]]
+    monkeypatch.setitem(cli._PIPELINES, "custom", ("qfi_scan", pipeline))
+    with pytest.raises(ConfigInvalid, match="does not echo its config"):
+        run(ExperimentConfig.from_dict(_tiny_cfg()))
 
 
 @pytest.mark.parametrize("kind", ["two_level", "three_level"])

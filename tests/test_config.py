@@ -80,6 +80,13 @@ def test_unknown_fields_rejected():
     ({"preset": "fig2_mismatch", "mismatch": {"values": ["a"]}}, "mismatch.values"),
     # J^dag J loads the step too: 30 * 2e-3 = 0.06 > 0.05
     ({"model": {"gamma": 30.0}}, "step guard"),
+    # these presets cascade a two-level decoder: the sensor must be two-level
+    ({"preset": "fig2_mle", "model": {"kind": "three_level", "omega": 5.0}},
+     "model.kind: fig2_mle"),
+    ({"preset": "fig4_imperfections", "model": {"kind": "three_level", "omega": 5.0}},
+     "model.kind: fig4_imperfections"),
+    ({"preset": "fig2_mismatch", "model": {"kind": "three_level", "omega": 5.0},
+      "mismatch": {"values": [0.0]}}, "model.kind: fig2_mismatch"),
 ])
 def test_validate_error_catalog(patch, needle):
     cfg = ExperimentConfig.from_dict(patch)
