@@ -8,6 +8,12 @@ maps of ``StepOps``: Kraus pairs on pure states (no extra Lindblad
 channels, unit detector efficiency), else superoperators on row-major
 vectorized densities (loss, dephasing, finite efficiency).
 
+All of it runs on the tables of one time window of the grid, [lo, hi)
+(the whole grid for a static model): its maps, its no-click levels and
+its draws.  A record carries its state from one window into the next, so
+a per-bin model walks a long grid window by window, holding one
+window's tables at a time (``cascade._run_records``).
+
 * segment core (``_Segments``, ``_replay_segments``) for every model: a
   run of no-click bins is a product of rescaled no-click blocks, one
   batched product per block size over the records that take it, so a
@@ -25,6 +31,8 @@ vectorized densities (loss, dephasing, finite efficiency).
   bin by bin through ``_Segments.apply``, the one state update of both
   cores (renormalized by a product with 1/root, which is numpy's complex
   division by the real root to the bit); both cores replay a θ stack.
+  It reads only the per-bin maps, so the levels above them are built on
+  first use by the segment core or thinning.
 
 Thinning decides each record's candidate bins in rounds.  A round
 advances copies of every live record's latest decided state over the
@@ -35,15 +43,17 @@ squared norm would leave a safe range.  The click probability is then one
 ratio per candidate, p1 = weight(y a1) / weight(y).  On a static model a
 record that misses every candidate of a round goes on from its last one,
 not from its last click, so a round walks only the bits of the gap since
-then; per-bin tables go on from the last click, since a walk from an
-unaligned bin takes up to twice the levels of one from an aligned start.
+then; per-bin tables go on from the last click (or the window's start),
+since a walk from an unaligned bin takes up to twice the levels of one
+from an aligned start.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
 is the trace of the record-conditioned unnormalized state, and a
 record of probability zero replays to exactly -inf.  Every trajectory
-owns a counter-based RNG stream keyed by (seed, index), so results do
-not depend on how the records are split into chunks.
+owns a counter-based RNG stream keyed by (seed, index), one raw value
+per bin, so results do not depend on how the records are split into
+chunks or the grid into windows.
 """
 
 from dataclasses import dataclass
@@ -104,6 +114,19 @@ class StepOps:
         return np.broadcast_to(a, (self.n_steps,) + a.shape[1:])
 
 
+def _stack(shape, spare=None):
+    """An uninitialized complex stack of ``shape``: the first entries of
+    the stack ``spare`` when it is a writable contiguous stack of at least
+    as many of the same matrices, else a new one.  Writing over the memory
+    of a stack that is no longer needed saves the page faults of a fresh
+    one."""
+    if (spare is not None and spare.flags.c_contiguous and spare.flags.writeable
+            and spare.dtype == complex and spare.shape[1:] == shape[1:]
+            and len(spare) >= shape[0]):
+        return spare[:shape[0]]
+    return np.empty(shape, dtype=complex)
+
+
 def _check_p1(p1max, k, dt):
     if p1max > _P1_MAX:
         raise ClickProbabilityOverflow(
@@ -119,21 +142,19 @@ def _times_rows(x, sel, a):
     return (rows @ a)[..., :len(sel), :]
 
 
-def run_steps(seg, click_indices, n):
-    """Replay the click-index arrays ``click_indices`` over ``n`` bins bin
-    by bin through the per-bin maps of the tables ``seg``: logL (Θ, B).
-    At bin k the records that click there take the click map, the others
-    the no-click map (level 0), each through ``_Segments.apply``."""
+def run_steps(seg, click_indices, n, state):
+    """Advance the replay ``state`` (``_Segments.start``) of the rows of
+    ``click_indices`` over the ``n`` bins of the tables ``seg``, bin by
+    bin: at bin k the rows that click there take the click map, the
+    others the no-click map (level 0), each through ``_Segments.apply``."""
     hits = np.zeros((n, len(click_indices)), dtype=bool)  # bin-major: one row per bin
     for r, h in enumerate(click_indices):
         hits[h, r] = True
-    x = seg.initial(len(click_indices))
-    logl = np.zeros(x.shape[:2])
+    x, _, logl = state
     no_click, click = (seg.levels[0][0], None, None), (seg.a1t, None, None)
     for k, h in enumerate(hits):
         seg.apply(x, np.flatnonzero(~h), no_click, k, logl)
         seg.apply(x, np.flatnonzero(h), click, k, logl, True)
-    return logl
 
 
 def _padded(rows, fill):
@@ -154,6 +175,10 @@ class _Segments:
     of level i in time order, so it covers bins [j 2^(i+1), (j+1) 2^(i+1));
     a static model's level i is its one power a0^(2^i).  Each block is
     rescaled by an exact power of two and keeps its log weight scale.
+    The levels above 0 are built on the first walk over blocks
+    (``blocks``), so the step core, which reads level 0 only, builds none;
+    they are written over the level buffers of ``spare``, the _Segments of
+    tables no longer needed, where those fit.
 
     Given the θ-derivatives ``tangent`` = (da0, da1) of the maps of one θ
     (da1 None where zero, da0 possibly one static matrix), each level
@@ -161,12 +186,13 @@ class _Segments:
     its level, and ``da1t`` the click map's: a level is (P, log scale, dP
     or None)."""
 
-    def __init__(self, ops, tangent=None):
+    def __init__(self, ops, tangent=None, spare=None):
         o = ops[0]
         self.weight, self.root, self.pure = o.weight, o.root, o.pure
         self.scoring = tangent is not None
         self.initial = lambda nb: np.tile(o.x0, (len(ops), nb, 1)).astype(complex)
         self.static = len(o.a0) == 1
+        self.n_steps = o.n_steps
 
         def tab(stacks):
             a = np.swapaxes(np.stack(stacks) if len(stacks) > 1 else stacks[0][None], -1, -2)
@@ -176,20 +202,31 @@ class _Segments:
         da0, da1 = tangent or (None, None)
         self.a1t = tab([q.a1 for q in ops])
         self.da1t = None if da1 is None else tab([da1])
-        # weight of c x over weight of x: c^2 for pure states, c for densities
-        deg = 2.0 if o.pure else 1.0
         p, dp = tab([q.a0 for q in ops]), None if da0 is None else tab([da0])
         if dp is not None and len(dp[0]) < len(p[0]):  # one static matrix for every bin
             dp = np.broadcast_to(dp, p.shape)
-        s = np.zeros(p.shape[:2])
-        self.levels = [(p, s, dp)]
+        self.levels = [(p, np.zeros(p.shape[:2]), dp)]
+        self._bufs = (None, None) if spare is None else spare._bufs
+        self._grown = False
+
+    def _grow(self):
+        """Build the levels above 0, once."""
+        if self._grown:
+            return
+        self._grown = True
+        p, s, dp = self.levels[0]
+        # weight of c x over weight of x: c^2 for pure states, c for densities
+        deg = 2.0 if self.pure else 1.0
         # every level above 0 lives in one buffer (their derivatives in a
-        # second): the next θ's tables then reuse one freed block, where
-        # separate levels fragment the heap
+        # second): the next θ's or window's tables then reuse one block,
+        # where separate levels fragment the heap
         sizes = [1 if self.static else p.shape[1] >> i
-                 for i in range(1, o.n_steps.bit_length())]
-        buf = np.empty((len(ops), sum(sizes)) + p.shape[2:], dtype=complex)
-        dbuf = None if dp is None else np.empty_like(buf)
+                 for i in range(1, self.n_steps.bit_length())]
+        shape = (len(p), sum(sizes)) + p.shape[2:]
+        flat = (shape[0] * shape[1],) + shape[2:]
+        self._bufs = (_stack(flat, self._bufs[0]),
+                      None if dp is None else _stack(flat, self._bufs[1]))
+        buf, dbuf = (None if b is None else b.reshape(shape) for b in self._bufs)
         offs = np.cumsum([0] + sizes)
         for a, b in zip(offs[:-1], offs[1:]):
             even, odd = ((slice(None),) * 2 if self.static else
@@ -216,6 +253,34 @@ class _Segments:
                 dp *= scale
             s = sa + sb + deg * np.log(2.0) * e
             self.levels.append((p, s, dp))
+
+    @property
+    def nbytes(self):
+        """Bytes of the distinct buffers under its maps, levels and their
+        derivatives: a view counts its base once, a broadcast its one
+        matrix."""
+        owners = {}
+        for a in [self.a1t, self.da1t, *self._bufs] + [v for level in self.levels for v in level]:
+            while a is not None and a.base is not None:
+                a = a.base
+            if a is not None:
+                owners[id(a)] = a.nbytes
+        return sum(owners.values())
+
+    def start(self, nb):
+        """The replay state of ``nb`` rows at the first bin: (x, dx, logL),
+        the initial state x (Θ, nb, D), with its zero tangent dx when
+        scoring and else zero logL (Θ, nb); the other one None."""
+        x = self.initial(nb)
+        if self.scoring:
+            return x, np.zeros_like(x), None
+        return x, None, np.zeros(x.shape[:2])
+
+    def result(self, state):
+        """What a replay ``state`` gives at the last bin: logL (Θ, B), or
+        the scores d logL/dθ (1, B) when scoring."""
+        x, dx, logl = state
+        return self.scores(x, dx) if self.scoring else logl
 
     def times(self, x, sel, table, idx):
         """Rows ``sel`` of the state (Θ, B, D) times entry ``idx[r]`` of a
@@ -303,6 +368,7 @@ class _Segments:
         where bit i of pos is set and the block fits), then down (level i
         where it fits), at most 2 log2 n blocks.  Levels that no row takes
         are skipped."""
+        self._grow()
         gaps = stop - pos
         top = int(gaps.max(initial=0)).bit_length()
         if self.static:
@@ -334,38 +400,40 @@ class _Segments:
         return s
 
 
-def _replay_segments(seg, click_indices, n):
-    """logL (Θ, B) of the given records, or their scores d logL/dθ (1, B)
-    when ``seg`` holds tangent maps: per click ordinal, the no-click run
-    up to the click (or to the end), then the click map."""
+def _replay_segments(seg, click_indices, n, state):
+    """Advance the replay ``state`` (``_Segments.start``) of the rows of
+    ``click_indices`` over the ``n`` bins of the tables ``seg``, with
+    their tangents when ``seg`` holds tangent maps: per click ordinal, the
+    no-click run up to the click (or to the end), then the click map."""
     ends, counts = _padded(click_indices, n)
     counts += 1  # the run after the last click ends at n
     starts = np.concatenate([np.zeros((len(ends), 1), dtype=ends.dtype), ends[:, :-1] + 1],
                             axis=1)
-    x = seg.initial(len(ends))
-    dx = np.zeros_like(x) if seg.scoring else None
-    logl = None if seg.scoring else np.zeros(x.shape[:2])
+    x, dx, logl = state
     for j in range(ends.shape[1]):
         rows = np.flatnonzero(counts > j)
         seg.no_clicks(x, rows, starts[rows, j], ends[rows, j], logl, dx=dx)
         clicks = rows[counts[rows] > j + 1]
         seg.apply(x, clicks, (seg.a1t, None, seg.da1t), ends[clicks, j], logl, True, dx)
-    return seg.scores(x, dx) if seg.scoring else logl
 
 
-def _candidates(top, indices, seed):
-    """Each record's candidate bins (raw draw <= ``top``) and their
-    uniforms, flat in record order as record * n + bin, with the records'
-    candidate counts.  Record ``index`` draws from Philox(key=[seed,
-    index]) at counter 0, one Philox re-keyed through its state (cheaper
-    than a new one), in pieces of at most _PIECE values: whole records at
-    once when one fits, else one record in pieces."""
+def _candidates(top, indices, seed, lo):
+    """Each record's candidate bins (raw draw <= ``top``) among the bins
+    lo, lo + 1, ... of ``top`` and their uniforms, flat in record order as
+    record * n + (bin - lo), with the records' candidate counts.  Record
+    ``index`` draws one raw value per bin of the grid from Philox(key=[seed,
+    index]) at counter 0, and Philox makes 4 values per counter, so bin lo
+    (a multiple of 4) starts counter lo / 4 with an empty buffer.  One
+    Philox is re-keyed through its state (cheaper than a new one) and
+    drawn in pieces of at most _PIECE values: whole records at once when
+    one fits, else one record in pieces."""
     n, nb = len(top), len(indices)
     if n == 0:  # an empty grid draws nothing
         return np.empty(0, np.int64), np.empty(0), np.zeros(nb, np.int64)
     per = max(1, _PIECE // n)  # whole records per piece
     bitgen = np.random.Philox(0)
-    state = bitgen.state  # counter 0, empty buffer: only the key changes
+    state = bitgen.state  # empty buffer: only the key and counter change
+    state["state"]["counter"][0] = lo >> 2
 
     def stream(i):
         state["state"]["key"] = np.array([seed, i], np.uint64)
@@ -397,9 +465,11 @@ def _candidates(top, indices, seed):
     return flat, np.concatenate(us), np.diff(starts)
 
 
-def _thin(seg, ops, indices, seed):
-    """Draw the records of trajectory ``indices`` under the tables ``seg``
-    of the one θ whose StepOps are ``ops``.  A record clicks at bin k iff
+def _thin(seg, ops, indices, seed, x=None, lo=0):
+    """Draw the clicks of trajectory ``indices`` in the bins of the tables
+    ``seg`` of the one θ whose StepOps are ``ops``, bins lo, lo + 1, ... of
+    the grid, from the records' states ``x`` (1, B, D) at bin lo (None: the
+    initial state at lo = 0).  A record clicks at bin k iff
     its k-th uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the
     bins whose uniform lies below that bound are candidates.  The bound is
     |a1_k|^2 of a Kraus click map, or |a1_k| of the superoperator
@@ -416,8 +486,10 @@ def _thin(seg, ops, indices, seed):
     on (per-bin tables keep the click state).  A bound above _P1_MAX
     makes its bin a candidate for every record, so the guard, over valid
     evaluations, names the first bin in time order where some record
-    overflows.
-    Returns (list of click-index arrays, number of candidates)."""
+    overflows (windows are thinned in time order, after the records'
+    earlier clicks).
+    Returns (list of click-index arrays, relative to lo, number of
+    candidates)."""
     n, nb = ops.n_steps, len(indices)
     # one static map takes the exact spectral norm; a per-bin stack takes
     # the Frobenius norm, which bounds it from above at a fraction of the
@@ -435,11 +507,11 @@ def _thin(seg, ops, indices, seed):
     lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     lim = np.maximum(lim, np.uint64(1)) - np.uint64(1)
     top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
-    flat, u, counts = _candidates(top, indices, seed)
+    flat, u, counts = _candidates(top, indices, seed, lo)
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
     budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))
-    x = seg.initial(nb)  # each record's latest decided state
+    x = seg.initial(nb) if x is None else x  # each record's latest decided state
     pos = np.zeros(nb, dtype=np.int64)  # the bin it stands at
     ends = np.cumsum(counts)
     nxt = ends - counts  # its next undecided candidate
@@ -485,7 +557,7 @@ def _thin(seg, ops, indices, seed):
         hit_bin.append(k[jh])
     if over_bin:
         ob, op = np.concatenate(over_bin), np.concatenate(over_p1)
-        _check_p1(op[ob == kb].max(), kb, ops.dt)
+        _check_p1(op[ob == kb].max(), lo + kb, ops.dt)
     rec = np.concatenate([np.empty(0, np.int64)] + hit_rec)
     order = np.argsort(rec, kind="stable")
     bins = np.concatenate([np.empty(0, np.int64)] + hit_bin)[order]

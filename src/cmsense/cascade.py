@@ -27,7 +27,10 @@ one replay of the record with its tangent under the maps at θ and their
 so the result is independent of chunking.  Records are drawn by
 thinning, and every model replays them on the click-to-click segment
 core (no-click block products); ``engine="step"`` replays them on the
-per-bin step core instead, as a cross-check.
+per-bin step core instead, as a cross-check.  A per-bin model whose
+tables exceed _TABLE_BYTES runs window by window in time order, its
+records carrying their state from one window into the next, so a long
+grid holds one window's tables at a time.
 Chunks run one after another in the calling thread.
 """
 
@@ -61,6 +64,9 @@ __all__ = [
 
 _CHUNK = 256
 _CHUNK_BINS = 1 << 24
+# bytes of per-bin maps, levels and derivatives that a record run holds at
+# once: a longer grid of per-bin tables is walked in windows (_windows)
+_TABLE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -170,15 +176,16 @@ def _superops(m0, j, extra, eta, dt):
     return s0, eta * dt * jj
 
 
-def _decoder_stacks(dec, grid, n):
-    """The decoder's (H_D, J_D) stacks over n bins of ``grid``: its one
-    pair broadcast, or its per-bin tables, which hold for their own grid only."""
+def _decoder_stacks(dec, grid, n, lo=0):
+    """The decoder's (H_D, J_D) stacks over the n bins of ``grid`` from bin
+    lo: its one pair broadcast, or its per-bin tables, which hold for their
+    own grid only."""
     if not dec.time_dependent:
         return (np.broadcast_to(dec.hd, (n,) + dec.hd.shape[1:]),
                 np.broadcast_to(dec.jd, (n,) + dec.jd.shape[1:]))
     if grid != dec.grid:
         raise CmsenseError("decoder tables do not match the grid")
-    return dec.hd, dec.jd
+    return dec.hd[lo:lo + n], dec.jd[lo:lo + n]
 
 
 def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -197,17 +204,29 @@ def _sensor_stacks(sensor, thetas, ts):
     return (hs[0], js[0]) if len(thetas) == 1 else (np.concatenate(hs), np.concatenate(js))
 
 
-def _theta_tables(gen, thetas, grid, max_step):
+def _pure(gen):
+    """Whether ``gen`` runs on Kraus pairs and state vectors (no extra
+    channel, unit efficiency, a pure initial state), else on superoperators."""
+    return not (gen.extra_lindblad or gen.detector_eta < 1.0 or gen.initial_rho is not None)
+
+
+def _theta_tables(gen, thetas, grid, max_step, lo=0, hi=None, spare=None):
     """The ``step_matrices`` of each θ of ``thetas``, a static model's θ
     as the bins of one stacked ``_kraus_tables`` pass: the same per-bin
-    arithmetic, so the same bits.  Per-bin tables come one θ per call."""
+    arithmetic, so the same bits.  Per-bin tables come one θ per call,
+    over bins lo..hi-1 of the grid (all by default): bit for bit those
+    bins of the whole grid's tables, as StepOps of hi - lo steps, written
+    over the stacks of the StepOps ``spare`` where they fit."""
     dt, eta = grid.dt, gen.detector_eta
-    ts = _bin_times(grid, not gen.time_dependent)
+    hi = grid.n_steps if hi is None else hi
+    ts = _bin_times(grid, not gen.time_dependent, lo, hi)
     n = len(ts)
-    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, n * len(thetas))
+    dec = (None if gen.decoder is None else
+           _decoder_stacks(gen.decoder, grid, n * len(thetas), lo))
     m0, m1 = _kraus_tables(*_sensor_stacks(gen.sensor, thetas, ts), dt, max_step,
-                           np.tile(ts, len(thetas)), dec, gen.extra_lindblad)
-    if not (gen.extra_lindblad or eta < 1.0 or gen.initial_rho is not None):
+                           np.tile(ts, len(thetas)), dec, gen.extra_lindblad,
+                           (None, None) if spare is None else (spare.a0, spare.a1))
+    if _pure(gen):
         x0, pure = gen.initial_state, True
     else:
         if n * gen.dim ** 4 * 16 > 2e9:
@@ -217,13 +236,14 @@ def _theta_tables(gen, thetas, grid, max_step):
             rho = np.outer(gen.initial_state, gen.initial_state.conj())
         m0, m1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
         x0, pure = rho.ravel(), False
-    return [_engine.StepOps(grid.n_steps, dt, m0[i * n:(i + 1) * n], m1[i * n:(i + 1) * n],
+    return [_engine.StepOps(hi - lo, dt, m0[i * n:(i + 1) * n], m1[i * n:(i + 1) * n],
                             x0, pure=pure) for i in range(len(thetas))]
 
 
-def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step):
+def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step, lo=0):
     """The theta-derivatives (da0, da1) of the branch maps ``ops`` of
-    ``gen`` at theta, da1 None where it is zero.  (dH_S, dJ_S) is the
+    ``gen`` at theta, the tables of bins lo..lo+ops.n_steps-1 of the grid,
+    da1 None where it is zero.  (dH_S, dJ_S) is the
     central difference of the sensor stacks at theta +/- theta_step (exact
     up to round-off for a sensor affine in theta); the rest is the product
     rule.  A theta-free jump (every built-in sensor) leaves the Kraus
@@ -231,14 +251,15 @@ def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step):
     change in time, and da1 = 0.  Superoperators do not keep the Kraus
     stacks, so these are built again for their product rule."""
     dt, eta = grid.dt, gen.detector_eta
-    ts = _bin_times(grid, not gen.time_dependent)
+    ts = _bin_times(grid, not gen.time_dependent, lo, lo + ops.n_steps)
     (hp, jp), (hm, jm) = (operator_stacks(gen.sensor, theta + e, ts)
                           for e in (theta_step, -theta_step))
     dhs, djs = ((p - m) / (2.0 * theta_step) for p, m in ((hp, hm), (jp, jm)))
     fixed_jump = not djs.any()
     if fixed_jump and (dhs == dhs[:1]).all():
         dhs, djs = dhs[:1], djs[:1]
-    n, dec = len(dhs), None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts))
+    n, dec = len(dhs), None if gen.decoder is None else _decoder_stacks(gen.decoder, grid,
+                                                                         len(ts), lo)
     dh, djc = dhs, djs
     if dec is not None:
         # dH_c = dH_S x 1 + dR is H_c of (dH_S, dJ_S) with H_D = 0; dJ_c = dJ_S x 1
@@ -300,45 +321,124 @@ def _lap(clock, key, t0):
     return t
 
 
-def _distinct(records):
-    """The distinct click-index arrays of ``records`` in first-seen order,
-    and the position of each record's copy among them."""
+def _bin_bytes(gen, n_theta, scoring):
+    """An upper bound on the bytes per bin of a window's tables: for each θ
+    the no-click and click maps and the no-click levels, and when
+    ``scoring`` the no-click derivative and its levels (a part that does
+    not change in time is one matrix, which the bound counts per bin)."""
+    m = gen.dim if _pure(gen) else gen.dim ** 2
+    return n_theta * (5 if scoring else 3) * m * m * 16
+
+
+def _windows(gen, n_theta, scoring, n_steps):
+    """The bin windows [lo, hi) that a record run walks in time order: the
+    whole grid for a static model, or for per-bin tables (``_bin_bytes``)
+    within _TABLE_BYTES, else windows of the largest power of two of bins,
+    at least 4, whose tables fit it.  A window of 2^m bins from a multiple
+    of 2^m keeps the segment core's blocks aligned on the grid, and its
+    draws start on a fresh Philox counter (``_engine._candidates``)."""
+    w, per_bin = n_steps, _bin_bytes(gen, n_theta, scoring)
+    if gen.time_dependent and n_steps * per_bin > _TABLE_BYTES:
+        w = 1 << max(2, (_TABLE_BYTES // per_bin).bit_length() - 1)
+    return [(lo, min(lo + w, n_steps)) for lo in range(0, n_steps, max(w, 1))] or [(0, 0)]
+
+
+def _tables(gen, thetas, grid, max_step, theta_step=None):
+    """The (tables, windows) arguments of ``_run_records`` for the θ set
+    ``thetas`` of ``gen``: the tables of a window are its bins of each
+    θ's ``step_matrices``, with their θ-derivative (``_tangent``, step
+    ``theta_step``) at the one θ when ``theta_step`` is given."""
+    def tables(lo, hi, spare):
+        ops = _theta_tables(gen, thetas, grid, max_step, lo, hi, spare and spare[0])
+        if theta_step is None:
+            return ops, None
+        return ops, _tangent(gen, thetas[0], grid, ops[0], theta_step, max_step, lo)
+    return tables, _windows(gen, len(thetas), theta_step is not None, grid.n_steps)
+
+
+def _window_part(hits, lo, hi):
+    """The click indices of ``hits`` in bins [lo, hi), relative to lo."""
+    h = np.asarray(hits, dtype=np.int64)
+    a, b = np.searchsorted(h, (lo, hi))
+    return h[a:b] - lo if lo else h[a:b]
+
+
+def _histories(rows, parts):
+    """The distinct click histories after one more window, in first-seen
+    order: each record's history so far is its row of ``rows`` and its
+    clicks in the window ``parts``.  Returns each new row's row before
+    the window, each record's new row, and each new row's window part."""
     first = {}
-    inverse = np.array([first.setdefault(np.asarray(h, dtype=np.int64).tobytes(), len(first))
-                        for h in records], dtype=np.intp)
-    return [records[i] for i in np.unique(inverse, return_index=True)[1]], inverse
+    new = np.array([first.setdefault((r, p.tobytes()), len(first))
+                    for r, p in zip(rows.tolist(), parts)], dtype=np.intp)
+    rep = np.unique(new, return_index=True)[1]
+    return rows[rep], new, [parts[i] for i in rep]
 
 
-def _run_records(ops, kind, n_records, seed, given=None, tangent=None, clock=None):
-    """Draw (``given`` None) or take the records ``given`` chunk by chunk,
-    under the list ``ops`` of per-θ StepOps (one for sampling and for
-    scores), and replay them on the ``kind`` core; returns (list of
-    click-index arrays, logL (Θ, n_records), thinning candidates).  Each
-    distinct record of a chunk is replayed once and its row copied to its
-    repeats: a row does not depend on the other records of its batch, so
-    this is bit for bit the replay of every record.  With the ``tangent`` maps
-    (da0, da1) of the one θ, the segment core scores the records instead:
-    d logL/dθ (1, n_records).  The segment tables, which thinning and
-    both cores run on, are built once for every chunk.  A ``clock`` dict
-    accumulates the seconds of the table build ("table_s"), of thinning
-    ("sample_s") and of replay ("score_s")."""
-    t = perf_counter()
-    seg = _engine._Segments(ops, tangent)
-    t = _lap(clock, "table_s", t)
+def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None):
+    """Draw (``given`` None) or take the records ``given`` chunk by chunk
+    and replay them on the ``kind`` core, window by window in time order:
+    ``tables(lo, hi, spare)`` gives the list of per-θ StepOps (one for
+    sampling and for scores) of bins [lo, hi) of the grid and their
+    tangent maps (da0, da1) at the one θ, or None, and ``windows`` lists
+    the (lo, hi) (``_windows``).  A window's tables and levels are built
+    once and serve every chunk, thinning and replay alike.  The next
+    window's are written over them (``spare``: the last window's StepOps;
+    ``_Segments`` takes the last one's level buffers), so a run holds one
+    window's tables at a time and does not fault in fresh pages for each.
+    In each window thinning draws a chunk's clicks from its records'
+    replayed states at the window's start, then the window's part of
+    every record is replayed from there, one row per distinct click
+    history so far (``_histories``).  A row does not depend on the other
+    rows of its batch, so this is bit for bit the replay of every record;
+    over one window (a static model, or a short grid) it is each distinct
+    record replayed once.  Returns (list of click-index
+    arrays, logL (Θ, n_records), thinning candidates), or with tangent
+    maps the scores d logL/dθ (1, n_records) in place of logL.  A
+    ``stats`` dict accumulates the seconds of the table builds
+    ("table_s"), of thinning ("sample_s") and of replay ("score_s"), the
+    no-click levels counted in the stage that first walks them, and gets
+    the number of windows ("windows") and the most MB (2^20 bytes) of
+    maps, levels and derivatives held at once ("table_mb")."""
     replay = {"segment": _engine._replay_segments, "step": _engine.run_steps}[kind]
-    hits, logl, cands = [], [np.empty((len(ops), 0))], 0  # no records: (Θ, 0)
-    for a, b in _chunks(n_records, ops[0].n_steps):
-        if given is None:
-            h, c = _engine._thin(seg, ops[0], np.arange(a, b), seed)
-            cands += c
-            t = _lap(clock, "sample_s", t)
-        else:
-            h = given[a:b]
-        distinct, inverse = _distinct(h)
-        logl.append(replay(seg, distinct, ops[0].n_steps)[:, inverse])
-        t = _lap(clock, "score_s", t)
-        hits += h
-    return hits, np.concatenate(logl, axis=1), cands
+    chunks = _chunks(n_records, windows[-1][1])
+    drawn = [[] for _ in windows]  # per window: each drawn record's clicks in it
+    states = [None] * len(chunks)  # per chunk: each record's row, the rows' replay state
+    cands, held = 0, 0
+    ops = seg = None  # the last window's tables, which the next one's are written over
+    t = perf_counter()
+    for w, (lo, hi) in enumerate(windows):
+        ops, tangent = tables(lo, hi, ops)
+        seg = _engine._Segments(ops, tangent, seg)
+        t = _lap(stats, "table_s", t)
+        for c, (a, b) in enumerate(chunks):
+            rows, state = states[c] or (np.zeros(b - a, dtype=np.intp), seg.start(1))
+            if given is None:
+                h, n_cands = _engine._thin(seg, ops[0], np.arange(a, b), seed,
+                                           state[0][:, rows], lo)
+                cands += n_cands
+                drawn[w] += h
+                t = _lap(stats, "sample_s", t)
+            else:
+                h = [_window_part(given[r], lo, hi) for r in range(a, b)]
+            parent, rows, parts = _histories(rows, h)
+            state = tuple(None if v is None else v[:, parent] for v in state)
+            replay(seg, parts, hi - lo, state)
+            states[c] = rows, state
+            t = _lap(stats, "score_s", t)
+        held = max(held, seg.nbytes)
+    out = [np.empty((len(ops), 0))]  # no records: (Θ, 0)
+    out += [seg.result(state)[:, rows] for rows, state in states]
+    if stats is not None:
+        stats.update(windows=len(windows), table_mb=held / 2 ** 20)
+    if given is not None:
+        hits = given
+    elif len(windows) == 1:  # one window from bin 0: its clicks are the records
+        hits = drawn[0]
+    else:
+        hits = [np.concatenate([p + lo for p, (lo, _) in zip(ps, windows)])
+                for ps in zip(*drawn)]
+    return hits, np.concatenate(out, axis=1), cands
 
 
 def _check_click_indices(indices, n_steps):
@@ -363,8 +463,7 @@ def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
     if n_traj < 0:
         raise CmsenseError(f"n_traj = {n_traj}: a record count cannot be negative")
     kind = _resolve_engine(engine)
-    indices, logl, _ = _run_records([step_matrices(gen, theta, grid, max_step)], kind,
-                                    n_traj, seed)
+    indices, logl, _ = _run_records(*_tables(gen, [theta], grid, max_step), kind, n_traj, seed)
     return indices, logl[0], kind
 
 
@@ -375,15 +474,15 @@ def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=STEP_
 
     A static model replays the whole θ set in one pass on either core,
     its tables built in one stacked pass (``_theta_tables``); per-bin
-    tables (time-dependent models) replay one θ at a time, each table
-    freed before the next is built.  Each distinct record is replayed
-    once (``_run_records``).
+    tables (time-dependent models) replay one θ at a time, window by
+    window, holding one window's tables at a time.  Each distinct record
+    is replayed once (``_run_records``).
     """
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
     kind = _resolve_engine(engine_kind)
     sets = [[th] for th in thetas] if gen.time_dependent else [thetas]
-    logl = np.concatenate([_run_records(_theta_tables(gen, ths, grid, max_step), kind,
+    logl = np.concatenate([_run_records(*_tables(gen, ths, grid, max_step), kind,
                                         len(indices), 0, indices)[1]
                            for ths in sets])
     return logl if np.ndim(theta) else logl[0]
@@ -399,10 +498,12 @@ class FisherEstimate:
     theta_step is the step of the sensor-operator difference;
     null_point is set when every score is exactly zero; n_steps, chunks
     (record chunks), seconds (wall time) and candidates (mean thinning
-    candidates per record) the cost, and table_s (branch maps, their
-    derivative and the no-click levels), sample_s (thinning) and score_s
-    (the tangent replay) the seconds of its stages, which sum to at most
-    ``seconds``.
+    candidates per record) the cost, and table_s (branch maps and their
+    derivative), sample_s (thinning) and score_s (the tangent replay) the
+    seconds of its stages, which sum to at most ``seconds``; the no-click
+    levels count in the stage that first walks them.  windows is the
+    number of time windows the grid was walked in, and table_mb the most
+    MB (2^20 bytes) of maps, levels and derivatives held at once.
     """
 
     value: float
@@ -421,6 +522,8 @@ class FisherEstimate:
     table_s: float
     sample_s: float
     score_s: float
+    windows: int
+    table_mb: float
 
 
 def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -431,16 +534,16 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     Draws records at theta by thinning and replays each once on the
     segment core with its tangent under the branch maps at theta and
     their derivative (``_tangent``), which gives the exact score
-    d logL/dθ of the record.
+    d logL/dθ of the record.  A per-bin model longer than a few MB of
+    tables runs window by window (``_run_records``): each window's maps,
+    derivative and levels serve the draws and the scores of its bins.
     """
     if n_traj < 1:
         raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
     t0 = perf_counter()
-    ops = step_matrices(gen, theta, grid, max_step)
-    tangent = _tangent(gen, theta, grid, ops, theta_step, max_step)
-    clock = {"table_s": perf_counter() - t0, "sample_s": 0.0, "score_s": 0.0}
-    indices, scores, cands = _run_records([ops], "segment", n_traj, seed, tangent=tangent,
-                                          clock=clock)
+    stats = {"table_s": 0.0, "sample_s": 0.0, "score_s": 0.0}
+    indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, theta_step),
+                                          "segment", n_traj, seed, stats=stats)
     scores = scores[0]
     sq = scores ** 2
     se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
@@ -450,7 +553,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
         chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
-        candidates=cands / n_traj, **clock,
+        candidates=cands / n_traj, **stats,
     )
 
 

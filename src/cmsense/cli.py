@@ -102,7 +102,7 @@ def _report_fisher(report, label, fi):
         "mean_score": fi.mean_score, "mean_score_se": fi.mean_score_se,
         "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
         "candidates": fi.candidates, "table_s": fi.table_s, "sample_s": fi.sample_s,
-        "score_s": fi.score_s,
+        "score_s": fi.score_s, "windows": fi.windows, "table_mb": fi.table_mb,
     })
     if fi.null_point:
         report.setdefault("warnings", []).append(

@@ -122,12 +122,20 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid, w0=None):
     dt = grid.dt
 
     # outputs before the batch temporaries: allocated after them, they
-    # would pin the freed heap below (+8 MB peak RSS in a later cascade)
+    # would pin the freed heap below (+8 MB peak RSS in a later cascade).
+    # Each (n, D, D) temporary is freed once used, and the products are
+    # formed in place in the order of their formulas, so the bits are
+    # those of the plain expressions
     hd = np.empty((n, D, D), dtype=complex)
     jd = np.empty_like(hd)
     rt = _identity_series(tab, D, n)[1:]
-    ev, vec = np.linalg.eigh(0.5 * (rt + dagger(rt)))
     tr = np.trace(rt, axis1=1, axis2=2).real
+    sym = dagger(rt)
+    sym += rt
+    sym *= 0.5
+    del rt
+    ev, vec = np.linalg.eigh(sym)
+    del sym
     bad = np.flatnonzero(ev[:, 0] <= _RANK_TOL * tr)
     if len(bad):
         k = int(bad[0])
@@ -137,15 +145,35 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid, w0=None):
         )
     # r = sqrt(rho_tilde) W0 has the singular values sqrt(ev), so the floor
     # above bounds its condition number by 1/sqrt(_RANK_TOL)
-    r = (vec * np.sqrt(ev)[:, None, :]) @ dagger(vec) @ w0
+    vh = dagger(vec)
+    vec *= np.sqrt(ev)[:, None, :]
+    r = vec @ vh
+    del vec, vh
+    r = r @ w0
     ri = np.linalg.inv(r)
     r_prev = np.concatenate([w0[None], r[:-1]])
-    b0c = (ri @ tab.a0 @ r_prev).conj()
-    b1c = (ri @ tab.a1 @ r_prev).conj()
-    jd[:] = -dagger(b1c) / np.sqrt(dt)
-    h = (1j / dt) * (b0c - np.eye(D) + 0.5 * dt * dagger(jd) @ jd)
-    herm_res = float(np.abs(h - dagger(h)).max()) if n else 0.0
-    hd[:] = 0.5 * (h + dagger(h))
+    del r
+    # J_D = -B^1^T / sqrt(dt) (the dagger of conj(B^1)), with B^1 in hd for
+    # now; then conj(B^0) in hd, which becomes H in place
+    buf = np.empty_like(hd)
+    np.matmul(np.matmul(ri, tab.a1, out=buf), r_prev, out=hd)
+    np.negative(np.swapaxes(hd, -1, -2), out=jd)
+    jd /= np.sqrt(dt)
+    h = np.matmul(np.matmul(ri, tab.a0, out=buf), r_prev, out=hd)
+    del ri, r_prev, tab
+    np.conjugate(h, out=h)
+    # H = (i/dt) (conj(B^0) - 1 + (dt/2) J_D^dag J_D)
+    h -= np.eye(D)
+    jj = dagger(jd)
+    jj *= 0.5 * dt
+    h += np.matmul(jj, jd, out=buf)
+    h *= 1j / dt
+    hc = np.conjugate(np.swapaxes(h, -1, -2), out=jj)  # dagger(H)
+    herm_res = float(np.abs(np.subtract(h, hc, out=buf)).max()) if n else 0.0
+    del buf
+    h += hc  # hd = (H + H^dag) / 2
+    h *= 0.5
+    del jj, hc
 
     return DecoderModel(
         hd=hd, jd=jd,

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._engine import StepOps
+from ._engine import StepOps, _stack
 from .errors import StepTooLarge, TraceDrift, format_excess
 from .linalg import dagger, frobenius_sq
 from .models import SensorModel, operator_stacks
@@ -148,19 +148,20 @@ def _joint(hs, js, dec, out):
     return h, jc if len(jc) == len(js) else np.broadcast_to(jc, js.shape[:1] + jc.shape[1:])
 
 
-def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=()):
+def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=(), spare=(None, None)):
     """Guarded Kraus stacks of per-bin sensor stacks sampled at ``ts``,
     cascaded into the decoder stacks ``dec`` when given (``_joint``):
     a0 = 1 - i H dt - (1/2)(J^dag J + sum_l L_l^dag L_l) dt and a1 =
     sqrt(dt) J, with ``extra`` the constant undetected channels L_l.
-    Built _BLOCK bins at a time into the two stacks, keeping nothing else.
-    A static joint jump (stride-0 ``js``, and decoder jump if cascaded)
-    takes one J^dag J per block, and a1 is a read-only broadcast of one
-    matrix."""
+    Built _BLOCK bins at a time into the two stacks, keeping nothing else;
+    the stacks ``spare`` (a0, a1) of tables no longer needed are written
+    over where they fit (``_stack``).  A static joint jump (stride-0
+    ``js``, and decoder jump if cascaded) takes one J^dag J per block, and
+    a1 is a read-only broadcast of one matrix."""
     n, dim = len(hs), hs.shape[-1] * (1 if dec is None else dec[0].shape[-1])
     static = _static(js) and (dec is None or _static(dec[1]))
-    a0 = np.empty((n, dim, dim), dtype=complex)
-    a1 = np.empty((0 if static else n, dim, dim), dtype=complex)  # static: set below
+    a0 = _stack((n, dim, dim), spare[0])
+    a1 = _stack((0 if static else n, dim, dim), spare[1])  # static: set below
     for lo in range(0, n, _BLOCK):
         b = slice(lo, lo + _BLOCK)
         h, j = _joint(hs[b], js[b], None if dec is None else (dec[0][b], dec[1][b]), a0[b])
@@ -179,9 +180,11 @@ def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=()):
     return a0, a1
 
 
-def _bin_times(grid, static):
-    """Left endpoints at which operators are sampled: t_start alone when static."""
-    return grid.t_start + grid.dt * np.arange(1 if static else grid.n_steps)
+def _bin_times(grid, static, lo=0, hi=None):
+    """Left endpoints of bins lo..hi-1 (every bin by default) at which
+    operators are sampled: t_start alone when static."""
+    return grid.t_start + grid.dt * np.arange(
+        lo, 1 if static else grid.n_steps if hi is None else hi)
 
 
 def transfer(ta, tb):

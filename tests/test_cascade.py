@@ -1,6 +1,7 @@
 """Cascaded sensor-decoder dynamics and the trajectory engines."""
 import hashlib
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,13 +252,14 @@ def test_aligned_blocks_match_per_bin_product(n):
     x0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     ops = _engine.StepOps(n, 0.1, a0, 0.1 * a0, x0, pure=True)
     seg = _engine._Segments([ops])
-    assert not seg.static and len(seg.levels) == n.bit_length()
+    assert not seg.static
     pairs = [(0, n), (0, 0), (n, n), (n // 2, n // 2)]
     pairs += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(60)]
     pos, stop = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     x = seg.initial(len(pairs))
     logl = np.zeros((1, len(pairs)))
     seg.no_clicks(x, np.arange(len(pairs)), pos, stop, logl)
+    assert len(seg.levels) == n.bit_length()
     for r, (a, b) in enumerate(pairs):
         v = x0.copy()
         for k in range(a, b):
@@ -668,12 +670,18 @@ def _scored_cascades():
     }
 
 
+def _run_whole(ops, tangent, kind, records):
+    """``cascade._run_records`` of the given records over the whole grid as
+    one window of the tables ``ops`` and ``tangent``: logL or scores."""
+    return cascade._run_records(lambda lo, hi, spare: (ops, tangent), [(0, ops[0].n_steps)], kind,
+                                len(records), 0, records)[1]
+
+
 def _scores(gen, theta, grid, records, theta_step=1e-3):
     """Scores of the given records from one table and its derivative."""
     ops = step_matrices(gen, theta, grid)
     tangent = cascade._tangent(gen, theta, grid, ops, theta_step, 0.05)
-    return ops, tangent, cascade._run_records([ops], "segment", len(records), 0, records,
-                                              tangent)[1][0]
+    return ops, tangent, _run_whole([ops], tangent, "segment", records)[0]
 
 
 def _scored_case(name):
@@ -754,7 +762,7 @@ def test_scores_match_exhaustive_distribution(emitter, decoded, density):
     ops = step_matrices(gen, theta, grid, max_step=1.0)
     assert ops.pure is not density
     tangent = cascade._tangent(gen, theta, grid, ops, 1e-3, 1.0)
-    scores = cascade._run_records([ops], "segment", len(records), 0, records, tangent)[1][0]
+    scores = _run_whole([ops], tangent, "segment", records)[0]
     live = raw[theta] > 0.0
     ref = (np.log(raw[theta + h][live]) - np.log(raw[theta - h][live])) / (2.0 * h)
     assert np.all(np.abs(scores[live] - ref) <= 1e-6 * np.maximum(1.0, np.abs(ref)))
@@ -798,14 +806,14 @@ def test_fisher_estimate_builds_one_table_and_one_level_set(clicky_pair, monkeyp
     # one table at theta and one set of levels serve sampling and scoring of
     # every chunk (three here)
     tables, levels = [], []
-    tab, segments = cascade.step_matrices, _engine._Segments
-    monkeypatch.setattr(cascade, "step_matrices", lambda *a: tables.append(a[1]) or tab(*a))
+    tab, segments = cascade._theta_tables, _engine._Segments
+    monkeypatch.setattr(cascade, "_theta_tables", lambda *a: tables.append(a[1]) or tab(*a))
     monkeypatch.setattr(_engine, "_Segments", lambda *a: levels.append(1) or segments(*a))
     monkeypatch.setattr(cascade, "_CHUNK", 8)
     monkeypatch.setattr(cascade, "_CHUNK_BINS", 8 * _GRID.n_steps)
     fi = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 20, seed=2)
     assert fi.chunks == 3 and fi.mean_clicks > 0.0
-    assert tables == [0.3] and len(levels) == 1
+    assert tables == [[0.3]] and len(levels) == 1 and fi.windows == 1
 
 
 @pytest.mark.parametrize("name", ["two_level_decoder", "stationary_decoder",
@@ -905,7 +913,7 @@ def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
     gen, thetas, grid = _distinct_cases()[case]
     records = sample_records(gen, thetas[0], grid, 24, seed=3)[0]
     records += [np.array([], dtype=np.int64), records[0], np.array([7]), np.array([7])]
-    assert len(cascade._distinct(records)[0]) < len(records)
+    assert len({np.asarray(h, dtype=np.int64).tobytes() for h in records}) < len(records)
     if kind == "score":
         thetas = thetas[:1]
     ops = [step_matrices(gen, th, grid) for th in thetas]
@@ -916,10 +924,12 @@ def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
     tangent = (cascade._tangent(gen, thetas[0], grid, ops[0], 1e-3, 0.05) if kind == "score"
                else None)
     core = "step" if kind == "step" else "segment"
-    got = cascade._run_records(ops, core, len(records), 0, records, tangent)[1]
+    got = _run_whole(ops, tangent, core, records)
     seg = _engine._Segments(ops, tangent)
-    every = (_engine.run_steps if core == "step" else _engine._replay_segments)(
-        seg, records, grid.n_steps)
+    state = seg.start(len(records))
+    (_engine.run_steps if core == "step" else _engine._replay_segments)(
+        seg, records, grid.n_steps, state)
+    every = seg.result(state)
     assert got.shape == (len(thetas), len(records)) and got.tobytes() == every.tobytes()
     if per_bin and kind != "score":
         assert np.all(got[:, -1] == -np.inf) and np.all(np.isfinite(got[:, :-2]))
@@ -963,3 +973,129 @@ def test_apply_renormalizes_as_the_complex_division(model, pure):
     seg.apply(x, sel, level, idx, dx=dx)
     assert x[:, sel].tobytes() == (y / r).tobytes()
     assert dx[:, sel].tobytes() == (dy / r).tobytes()
+
+
+def _window_bins(monkeypatch, gen, bins, scoring=False):
+    """Shrink the table budget so that per-bin runs of ``gen`` take windows
+    of ``bins`` bins (a power of two)."""
+    monkeypatch.setattr(cascade, "_TABLE_BYTES", bins * cascade._bin_bytes(gen, 1, scoring))
+
+
+@pytest.mark.parametrize("name, value", [(None, None), ("_PAIR_ROWS", 1), ("_PAIR_ROWS", 3),
+                                         ("_PIECE", 7)],
+                         ids=["rounds", "rounds_of_1", "rounds_of_3", "pieces_of_7"])
+@pytest.mark.parametrize("bins", [8, 64])
+@pytest.mark.parametrize("case", ["three_level", "three_level+decoder"])
+def test_windowed_runs_draw_the_per_bin_reference_records(emitter, case, bins, name, value,
+                                                          monkeypatch):
+    # the pulsed emitter walked in windows of 8 or 64 bins: each window
+    # draws its bins' values of every record's stream and thins from the
+    # records' replayed states, and the records are the per-bin sampler's
+    gen, theta, grid = _sampling_case(emitter, case)
+    ref = _reference_records(step_matrices(gen, theta, grid), np.arange(64), 5)[0]
+    assert sum(len(h) for h in ref) > 32
+    if name is not None:
+        monkeypatch.setattr(_engine, name, value)
+    _window_bins(monkeypatch, gen, bins)
+    windows = cascade._tables(gen, [theta], grid, 0.05)[1]
+    assert len(windows) == -(-grid.n_steps // bins) and windows[1] == (bins, 2 * bins)
+    for engine in ("auto", "step"):
+        idx = sample_records(gen, theta, grid, 64, seed=5, engine=engine)[0]
+        assert _record_hash(idx) == _record_hash(ref)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_click_overflow_guard_names_the_same_bin_in_windows(rows, monkeypatch):
+    # 8-bin windows: bin 22, the first overflow, lies in the third window,
+    # and the records clicked in the first two
+    if rows is not None:
+        monkeypatch.setattr(_engine, "_PAIR_ROWS", rows)
+    gen, grid = _stepped_decay(), TimeGrid(0.0, 4.0, 0.1)
+    _window_bins(monkeypatch, gen, 8)
+    assert cascade._tables(gen, [0.0], grid, 10.0)[1][2] == (16, 24)
+    _assert_same_overflow(gen, grid, 2, r"at bin 22 ")
+
+
+@pytest.mark.parametrize("bins", [8, 64])
+@pytest.mark.parametrize("name", ["three_level_direct", "three_level_build_decoder",
+                                  "imperfections_build_decoder", "modulated_jump"])
+def test_windowed_replay_and_scores_match_one_window(name, bins, monkeypatch):
+    # replayed logL and scores walked window by window: the no-click runs
+    # that cross a window edge split into more blocks, which moves them by
+    # round-off only
+    gen, theta, grid, records = _scored_case(name)
+    thetas = [theta - 1e-3, theta + 1e-3]
+    score_run = lambda: cascade._run_records(*cascade._tables(gen, [theta], grid, 0.05, 1e-3),
+                                             "segment", len(records), 0, records)[1]
+    monkeypatch.setattr(cascade, "_TABLE_BYTES", 1 << 30)
+    one = replay_records(gen, thetas, records, grid), score_run()
+    assert len(cascade._tables(gen, [theta], grid, 0.05, 1e-3)[1]) == 1
+    _window_bins(monkeypatch, gen, bins)
+    logl = replay_records(gen, thetas, records, grid)
+    _window_bins(monkeypatch, gen, bins, scoring=True)
+    scores = score_run()
+    assert np.all(np.isfinite(logl)) and np.abs(one[1]).max() > 0.0
+    assert np.all(np.abs(logl - one[0]) <= 1e-12 * np.abs(one[0]))
+    assert np.all(np.abs(scores - one[1]) <= 1e-12 * np.abs(one[1]).max())
+
+
+def test_scores_are_exact_zeros_at_the_symmetric_point_in_windows(monkeypatch):
+    # gate 5's pulsed three-level setup, on a shorter plateau, in 8-bin
+    # windows: the tangent still cancels exactly, with no round-off floor
+    monkeypatch.setattr(_engine, "_SCORE_ROUNDOFF", 0.0)
+    gen = cascade_generators(three_level_model(0.0, 5.0, 1.0, T_plateau=5.0))
+    grid = TimeGrid(0.0, 11.0, 1e-3)
+    _window_bins(monkeypatch, gen, 8, scoring=True)
+    fi = fisher_from_trajectories(gen, 0.0, grid, 64, theta_step=1e-3, seed=29)
+    assert fi.windows == grid.n_steps // 8
+    assert fi.mean_clicks > 1.0 and fi.null_point and fi.value == 0.0
+
+
+def test_fisher_estimate_reports_its_windows_and_table_memory(clicky_pair, monkeypatch):
+    # a static model is one window; the decoded three-level cascade is one
+    # window of 4000 bins (about 20 MB of tables) at the real budget and 63
+    # windows of 64 bins under a shrunk one, holding no more than it
+    static = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 8, seed=2)
+    assert static.windows == 1 and 0.0 < static.table_mb < 0.01
+    make, theta, grid = _scored_cascades()["three_level_build_decoder"]
+    gen = make()
+    monkeypatch.setattr(cascade, "_TABLE_BYTES", 1 << 30)
+    whole = fisher_from_trajectories(gen, theta, grid, 8, seed=2)
+    _window_bins(monkeypatch, gen, 64, scoring=True)
+    windowed = fisher_from_trajectories(gen, theta, grid, 8, seed=2)
+    assert whole.windows == 1 and windowed.windows == 63
+    assert windowed.table_mb * 2 ** 20 <= cascade._TABLE_BYTES
+    assert whole.table_mb > 50 * windowed.table_mb > 0.0
+
+
+def test_step_core_replay_builds_no_levels(monkeypatch):
+    # the step core reads the per-bin maps alone: its replay of given
+    # records builds no level above them in any window; the segment core
+    # builds every window's (2048 bins, 12 levels, and 11 over the last 1952)
+    gen, theta, grid, records = _scored_case("three_level_build_decoder")
+    made, segments = [], _engine._Segments
+    monkeypatch.setattr(_engine, "_Segments", lambda *a: made.append(segments(*a)) or made[-1])
+    step = replay_records(gen, theta, records, grid, engine_kind="step")
+    assert len(made) == 2 and all(len(seg.levels) == 1 for seg in made)
+    segment = replay_records(gen, theta, records, grid)
+    assert [len(seg.levels) for seg in made[2:]] == [12, 11]
+    # the second window's maps and levels are written over the first's
+    for level in (0, 1):
+        assert np.shares_memory(made[2].levels[level][0], made[3].levels[level][0])
+    assert np.all(np.abs(step - segment) <= 1e-11 * np.abs(step))
+
+
+def test_decoded_fisher_run_holds_one_window_of_tables():
+    # the decoded three-level cascade at T_plateau = 20: 13 000 bins of
+    # 9 x 9 tables, 65 MB when held at once, walked in windows of a few MB
+    sensor = three_level_model(0.0, 5.0, 1.0, T_plateau=20.0)
+    grid = TimeGrid(0.0, 26.0, 2e-3)
+    gen = cascade_generators(sensor, build_decoder(sensor, 0.0, grid))
+    tracemalloc.start()
+    try:
+        fi = fisher_from_trajectories(gen, 0.0, grid, 16, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fi.windows > 1 and fi.table_mb * 2 ** 20 <= cascade._TABLE_BYTES
+    assert peak < 12 * 2 ** 20

@@ -190,7 +190,7 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
-                          "table_s", "sample_s", "score_s"}
+                          "table_s", "sample_s", "score_s", "windows", "table_mb"}
         # the stage timers: table build, thinning, tangent replay
         stages = (e["table_s"], e["sample_s"], e["score_s"])
         assert min(stages) > 0.0 and sum(stages) <= e["seconds"]
@@ -198,6 +198,8 @@ def test_provenance_reports_estimators_and_null_point():
         # its thinning candidates (at least the clicks) per record
         assert e["n_traj"] == 16
         assert e["n_steps"] == 500 and e["chunks"] == 1 and e["seconds"] > 0.0
+        # a static cascade runs in one window of tables
+        assert e["windows"] == 1 and e["table_mb"] > 0.0
         assert e["candidates"] >= e["mean_clicks"] and e["candidates"] > 0.0
     assert all(b"candidates" not in bundle.csv_bytes(name) for name in bundle.tables)
     assert est[0]["mean_score"] == 0.0 and est[1]["mean_score"] != 0.0
@@ -221,6 +223,10 @@ def test_provenance_reports_synthesized_decoder():
     # the pulsed three-level model is time dependent and still runs on the
     # click-to-click core, which reports its thinning candidates per record
     assert all(e["candidates"] >= e["mean_clicks"] for e in prov["estimators"])
+    # 3250 bins: the decoded cascade's 9 x 9 tables run in 1024-bin windows,
+    # the direct 3 x 3 ones in one
+    assert [e["windows"] for e in prov["estimators"]] == [4, 1]
+    assert all(0.0 < e["table_mb"] <= 8.0 for e in prov["estimators"])
 
 
 def test_run_byte_identical(tmp_path):
