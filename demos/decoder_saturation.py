@@ -34,8 +34,7 @@ T = 150.0
 grid = TimeGrid(0.0, T, 2e-3)
 ie = env_qfi(m, 0.0, T, dt=2e-3).value
 dec = two_level_decoder(1.0, 1.0, 1.0)  # detuning offset 1.0 from matched
-fi = fisher_from_trajectories(cascade_generators(m, dec), 0.0, grid, 2000,
-                              theta_step=1e-3, seed=7)
+fi = fisher_from_trajectories(cascade_generators(m, dec), 0.0, grid, 2000, seed=7)
 print(f"T = {T:g}: emission QFI I_E = {ie:.2f}")
 print(f"offset decoder counting FI = {fi.value:.2f} +- {fi.std_error:.2f}"
       f"  ({fi.value / ie:.1%} of I_E)")
@@ -44,10 +43,8 @@ print(f"offset decoder counting FI = {fi.value:.2f} +- {fi.std_error:.2f}"
 grid20 = TimeGrid(0.0, 20.0, 2e-3)
 ie20 = env_qfi(m, 0.0, 20.0, dt=2e-3).value
 matched = two_level_decoder(1.0, 0.0, 1.0)
-fi0 = fisher_from_trajectories(cascade_generators(m, matched), 0.0, grid20,
-                               2000, theta_step=1e-3, seed=7)
-fx0 = fisher_from_trajectories(cascade_generators(m), 0.0, grid20, 2000,
-                               theta_step=1e-3, seed=7)
+fi0 = fisher_from_trajectories(cascade_generators(m, matched), 0.0, grid20, 2000, seed=7)
+fx0 = fisher_from_trajectories(cascade_generators(m), 0.0, grid20, 2000, seed=7)
 print(f"\nT = 20: I_E = {ie20:.2f}")
 print(f"matched decoder sampled FI  = {fi0.value:.6f} +- {fi0.std_error:.6f}")
 print(f"direct counting sampled FI  = {fx0.value:.6f} +- {fx0.std_error:.6f}")

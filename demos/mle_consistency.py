@@ -33,7 +33,7 @@ print("finite information, not a property of the decoder\n")
 # --- information versus decoder mismatch ------------------------------
 grid = TimeGrid(0.0, 20.0, 2e-3)
 mis = [float(x) for x in np.arange(-10, 11, 2)]
-res = mismatch_sweep(m, 0.0, mis, grid, 400, theta_step=1e-3, seed=13)
+res = mismatch_sweep(m, 0.0, mis, grid, 400, seed=13)
 print(f"{'mismatch':>9} {'fisher':>9} {'err':>7}")
 for dm, f in zip(res.mismatches, res.fisher):
     print(f"{dm:9.1f} {f.value:9.3f} {f.std_error:7.3f}")

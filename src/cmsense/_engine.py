@@ -23,10 +23,10 @@ window's tables at a time (``cascade._run_records``).
   time-dependent model's are the aligned products of 2^i consecutive
   bins, taken up and then down the levels (Blelloch-style interval
   products).  Replay advances a whole θ set at once, the state
-  (Θ, records, D).  Given the θ-derivatives of the maps, replay also
-  carries each record's tangent dx through the block-triangular maps
-  [[A, 0], [dA, A]] (levels and their derivatives built alike) and
-  returns the exact score d logL/dθ,
+  (Θ, records, D).  Given the θ-derivative of the no-click maps (the
+  click map is θ-free), replay also carries each record's tangent dx
+  through the block-triangular maps [[A, 0], [dA, A]] (levels and their
+  derivatives built alike) and returns the exact score d logL/dθ,
 * step core (``run_steps``): the cross-check, a walk over the same tables
   bin by bin through ``_Segments.apply``, the one state update of both
   cores (renormalized by a product with 1/root, which is numpy's complex
@@ -180,11 +180,10 @@ class _Segments:
     they are written over the level buffers of ``spare``, the _Segments of
     tables no longer needed, where those fit.
 
-    Given the θ-derivatives ``tangent`` = (da0, da1) of the maps of one θ
-    (da1 None where zero, da0 possibly one static matrix), each level
+    Given the θ-derivative ``tangent`` = dA0 of the no-click maps of one θ
+    (possibly one static matrix; the click map is θ-free), each level
     also carries its derivative, dP = dP_a P_b + P_a dP_b, rescaled with
-    its level, and ``da1t`` the click map's: a level is (P, log scale, dP
-    or None)."""
+    its level: a level is (P, log scale, dP or None)."""
 
     def __init__(self, ops, tangent=None, spare=None):
         o = ops[0]
@@ -199,10 +198,8 @@ class _Segments:
             # a per-bin stack stays a view; a static one is copied, as small
             return np.ascontiguousarray(a) if self.static else a
 
-        da0, da1 = tangent or (None, None)
         self.a1t = tab([q.a1 for q in ops])
-        self.da1t = None if da1 is None else tab([da1])
-        p, dp = tab([q.a0 for q in ops]), None if da0 is None else tab([da0])
+        p, dp = tab([q.a0 for q in ops]), None if tangent is None else tab([tangent])
         if dp is not None and len(dp[0]) < len(p[0]):  # one static matrix for every bin
             dp = np.broadcast_to(dp, p.shape)
         self.levels = [(p, np.zeros(p.shape[:2]), dp)]
@@ -260,7 +257,7 @@ class _Segments:
         derivatives: a view counts its base once, a broadcast its one
         matrix."""
         owners = {}
-        for a in [self.a1t, self.da1t, *self._bufs] + [v for level in self.levels for v in level]:
+        for a in [self.a1t, *self._bufs] + [v for level in self.levels for v in level]:
             while a is not None and a.base is not None:
                 a = a.base
             if a is not None:
@@ -414,7 +411,7 @@ def _replay_segments(seg, click_indices, n, state):
         rows = np.flatnonzero(counts > j)
         seg.no_clicks(x, rows, starts[rows, j], ends[rows, j], logl, dx=dx)
         clicks = rows[counts[rows] > j + 1]
-        seg.apply(x, clicks, (seg.a1t, None, seg.da1t), ends[clicks, j], logl, True, dx)
+        seg.apply(x, clicks, (seg.a1t, None, None), ends[clicks, j], logl, True, dx)
 
 
 def _candidates(top, indices, seed, lo):

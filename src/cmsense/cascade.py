@@ -23,8 +23,10 @@ sensor and decoder stacks.  Fisher information is estimated as the
 sample mean of squared scores d logL/dθ over trajectories: the record
 likelihood is a product of per-bin maps, so each score is exact from
 one replay of the record with its tangent under the maps at θ and their
-θ-derivative.  Every trajectory has a fixed-seed counter-based stream,
-so the result is independent of chunking.  Records are drawn by
+θ-derivative, itself exact: θ enters only through the sensor's
+generator, H_S = H0 + θG, so dH_c = G x 1 and the click map is θ-free.
+Every trajectory has a fixed-seed counter-based stream, so the result
+is independent of chunking.  Records are drawn by
 thinning, and every model replays them on the click-to-click segment
 core (no-click block products); ``engine="step"`` replays them on the
 per-bin step core instead, as a cross-check.  A per-bin model whose
@@ -42,9 +44,8 @@ import numpy as np
 
 from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
-from .linalg import dagger
 from .models import SensorModel, _sigma, operator_stacks
-from .propagate import (STEP_GUARD, TimeGrid, _batched_kron, _bin_times, _joint,
+from .propagate import (STEP_GUARD, TimeGrid, _batched_kron, _bin_times,
                         _kraus_tables, propagate_linear)
 
 __all__ = [
@@ -197,13 +198,6 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     return _theta_tables(gen, [theta], grid, max_step)[0]
 
 
-def _sensor_stacks(sensor, thetas, ts):
-    """The sensor's (H, J) stacks at the times ``ts`` for each θ of
-    ``thetas``, one after another as the bins of one stack."""
-    hs, js = zip(*(operator_stacks(sensor, th, ts) for th in thetas))
-    return (hs[0], js[0]) if len(thetas) == 1 else (np.concatenate(hs), np.concatenate(js))
-
-
 def _pure(gen):
     """Whether ``gen`` runs on Kraus pairs and state vectors (no extra
     channel, unit efficiency, a pure initial state), else on superoperators."""
@@ -223,7 +217,7 @@ def _theta_tables(gen, thetas, grid, max_step, lo=0, hi=None, spare=None):
     n = len(ts)
     dec = (None if gen.decoder is None else
            _decoder_stacks(gen.decoder, grid, n * len(thetas), lo))
-    m0, m1 = _kraus_tables(*_sensor_stacks(gen.sensor, thetas, ts), dt, max_step,
+    m0, m1 = _kraus_tables(*operator_stacks(gen.sensor, thetas, ts), dt, max_step,
                            np.tile(ts, len(thetas)), dec, gen.extra_lindblad,
                            (None, None) if spare is None else (spare.a0, spare.a1))
     if _pure(gen):
@@ -240,51 +234,26 @@ def _theta_tables(gen, thetas, grid, max_step, lo=0, hi=None, spare=None):
                             x0, pure=pure) for i in range(len(thetas))]
 
 
-def _tangent(gen: CascadeGenerators, theta, grid, ops, theta_step, max_step, lo=0):
-    """The theta-derivatives (da0, da1) of the branch maps ``ops`` of
-    ``gen`` at theta, the tables of bins lo..lo+ops.n_steps-1 of the grid,
-    da1 None where it is zero.  (dH_S, dJ_S) is the
-    central difference of the sensor stacks at theta +/- theta_step (exact
-    up to round-off for a sensor affine in theta); the rest is the product
-    rule.  A theta-free jump (every built-in sensor) leaves the Kraus
-    derivative da0 = -i dt (dH_S x 1), one static matrix when dH_S does not
-    change in time, and da1 = 0.  Superoperators do not keep the Kraus
-    stacks, so these are built again for their product rule."""
-    dt, eta = grid.dt, gen.detector_eta
-    ts = _bin_times(grid, not gen.time_dependent, lo, lo + ops.n_steps)
-    (hp, jp), (hm, jm) = (operator_stacks(gen.sensor, theta + e, ts)
-                          for e in (theta_step, -theta_step))
-    dhs, djs = ((p - m) / (2.0 * theta_step) for p, m in ((hp, hm), (jp, jm)))
-    fixed_jump = not djs.any()
-    if fixed_jump and (dhs == dhs[:1]).all():
-        dhs, djs = dhs[:1], djs[:1]
-    n, dec = len(dhs), None if gen.decoder is None else _decoder_stacks(gen.decoder, grid,
-                                                                         len(ts), lo)
-    dh, djc = dhs, djs
-    if dec is not None:
-        # dH_c = dH_S x 1 + dR is H_c of (dH_S, dJ_S) with H_D = 0; dJ_c = dJ_S x 1
-        eye_d = np.eye(gen.decoder.dim, dtype=complex)[None]
-        dh = _joint(dhs, djs, (np.zeros_like(dec[0][:n]), dec[1][:n]),
-                    np.empty((n, gen.dim, gen.dim), dtype=complex))[0]
-        djc = _batched_kron(djs, eye_d)
-    da0, da1 = -1j * dt * dh, None
-    if not (fixed_jump and ops.pure):
-        m0, m1 = (ops.a0, ops.a1) if ops.pure else _kraus_tables(
-            *operator_stacks(gen.sensor, theta, ts), dt, max_step, ts, dec, gen.extra_lindblad)
-        jc = m1 / np.sqrt(dt)
-    if not fixed_jump:
-        x = np.einsum("nji,njk->nik", djc.conj(), jc)  # dJ_c^dag J_c
-        da0 -= 0.5 * dt * (x + dagger(x))
-        da1 = np.sqrt(dt) * djc
+def _tangent(gen: CascadeGenerators, theta, grid, ops, max_step, lo=0):
+    """The θ-derivative dA0 of the no-click maps ``ops`` of ``gen`` at θ,
+    the tables of bins lo..lo+ops.n_steps-1 of the grid.  θ enters through
+    the sensor's generator G alone (the jump is θ-free), so on Kraus pairs
+    dA0 = -i dt (G x 1_D), one static matrix, and the click map has no
+    derivative.  Superoperators take the product rule dA0 x conj(A0) +
+    A0 x conj(dA0); they do not keep the Kraus stacks, so these are built
+    again."""
+    g = gen.sensor.generator
+    if gen.decoder is not None:
+        g = np.kron(g, np.eye(gen.decoder.dim))
+    da0 = -1j * grid.dt * g[None]
     if ops.pure:
-        return da0, da1
-    # the product rule on the superoperators of _superops
+        return da0
+    ts = _bin_times(grid, not gen.time_dependent, lo, lo + ops.n_steps)
+    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts), lo)
+    m0 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), grid.dt, max_step, ts, dec,
+                       gen.extra_lindblad)[0]
     da0 = np.broadcast_to(da0, m0.shape)
-    ds0 = _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
-    if da1 is None:
-        return ds0, None
-    djj = dt * (_batched_kron(djc, jc.conj()) + _batched_kron(jc, djc.conj()))
-    return ds0 + (1.0 - eta) * djj, eta * djj
+    return _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -297,11 +266,11 @@ def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
 
 
 def _resolve_engine(engine):
-    """The replay core: "auto" is "segment" (click to click) for every
-    model; "step" (bin by bin) may be forced as a cross-check."""
-    if engine not in ("auto", "segment", "step"):
-        raise CmsenseError(f"engine {engine!r} is not available (auto, segment, step)")
-    return "segment" if engine == "auto" else engine
+    """The replay core: "segment" (click to click), or "step" (bin by bin)
+    as a cross-check."""
+    if engine not in ("segment", "step"):
+        raise CmsenseError(f"engine {engine!r} is not available (segment, step)")
+    return engine
 
 
 def _chunks(n, n_steps):
@@ -343,17 +312,15 @@ def _windows(gen, n_theta, scoring, n_steps):
     return [(lo, min(lo + w, n_steps)) for lo in range(0, n_steps, max(w, 1))] or [(0, 0)]
 
 
-def _tables(gen, thetas, grid, max_step, theta_step=None):
+def _tables(gen, thetas, grid, max_step, scoring=False):
     """The (tables, windows) arguments of ``_run_records`` for the θ set
     ``thetas`` of ``gen``: the tables of a window are its bins of each
-    θ's ``step_matrices``, with their θ-derivative (``_tangent``, step
-    ``theta_step``) at the one θ when ``theta_step`` is given."""
+    θ's ``step_matrices``, with their θ-derivative (``_tangent``) at the
+    one θ when ``scoring``."""
     def tables(lo, hi, spare):
         ops = _theta_tables(gen, thetas, grid, max_step, lo, hi, spare and spare[0])
-        if theta_step is None:
-            return ops, None
-        return ops, _tangent(gen, thetas[0], grid, ops[0], theta_step, max_step, lo)
-    return tables, _windows(gen, len(thetas), theta_step is not None, grid.n_steps)
+        return ops, _tangent(gen, thetas[0], grid, ops[0], max_step, lo) if scoring else None
+    return tables, _windows(gen, len(thetas), scoring, grid.n_steps)
 
 
 def _window_part(hits, lo, hi):
@@ -380,8 +347,8 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
     and replay them on the ``kind`` core, window by window in time order:
     ``tables(lo, hi, spare)`` gives the list of per-θ StepOps (one for
     sampling and for scores) of bins [lo, hi) of the grid and their
-    tangent maps (da0, da1) at the one θ, or None, and ``windows`` lists
-    the (lo, hi) (``_windows``).  A window's tables and levels are built
+    no-click derivative dA0 at the one θ (``_tangent``), or None, and
+    ``windows`` lists the (lo, hi) (``_windows``).  A window's tables and levels are built
     once and serve every chunk, thinning and replay alike.  The next
     window's are written over them (``spare``: the last window's StepOps;
     ``_Segments`` takes the last one's level buffers), so a run holds one
@@ -453,13 +420,13 @@ def _check_click_indices(indices, n_steps):
 
 
 def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
-                   engine="auto", max_step=STEP_GUARD):
+                   engine="segment", max_step=STEP_GUARD):
     """Sample n_traj records by thinning; returns (list of click-index
     arrays, logL, engine kind).  ``engine`` picks the core that replays
-    the drawn records to their logL: "auto" and "segment" the segment
-    core, "step" the per-bin step core.  ``threads`` is accepted for
-    existing callers and has no effect.  Zero records give empty
-    results; a negative count raises CmsenseError."""
+    the drawn records to their logL: "segment" the segment core, "step"
+    the per-bin step core.  ``threads`` is accepted for existing callers
+    and has no effect.  Zero records give empty results; a negative
+    count raises CmsenseError."""
     if n_traj < 0:
         raise CmsenseError(f"n_traj = {n_traj}: a record count cannot be negative")
     kind = _resolve_engine(engine)
@@ -467,7 +434,7 @@ def sample_records(gen, theta, grid, n_traj, seed=0, threads=1,
     return indices, logl[0], kind
 
 
-def replay_records(gen, theta, indices, grid, engine_kind="auto", max_step=STEP_GUARD):
+def replay_records(gen, theta, indices, grid, engine_kind="segment", max_step=STEP_GUARD):
     """Log-likelihoods of stored records (click-index arrays) at the
     parameter value theta, (n_records,), or at each value of a 1-D theta
     array, (n_theta, n_records).
@@ -495,7 +462,6 @@ class FisherEstimate:
     value = mean of squared scores d logL/dθ; std_error is the standard
     error of that mean.  mean_score should vanish within a few
     mean_score_se (it does up to the O(dt) discretization bias);
-    theta_step is the step of the sensor-operator difference;
     null_point is set when every score is exactly zero; n_steps, chunks
     (record chunks), seconds (wall time) and candidates (mean thinning
     candidates per record) the cost, and table_s (branch maps and their
@@ -509,7 +475,6 @@ class FisherEstimate:
     value: float
     std_error: float
     n_traj: int
-    theta_step: float
     mean_score: float
     mean_score_se: float
     mean_clicks: float
@@ -533,22 +498,24 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
 
     Draws records at theta by thinning and replays each once on the
     segment core with its tangent under the branch maps at theta and
-    their derivative (``_tangent``), which gives the exact score
-    d logL/dθ of the record.  A per-bin model longer than a few MB of
-    tables runs window by window (``_run_records``): each window's maps,
-    derivative and levels serve the draws and the scores of its bins.
+    their exact derivative (``_tangent``: θ enters through the sensor's
+    generator G), which gives the exact score d logL/dθ of the record.
+    A per-bin model longer than a few MB of tables runs window by window
+    (``_run_records``): each window's maps, derivative and levels serve
+    the draws and the scores of its bins.  ``theta_step`` is accepted for
+    existing callers and has no effect.
     """
     if n_traj < 1:
         raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
     t0 = perf_counter()
     stats = {"table_s": 0.0, "sample_s": 0.0, "score_s": 0.0}
-    indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, theta_step),
+    indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, True),
                                           "segment", n_traj, seed, stats=stats)
     scores = scores[0]
     sq = scores ** 2
     se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
     return FisherEstimate(
-        value=float(sq.mean()), std_error=se(sq), n_traj=n_traj, theta_step=theta_step,
+        value=float(sq.mean()), std_error=se(sq), n_traj=n_traj,
         mean_score=float(scores.mean()), mean_score_se=se(scores),
         mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
@@ -597,6 +564,7 @@ def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float
     For each mismatch dm the decoder is the two-level pair with detuning
     offset dm from the matched value; dm = 0 reproduces the matched
     decoder.  Requires a two-level sensor with a static Rabi drive.
+    ``theta_step`` is accepted for existing callers and has no effect.
     """
     from .decoder import two_level_decoder
 
@@ -612,12 +580,7 @@ def mismatch_sweep(sensor: SensorModel, theta: float, mismatches: Sequence[float
     for i, dm in enumerate(mismatches):
         dec = two_level_decoder(omega, dm - delta, gamma)
         gen = cascade_generators(sensor, dec)
-        fishers.append(
-            fisher_from_trajectories(
-                gen, theta, grid, n_traj, theta_step=theta_step,
-                seed=seed + 7919 * i,
-            )
-        )
+        fishers.append(fisher_from_trajectories(gen, theta, grid, n_traj, seed=seed + 7919 * i))
     xs = np.asarray(mismatches, dtype=float)
     fwhm = full_width_half_max(xs, np.array([f.value for f in fishers]))
     return MismatchResult(mismatches=xs, fisher=fishers, fwhm=fwhm)

@@ -6,15 +6,16 @@ Conventions used throughout the package:
   1/Gamma as time unit;
 * basis ordering {e, g} for two-level systems and {e, g, r} for
   three-level systems (excited state first);
-* theta is the scalar parameter under estimation.  The ``hamiltonian``
-  and ``jump`` maps of a model take (t, theta) and evaluate the
-  operators at the *supplied* theta, so a single model object serves
-  the whole finite-difference and likelihood machinery.  For both
-  presets theta is the drive detuning Delta.
+* theta is the scalar parameter under estimation.  It enters every
+  model through one constant generator G, H(t, theta) = H0(t) + theta G,
+  with a theta-free jump: a model declares its theta-free (H0, J) stacks
+  and G once, ``operator_stacks`` evaluates them at any theta (or a theta
+  set at once), and dH/dtheta = G exactly, which the record scores use.
+  For both presets theta is the drive detuning Delta.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -36,28 +37,28 @@ __all__ = [
 
 @dataclass(eq=False)
 class SensorModel:
-    """A driven-dissipative emitter with one monitored decay channel.
+    """A driven-dissipative emitter with one monitored decay channel,
+    H(t, theta) = H0(t) + theta G and a theta-free jump J(t).
 
     :param dim: Hilbert-space dimension D.
-    :param hamiltonian: map (t, theta) -> D x D Hermitian ndarray.
-    :param jump: map (t, theta) -> D x D ndarray (monitored channel).
+    :param stacks: map ts -> (H0, J), two (len(ts), D, D) stacks of the
+        theta-free operators at the times ts.  A static model may return
+        read-only broadcasts; a jump that does not change in time stays a
+        stride-0 broadcast of its one matrix.
+    :param generator: the constant D x D Hermitian G = dH/dtheta.
     :param initial_state: normalized D-component state vector.
     :param theta_ref: the value a preset builds the model at (the config's
         ``model.delta``); a label that no computation reads.
-    :param time_dependent: False when hamiltonian/jump ignore t, which
-        lets propagators reuse a single Kraus pair for the whole grid.
-    :param stacks: optional map (ts, theta) -> (H, J), two (len(ts), D, D)
-        stacks of the operators at the times ts, for a time-dependent
-        model that evaluates them a whole grid at a time.
+    :param time_dependent: False when H0 and J do not change in time,
+        which lets propagators reuse a single Kraus pair for the whole grid.
     """
 
     dim: int
-    hamiltonian: Callable[[float, float], np.ndarray]
-    jump: Callable[[float, float], np.ndarray]
+    stacks: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    generator: np.ndarray
     initial_state: np.ndarray
     theta_ref: float = 0.0
     time_dependent: bool = True
-    stacks: Optional[Callable[[np.ndarray, float], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         psi = np.asarray(self.initial_state, dtype=complex)
@@ -65,6 +66,15 @@ class SensorModel:
         if abs(n - 1.0) > 1e-12:
             psi = psi / n
         self.initial_state = psi
+        self.generator = np.asarray(self.generator, dtype=complex)
+
+    def hamiltonian(self, t, theta):
+        """H(t, theta), the one-bin stack of ``operator_stacks``."""
+        return operator_stacks(self, theta, [t])[0][0]
+
+    def jump(self, t, theta):
+        """J(t) (theta-free), the one-bin stack of ``operator_stacks``."""
+        return operator_stacks(self, theta, [t])[1][0]
 
 
 def plateau_envelope(t, omega1, tau, T):
@@ -105,51 +115,39 @@ def _sigma(i, j, dim):
     return m
 
 
-def _per_bin(fn, ts, dim, static):
-    """(len(ts), dim, dim) stack of fn(t) at the times ts; a static fn is
-    evaluated once and broadcast (a read-only view)."""
-    if static:
-        return np.broadcast_to(fn(ts[0] if len(ts) else 0.0), (len(ts), dim, dim))
-    out = np.empty((len(ts), dim, dim), dtype=complex)
-    for k, t in enumerate(ts):
-        out[k] = fn(float(t))
-    return out
-
-
 def operator_stacks(model: SensorModel, theta, ts):
-    """Per-bin (H, J) stacks of ``model`` at the times ``ts``: the model's
-    own ``stacks`` when it is time dependent and has them, one evaluation
-    broadcast for a static model, else bin by bin."""
-    if model.time_dependent and model.stacks is not None:
-        return model.stacks(ts, theta)
-    return tuple(_per_bin(lambda t: op(t, theta), ts, model.dim, not model.time_dependent)
-                 for op in (model.hamiltonian, model.jump))
+    """The (H, J) stacks of ``model`` at the times ``ts``: H = H0 + theta G
+    for a scalar theta, (len(ts), D, D); for a 1-D theta array, the stacks
+    of each theta one after another as the bins of one stack, (len(theta)
+    len(ts), D, D), with G broadcast once over the set.  A jump that does
+    not change in time stays a stride-0 broadcast of its one matrix."""
+    h0, j = model.stacks(np.asarray(ts, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    h = h0 + theta.reshape(theta.shape + (1, 1, 1)) * model.generator
+    shape = (-1,) + h.shape[-2:]
+    return h.reshape(shape), np.broadcast_to(j, h.shape).reshape(shape)
 
 
 def two_level_model(omega, delta, gamma):
     """Resonantly driven two-level emitter, basis {e, g}.
 
-    H(theta) = -theta |e><e| + (omega/2)(|e><g| + |g><e|)
+    H(theta) = (omega/2)(|e><g| + |g><e|) + theta G,  G = -|e><e|
     J = sqrt(gamma) |g><e|
 
     theta is bound to the detuning; ``delta`` only sets theta_ref.
     """
     if gamma <= 0:
         raise NonpositiveRate(f"gamma must be positive, got {gamma}")
-    see = _sigma(0, 0, 2)
-    sx = _sigma(0, 1, 2) + _sigma(1, 0, 2)
+    h0 = 0.5 * omega * (_sigma(0, 1, 2) + _sigma(1, 0, 2))
     jop = np.sqrt(gamma) * _sigma(1, 0, 2)
 
-    def ham(t, theta):
-        return -theta * see + 0.5 * omega * sx
-
-    def jump(t, theta):
-        return jop
+    def stacks(ts):
+        return tuple(np.broadcast_to(op, (len(ts), 2, 2)) for op in (h0, jop))
 
     return SensorModel(
         dim=2,
-        hamiltonian=ham,
-        jump=jump,
+        stacks=stacks,
+        generator=np.diag([-1.0, 0.0]),
         initial_state=np.array([0.0, 1.0], dtype=complex),
         theta_ref=delta,
         time_dependent=False,
@@ -159,27 +157,25 @@ def two_level_model(omega, delta, gamma):
 def three_level_model(delta, omega, gamma, T_plateau):
     """Three-level emitter (basis {e, g, r}) with time-dependent drives.
 
-    H(t, theta) = theta |e><e|
-                  + (1/2)[p1(t) |e><g| + p2(t) |e><r| + h.c.]
+    H(t, theta) = (1/2)[p1(t) |e><g| + p2(t) |e><r| + h.c.] + theta G,
+    G = |e><e|
     J = sqrt(gamma) |g><e|
     initial state (|g> - |r>)/sqrt(2).
 
     The g->e drive p1 is the plateau window of length T_plateau with
     ramp time 2/gamma and amplitude omega; the r->e drive p2 is the pi
     pulse of width 0.05/gamma centred 1/gamma after the window closes.
-    The operators are written once, as the ``stacks`` of a grid; the
-    scalar ``hamiltonian`` and ``jump`` are their one-bin stacks.  theta
-    is bound to the detuning; ``delta`` only sets theta_ref.
+    The theta-free operators are written once, as the ``stacks`` of a
+    grid.  theta is bound to the detuning; ``delta`` only sets theta_ref.
     """
     if gamma <= 0:
         raise NonpositiveRate(f"gamma must be positive, got {gamma}")
     jop = np.sqrt(gamma) * _sigma(1, 0, 3)
 
-    def stacks(ts, theta):
+    def stacks(ts):
         o1 = plateau_envelope(ts, omega, 2.0 / gamma, T_plateau)
         o2 = gaussian_pi_envelope(ts, T_plateau + 1.0 / gamma, 0.05 / gamma)
         hs = np.zeros((len(ts), 3, 3), dtype=complex)
-        hs[:, 0, 0] = theta
         hs[:, 0, 1] = 0.5 * o1
         hs[:, 1, 0] = 0.5 * o1
         hs[:, 0, 2] = 0.5 * o2
@@ -188,12 +184,11 @@ def three_level_model(delta, omega, gamma, T_plateau):
 
     return SensorModel(
         dim=3,
-        hamiltonian=lambda t, theta: stacks([t], theta)[0][0],
-        jump=lambda t, theta: stacks([t], theta)[1][0],
+        stacks=stacks,
+        generator=np.diag([1.0, 0.0, 0.0]),
         initial_state=np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0),
         theta_ref=delta,
         time_dependent=True,
-        stacks=stacks,
     )
 
 

@@ -18,7 +18,7 @@ fidelities on unit-trace states.
 All propagation is by products of per-bin maps (``propagate_linear``);
 densities in row-major vec, where mu -> A mu B^dag is A (x) conj(B).
 
-A jump that depends on neither t nor theta (every built-in sensor) comes
+A jump (theta-free in every model) that does not change in time comes
 from ``operator_stacks`` as a stride-0 broadcast of one matrix, and the
 tables keep it so: one J^dag J per block, a click stack ``a1`` that is
 a read-only broadcast of one matrix, and one click kron per two-sided

@@ -32,8 +32,13 @@ def modulated_jump_sensor():
     from cmsense.models import SensorModel
     base = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     sge = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    return SensorModel(dim=2, hamiltonian=base.hamiltonian,
-                       jump=lambda t, th: np.sqrt(1.0 + 0.5 * np.sin(3.0 * t)) * sge,
+
+    def stacks(ts):
+        jump = np.empty((len(ts), 2, 2), dtype=complex)
+        for k, t in enumerate(ts):
+            jump[k] = np.sqrt(1.0 + 0.5 * np.sin(3.0 * t)) * sge
+        return base.stacks(ts)[0], jump
+    return SensorModel(dim=2, stacks=stacks, generator=base.generator,
                        initial_state=base.initial_state)
 
 

@@ -15,7 +15,7 @@ from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.models import SensorModel, operator_stacks, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
-from cmsense.propagate import _joint
+from cmsense.propagate import _batched_kron, _joint, _kraus_tables
 from conftest import modulated_jump_sensor
 
 
@@ -295,9 +295,9 @@ def _stepped_decay():
     sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return cascade_generators(SensorModel(
-        dim=2, hamiltonian=lambda t, th: sx + th * np.diag([1.0, 0.0]),
-        jump=lambda t, th: np.sqrt(0.5 + 0.6 * (t >= 2.0)) * sm,
-        initial_state=np.array([0.0, 1.0]), time_dependent=True))
+        dim=2, stacks=lambda ts: (np.broadcast_to(sx, (len(ts), 2, 2)),
+                                  np.sqrt(0.5 + 0.6 * (ts >= 2.0))[:, None, None] * sm),
+        generator=np.diag([1.0, 0.0]), initial_state=np.array([0.0, 1.0])))
 
 
 def test_click_overflow_guard_names_the_same_bin_time_dependent():
@@ -357,14 +357,15 @@ def test_thinning_rounds_and_draw_pieces_match_per_bin_reference(emitter, case, 
     gen, theta, grid = _sampling_case(emitter, case)
     ref = _reference_records(step_matrices(gen, theta, grid), np.arange(64), 5)[0]
     assert sum(len(h) for h in ref) > 0
-    for engine in ("auto", "step"):
+    for engine in ("segment", "step"):
         idx = sample_records(gen, theta, grid, 64, seed=5, engine=engine)[0]
         assert _record_hash(idx) == _record_hash(ref)
 
 
 def test_unknown_engine_is_rejected(clicky_pair):
-    with pytest.raises(CmsenseError, match=r"\(auto, segment, step\)"):
-        sample_records(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 2e-3), 4, engine="eig")
+    for engine in ("eig", "auto"):
+        with pytest.raises(CmsenseError, match=r"\(segment, step\)"):
+            sample_records(clicky_pair, 0.0, TimeGrid(0.0, 1.0, 2e-3), 4, engine=engine)
 
 
 def test_empty_grid_samples_empty_records(clicky_pair):
@@ -471,7 +472,7 @@ def test_replay_theta_set_matches_per_theta(emitter, clicky_pair, case):
     # (17); static models replay a 41-value grid (the bin-by-bin step
     # core, 5 values) in one stacked pass
     grid = TimeGrid(0.0, 2.0, 2e-3)  # 1000 bins
-    gen, kind, thetas = clicky_pair, "auto", 0.3 + np.linspace(-0.2, 0.2, 41)
+    gen, kind, thetas = clicky_pair, "segment", 0.3 + np.linspace(-0.2, 0.2, 41)
     if case.startswith(("segment", "step")):
         kind = case.split("_")[0]
     if kind == "step":
@@ -620,15 +621,6 @@ _THREE_GRID = TimeGrid(0.0, 10.0, 2e-3)  # the pulse sequence and 6/gamma of dec
 _LOSSY = Imperfections(gamma=0.1, eta=0.65)
 
 
-def _theta_jump_sensor():
-    """The two-level emitter with a jump that depends on theta."""
-    sge = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    base = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
-    return SensorModel(dim=2, hamiltonian=base.hamiltonian,
-                       jump=lambda t, th: np.sqrt(1.0 + th) * sge,
-                       initial_state=base.initial_state, time_dependent=False)
-
-
 def _cascades():
     two = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     three = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
@@ -642,10 +634,6 @@ def _cascades():
             two, two_level_decoder(1.0, 0.0, 1.0), imperfections=_LOSSY),
         "imperfections_build_decoder": lambda: cascade_generators(
             two, build_decoder(two, 0.0, _GRID), imperfections=_LOSSY),
-        "theta_jump": lambda: cascade_generators(_theta_jump_sensor(),
-                                                 two_level_decoder(1.0, 0.0, 1.0)),
-        "theta_jump_density": lambda: cascade_generators(
-            _theta_jump_sensor(), two_level_decoder(1.0, 0.0, 1.0), imperfections=_LOSSY),
         "modulated_jump": lambda: cascade_generators(modulated_jump_sensor(),
                                                      two_level_decoder(1.0, 0.0, 1.0)),
     }
@@ -653,8 +641,8 @@ def _cascades():
 
 def _scored_cascades():
     """(cascade, theta, grid): static and time-dependent, pure and density, a
-    synthesized decoder, a theta-dependent jump and one that varies in time,
-    each where records click
+    synthesized decoder and a jump that varies in time, each where records
+    click
     (the three-level decoder is synthesized at theta = 0 and sampled far from it)."""
     c = _cascades()
     short, short_grid = three_level_model(0.0, 5.0, 1.0, T_plateau=1.0), TimeGrid(0.0, 4.0, 1e-3)
@@ -665,8 +653,7 @@ def _scored_cascades():
             lambda: cascade_generators(short, build_decoder(short, 0.0, short_grid)),
             3.0, short_grid),
         **{name: (c[name], 0.3, _GRID) for name in (
-            "imperfections", "imperfections_build_decoder", "theta_jump", "theta_jump_density",
-            "modulated_jump")},
+            "imperfections", "imperfections_build_decoder", "modulated_jump")},
     }
 
 
@@ -677,10 +664,10 @@ def _run_whole(ops, tangent, kind, records):
                                 len(records), 0, records)[1]
 
 
-def _scores(gen, theta, grid, records, theta_step=1e-3):
+def _scores(gen, theta, grid, records):
     """Scores of the given records from one table and its derivative."""
     ops = step_matrices(gen, theta, grid)
-    tangent = cascade._tangent(gen, theta, grid, ops, theta_step, 0.05)
+    tangent = cascade._tangent(gen, theta, grid, ops, 0.05)
     return ops, tangent, _run_whole([ops], tangent, "segment", records)[0]
 
 
@@ -694,12 +681,11 @@ def _scored_case(name):
 
 def _reference_scores(ops, tangent, records):
     """d log w / dtheta of each record, bin by bin: (x, dx) -> (A x, A dx + dA x)
-    through the no-click or click map of each bin and its derivative."""
+    through the no-click or click map of each bin and its derivative (zero
+    for the click map)."""
     n = ops.n_steps
     full = lambda a: np.broadcast_to(a, (n,) + ops.a0.shape[1:])
-    da0, da1 = tangent
-    maps = [(full(ops.a0), full(da0)),
-            (full(ops.a1), full(np.zeros_like(ops.a1[:1]) if da1 is None else da1))]
+    maps = [(full(ops.a0), full(tangent)), (full(ops.a1), full(np.zeros_like(ops.a1[:1])))]
     x = np.tile(ops.x0, (len(records), 1)).astype(complex)
     dx = np.zeros_like(x)
     clicks = np.zeros((len(records), n), dtype=bool)
@@ -741,6 +727,46 @@ def test_scores_match_replay_differences(name):
     assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
+def _central_difference_tangent(gen, theta, grid, ops, step=1e-3, max_step=0.05):
+    """The no-click derivative from a central difference of the sensor's
+    Hamiltonian stacks at theta +/- step (the jump is theta-free), cascaded
+    as H_c of (dH_S, 0) with H_D = 0, then the product rule on
+    superoperators: the route that the generator's exact derivative
+    replaced, kept here as its reference."""
+    ts = grid.left_times if gen.time_dependent else grid.left_times[:1]
+    hp, hm = (operator_stacks(gen.sensor, theta + e, ts)[0] for e in (step, -step))
+    dhs = (hp - hm) / (2.0 * step)
+    if (dhs == dhs[:1]).all():
+        dhs = dhs[:1]
+    n, dh, dec = len(dhs), dhs, None
+    if gen.decoder is not None:
+        dec = cascade._decoder_stacks(gen.decoder, grid, len(ts))
+        dh = _joint(dhs, np.zeros_like(dhs), (np.zeros_like(dec[0][:n]), dec[1][:n]),
+                    np.empty((n, gen.dim, gen.dim), dtype=complex))[0]
+    da0 = -1j * grid.dt * dh
+    if ops.pure:
+        return da0
+    m0 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), grid.dt, max_step, ts, dec,
+                       gen.extra_lindblad)[0]
+    da0 = np.broadcast_to(da0, m0.shape)
+    return _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
+
+
+@pytest.mark.parametrize("name", list(_scored_cascades()))
+def test_exact_tangent_matches_the_central_difference(name):
+    # G x 1 against the central difference at the scored theta, to round-off
+    # of the difference; at theta = 0 the difference is exact: the same bits
+    make, theta, grid = _scored_cascades()[name]
+    gen = make()
+    for th in (theta, 0.0):
+        ops = step_matrices(gen, th, grid)
+        exact, ref = cascade._tangent(gen, th, grid, ops, 0.05), \
+            _central_difference_tangent(gen, th, grid, ops)
+        assert exact.shape == ref.shape
+        assert np.abs(exact - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert exact.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("density", [False, True], ids=["kraus", "superoperator"])
 @pytest.mark.parametrize("decoded", [False, True], ids=["emitter", "decoder"])
 def test_scores_match_exhaustive_distribution(emitter, decoded, density):
@@ -761,7 +787,7 @@ def test_scores_match_exhaustive_distribution(emitter, decoded, density):
     records = _all_records(n_bins)
     ops = step_matrices(gen, theta, grid, max_step=1.0)
     assert ops.pure is not density
-    tangent = cascade._tangent(gen, theta, grid, ops, 1e-3, 1.0)
+    tangent = cascade._tangent(gen, theta, grid, ops, 1.0)
     scores = _run_whole([ops], tangent, "segment", records)[0]
     live = raw[theta] > 0.0
     ref = (np.log(raw[theta + h][live]) - np.log(raw[theta - h][live])) / (2.0 * h)
@@ -921,7 +947,7 @@ def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
     for o in ops if per_bin else ():  # no click at bin 7: [7] has probability zero
         o.a1 = np.array(o.a1)
         o.a1[7] = 0.0
-    tangent = (cascade._tangent(gen, thetas[0], grid, ops[0], 1e-3, 0.05) if kind == "score"
+    tangent = (cascade._tangent(gen, thetas[0], grid, ops[0], 0.05) if kind == "score"
                else None)
     core = "step" if kind == "step" else "segment"
     got = _run_whole(ops, tangent, core, records)
@@ -935,12 +961,13 @@ def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
         assert np.all(got[:, -1] == -np.inf) and np.all(np.isfinite(got[:, :-2]))
 
 
-@pytest.mark.parametrize("case", ["pure", "density", "theta_jump", "theta_jump_density"])
+@pytest.mark.parametrize("case", ["pure", "density", "stationary_decoder", "direct"])
 def test_stacked_theta_tables_match_per_theta_tables(case):
     # a static model's 41-value grid from one stacked table pass, bit for
     # bit the tables of each θ alone
-    name = {"pure": "two_level_decoder", "density": "imperfections"}.get(case, case)
-    gen = _cascades()[name]()
+    cascades = {**_cascades(), "direct": lambda: cascade_generators(
+        two_level_model(omega=1.0, delta=0.0, gamma=1.0))}
+    gen = cascades[{"pure": "two_level_decoder", "density": "imperfections"}.get(case, case)]()
     thetas = 0.3 + np.linspace(-0.2, 0.2, 41)
     stacked = cascade._theta_tables(gen, list(thetas), _GRID, 0.05)
     assert len(stacked) == 41
@@ -961,7 +988,7 @@ def test_apply_renormalizes_as_the_complex_division(model, pure):
     rand = lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)
     ops = [_engine.StepOps(40, 0.1, rand(n, d, d), rand(n, d, d), rand(d), pure)
            for _ in range(2)]
-    seg = _engine._Segments(ops, (rand(n, d, d), None))
+    seg = _engine._Segments(ops, rand(n, d, d))
     x, dx = rand(2, 30, d), rand(2, 30, d)
     sel = np.array([0, 3, 4, 11, 29])
     idx = None if model == "static" else rng.integers(0, n, size=len(sel))
@@ -999,7 +1026,7 @@ def test_windowed_runs_draw_the_per_bin_reference_records(emitter, case, bins, n
     _window_bins(monkeypatch, gen, bins)
     windows = cascade._tables(gen, [theta], grid, 0.05)[1]
     assert len(windows) == -(-grid.n_steps // bins) and windows[1] == (bins, 2 * bins)
-    for engine in ("auto", "step"):
+    for engine in ("segment", "step"):
         idx = sample_records(gen, theta, grid, 64, seed=5, engine=engine)[0]
         assert _record_hash(idx) == _record_hash(ref)
 
@@ -1025,11 +1052,11 @@ def test_windowed_replay_and_scores_match_one_window(name, bins, monkeypatch):
     # round-off only
     gen, theta, grid, records = _scored_case(name)
     thetas = [theta - 1e-3, theta + 1e-3]
-    score_run = lambda: cascade._run_records(*cascade._tables(gen, [theta], grid, 0.05, 1e-3),
+    score_run = lambda: cascade._run_records(*cascade._tables(gen, [theta], grid, 0.05, True),
                                              "segment", len(records), 0, records)[1]
     monkeypatch.setattr(cascade, "_TABLE_BYTES", 1 << 30)
     one = replay_records(gen, thetas, records, grid), score_run()
-    assert len(cascade._tables(gen, [theta], grid, 0.05, 1e-3)[1]) == 1
+    assert len(cascade._tables(gen, [theta], grid, 0.05, True)[1]) == 1
     _window_bins(monkeypatch, gen, bins)
     logl = replay_records(gen, thetas, records, grid)
     _window_bins(monkeypatch, gen, bins, scoring=True)

@@ -106,9 +106,8 @@ def test_gauge_must_be_unitary():
 def test_steady_state_kernel_guard():
     # two decoupled levels with no drive: kernel is degenerate
     from cmsense.models import SensorModel
-    h = np.zeros((2, 2), dtype=complex)
-    j = np.zeros((2, 2), dtype=complex)
-    m = SensorModel(dim=2, hamiltonian=lambda t, th: h, jump=lambda t, th: j,
+    zero = np.zeros((1, 2, 2), dtype=complex)
+    m = SensorModel(dim=2, stacks=lambda ts: (zero, zero), generator=np.diag([-1.0, 0.0]),
                     initial_state=np.array([1.0, 0.0], dtype=complex),
                     time_dependent=False)
     with pytest.raises(DegenerateSteadyState):

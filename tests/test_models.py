@@ -1,10 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cmsense import three_level_model, two_level_model
+from cmsense.config import PRESET_NAMES, preset_config
 from cmsense.decoder import liouvillian_steady_state
 from cmsense.errors import NonpositiveRate
-from cmsense.models import gaussian_pi_envelope, plateau_envelope, two_level_steady_state
+from cmsense.estimate import default_grid_width
+from cmsense.models import (gaussian_pi_envelope, operator_stacks, plateau_envelope,
+                            two_level_steady_state)
 
 
 def test_two_level_operators():
@@ -101,7 +107,7 @@ def test_three_level_stacks_follow_the_pulse_protocol(gamma):
     T, omega = 20.0, 5.0
     m = three_level_model(0.0, omega, gamma, T_plateau=T)
     ts = np.linspace(0.0, T + 6.0 / gamma, 3001)
-    hs, js = m.stacks(ts, 0.3)
+    hs, js = operator_stacks(m, 0.3, ts)
     o1 = plateau_envelope(ts, omega, 2.0 / gamma, T)
     o2 = gaussian_pi_envelope(ts, T + 1.0 / gamma, 0.05 / gamma)
     ref = np.zeros((len(ts), 3, 3), dtype=complex)
@@ -123,8 +129,57 @@ def test_three_level_stacks_follow_the_pulse_protocol(gamma):
 def test_three_level_batch_matches_pointwise():
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=20.0)
     ts = np.linspace(0.0, 26.0, 301)
-    hb, jb = m.stacks(ts, 0.3)
+    hb, jb = operator_stacks(m, 0.3, ts)
     hp = np.stack([m.hamiltonian(t, 0.3) for t in ts])
     jp = np.stack([m.jump(t, 0.3) for t in ts])
     assert np.abs(hb - hp).max() < 1e-12
     assert np.abs(jb - jp).max() < 1e-12
+
+
+def _run_thetas():
+    """The θ values at which runs evaluate the operators: each preset's and
+    each benchmark cell's θ, the QFI's θ +/- d over its step range (and
+    the 1e-3 of a central difference), and fig2_mle's 41-point grids
+    θ + linspace(-w, w, 41) for grid half-widths from 5/sqrt(F) to the cap."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    base = {float(preset_config(name).model["theta"]) for name in PRESET_NAMES}
+    base |= {float(cfg["model"]["theta"]) for size in workloads.CELLS.values()
+             for cells in size.values() for _, cfg in cells}
+    steps = np.concatenate([[1e-3], np.geomspace(1e-5, 1.0, 23)])
+    widths = [default_grid_width(f, t) for f in np.geomspace(1e-2, 1e4, 13) for t in (5.0, 150.0)]
+    out = []
+    for th in sorted(base):
+        out += [th, *(th + steps), *(th - steps)]
+        out += [x for w in widths for x in th + np.linspace(-w, w, 41)]
+    return np.array(out)
+
+
+def test_generator_stacks_are_bitwise_the_written_out_operators():
+    # H0 + theta G against the operators as each model wrote them out with
+    # theta in place, at every theta a run evaluates them at: the same bits
+    # (but for theta = -0.0, which the three-level form kept as the sign of
+    # its diagonal zero)
+    thetas = _run_thetas()
+    assert len(thetas) > 1000 and {0.0, 1.0} <= set(thetas)
+    see, sx = np.diag([1.0, 0.0]).astype(complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    for omega in (1.0, 0.3):
+        two = two_level_model(omega=omega, delta=0.0, gamma=1.0)
+        h, j = operator_stacks(two, thetas, [0.0])
+        old = np.stack([-th * see + 0.5 * omega * sx for th in thetas])
+        assert h.tobytes() == old.tobytes() and j.strides[0] == 0
+    for gamma, T in ((1.0, 4.0), (0.5, 0.5)):
+        three = three_level_model(0.0, 5.0, gamma, T_plateau=T)
+        ts = np.arange(0.0, T + 6.0 / gamma, 2e-3)
+        o1 = plateau_envelope(ts, 5.0, 2.0 / gamma, T)
+        o2 = gaussian_pi_envelope(ts, T + 1.0 / gamma, 0.05 / gamma)
+        for th in thetas:
+            old = np.zeros((len(ts), 3, 3), dtype=complex)
+            old[:, 0, 0] = th
+            old[:, 0, 1] = old[:, 1, 0] = 0.5 * o1
+            old[:, 0, 2] = old[:, 2, 0] = 0.5 * o2
+            h, j = operator_stacks(three, th, ts)
+            assert h.tobytes() == old.tobytes() and j.strides[0] == 0

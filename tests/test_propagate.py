@@ -79,11 +79,13 @@ def test_step_guard_names_first_offending_bin():
             build()
 
 
-def _check_batch_matches_loop(m):
+def _check_batch_matches_loop(m, ref=None):
+    """The pair table of ``m`` against the first-order pair of the scalar
+    operators of ``ref`` (``m`` itself by default) at a few bins."""
     grid = TimeGrid(0.0, 5.0, 1e-3)
     tab = pair_table(m, 0.2, grid)
     for k in (0, 1234, 4999):
-        a0_ref, a1_ref = _kraus_reference(m, grid.left_times[k], 0.2, grid.dt)
+        a0_ref, a1_ref = _kraus_reference(ref or m, grid.left_times[k], 0.2, grid.dt)
         assert np.abs(tab.a0[k] - a0_ref).max() < 1e-14
         assert np.abs(tab.a1[k] - a1_ref).max() < 1e-14
 
@@ -97,16 +99,19 @@ def test_pair_table_of_a_time_varying_jump_matches_loop():
 
 
 def test_stacks_with_a_time_varying_jump_give_per_bin_jump_tables():
-    # a stacks hook says nothing about the jump: one that varies in time
-    # gets the per-bin tables of the bin-by-bin (t, theta) maps
+    # a stacks hook says nothing about the jump: one that varies in time,
+    # written for a whole grid at once, gets the per-bin tables of the
+    # bin-by-bin maps of the sensor that samples it bin by bin
     loop = modulated_jump_sensor()
     sge = loop.jump(0.0, 0.0)  # gamma(0) = 1
 
-    def stacks(ts, theta):
-        h = np.broadcast_to(loop.hamiltonian(0.0, theta), (len(ts), 2, 2))
-        return h, np.sqrt(1.0 + 0.5 * np.sin(3.0 * np.asarray(ts)))[:, None, None] * sge
-    _check_batch_matches_loop(SensorModel(dim=2, hamiltonian=loop.hamiltonian, jump=loop.jump,
-                                          initial_state=loop.initial_state, stacks=stacks))
+    def stacks(ts):
+        h0 = np.broadcast_to(loop.hamiltonian(0.0, 0.0), (len(ts), 2, 2))
+        return h0, np.sqrt(1.0 + 0.5 * np.sin(3.0 * ts))[:, None, None] * sge
+    m = SensorModel(dim=2, stacks=stacks, generator=loop.generator,
+                    initial_state=loop.initial_state)
+    assert pair_table(m, 0.2, TimeGrid(0.0, 1.0, 1e-3)).a1.strides[0] != 0
+    _check_batch_matches_loop(m, loop)
 
 
 def test_static_pair_table_shares_one_pair():

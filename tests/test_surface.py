@@ -105,7 +105,10 @@ def test_benchmark_bindings_resolve():
 # stays settable all the same
 UNSET_ALLOWED = {
     "decoder.build_decoder.w0": "the synthesis gauge, which both synthesis routes take",
-    "cascade.mismatch_sweep.theta_step": "gate 6 and the mle_consistency demo pass it",
+    "cascade.fisher_from_trajectories.theta_step":
+        "no effect (the θ-derivative is exact); gates 3, 5 and 6 pass it",
+    "cascade.mismatch_sweep.theta_step":
+        "no effect (the θ-derivative is exact); gate 6 passes it",
     "oracle.brute_env_state.max_step": "reference code: the oracle keeps its full signature",
     "oracle.counting_fisher_exact.dec": "reference code: the oracle keeps its full signature",
     "oracle.counting_fisher_exact.max_step": "reference code: the oracle keeps its full signature",
