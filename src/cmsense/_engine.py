@@ -53,10 +53,19 @@ is the trace of the record-conditioned unnormalized state, and a
 record of probability zero replays to exactly -inf.  Every trajectory
 owns a counter-based RNG stream keyed by (seed, index), one raw value
 per bin, so results do not depend on how the records are split into
-chunks or the grid into windows.
+chunks or the grid into windows.  Nor do they depend on how the draws
+of a chunk are split over CPUs: a chunk of at least _SPLIT_DRAWS draws
+is cut into contiguous record parts, one per CPU the process may use,
+which the calling thread and one helper thread per further part draw at
+once and which are joined in record order (``_candidates``).  Smaller
+chunks draw in the calling thread alone.  No caller's ``threads``
+argument changes any of this.
 """
 
+import os
+import threading
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -64,6 +73,12 @@ from .errors import ClickProbabilityOverflow
 from .linalg import frobenius_sq
 
 _PIECE = 1 << 14  # raw draws per Philox call of thinning
+# draws of a chunk from which thinning splits them over CPUs, each part of
+# at least half as many: a thread's start and join (about 40 us on a 2-vCPU
+# x86 box) is then about 1% of a part's draws.  Splitting every chunk also
+# halves the draw time of small ones in isolation, but made whole runs of
+# many small chunks (16 records) about 5% slower on that box
+_SPLIT_DRAWS = 1 << 21
 _PAIR_ROWS = 2048  # candidate evaluations per thinning round
 _PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
 _P1_MAX = 0.1
@@ -414,55 +429,113 @@ def _replay_segments(seg, click_indices, n, state):
         seg.apply(x, clicks, (seg.a1t, None, None), ends[clicks, j], logl, True, dx)
 
 
-def _candidates(top, indices, seed, lo):
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(nb, n):
+    """How many record parts ``_candidates`` draws a chunk of ``nb`` records
+    of ``n`` bins in: one below _SPLIT_DRAWS draws (the calling thread
+    alone), else one per CPU the process may use, each of at least
+    _SPLIT_DRAWS / 2 draws."""
+    if nb * n < _SPLIT_DRAWS:
+        return 1
+    return min(_cpus(), nb, nb * n // max(_SPLIT_DRAWS >> 1, 1))
+
+
+def _in_parts(work, parts):
+    """[work(p) for p in range(parts)], part 0 in the calling thread and
+    each other part in a helper thread of its own, all of which have ended
+    when this returns; an exception of a helper is raised here."""
+    out = [None] * parts
+
+    def helper(p):
+        try:
+            out[p] = work(p), None
+        except BaseException as exc:  # raised again in the calling thread
+            out[p] = None, exc
+
+    started = []
+    try:
+        for p in range(1, parts):
+            t = threading.Thread(target=helper, args=(p,), name=f"cmsense-draw-{p}")
+            t.start()
+            started.append(t)
+        out[0] = work(0), None
+    finally:
+        for t in started:
+            t.join()
+    for _, exc in out:
+        if exc is not None:
+            raise exc
+    return [res for res, _ in out]
+
+
+def _candidates(top, indices, seed, lo, parts=1):
     """Each record's candidate bins (raw draw <= ``top``) among the bins
     lo, lo + 1, ... of ``top`` and their uniforms, flat in record order as
     record * n + (bin - lo), with the records' candidate counts.  Record
     ``index`` draws one raw value per bin of the grid from Philox(key=[seed,
     index]) at counter 0, and Philox makes 4 values per counter, so bin lo
-    (a multiple of 4) starts counter lo / 4 with an empty buffer.  One
-    Philox is re-keyed through its state (cheaper than a new one) and
-    drawn in pieces of at most _PIECE values: whole records at once when
+    (a multiple of 4) starts counter lo / 4 with an empty buffer.  The
+    records are cut into ``parts`` contiguous parts, drawn at once
+    (``_in_parts``; numpy fills raw draws without holding the interpreter
+    lock) and joined in record order: a record's draws depend on its key
+    alone, so the result is the same for any number of parts.  A part
+    re-keys one Philox through its state (cheaper than a new one) and
+    draws in pieces of at most _PIECE values: whole records at once when
     one fits, else one record in pieces."""
     n, nb = len(top), len(indices)
     if n == 0:  # an empty grid draws nothing
         return np.empty(0, np.int64), np.empty(0), np.zeros(nb, np.int64)
     per = max(1, _PIECE // n)  # whole records per piece
-    bitgen = np.random.Philox(0)
-    state = bitgen.state  # empty buffer: only the key and counter change
-    state["state"]["counter"][0] = lo >> 2
-
-    def stream(i):
-        state["state"]["key"] = np.array([seed, i], np.uint64)
-        bitgen.state = state
-        return bitgen
-
-    def pieces():  # (flat offset, raw draws)
-        if per > 1:
-            for a in range(0, nb, per):
-                yield a * n, np.concatenate([stream(i).random_raw(n)
-                                             for i in indices[a:a + per]])
-            return
-        for r, i in enumerate(indices):
-            stream(i)
-            for k0 in range(0, n, _PIECE):
-                yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
-
     # 4-byte positions where they fit: a chunk holds many candidates
     dtype = np.int32 if nb * n < 2 ** 31 else np.int64
-    flat, us = [np.empty(0, dtype)], [np.empty(0)]
-    for f0, raw in pieces():
-        k = f0 % n
-        tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
-        f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
-        flat.append((f + f0).astype(dtype))
-        us.append((raw[f] >> np.uint64(11)) * 2.0 ** -53)
-    flat = np.concatenate(flat)
+    cuts = [nb * p // parts for p in range(parts + 1)]
+
+    def part(p):  # the flat positions and uniforms of records [cuts[p], cuts[p + 1])
+        bitgen = np.random.Philox(0)
+        state = bitgen.state  # empty buffer: only the key and counter change
+        state["state"]["counter"][0] = lo >> 2
+
+        def stream(i):
+            state["state"]["key"] = np.array([seed, i], np.uint64)
+            bitgen.state = state
+            return bitgen
+
+        def pieces():  # (flat offset, raw draws)
+            a, b = cuts[p], cuts[p + 1]
+            if per > 1:
+                for r in range(a, b, per):
+                    yield r * n, np.concatenate([stream(i).random_raw(n)
+                                                 for i in indices[r:min(r + per, b)]])
+                return
+            for r in range(a, b):
+                stream(indices[r])
+                for k0 in range(0, n, _PIECE):
+                    yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
+
+        flat, us = [], []
+        for f0, raw in pieces():
+            k = f0 % n
+            tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
+            f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
+            flat.append((f + f0).astype(dtype))
+            us.append((raw[f] >> np.uint64(11)) * 2.0 ** -53)
+        return flat, us
+
+    drawn = _in_parts(part, parts)
+    flat = np.concatenate([np.empty(0, dtype)] + [f for fs, _ in drawn for f in fs])
+    us = np.concatenate([np.empty(0)] + [u for _, ws in drawn for u in ws])
     starts = np.searchsorted(flat, (np.arange(nb + 1) * n).astype(dtype))  # same dtype: no copy
-    return flat, np.concatenate(us), np.diff(starts)
+    return flat, us, np.diff(starts)
 
 
-def _thin(seg, ops, indices, seed, x=None, lo=0):
+def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     """Draw the clicks of trajectory ``indices`` in the bins of the tables
     ``seg`` of the one θ whose StepOps are ``ops``, bins lo, lo + 1, ... of
     the grid, from the records' states ``x`` (1, B, D) at bin lo (None: the
@@ -485,6 +558,9 @@ def _thin(seg, ops, indices, seed, x=None, lo=0):
     evaluations, names the first bin in time order where some record
     overflows (windows are thinned in time order, after the records'
     earlier clicks).
+    A ``stats`` dict gets the seconds of the candidate draws added to its
+    "draw_s" and keeps in "draw_parts" the most record parts they were
+    split into (``_parts``).
     Returns (list of click-index arrays, relative to lo, number of
     candidates)."""
     n, nb = ops.n_steps, len(indices)
@@ -504,7 +580,11 @@ def _thin(seg, ops, indices, seed, x=None, lo=0):
     lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
     lim = np.maximum(lim, np.uint64(1)) - np.uint64(1)
     top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
-    flat, u, counts = _candidates(top, indices, seed, lo)
+    t0, parts = perf_counter(), _parts(nb, n)
+    flat, u, counts = _candidates(top, indices, seed, lo, parts)
+    if stats is not None:
+        stats["draw_s"] += perf_counter() - t0
+        stats["draw_parts"] = max(stats["draw_parts"], parts)
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
     budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))

@@ -33,7 +33,10 @@ per-bin step core instead, as a cross-check.  A per-bin model whose
 tables exceed _TABLE_BYTES runs window by window in time order, its
 records carrying their state from one window into the next, so a long
 grid holds one window's tables at a time.
-Chunks run one after another in the calling thread.
+Chunks run one after another in the calling thread; only the candidate
+draws of a large chunk are split over the CPUs the process may use
+(``_engine._candidates``), with the same records for any split.  The
+``threads`` argument changes nothing.
 """
 
 from dataclasses import dataclass
@@ -363,8 +366,10 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
     arrays, logL (Θ, n_records), thinning candidates), or with tangent
     maps the scores d logL/dθ (1, n_records) in place of logL.  A
     ``stats`` dict accumulates the seconds of the table builds
-    ("table_s"), of thinning ("sample_s") and of replay ("score_s"), the
-    no-click levels counted in the stage that first walks them, and gets
+    ("table_s"), of thinning ("sample_s"), of its candidate draws within
+    it ("draw_s", with the most record parts of one draw, "draw_parts":
+    ``_engine._thin``) and of replay ("score_s"), the no-click levels
+    counted in the stage that first walks them, and gets
     the number of windows ("windows") and the most MB (2^20 bytes) of
     maps, levels and derivatives held at once ("table_mb")."""
     replay = {"segment": _engine._replay_segments, "step": _engine.run_steps}[kind]
@@ -382,7 +387,7 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
             rows, state = states[c] or (np.zeros(b - a, dtype=np.intp), seg.start(1))
             if given is None:
                 h, n_cands = _engine._thin(seg, ops[0], np.arange(a, b), seed,
-                                           state[0][:, rows], lo)
+                                           state[0][:, rows], lo, stats)
                 cands += n_cands
                 drawn[w] += h
                 t = _lap(stats, "sample_s", t)
@@ -461,13 +466,17 @@ class FisherEstimate:
 
     value = mean of squared scores d logL/dθ; std_error is the standard
     error of that mean.  mean_score should vanish within a few
-    mean_score_se (it does up to the O(dt) discretization bias);
+    mean_score_se (it does up to the O(dt) discretization bias).  Both
+    errors are NaN for one record, which has no spread to measure;
     null_point is set when every score is exactly zero; n_steps, chunks
     (record chunks), seconds (wall time) and candidates (mean thinning
     candidates per record) the cost, and table_s (branch maps and their
     derivative), sample_s (thinning) and score_s (the tangent replay) the
     seconds of its stages, which sum to at most ``seconds``; the no-click
-    levels count in the stage that first walks them.  windows is the
+    levels count in the stage that first walks them.  draw_s is the part
+    of sample_s spent in the candidate draws, and draw_parts the most
+    record parts one chunk's draws were split into over CPUs (1: the
+    calling thread drew them all).  windows is the
     number of time windows the grid was walked in, and table_mb the most
     MB (2^20 bytes) of maps, levels and derivatives held at once.
     """
@@ -486,6 +495,8 @@ class FisherEstimate:
     candidates: float
     table_s: float
     sample_s: float
+    draw_s: float
+    draw_parts: int
     score_s: float
     windows: int
     table_mb: float
@@ -508,12 +519,13 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     if n_traj < 1:
         raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
     t0 = perf_counter()
-    stats = {"table_s": 0.0, "sample_s": 0.0, "score_s": 0.0}
+    stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draw_parts": 1, "score_s": 0.0}
     indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, True),
                                           "segment", n_traj, seed, stats=stats)
     scores = scores[0]
     sq = scores ** 2
-    se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
+    # one record has no spread to measure: its errors are NaN, not 0
+    se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else float("nan")
     return FisherEstimate(
         value=float(sq.mean()), std_error=se(sq), n_traj=n_traj,
         mean_score=float(scores.mean()), mean_score_se=se(scores),

@@ -10,7 +10,9 @@ and derived scalars.  Identical config + seed reproduce the CSV bytes
 exactly.  A config that ``validate`` rejects, malformed values included,
 stops with one "error: ..." line and exit status 2, as does a guard that
 stops a run.  The config's ``threads`` key is still validated but
-changes nothing: every record batch runs in the calling thread.
+changes nothing: record batches run one after another in the calling
+thread, and only the candidate draws of a large batch are split over the
+CPUs the process may use, with the same results for any split.
 """
 
 import argparse
@@ -102,7 +104,8 @@ def _report_fisher(report, label, fi):
         "mean_score": fi.mean_score, "mean_score_se": fi.mean_score_se,
         "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
         "candidates": fi.candidates, "table_s": fi.table_s, "sample_s": fi.sample_s,
-        "score_s": fi.score_s, "windows": fi.windows, "table_mb": fi.table_mb,
+        "draw_s": fi.draw_s, "draw_parts": fi.draw_parts, "score_s": fi.score_s,
+        "windows": fi.windows, "table_mb": fi.table_mb,
     })
     if fi.null_point:
         report.setdefault("warnings", []).append(

@@ -231,6 +231,10 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if est["n_traj"] == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
         # these presets only estimate Fisher information from records
         diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")
+    if est["n_traj"] == 1:
+        # every preset that takes records runs a Fisher estimate with n_traj of them
+        diags.append("error: estimation.n_traj: 1, but a Fisher estimate's error "
+                     "needs at least 2 records")
     if cfg.preset == "fig2_mle" and est["n_records"] < 2:
         diags.append("error: estimation.n_records: the variance needs at least 2 records")
     elif cfg.preset == "fig2_mle" and est["n_records"] < 1000:

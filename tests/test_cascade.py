@@ -1126,3 +1126,124 @@ def test_decoded_fisher_run_holds_one_window_of_tables():
         tracemalloc.stop()
     assert fi.windows > 1 and fi.table_mb * 2 ** 20 <= cascade._TABLE_BYTES
     assert peak < 12 * 2 ** 20
+
+
+def _tops(n, seed):
+    """Per-bin thinning limits of n bins: click bounds up to 0.2, the
+    bound 0 (limit 0) and a bin above _P1_MAX (limit 2^64 - 1)."""
+    rng = np.random.default_rng(seed)
+    top = (rng.uniform(0.0, 0.2, n) * 2.0 ** 64).astype(np.uint64)
+    top[n // 3], top[n // 2] = 0, 2 ** 64 - 1
+    return top
+
+
+@pytest.mark.parametrize("n, nb, lo, piece", [
+    (300, 17, 0, None),  # whole records per piece
+    (300, 17, 0, 7),  # each record in pieces of 7 draws
+    (300, 1, 0, None),  # a single record: the helpers draw nothing
+    (41, 5, 64, None),  # an odd grid from bin 64
+    (41, 5, 64, 8),
+], ids=["whole_records", "pieces_of_7", "one_record", "lo_64", "lo_64_pieces_of_8"])
+def test_split_candidates_are_the_serial_candidates(n, nb, lo, piece, monkeypatch):
+    # the records are cut into contiguous parts drawn in helper threads and
+    # joined in record order: the same positions, dtype, uniforms and counts
+    if piece is not None:
+        monkeypatch.setattr(_engine, "_PIECE", piece)
+    top, indices = _tops(n, nb), np.arange(3, 3 + nb)
+    serial = _engine._candidates(top, indices, 12, lo)
+    assert len(serial[0]) > nb and serial[1].max() >= 0.2  # bins of limit 2^64 - 1
+    for parts in (2, 3, 5):
+        split = _engine._candidates(top, indices, 12, lo, parts)
+        for a, b in zip(serial, split):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _counting_starts(monkeypatch):
+    """A list that gets one entry per thread started from now on."""
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+    return starts
+
+
+def test_split_draws_leave_no_thread(monkeypatch):
+    starts = _counting_starts(monkeypatch)
+    before = threading.active_count()
+    _engine._candidates(_tops(300, 1), np.arange(9), 4, 0, 3)
+    assert len(starts) == 2 and not any(t.is_alive() for t in starts)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_an_exception_of_a_part_reaches_the_caller(failing):
+    # a helper's exception is raised in the calling thread, and the caller's
+    # own one after the helpers have ended
+    before, ran = threading.active_count(), []
+
+    def work(p):
+        ran.append(p)
+        if p == failing:
+            raise ValueError(f"part {p}")
+        return p
+
+    with pytest.raises(ValueError, match=f"part {failing}"):
+        _engine._in_parts(work, 3)
+    assert sorted(ran) == [0, 1, 2] and threading.active_count() == before
+    assert _engine._in_parts(lambda p: p * p, 3) == [0, 1, 4]
+
+
+def test_split_follows_the_cpus_and_the_draw_count(monkeypatch):
+    monkeypatch.setattr(_engine, "_cpus", lambda: 2)
+    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64 - 1) == 1
+    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64) == 2
+    assert _engine._parts(1, _engine._SPLIT_DRAWS) == 1  # one record is one part
+    monkeypatch.setattr(_engine, "_cpus", lambda: 8)
+    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64) == 2  # each of half the threshold
+    assert _engine._parts(64, _engine._SPLIT_DRAWS // 8) == 8
+    monkeypatch.setattr(_engine, "_cpus", lambda: 1)
+    assert _engine._parts(64, _engine._SPLIT_DRAWS) == 1
+
+
+@pytest.mark.parametrize("case", ["static", "three_level_build_decoder"])
+def test_forced_split_gives_the_same_records_logl_and_scores(clicky_pair, case, monkeypatch):
+    # every chunk's draws split over two CPUs (threshold 0) against the
+    # calling thread alone: the static cascade, and the pulsed three-level
+    # sensor with a synthesized decoder walked in 64-bin windows
+    if case == "static":
+        gen, theta, grid = clicky_pair, 0.3, _GRID
+    else:
+        make, theta, grid = _scored_cascades()[case]
+        gen = make()
+
+    def run():
+        _window_bins(monkeypatch, gen, 64)
+        idx, logl, _ = sample_records(gen, theta, grid, 24, seed=8)
+        _window_bins(monkeypatch, gen, 64, scoring=True)
+        scores = cascade._run_records(*cascade._tables(gen, [theta], grid, 0.05, True),
+                                      "segment", 24, 8)[1]
+        return idx, logl, scores, fisher_from_trajectories(gen, theta, grid, 24, seed=8)
+
+    serial = run()
+    monkeypatch.setattr(_engine, "_SPLIT_DRAWS", 0)
+    monkeypatch.setattr(_engine, "_cpus", lambda: 2)
+    starts = _counting_starts(monkeypatch)
+    split = run()
+    assert len(starts) >= 2 and sum(len(h) for h in serial[0]) > 0
+    assert _record_hash(split[0]) == _record_hash(serial[0])
+    assert split[1].tobytes() == serial[1].tobytes()
+    assert split[2].tobytes() == serial[2].tobytes() and np.abs(serial[2]).max() > 0.0
+    fs, fp = serial[3], split[3]
+    assert (fs.draw_parts, fp.draw_parts) == (1, 2)
+    assert fs.windows == fp.windows == (1 if case == "static" else 63)
+    for fi in (fs, fp):
+        assert 0.0 < fi.draw_s <= fi.sample_s
+    assert (fp.value, fp.std_error, fp.mean_score, fp.mean_clicks) == \
+        (fs.value, fs.std_error, fs.mean_score, fs.mean_clicks)
+
+
+def test_one_record_fisher_estimate_has_nan_errors(clicky_pair):
+    # one record has no spread: its errors are NaN, not a confident 0
+    fi = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 1, seed=3)
+    assert np.isfinite(fi.value) and fi.n_traj == 1
+    assert np.isnan(fi.std_error) and np.isnan(fi.mean_score_se)
+    two = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 2, seed=3)
+    assert np.isfinite(two.std_error) and np.isfinite(two.mean_score_se)

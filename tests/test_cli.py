@@ -102,6 +102,16 @@ def test_validate_rejects_a_three_level_sensor_with_a_two_level_decoder(tmp_path
     assert not (tmp_path / "o").exists()
 
 
+def test_one_record_custom_run_stops(tmp_path, capsys):
+    # this config ran and wrote F_decoder_err 0.0 and F_direct_err 0.0 at seed 3:
+    # the error of one record's Fisher estimate
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(_tiny_cfg(estimation={"n_traj": 1})))
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: estimation.n_traj: 1, but ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_validates_once(monkeypatch):
     # the echo of the config is checked to read back as the config, not
     # validated a second time
@@ -190,10 +200,14 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
-                          "table_s", "sample_s", "score_s", "windows", "table_mb"}
+                          "table_s", "sample_s", "draw_s", "draw_parts", "score_s",
+                          "windows", "table_mb"}
         # the stage timers: table build, thinning, tangent replay
         stages = (e["table_s"], e["sample_s"], e["score_s"])
         assert min(stages) > 0.0 and sum(stages) <= e["seconds"]
+        # thinning's candidate draws, part of it: 16 x 500 draws stay in
+        # the calling thread
+        assert 0.0 < e["draw_s"] <= e["sample_s"] and e["draw_parts"] == 1
         # every estimate samples on the click-to-click core, which reports
         # its thinning candidates (at least the clicks) per record
         assert e["n_traj"] == 16

@@ -189,6 +189,19 @@ def test_zero_records_stay_valid_where_fisher_is_optional(name):
     assert not [d for d in validate(cfg) if d.startswith("error")]
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_one_record_is_rejected_wherever_fisher_runs(name):
+    # every preset runs a Fisher estimate from n_traj records when n_traj > 0,
+    # and one record has no spread to give its error
+    cfg = preset_config(name)
+    cfg.estimation["n_traj"] = 1
+    errs = [d for d in validate(cfg) if d.startswith("error")]
+    assert errs == ["error: estimation.n_traj: 1, but a Fisher estimate's error "
+                    "needs at least 2 records"], errs
+    cfg.estimation["n_traj"] = 2
+    assert not [d for d in validate(cfg) if d.startswith("error")]
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 7, "model": {"omega": 2.0}}))
