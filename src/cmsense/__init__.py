@@ -41,7 +41,6 @@ from .propagate import (
     TimeGrid,
     evolve_density,
     evolve_generalized,
-    pair_table,
     propagate_linear,
 )
 from .qfi import (

@@ -16,10 +16,11 @@ becomes maximally sensitive to the sensor parameter.
 A record is the array of its click bin indices, sampled with per-bin
 click probability p1 = eta tr(J_c rho J_c^dag) dt / tr(rho); its
 log-likelihood is the log-trace of the record-conditioned unnormalized
-state (-inf for a record of probability zero).  ``step_matrices``
-chooses the branch maps once: Kraus pairs on pure states, else
-superoperators on vectorized densities, built block by block from the
-sensor and decoder stacks.  Fisher information is estimated as the
+state (-inf for a record of probability zero).  The joint generators
+(``cascade_generators``) and their branch maps (``step_matrices``:
+Kraus pairs on pure states, else superoperators on vectorized
+densities) come from the one table builder of ``propagate``, which
+also gives the maps' θ-derivative.  Fisher information is estimated as the
 sample mean of squared scores d logL/dθ over trajectories: the record
 likelihood is a product of per-bin maps, so each score is exact from
 one replay of the record with its tangent under the maps at θ and their
@@ -41,15 +42,15 @@ draws of a large chunk are split over the CPUs the process may use
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from . import _engine
 from .errors import CmsenseError, RecordLengthMismatch
-from .models import SensorModel, _sigma, operator_stacks
-from .propagate import (STEP_GUARD, TimeGrid, _batched_kron, _bin_times,
-                        _kraus_tables, propagate_linear)
+from .models import SensorModel
+from .propagate import (STEP_GUARD, CascadeGenerators, Imperfections, TimeGrid, _pure,
+                        _theta_tables, cascade_generators, propagate_linear, step_matrices)
 
 __all__ = [
     "Imperfections",
@@ -71,192 +72,6 @@ _CHUNK_BINS = 1 << 24
 # bytes of per-bin maps, levels and derivatives that a record run holds at
 # once: a longer grid of per-bin tables is walked in windows (_windows)
 _TABLE_BYTES = 8 << 20
-
-
-@dataclass(frozen=True)
-class Imperfections:
-    """Static hardware imperfections of a two-level cascade.
-
-    gamma: photon loss rate per factor (channel sqrt(gamma)|g><e|), and
-        the dephasing rate per factor (channel sqrt(gamma) sigma_z),
-    eta: detector efficiency in (0, 1].
-    """
-
-    gamma: float = 0.0
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise CmsenseError(f"eta must be in (0, 1], got {self.eta}")
-        if self.gamma < 0:
-            raise CmsenseError("imperfection rates must be nonnegative")
-
-    @property
-    def trivial(self):
-        return self.gamma == 0.0 and self.eta == 1.0
-
-
-@dataclass(eq=False)
-class CascadeGenerators:
-    """Joint counting model of a sensor and an optional decoder.
-
-    The joint (H_c, J_c) stacks are assembled per bin by ``step_matrices``
-    from the sensor's operators and the decoder's (H_D, J_D) stacks;
-    theta enters through the sensor side only.  ``extra_lindblad`` holds
-    constant undetected channels (loss, dephasing).  Exactly one of
-    ``initial_state`` (pure) / ``initial_rho`` is set.
-    """
-
-    dim: int
-    extra_lindblad: List[np.ndarray]
-    detector_eta: float
-    initial_state: Optional[np.ndarray]
-    initial_rho: Optional[np.ndarray]
-    time_dependent: bool
-    sensor: SensorModel
-    decoder: object = None
-
-
-def _two_level_channels(dim_s, dim_d, imp: Imperfections):
-    if dim_s != 2 or (dim_d not in (1, 2)):
-        raise CmsenseError(
-            "loss/dephasing channels are defined for two-level factors only"
-        )
-    sge = _sigma(1, 0, 2)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    eye_d = np.eye(dim_d, dtype=complex)
-    chans = []
-    if imp.gamma > 0:  # loss, then dephasing, on each factor
-        for op in (sge, sz):
-            chans.append(np.sqrt(imp.gamma) * np.kron(op, eye_d))
-            if dim_d == 2:
-                chans.append(np.sqrt(imp.gamma) * np.kron(np.eye(2), op))
-    return chans
-
-
-def cascade_generators(sensor: SensorModel, dec=None,
-                       imperfections: Optional[Imperfections] = None,
-                       init="auto") -> CascadeGenerators:
-    """Assemble the joint generators for sensor alone or sensor + decoder.
-
-    init: "auto" picks the decoder's purified joint vector when it
-    provides one (the vacuum-output initialization), else the product
-    of sensor and decoder initial states; "product" forces the product;
-    an explicit array is used as given (vector or density).
-    """
-    if isinstance(init, np.ndarray):
-        psi0 = init
-    elif init not in ("auto", "product"):
-        raise CmsenseError(f"init must be 'auto', 'product' or an array, got {init!r}")
-    elif dec is None:
-        psi0 = sensor.initial_state
-    elif init == "product" or dec.purified_joint is None:
-        psi0 = np.kron(sensor.initial_state, dec.initial_state_d)
-    else:
-        psi0 = dec.purified_joint
-    imp = imperfections or Imperfections()
-    dd = 1 if dec is None else dec.dim
-    extra = _two_level_channels(sensor.dim, dd, imp) if not imp.trivial else []
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim == 1:
-        vec, rho = psi0 / np.linalg.norm(psi0), None
-    else:
-        rho = psi0 / np.trace(psi0).real
-        vec = None
-    return CascadeGenerators(
-        dim=sensor.dim * dd, extra_lindblad=extra,
-        detector_eta=imp.eta, initial_state=vec, initial_rho=rho,
-        time_dependent=sensor.time_dependent or (dec is not None and dec.time_dependent),
-        sensor=sensor, decoder=dec,
-    )
-
-
-def _superops(m0, j, extra, eta, dt):
-    """No-click / click superoperators of (n, D, D) operator stacks."""
-    jj = _batched_kron(j, j.conj())
-    s0 = _batched_kron(m0, m0.conj()) + (1.0 - eta) * dt * jj
-    for l in extra:
-        s0 = s0 + dt * np.kron(l, l.conj())[None]
-    return s0, eta * dt * jj
-
-
-def _decoder_stacks(dec, grid, n, lo=0):
-    """The decoder's (H_D, J_D) stacks over the n bins of ``grid`` from bin
-    lo: its one pair broadcast, or its per-bin tables, which hold for their
-    own grid only."""
-    if not dec.time_dependent:
-        return (np.broadcast_to(dec.hd, (n,) + dec.hd.shape[1:]),
-                np.broadcast_to(dec.jd, (n,) + dec.jd.shape[1:]))
-    if grid != dec.grid:
-        raise CmsenseError("decoder tables do not match the grid")
-    return dec.hd[lo:lo + n], dec.jd[lo:lo + n]
-
-
-def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
-                  max_step: float = STEP_GUARD) -> _engine.StepOps:
-    """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
-    stacks, or superoperator stacks once loss, dephasing, finite efficiency
-    or a mixed initial state break purity, with one bin for static
-    generators, else one per grid bin."""
-    return _theta_tables(gen, [theta], grid, max_step)[0]
-
-
-def _pure(gen):
-    """Whether ``gen`` runs on Kraus pairs and state vectors (no extra
-    channel, unit efficiency, a pure initial state), else on superoperators."""
-    return not (gen.extra_lindblad or gen.detector_eta < 1.0 or gen.initial_rho is not None)
-
-
-def _theta_tables(gen, thetas, grid, max_step, lo=0, hi=None, spare=None):
-    """The ``step_matrices`` of each θ of ``thetas``, a static model's θ
-    as the bins of one stacked ``_kraus_tables`` pass: the same per-bin
-    arithmetic, so the same bits.  Per-bin tables come one θ per call,
-    over bins lo..hi-1 of the grid (all by default): bit for bit those
-    bins of the whole grid's tables, as StepOps of hi - lo steps, written
-    over the stacks of the StepOps ``spare`` where they fit."""
-    dt, eta = grid.dt, gen.detector_eta
-    hi = grid.n_steps if hi is None else hi
-    ts = _bin_times(grid, not gen.time_dependent, lo, hi)
-    n = len(ts)
-    dec = (None if gen.decoder is None else
-           _decoder_stacks(gen.decoder, grid, n * len(thetas), lo))
-    m0, m1 = _kraus_tables(*operator_stacks(gen.sensor, thetas, ts), dt, max_step,
-                           np.tile(ts, len(thetas)), dec, gen.extra_lindblad,
-                           (None, None) if spare is None else (spare.a0, spare.a1))
-    if _pure(gen):
-        x0, pure = gen.initial_state, True
-    else:
-        if n * gen.dim ** 4 * 16 > 2e9:
-            raise CmsenseError("time-dependent superoperator table too large")
-        rho = gen.initial_rho
-        if rho is None:
-            rho = np.outer(gen.initial_state, gen.initial_state.conj())
-        m0, m1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
-        x0, pure = rho.ravel(), False
-    return [_engine.StepOps(hi - lo, dt, m0[i * n:(i + 1) * n], m1[i * n:(i + 1) * n],
-                            x0, pure=pure) for i in range(len(thetas))]
-
-
-def _tangent(gen: CascadeGenerators, theta, grid, ops, max_step, lo=0):
-    """The θ-derivative dA0 of the no-click maps ``ops`` of ``gen`` at θ,
-    the tables of bins lo..lo+ops.n_steps-1 of the grid.  θ enters through
-    the sensor's generator G alone (the jump is θ-free), so on Kraus pairs
-    dA0 = -i dt (G x 1_D), one static matrix, and the click map has no
-    derivative.  Superoperators take the product rule dA0 x conj(A0) +
-    A0 x conj(dA0); they do not keep the Kraus stacks, so these are built
-    again."""
-    g = gen.sensor.generator
-    if gen.decoder is not None:
-        g = np.kron(g, np.eye(gen.decoder.dim))
-    da0 = -1j * grid.dt * g[None]
-    if ops.pure:
-        return da0
-    ts = _bin_times(grid, not gen.time_dependent, lo, lo + ops.n_steps)
-    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts), lo)
-    m0 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), grid.dt, max_step, ts, dec,
-                       gen.extra_lindblad)[0]
-    da0 = np.broadcast_to(da0, m0.shape)
-    return _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
 
 
 def vacuum_probability(gen: CascadeGenerators, theta: float, grid: TimeGrid,
@@ -318,11 +133,10 @@ def _windows(gen, n_theta, scoring, n_steps):
 def _tables(gen, thetas, grid, max_step, scoring=False):
     """The (tables, windows) arguments of ``_run_records`` for the θ set
     ``thetas`` of ``gen``: the tables of a window are its bins of each
-    θ's ``step_matrices``, with their θ-derivative (``_tangent``) at the
-    one θ when ``scoring``."""
+    θ's ``step_matrices``, with their θ-derivative at the one θ when
+    ``scoring``, from one ``_theta_tables`` pass."""
     def tables(lo, hi, spare):
-        ops = _theta_tables(gen, thetas, grid, max_step, lo, hi, spare and spare[0])
-        return ops, _tangent(gen, thetas[0], grid, ops[0], max_step, lo) if scoring else None
+        return _theta_tables(gen, thetas, grid, max_step, lo, hi, spare and spare[0], scoring)
     return tables, _windows(gen, len(thetas), scoring, grid.n_steps)
 
 
@@ -350,8 +164,8 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
     and replay them on the ``kind`` core, window by window in time order:
     ``tables(lo, hi, spare)`` gives the list of per-θ StepOps (one for
     sampling and for scores) of bins [lo, hi) of the grid and their
-    no-click derivative dA0 at the one θ (``_tangent``), or None, and
-    ``windows`` lists the (lo, hi) (``_windows``).  A window's tables and levels are built
+    no-click derivative dA0 at the one θ, or None (``_theta_tables``),
+    and ``windows`` lists the (lo, hi) (``_windows``).  A window's tables and levels are built
     once and serve every chunk, thinning and replay alike.  The next
     window's are written over them (``spare``: the last window's StepOps;
     ``_Segments`` takes the last one's level buffers), so a run holds one
@@ -509,8 +323,9 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
 
     Draws records at theta by thinning and replays each once on the
     segment core with its tangent under the branch maps at theta and
-    their exact derivative (``_tangent``: θ enters through the sensor's
-    generator G), which gives the exact score d logL/dθ of the record.
+    their exact derivative (from the same ``_theta_tables`` pass: θ enters
+    through the sensor's generator G), which gives the exact score
+    d logL/dθ of the record.
     A per-bin model longer than a few MB of tables runs window by window
     (``_run_records``): each window's maps, derivative and levels serve
     the draws and the scores of its bins.  ``theta_step`` is accepted for

@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from time import perf_counter
 
@@ -96,17 +96,13 @@ def _matched_two_level(cfg, theta):
 
 
 def _report_fisher(report, label, fi):
-    """Add a Fisher estimate's diagnostics to the provenance report, and
-    a warning when every score is exactly zero (a null point, where the
-    estimate reads 0 +/- 0 whatever the information is)."""
-    report.setdefault("estimators", []).append({
-        "label": label, "n_traj": fi.n_traj, "mean_clicks": fi.mean_clicks,
-        "mean_score": fi.mean_score, "mean_score_se": fi.mean_score_se,
-        "n_steps": fi.n_steps, "chunks": fi.chunks, "seconds": fi.seconds,
-        "candidates": fi.candidates, "table_s": fi.table_s, "sample_s": fi.sample_s,
-        "draw_s": fi.draw_s, "draw_parts": fi.draw_parts, "score_s": fi.score_s,
-        "windows": fi.windows, "table_mb": fi.table_mb,
-    })
+    """Add a Fisher estimate's diagnostics to the provenance report: every
+    field but the estimate and its error (in the tables), the seed (in the
+    config) and the null point, which gives a warning when every score is
+    exactly zero (where the estimate reads 0 +/- 0 whatever the information is)."""
+    entry = {f.name: getattr(fi, f.name) for f in fields(fi)
+             if f.name not in ("value", "std_error", "seed", "null_point")}
+    report.setdefault("estimators", []).append({"label": label, **entry})
     if fi.null_point:
         report.setdefault("warnings", []).append(
             f"warn: {label}: every score is exactly zero (null point); "

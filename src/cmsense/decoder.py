@@ -2,9 +2,10 @@
 into an optimal measurement of the emission field.
 
 The synthesis runs entirely on the discrete bin decomposition.  With
-A^0, A^1 the sensor's Kraus pair and R_n = sqrt(rho_tilde(t_n)) W0 the
-left-normalization gauge (rho_tilde solves the master equation from the
-identity), the per-bin left-normalized tensors are
+A^0, A^1 the sensor's Kraus pair (``step_matrices`` of its decoder-free
+cascade) and R_n = sqrt(rho_tilde(t_n)) W0 the left-normalization gauge
+(rho_tilde solves the master equation from the identity), the per-bin
+left-normalized tensors are
 
     B^s_n = R_n^{-1} A^s R_{n-1},
 
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .linalg import dagger, psd_sqrt, robust_inv
 from .models import SensorModel
-from .propagate import TimeGrid, pair_table, propagate_linear, transfer
+from .propagate import TimeGrid, cascade_generators, propagate_linear, step_matrices, transfer
 
 __all__ = [
     "DecoderModel",
@@ -117,7 +118,7 @@ def build_decoder(model: SensorModel, theta: float, grid: TimeGrid, w0=None):
     """
     D = model.dim
     w0 = _check_unitary(w0, D)
-    tab = pair_table(model, theta, grid)
+    tab = step_matrices(cascade_generators(model), theta, grid)
     n = grid.n_steps
     dt = grid.dt
 
@@ -272,7 +273,7 @@ def verify_decoding(sensor: SensorModel, dec: DecoderModel, theta: float,
     A correct decoder keeps its output field dark: P_vac = 1 - O(dt)
     under the purified joint initialization.  Returns P_vac at t_end.
     """
-    from .cascade import cascade_generators, vacuum_probability
+    from .cascade import vacuum_probability
 
     gen = cascade_generators(sensor, dec)
     return vacuum_probability(gen, theta, grid)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, TooManyBins
 from .linalg import psd_sqrt
 from .models import SensorModel
-from .propagate import TimeGrid, pair_table
+from .propagate import TimeGrid, cascade_generators, step_matrices
 
 __all__ = [
     "BinnedState",
@@ -64,11 +64,11 @@ def _check_size(n_bins, dim):
         )
 
 
-def _branches(ops):
-    """(2^N, m) rows: the initial state of ``ops`` through the branch maps
+def _branches(ops, x0):
+    """(2^N, m) rows: the start vector ``x0`` through the branch maps of ``ops``
     of every record, enumerated bin by bin in the record-integer layout."""
     a0, a1 = ops.per_bin(ops.a0), ops.per_bin(ops.a1)
-    branch = ops.x0[None, :].astype(complex)
+    branch = x0[None, :].astype(complex)
     for k in range(ops.n_steps):
         branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
     return branch
@@ -79,10 +79,13 @@ def brute_global_state(model: SensorModel, theta: float, n_bins: int, dt: float,
     """Explicit joint system+field vector after n_bins emission bins.
 
     The wide default max_step admits the coarse grids this oracle is
-    meant for; it validates discrete-formula equivalence at any dt.
+    meant for; it validates discrete-formula equivalence at any dt.  The
+    branches start from ``model.initial_state`` as given.
     """
     _check_size(n_bins, model.dim)
-    amp = _branches(pair_table(model, theta, TimeGrid(0.0, n_bins * dt, dt), max_step))
+    ops = step_matrices(cascade_generators(model), theta, TimeGrid(0.0, n_bins * dt, dt),
+                        max_step)
+    amp = _branches(ops, model.initial_state)
     raw_norm = float(np.linalg.norm(amp))
     return BinnedState(
         n_bins=n_bins, kind="global", dim_sys=model.dim,
@@ -143,12 +146,10 @@ def brute_counting_distribution(model: SensorModel, theta: float, n_bins: int,
     With a decoder the cascaded joint pair is used, so this is the
     exact distribution that trajectory sampling draws from.
     """
-    from .cascade import cascade_generators, step_matrices
-
     gen = cascade_generators(model, dec)
     _check_size(n_bins, gen.dim)
     ops = step_matrices(gen, theta, TimeGrid(0.0, n_bins * dt, dt), max_step)
-    raw = ops.weight(_branches(ops))
+    raw = ops.weight(_branches(ops, ops.x0))
     total = float(raw.sum())
     return CountingDistribution(n_bins=n_bins, probs=raw / total,
                                 raw_defect=total - 1.0)

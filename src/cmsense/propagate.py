@@ -18,6 +18,11 @@ fidelities on unit-trace states.
 All propagation is by products of per-bin maps (``propagate_linear``);
 densities in row-major vec, where mu -> A mu B^dag is A (x) conj(B).
 
+One builder tabulates every counting model: ``step_matrices`` gives the
+per-bin branch maps of ``cascade_generators`` (a sensor alone, or cascaded
+into a decoder), and the record engines take the θ-derivative of the
+no-click maps from the same pass (``_theta_tables``).
+
 A jump (theta-free in every model) that does not change in time comes
 from ``operator_stacks`` as a stride-0 broadcast of one matrix, and the
 tables keep it so: one J^dag J per block, a click stack ``a1`` that is
@@ -27,18 +32,21 @@ take the same formulas bin by bin, with the same bits.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ._engine import StepOps, _stack
-from .errors import StepTooLarge, TraceDrift, format_excess
+from .errors import CmsenseError, StepTooLarge, TraceDrift, format_excess
 from .linalg import dagger, frobenius_sq
-from .models import SensorModel, operator_stacks
+from .models import SensorModel, _sigma, operator_stacks
 
 __all__ = [
     "TimeGrid",
-    "pair_table",
+    "Imperfections",
+    "CascadeGenerators",
+    "cascade_generators",
+    "step_matrices",
     "transfer",
     "propagate_linear",
     "evolve_density",
@@ -204,14 +212,177 @@ def transfer(ta, tb):
     return maps(0, 1)[0] if len(ta.a0) == 1 else maps
 
 
-def pair_table(model: SensorModel, theta: float, grid: TimeGrid, max_step: float = STEP_GUARD):
-    """The guarded Kraus pairs of ``model`` at theta over the bins of ``grid``:
-    pure StepOps from the model's initial state, one bin for a static model.
-    A jump that does not change in time leaves ``a1`` a read-only broadcast
-    of its one matrix (stride 0)."""
-    ts = _bin_times(grid, not model.time_dependent)
-    a0, a1 = _kraus_tables(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
-    return StepOps(grid.n_steps, grid.dt, a0, a1, model.initial_state, pure=True)
+@dataclass(frozen=True)
+class Imperfections:
+    """Static hardware imperfections of a two-level cascade.
+
+    gamma: photon loss rate per factor (channel sqrt(gamma)|g><e|), and
+        the dephasing rate per factor (channel sqrt(gamma) sigma_z),
+    eta: detector efficiency in (0, 1].
+    """
+
+    gamma: float = 0.0
+    eta: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.eta <= 1.0):
+            raise CmsenseError(f"eta must be in (0, 1], got {self.eta}")
+        if self.gamma < 0:
+            raise CmsenseError("imperfection rates must be nonnegative")
+
+    @property
+    def trivial(self):
+        return self.gamma == 0.0 and self.eta == 1.0
+
+
+@dataclass(eq=False)
+class CascadeGenerators:
+    """Joint counting model of a sensor and an optional decoder.
+
+    The joint (H_c, J_c) stacks are assembled per bin by ``step_matrices``
+    from the sensor's operators and the decoder's (H_D, J_D) stacks;
+    theta enters through the sensor side only.  ``extra_lindblad`` holds
+    constant undetected channels (loss, dephasing).  Exactly one of
+    ``initial_state`` (pure) / ``initial_rho`` is set.
+    """
+
+    dim: int
+    extra_lindblad: List[np.ndarray]
+    detector_eta: float
+    initial_state: Optional[np.ndarray]
+    initial_rho: Optional[np.ndarray]
+    time_dependent: bool
+    sensor: SensorModel
+    decoder: object = None
+
+
+def _two_level_channels(dim_s, dim_d, imp: Imperfections):
+    if dim_s != 2 or (dim_d not in (1, 2)):
+        raise CmsenseError(
+            "loss/dephasing channels are defined for two-level factors only"
+        )
+    sge = _sigma(1, 0, 2)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    eye_d = np.eye(dim_d, dtype=complex)
+    chans = []
+    if imp.gamma > 0:  # loss, then dephasing, on each factor
+        for op in (sge, sz):
+            chans.append(np.sqrt(imp.gamma) * np.kron(op, eye_d))
+            if dim_d == 2:
+                chans.append(np.sqrt(imp.gamma) * np.kron(np.eye(2), op))
+    return chans
+
+
+def cascade_generators(sensor: SensorModel, dec=None,
+                       imperfections: Optional[Imperfections] = None,
+                       init="auto") -> CascadeGenerators:
+    """Assemble the joint generators for sensor alone or sensor + decoder.
+
+    init: "auto" picks the decoder's purified joint vector when it
+    provides one (the vacuum-output initialization), else the product
+    of sensor and decoder initial states; an explicit array is used as
+    given (vector or density).
+    """
+    if isinstance(init, np.ndarray):
+        psi0 = init
+    elif init != "auto":
+        raise CmsenseError(f"init must be 'auto' or an array, got {init!r}")
+    elif dec is None:
+        psi0 = sensor.initial_state
+    elif dec.purified_joint is None:
+        psi0 = np.kron(sensor.initial_state, dec.initial_state_d)
+    else:
+        psi0 = dec.purified_joint
+    imp = imperfections or Imperfections()
+    dd = 1 if dec is None else dec.dim
+    extra = _two_level_channels(sensor.dim, dd, imp) if not imp.trivial else []
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim == 1:
+        vec, rho = psi0 / np.linalg.norm(psi0), None
+    else:
+        rho = psi0 / np.trace(psi0).real
+        vec = None
+    return CascadeGenerators(
+        dim=sensor.dim * dd, extra_lindblad=extra,
+        detector_eta=imp.eta, initial_state=vec, initial_rho=rho,
+        time_dependent=sensor.time_dependent or (dec is not None and dec.time_dependent),
+        sensor=sensor, decoder=dec,
+    )
+
+
+def _superops(m0, j, extra, eta, dt):
+    """No-click / click superoperators of (n, D, D) operator stacks."""
+    jj = _batched_kron(j, j.conj())
+    s0 = _batched_kron(m0, m0.conj()) + (1.0 - eta) * dt * jj
+    for l in extra:
+        s0 = s0 + dt * np.kron(l, l.conj())[None]
+    return s0, eta * dt * jj
+
+
+def _decoder_stacks(dec, grid, n, lo=0):
+    """The decoder's (H_D, J_D) stacks over the n bins of ``grid`` from bin
+    lo: its one pair broadcast, or its per-bin tables, which hold for their
+    own grid only."""
+    if not dec.time_dependent:
+        return (np.broadcast_to(dec.hd, (n,) + dec.hd.shape[1:]),
+                np.broadcast_to(dec.jd, (n,) + dec.jd.shape[1:]))
+    if grid != dec.grid:
+        raise CmsenseError("decoder tables do not match the grid")
+    return dec.hd[lo:lo + n], dec.jd[lo:lo + n]
+
+
+def _pure(gen):
+    """Whether ``gen`` runs on Kraus pairs and state vectors (no extra
+    channel, unit efficiency, a pure initial state), else on superoperators."""
+    return not (gen.extra_lindblad or gen.detector_eta < 1.0 or gen.initial_rho is not None)
+
+
+def _theta_tables(gen, thetas, grid, max_step, lo=0, hi=None, spare=None, scoring=False):
+    """The ``step_matrices`` of each θ of ``thetas``, a static model's θ
+    as the bins of one stacked ``_kraus_tables`` pass: the same per-bin
+    arithmetic, so the same bits.  Per-bin tables come one θ per call,
+    over bins lo..hi-1 of the grid (all by default): bit for bit those
+    bins of the whole grid's tables, as StepOps of hi - lo steps, written
+    over the stacks of the StepOps ``spare`` where they fit.  Returns them
+    with dA0, when ``scoring`` the θ-derivative of the no-click maps at the
+    one θ (else None): θ enters through G alone, so dA0 = -i dt (G x 1_D)
+    on Kraus pairs, one static matrix, and the product rule dA0 x conj(A0)
+    + A0 x conj(dA0) on superoperators; the click map is θ-free."""
+    dt, eta = grid.dt, gen.detector_eta
+    hi = grid.n_steps if hi is None else hi
+    ts = _bin_times(grid, not gen.time_dependent, lo, hi)
+    n = len(ts)
+    dec = (None if gen.decoder is None else
+           _decoder_stacks(gen.decoder, grid, n * len(thetas), lo))
+    m0, m1 = _kraus_tables(*operator_stacks(gen.sensor, thetas, ts), dt, max_step,
+                           np.tile(ts, len(thetas)), dec, gen.extra_lindblad,
+                           (None, None) if spare is None else (spare.a0, spare.a1))
+    g = (gen.sensor.generator if gen.decoder is None
+         else np.kron(gen.sensor.generator, np.eye(gen.decoder.dim)))
+    da0 = -1j * dt * g[None] if scoring else None
+    if _pure(gen):
+        x0, pure = gen.initial_state, True
+    else:
+        if n * gen.dim ** 4 * 16 > 2e9:
+            raise CmsenseError("time-dependent superoperator table too large")
+        rho = gen.initial_rho
+        if rho is None:
+            rho = np.outer(gen.initial_state, gen.initial_state.conj())
+        if scoring:
+            da0 = _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
+        m0, m1 = _superops(m0, m1 / np.sqrt(dt), gen.extra_lindblad, eta, dt)
+        x0, pure = rho.ravel(), False
+    return [StepOps(hi - lo, dt, m0[i * n:(i + 1) * n], m1[i * n:(i + 1) * n],
+                    x0, pure=pure) for i in range(len(thetas))], da0
+
+
+def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
+                  max_step: float = STEP_GUARD) -> StepOps:
+    """Tabulate the per-bin branch maps of the engines: (bins, D, D) Kraus
+    stacks, or superoperator stacks once loss, dephasing, finite efficiency
+    or a mixed initial state break purity, with one bin for static
+    generators, else one per grid bin (a static jump's ``a1`` stride 0)."""
+    return _theta_tables(gen, [theta], grid, max_step)[0][0]
 
 
 def _tree_product(s):
@@ -262,7 +433,7 @@ def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
     drift of the first-order pair is expected and tolerated up to
     ``trace_tol``, beyond which TraceDrift signals an unstable grid.
     """
-    tab = pair_table(model, theta, grid, max_step)
+    tab = step_matrices(cascade_generators(model), theta, grid, max_step)
     psi = model.initial_state
     out = propagate_linear(transfer(tab, tab), np.outer(psi, psi.conj()).ravel(),
                            grid.n_steps, series=True).reshape(-1, model.dim, model.dim)
@@ -282,12 +453,13 @@ def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
     rho_S(0) propagated under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.
 
     At theta1 = theta2 this is exactly the evolve_density update.
-    ``tables`` lets callers reuse the ``pair_table`` StepOps of the two
+    ``tables`` lets callers reuse the ``step_matrices`` StepOps of the two
     parameter values (an optimization for finite-difference sweeps).
     """
     if tables is None:
-        ta = pair_table(model, theta1, grid, max_step)
-        tb = ta if theta2 == theta1 else pair_table(model, theta2, grid, max_step)
+        gen = cascade_generators(model)
+        ta = step_matrices(gen, theta1, grid, max_step)
+        tb = ta if theta2 == theta1 else step_matrices(gen, theta2, grid, max_step)
     else:
         ta, tb = tables
     mu0 = np.outer(model.initial_state, model.initial_state.conj())

@@ -17,7 +17,7 @@ grids.
 
 ``qfi_pair`` computes I_E and I_G from one engine: both kinds read the
 same mu(theta1, theta2), so a generalized state that both step searches
-need is propagated once.
+need is propagated once, on the decoder-free cascade's ``step_matrices``.
 """
 
 import math
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CmsenseError, StepSelectionFailed
 from .linalg import nuclear_norm, nuclear_norm_eig
 from .models import SensorModel
-from .propagate import STEP_GUARD, TimeGrid, evolve_generalized, pair_table
+from .propagate import STEP_GUARD, TimeGrid, cascade_generators, evolve_generalized, step_matrices
 
 __all__ = [
     "QfiResult",
@@ -63,11 +63,13 @@ class QfiResult:
 
 
 class _FidelityEngine:
-    """Caches Kraus tables and generalized states mu(theta1, theta2) by
-    their parameter pair, so that both fidelity kinds share them."""
+    """Caches Kraus tables (``step_matrices``) and generalized states
+    mu(theta1, theta2) by their parameter pair, so that both fidelity kinds
+    share them."""
 
     def __init__(self, model, T, dt, max_step=STEP_GUARD):
         self.model = model
+        self.gen = cascade_generators(model)
         self.grid = TimeGrid(0.0, T, dt)
         self.max_step = max_step
         self._tables = {}
@@ -75,7 +77,7 @@ class _FidelityEngine:
 
     def _table(self, theta):
         if theta not in self._tables:
-            self._tables[theta] = pair_table(self.model, theta, self.grid, self.max_step)
+            self._tables[theta] = step_matrices(self.gen, theta, self.grid, self.max_step)
         return self._tables[theta]
 
     @property

@@ -15,7 +15,8 @@ from cmsense.decoder import build_decoder, stationary_decoder, two_level_decoder
 from cmsense.errors import ClickProbabilityOverflow, CmsenseError, RecordLengthMismatch
 from cmsense.models import SensorModel, operator_stacks, three_level_model
 from cmsense.oracle import brute_counting_distribution, counting_fisher_exact
-from cmsense.propagate import _batched_kron, _joint, _kraus_tables
+from cmsense.propagate import (_batched_kron, _bin_times, _decoder_stacks, _joint,
+                               _kraus_tables, _theta_tables)
 from conftest import modulated_jump_sensor
 
 
@@ -33,7 +34,7 @@ def clicky_pair(emitter):
 def _joint_stacks(gen, theta, grid, ts):
     """Per-bin joint (H_c, J_c) stacks of ``gen`` at the times ``ts`` of ``grid``."""
     hs, js = operator_stacks(gen.sensor, theta, ts)
-    dec = None if gen.decoder is None else cascade._decoder_stacks(gen.decoder, grid, len(ts))
+    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts))
     return _joint(hs, js, dec, np.empty((len(ts), gen.dim, gen.dim), dtype=complex))
 
 
@@ -68,7 +69,7 @@ def test_direct_sensor_without_decoder(emitter):
     assert np.abs(_generators_at_zero(gen, 0.0)[1][1, 0] - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("init", ["purified", "", ["product"]])
+@pytest.mark.parametrize("init", ["purified", "", ["product"], "product"])
 @pytest.mark.parametrize("with_decoder", [False, True])
 def test_cascade_rejects_unknown_init(emitter, init, with_decoder):
     dec = stationary_decoder(emitter, 0.0) if with_decoder else None
@@ -664,10 +665,16 @@ def _run_whole(ops, tangent, kind, records):
                                 len(records), 0, records)[1]
 
 
+def _scored_tables(gen, theta, grid, max_step=0.05):
+    """The step tables of ``gen`` at theta over the whole grid and their
+    no-click derivative, from one builder pass."""
+    (ops,), tangent = _theta_tables(gen, [theta], grid, max_step, scoring=True)
+    return ops, tangent
+
+
 def _scores(gen, theta, grid, records):
     """Scores of the given records from one table and its derivative."""
-    ops = step_matrices(gen, theta, grid)
-    tangent = cascade._tangent(gen, theta, grid, ops, 0.05)
+    ops, tangent = _scored_tables(gen, theta, grid)
     return ops, tangent, _run_whole([ops], tangent, "segment", records)[0]
 
 
@@ -740,7 +747,7 @@ def _central_difference_tangent(gen, theta, grid, ops, step=1e-3, max_step=0.05)
         dhs = dhs[:1]
     n, dh, dec = len(dhs), dhs, None
     if gen.decoder is not None:
-        dec = cascade._decoder_stacks(gen.decoder, grid, len(ts))
+        dec = _decoder_stacks(gen.decoder, grid, len(ts))
         dh = _joint(dhs, np.zeros_like(dhs), (np.zeros_like(dec[0][:n]), dec[1][:n]),
                     np.empty((n, gen.dim, gen.dim), dtype=complex))[0]
     da0 = -1j * grid.dt * dh
@@ -759,12 +766,46 @@ def test_exact_tangent_matches_the_central_difference(name):
     make, theta, grid = _scored_cascades()[name]
     gen = make()
     for th in (theta, 0.0):
-        ops = step_matrices(gen, th, grid)
-        exact, ref = cascade._tangent(gen, th, grid, ops, 0.05), \
-            _central_difference_tangent(gen, th, grid, ops)
+        ops, exact = _scored_tables(gen, th, grid)
+        ref = _central_difference_tangent(gen, th, grid, ops)
         assert exact.shape == ref.shape
         assert np.abs(exact - ref).max() <= 1e-10 * np.abs(ref).max()
     assert exact.tobytes() == ref.tobytes()
+
+
+def _frozen_tangent(gen, theta, grid, ops, max_step, lo=0):
+    """Reference code: the separate derivative builder that the one-pass
+    tangent replaced, as it was.  dA0 = -i dt (G x 1_D) on Kraus pairs;
+    superoperators take the product rule on the Kraus stacks of bins
+    lo..lo+ops.n_steps-1, built a second time."""
+    g = gen.sensor.generator
+    if gen.decoder is not None:
+        g = np.kron(g, np.eye(gen.decoder.dim))
+    da0 = -1j * grid.dt * g[None]
+    if ops.pure:
+        return da0
+    ts = _bin_times(grid, not gen.time_dependent, lo, lo + ops.n_steps)
+    dec = None if gen.decoder is None else _decoder_stacks(gen.decoder, grid, len(ts), lo)
+    m0 = _kraus_tables(*operator_stacks(gen.sensor, theta, ts), grid.dt, max_step, ts, dec,
+                       gen.extra_lindblad)[0]
+    da0 = np.broadcast_to(da0, m0.shape)
+    return _batched_kron(da0, m0.conj()) + _batched_kron(m0, da0.conj())
+
+
+@pytest.mark.parametrize("name", list(_scored_cascades()))
+def test_one_pass_tangent_is_bitwise_the_frozen_tangent(name, monkeypatch):
+    # the derivative that comes with the tables, over the whole grid and in
+    # 64-bin windows (from lo > 0 on per-bin tables), against the separate
+    # builder it replaced: the same bits, the same shape
+    make, theta, grid = _scored_cascades()[name]
+    gen = make()
+    _window_bins(monkeypatch, gen, 64, scoring=True)
+    tables, windows = cascade._tables(gen, [theta], grid, 0.05, True)
+    assert (len(windows) > 1) is gen.time_dependent
+    for lo, hi in [(0, grid.n_steps)] + windows:
+        (ops,), tangent = tables(lo, hi, None)
+        ref = _frozen_tangent(gen, theta, grid, ops, 0.05, lo)
+        assert tangent.shape == ref.shape and tangent.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("density", [False, True], ids=["kraus", "superoperator"])
@@ -785,9 +826,8 @@ def test_scores_match_exhaustive_distribution(emitter, decoded, density):
         dist = brute_counting_distribution(emitter, th, n_bins, dt, dec=dec)
         raw[th] = dist.probs * (1.0 + dist.raw_defect)
     records = _all_records(n_bins)
-    ops = step_matrices(gen, theta, grid, max_step=1.0)
+    ops, tangent = _scored_tables(gen, theta, grid, max_step=1.0)
     assert ops.pure is not density
-    tangent = cascade._tangent(gen, theta, grid, ops, 1.0)
     scores = _run_whole([ops], tangent, "segment", records)[0]
     live = raw[theta] > 0.0
     ref = (np.log(raw[theta + h][live]) - np.log(raw[theta - h][live])) / (2.0 * h)
@@ -947,8 +987,7 @@ def test_distinct_replay_scatters_the_replay_of_every_record(case, kind):
     for o in ops if per_bin else ():  # no click at bin 7: [7] has probability zero
         o.a1 = np.array(o.a1)
         o.a1[7] = 0.0
-    tangent = (cascade._tangent(gen, thetas[0], grid, ops[0], 0.05) if kind == "score"
-               else None)
+    tangent = _scored_tables(gen, thetas[0], grid)[1] if kind == "score" else None
     core = "step" if kind == "step" else "segment"
     got = _run_whole(ops, tangent, core, records)
     seg = _engine._Segments(ops, tangent)
@@ -969,8 +1008,8 @@ def test_stacked_theta_tables_match_per_theta_tables(case):
         two_level_model(omega=1.0, delta=0.0, gamma=1.0))}
     gen = cascades[{"pure": "two_level_decoder", "density": "imperfections"}.get(case, case)]()
     thetas = 0.3 + np.linspace(-0.2, 0.2, 41)
-    stacked = cascade._theta_tables(gen, list(thetas), _GRID, 0.05)
-    assert len(stacked) == 41
+    stacked, tangent = _theta_tables(gen, list(thetas), _GRID, 0.05)
+    assert len(stacked) == 41 and tangent is None
     for th, ops in zip(thetas, stacked):
         one = step_matrices(gen, th, _GRID)
         assert ops.pure is one.pure and ops.a0.shape == one.a0.shape == (1,) + one.a0.shape[1:]

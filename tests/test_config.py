@@ -7,7 +7,7 @@ from cmsense.config import (ExperimentConfig, PRESET_NAMES, build_sensor, grid_e
                             load_config, preset_config, preset_summaries,
                             validate)
 from cmsense.errors import ConfigInvalid, StepTooLarge
-from cmsense.propagate import TimeGrid, pair_table
+from cmsense.propagate import TimeGrid, cascade_generators, step_matrices
 
 
 def test_default_round_trip():
@@ -112,7 +112,8 @@ def test_step_lint_agrees_with_the_run_guard_at_the_pi_pulse(dt):
     assert all(d.startswith("error: grid.dt: ") for d in linted)
     (t, end), = grid_ends(cfg)
     try:
-        pair_table(build_sensor(cfg, t_plateau=t), 0.0, TimeGrid(0.0, end, dt))
+        step_matrices(cascade_generators(build_sensor(cfg, t_plateau=t)), 0.0,
+                      TimeGrid(0.0, end, dt))
         guarded = False
     except StepTooLarge:
         guarded = True
@@ -121,12 +122,11 @@ def test_step_lint_agrees_with_the_run_guard_at_the_pi_pulse(dt):
 
 def test_validate_builds_no_kraus_table(monkeypatch):
     # the step lint guards the sensor's operator stacks, not its Kraus tables
-    from cmsense import cascade, propagate
+    from cmsense import propagate
 
     def forbidden(*args, **kwargs):
         raise AssertionError("validate built a Kraus table")
-    for module in (cascade, propagate):
-        monkeypatch.setattr(module, "_kraus_tables", forbidden)
+    monkeypatch.setattr(propagate, "_kraus_tables", forbidden)
     for name in PRESET_NAMES:
         validate(preset_config(name))
 

@@ -6,13 +6,14 @@ scalable production routes and are deliberately independent of them.
 import numpy as np
 import pytest
 
-from cmsense import TimeGrid, two_level_model
+from cmsense import TimeGrid, three_level_model, two_level_model
 from cmsense.decoder import two_level_decoder
 from cmsense.errors import TooManyBins
+from cmsense.models import operator_stacks
 from cmsense.oracle import (brute_counting_distribution, brute_env_state,
                             brute_global_state, counting_fisher_exact,
                             uhlmann_fidelity)
-from cmsense.propagate import evolve_density
+from cmsense.propagate import _kraus_tables, cascade_generators, evolve_density
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +122,22 @@ def test_exact_fisher_positive_off_symmetry():
     m = two_level_model(omega=2.0, delta=1.5, gamma=1.0)
     fi = counting_fisher_exact(m, 1.5, 12, 0.15, theta_step=1e-3)
     assert fi == pytest.approx(0.0787054, rel=1e-4)
+
+
+def test_three_level_global_state_is_bitwise_the_sensor_table_route():
+    # the decoder-free cascade keeps a unit-norm copy of the start vector,
+    # which differs from the three-level initial state in its last bits;
+    # the oracle's branches start from the model's own state, bit for bit
+    # the route of the sensor-only tables it used before (written out here)
+    m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+    assert cascade_generators(m).initial_state.tobytes() != m.initial_state.tobytes()
+    n_bins, dt, theta = 8, 0.1, 0.3
+    ts = TimeGrid(0.0, n_bins * dt, dt).left_times
+    a0, a1 = _kraus_tables(*operator_stacks(m, theta, ts), dt, 1.0, ts)
+    branch = m.initial_state[None, :].astype(complex)
+    for k in range(n_bins):
+        branch = np.concatenate([branch @ a0[k].T, branch @ a1[k].T], axis=0)
+    raw_norm = float(np.linalg.norm(branch))
+    g = brute_global_state(m, theta, n_bins, dt)
+    assert g.raw_norm == raw_norm
+    assert g.state.tobytes() == (branch / raw_norm).ravel().tobytes()

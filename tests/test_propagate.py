@@ -5,9 +5,24 @@ from cmsense import TimeGrid, two_level_model, three_level_model
 from cmsense._engine import StepOps
 from cmsense.errors import StepTooLarge, TraceDrift
 from cmsense.models import SensorModel, operator_stacks
-from cmsense.propagate import (STEP_GUARD, _kraus_tables, evolve_density, evolve_generalized,
-                               pair_table, propagate_linear, transfer)
+from cmsense.propagate import (STEP_GUARD, _bin_times, _kraus_tables, cascade_generators,
+                               evolve_density, evolve_generalized, propagate_linear,
+                               step_matrices, transfer)
 from conftest import modulated_jump_sensor
+
+
+def _sensor_table(m, theta, grid, max_step=STEP_GUARD):
+    """The sensor's own Kraus pairs: the step tables of its decoder-free cascade."""
+    return step_matrices(cascade_generators(m), theta, grid, max_step)
+
+
+def _frozen_pair_table(model, theta, grid, max_step=STEP_GUARD):
+    """Reference code, kept as it was: the sensor-only table builder that
+    step_matrices replaced (the sensor's stacks through one _kraus_tables
+    pass, starting from the model's initial state as given)."""
+    ts = _bin_times(grid, not model.time_dependent)
+    a0, a1 = _kraus_tables(*operator_stacks(model, theta, ts), grid.dt, max_step, ts)
+    return StepOps(grid.n_steps, grid.dt, a0, a1, model.initial_state, pure=True)
 
 
 def _kraus_reference(m, t, theta, dt):
@@ -17,7 +32,7 @@ def _kraus_reference(m, t, theta, dt):
 
 
 def _first_pair(m, theta, dt, max_step=0.05):
-    tab = pair_table(m, theta, TimeGrid(0.0, dt, dt), max_step)
+    tab = _sensor_table(m, theta, TimeGrid(0.0, dt, dt), max_step)
     return tab.a0[0], tab.a1[0]
 
 
@@ -61,8 +76,7 @@ def test_step_guard_triggers():
 
 def test_step_guard_names_first_offending_bin():
     # the pi pulse (centre t=5) pushes dt*|H| over the guard at dt=5e-3;
-    # both table builders must name the first bin whose exact load exceeds it
-    from cmsense.cascade import cascade_generators, step_matrices
+    # the table builder must name the first bin whose exact load exceeds it
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=4.0)
     grid = TimeGrid(0.0, 10.0, 5e-3)
     j = m.jump(0.0, 0.0)
@@ -72,18 +86,16 @@ def test_step_guard_names_first_offending_bin():
     first = int(np.argmax(np.array(loads) > 0.05))
     t_first = grid.left_times[first]
     assert abs(t_first - 5.0) < 0.1
-    for build in (lambda: pair_table(m, 0.0, grid),
-                  lambda: step_matrices(cascade_generators(m), 0.0, grid)):
-        with pytest.raises(StepTooLarge, match=f"{loads[first]:.3g} exceeds 0.05 "
-                                               f"at t={t_first:.4g};"):
-            build()
+    with pytest.raises(StepTooLarge, match=f"{loads[first]:.3g} exceeds 0.05 "
+                                           f"at t={t_first:.4g};"):
+        _sensor_table(m, 0.0, grid)
 
 
 def _check_batch_matches_loop(m, ref=None):
     """The pair table of ``m`` against the first-order pair of the scalar
     operators of ``ref`` (``m`` itself by default) at a few bins."""
     grid = TimeGrid(0.0, 5.0, 1e-3)
-    tab = pair_table(m, 0.2, grid)
+    tab = _sensor_table(m, 0.2, grid)
     for k in (0, 1234, 4999):
         a0_ref, a1_ref = _kraus_reference(ref or m, grid.left_times[k], 0.2, grid.dt)
         assert np.abs(tab.a0[k] - a0_ref).max() < 1e-14
@@ -110,14 +122,14 @@ def test_stacks_with_a_time_varying_jump_give_per_bin_jump_tables():
         return h0, np.sqrt(1.0 + 0.5 * np.sin(3.0 * ts))[:, None, None] * sge
     m = SensorModel(dim=2, stacks=stacks, generator=loop.generator,
                     initial_state=loop.initial_state)
-    assert pair_table(m, 0.2, TimeGrid(0.0, 1.0, 1e-3)).a1.strides[0] != 0
+    assert _sensor_table(m, 0.2, TimeGrid(0.0, 1.0, 1e-3)).a1.strides[0] != 0
     _check_batch_matches_loop(m, loop)
 
 
 def test_static_pair_table_shares_one_pair():
     m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    tab = pair_table(m, 0.0, grid)
+    tab = _sensor_table(m, 0.0, grid)
     assert tab.a0.shape == (1, 2, 2) and tab.n_steps == grid.n_steps
     a0 = tab.per_bin(tab.a0)
     assert np.shares_memory(a0[0], a0[999])
@@ -127,10 +139,10 @@ def test_static_jump_stays_one_matrix():
     # the pulsed emitter's jump is one matrix for every bin: its click stack
     # is a read-only broadcast of it; a jump that varies in time is per bin
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    tab = pair_table(three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), 0.3, grid)
+    tab = _sensor_table(three_level_model(0.0, 5.0, 1.0, T_plateau=0.5), 0.3, grid)
     assert tab.a1.shape == (grid.n_steps, 3, 3) and tab.a0.shape == tab.a1.shape
     assert tab.a1.strides[0] == 0 and not tab.a1.flags.writeable
-    per_bin = pair_table(modulated_jump_sensor(), 0.3, grid).a1
+    per_bin = _sensor_table(modulated_jump_sensor(), 0.3, grid).a1
     assert per_bin.strides[0] != 0 and not np.array_equal(per_bin[0], per_bin[500])
 
 
@@ -144,7 +156,7 @@ def test_static_jump_pair_table_is_bitwise_the_per_bin_formulas():
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
     grid = TimeGrid(0.0, 1.0, 1e-3)
     ts = grid.left_times
-    tab = pair_table(m, 0.3, grid)
+    tab = _sensor_table(m, 0.3, grid)
     a0, a1 = _kraus_tables(*_per_bin_copies(*operator_stacks(m, 0.3, ts)), grid.dt,
                            STEP_GUARD, ts)
     assert a1.strides[0] != 0
@@ -154,7 +166,6 @@ def test_static_jump_pair_table_is_bitwise_the_per_bin_formulas():
 
 @pytest.mark.parametrize("cascade", ["direct", "build_decoder"])
 def test_static_jump_step_matrices_are_bitwise_the_per_bin_formulas(cascade):
-    from cmsense.cascade import cascade_generators, step_matrices
     from cmsense.decoder import build_decoder
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
     grid = TimeGrid(0.0, 1.0, 1e-3)
@@ -175,7 +186,7 @@ def test_static_click_kron_is_bitwise_the_per_bin_transfer(static):
     # the per-bin sum, also when only one side's click stack is static
     m = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    ta, tb = pair_table(m, 0.3, grid), pair_table(m, 0.35, grid)
+    ta, tb = _sensor_table(m, 0.3, grid), _sensor_table(m, 0.35, grid)
     copy = lambda t: StepOps(t.n_steps, t.dt, t.a0, np.ascontiguousarray(t.a1), t.x0, pure=True)
     fast = transfer(*(t if s else copy(t) for t, s in zip((ta, tb), static)))
     slow = transfer(copy(ta), copy(tb))
@@ -188,15 +199,18 @@ def test_static_click_kron_is_bitwise_the_per_bin_transfer(static):
                                    modulated_jump_sensor()],
                          ids=["static_two_level", "pulsed_three_level", "modulated_jump"])
 def test_pair_table_is_the_sensor_only_step_table(model):
-    # one table form: the sensor's Kraus pairs are the decoder-free cascade's
-    from cmsense.cascade import cascade_generators, step_matrices
+    # one table builder: the decoder-free cascade's step tables are, bit for
+    # bit, the sensor-only tables of the builder they replaced, stride-0
+    # click stack included; only the start vector is renormalized
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    tab = pair_table(model, 0.3, grid)
-    ops = step_matrices(cascade_generators(model), 0.3, grid)
-    assert tab.pure and ops.pure and tab.n_steps == ops.n_steps == grid.n_steps
-    assert np.array_equal(tab.a0, ops.a0) and np.array_equal(tab.a1, ops.a1)
-    assert len(tab.a0) == (grid.n_steps if model.time_dependent else 1)
-    assert np.allclose(tab.x0, ops.x0, rtol=0.0, atol=1e-15)
+    for theta in (0.0, 0.3, 1.0):
+        ref = _frozen_pair_table(model, theta, grid)
+        ops = _sensor_table(model, theta, grid)
+        assert ops.pure and ops.n_steps == ref.n_steps == grid.n_steps
+        assert len(ops.a0) == (grid.n_steps if model.time_dependent else 1)
+        assert ops.a0.tobytes() == ref.a0.tobytes()
+        assert ops.a1.strides == ref.a1.strides and ops.a1.tobytes() == ref.a1.tobytes()
+        assert np.allclose(ops.x0, ref.x0, rtol=0.0, atol=1e-15)
 
 
 def test_evolve_density_trace_drift_linear_in_dt():
@@ -256,7 +270,7 @@ _PRIMITIVE_CASES = {
 def test_propagate_linear_matches_per_bin_loop(case, n_steps):
     m, form = _PRIMITIVE_CASES[case]
     grid = TimeGrid(0.0, 1.0, 1e-3)  # 1000 bins: several blocks, odd and even tree levels
-    ta, tb = pair_table(m, 0.3, grid), pair_table(m, 0.35, grid)
+    ta, tb = _sensor_table(m, 0.3, grid), _sensor_table(m, 0.35, grid)
     maps = transfer(ta, tb)
     if form == "table":
         maps = maps(0, grid.n_steps)

@@ -181,3 +181,36 @@ def test_every_public_keyword_has_a_caller():
     extra, stale = sorted(unset - set(UNSET_ALLOWED)), sorted(set(UNSET_ALLOWED) - unset)
     assert not extra, f"{len(extra)} defaulted keywords that no call sets: {extra}"
     assert not stale, f"allowed as unset, but now set or gone: {stale}"
+
+
+def _callers(name):
+    """``module.function`` of each function in src/cmsense that calls
+    ``name``: the innermost function around the call (``<module>`` for a
+    call at the top level)."""
+    callers = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                callers.add(f"{self.module}.{self.scope[-1]}")
+            self.generic_visit(node)
+
+    for path in sorted((ROOT / "src" / "cmsense").glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    return callers
+
+
+def test_one_function_builds_kraus_tables():
+    # every counting model is tabulated by one builder: the sensor alone,
+    # the cascade and the θ-derivative of their maps come from one pass
+    callers = _callers("_kraus_tables")
+    assert len(callers) == 1, f"_kraus_tables has {len(callers)} callers: {sorted(callers)}"
