@@ -35,8 +35,10 @@ from .cascade import (
     mismatch_sweep,
 )
 from .config import (
+    _PRESETS,
     ExperimentConfig,
     PRESET_NAMES,
+    _matched_two_level,
     build_sensor,
     load_config,
     preset_config,
@@ -44,7 +46,7 @@ from .config import (
     preset_summaries,
     validate,
 )
-from .decoder import build_decoder, two_level_decoder
+from .decoder import build_decoder
 from .errors import CmsenseError, ConfigInvalid
 from .estimate import interrogation_study, study_table
 from .propagate import TimeGrid
@@ -88,11 +90,6 @@ class ResultBundle:
                       sort_keys=True)
             fh.write("\n")
         return paths + [side]
-
-
-def _matched_two_level(cfg, theta):
-    m = cfg.model
-    return two_level_decoder(m["omega"], -theta, m["gamma"])
 
 
 def _report_fisher(report, label, fi):
@@ -210,15 +207,13 @@ def _imperfections_pipeline(cfg, report):
     return header, rows
 
 
-# preset -> (table name, pipeline); a pipeline returns (header, rows) and
-# adds what explains the numbers to the provenance report it is given
+# a preset's pipeline (``config._PRESETS``) returns (header, rows) of its
+# table and adds what explains the numbers to the provenance report it is given
 _PIPELINES = {
-    "fig2_qfi_scan": ("qfi_scan", _scan_pipeline),
-    "custom": ("qfi_scan", _scan_pipeline),
-    "fig3_heisenberg": ("heisenberg", _scan_pipeline),
-    "fig2_mle": ("mle", _mle_pipeline),
-    "fig2_mismatch": ("mismatch", _mismatch_pipeline),
-    "fig4_imperfections": ("imperfections", _imperfections_pipeline),
+    "scan": _scan_pipeline,
+    "mle": _mle_pipeline,
+    "mismatch": _mismatch_pipeline,
+    "imperfections": _imperfections_pipeline,
 }
 
 
@@ -235,11 +230,9 @@ def run(cfg: ExperimentConfig) -> ResultBundle:
     if errors:
         raise ConfigInvalid("; ".join(errors))
     bundle = ResultBundle(config=cfg.to_dict())
-    if cfg.preset not in _PIPELINES:
-        raise ConfigInvalid(f"preset: no pipeline for {cfg.preset!r}")
-    name, pipeline = _PIPELINES[cfg.preset]
+    preset = _PRESETS[cfg.preset]
     report = {}
-    bundle.add_table(name, *pipeline(cfg, report))
+    bundle.add_table(preset.table, *_PIPELINES[preset.pipeline](cfg, report))
     bundle.provenance = {
         "version": __version__,
         "numpy": np.__version__,
@@ -293,40 +286,26 @@ def main(argv=None) -> int:
     pp.add_argument("--show", metavar="NAME", help="print the named preset config")
 
     args = p.parse_args(argv)
-
-    if args.command == "presets":
-        if args.show:
-            try:
-                cfg = preset_config(args.show)
-            except CmsenseError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-        else:
-            for name in PRESET_NAMES:
-                print(f"{name:20s} {preset_summaries()[name]}")
-        return 0
-
-    if args.command == "validate":
-        try:
-            cfg = _load_for(args)
-        except CmsenseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        diags = validate(cfg)
-        for d in diags:
-            print(d)
-        if not diags:
-            print("ok: config is runnable")
-        return 2 if any(d.startswith("error") for d in diags) else 0
-
     try:
+        if args.command == "presets":
+            if args.show:
+                print(json.dumps(preset_config(args.show).to_dict(), indent=2, sort_keys=True))
+            else:
+                for name in PRESET_NAMES:
+                    print(f"{name:20s} {preset_summaries()[name]}")
+            return 0
         cfg = _load_for(args)
-        bundle = run(cfg)
+        if args.command == "validate":
+            diags = validate(cfg)
+            for d in diags:
+                print(d)
+            if not diags:
+                print("ok: config is runnable")
+            return 2 if any(d.startswith("error") for d in diags) else 0
+        paths = run(cfg).write(cfg.out)
     except CmsenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    paths = bundle.write(cfg.out)
     for path in paths:
         print(f"wrote {path}")
     return 0

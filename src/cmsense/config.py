@@ -2,8 +2,10 @@
 
 A config is one JSON document; all rates and times are in natural
 units with the emission rate of the main transition set to 1.  The
-presets reproduce the library's headline studies at desk scale; every
-key they set can be overridden in a custom config.  The schema holds
+presets reproduce the library's headline studies at desk scale; each is
+one entry of ``_PRESETS`` (its summary, pipeline, CSV table name and the
+keys it sets), and every key it sets can be overridden in a custom
+config.  The schema holds
 only keys that change a run.  ``validate`` checks the type and range of
 every key from one table, ``_CHECKS``, then what involves several keys.
 """
@@ -16,10 +18,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from .decoder import two_level_decoder
 from .errors import ConfigInvalid, StepTooLarge
-from .linalg import dagger
+from .estimate import _GRID_WIDTH_CAP
 from .models import operator_stacks, three_level_model, two_level_model
-from .propagate import STEP_GUARD, TimeGrid, _bin_times, _guard, _static
+from .propagate import (STEP_GUARD, Imperfections, TimeGrid, _bin_times, _decay,
+                        _decoder_stacks, _guard, _joint, _static, _two_level_channels)
 
 __all__ = [
     "ExperimentConfig",
@@ -31,15 +35,6 @@ __all__ = [
     "build_sensor",
     "grid_ends",
 ]
-
-PRESET_NAMES = (
-    "fig2_qfi_scan",
-    "fig2_mle",
-    "fig2_mismatch",
-    "fig3_heisenberg",
-    "fig4_imperfections",
-    "custom",
-)
 
 _DEFAULTS = {
     "preset": "custom",
@@ -58,6 +53,43 @@ _DEFAULTS = {
     "threads": 1,
     "out": "results",
 }
+
+
+@dataclass(frozen=True)
+class _Preset:
+    summary: str
+    pipeline: str  # "scan", "mle", "mismatch" or "imperfections"
+    table: str  # the name of the CSV table it writes
+    keys: dict = dc_field(default_factory=dict)  # what it sets over _DEFAULTS
+
+
+# every preset, in the order `cmsense presets` lists them
+_PRESETS = {
+    "fig2_qfi_scan": _Preset(
+        "two-level emission QFI and retrieved FI versus interrogation time",
+        "scan", "qfi_scan", {"grid": {"t_list": [10.0, 20.0, 40.0, 80.0]}}),
+    "fig2_mle": _Preset(
+        "repeated-interrogation MLE variance versus Fisher information",
+        "mle", "mle", {"grid": {"t_list": [150.0, 400.0, 850.0]},
+                       "estimation": {"n_traj": 1000}}),
+    "fig2_mismatch": _Preset(
+        "retrieved FI versus decoder detuning mismatch",
+        "mismatch", "mismatch", {"estimation": {"n_traj": 3000},
+                                 "mismatch": {"values": [float(x) for x in range(-10, 11, 2)]}}),
+    "fig3_heisenberg": _Preset(
+        "pulsed three-level QFI scaling with plateau length",
+        "scan", "heisenberg", {"model": {"kind": "three_level", "omega": 5.0},
+                               "grid": {"dt": 1e-3, "t_list": [50.0, 120.0, 170.0]},
+                               "estimation": {"n_traj": 1000}}),
+    # detuned operating point: omega = delta = gamma
+    "fig4_imperfections": _Preset(
+        "retrieved FI over the loss/efficiency grid",
+        "imperfections", "imperfections",
+        {"model": {"delta": 1.0, "theta": 1.0},
+         "imperfections": {"eta_list": [0.3, 0.65, 1.0], "gamma_list": [0.0, 0.1, 0.2]}}),
+    "custom": _Preset("user-specified settings, QFI-only when n_traj = 0", "scan", "qfi_scan"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(eq=False)
@@ -122,34 +154,68 @@ def build_sensor(cfg: ExperimentConfig, t_plateau: Optional[float] = None):
     raise ConfigInvalid(f"model.kind: unknown kind {m['kind']!r}")
 
 
-# presets that run a scan: one grid per interrogation time of t_list
-_SCANS = ("fig2_qfi_scan", "fig3_heisenberg", "custom")
-# presets that cascade the sensor into a two-level decoder
-_TWO_LEVEL_DECODED = ("fig2_mle", "fig2_mismatch", "fig4_imperfections")
+def _matched_two_level(cfg: ExperimentConfig, theta):
+    """The two-level decoder matched to the sensor of ``cfg`` at ``theta``."""
+    m = cfg.model
+    return two_level_decoder(m["omega"], -theta, m["gamma"])
 
 
 def grid_ends(cfg: ExperimentConfig):
     """(T, end) of each grid [0, end] a run of ``cfg`` builds, in order.
     A scan runs every T of t_list, the three-level pulse sequence followed
-    by 6/gamma of free decay; fig2_mle runs every T, and fig2_mismatch and
-    fig4_imperfections the first T alone, each on [0, T]."""
+    by 6/gamma of free decay; an MLE study runs every T, and the mismatch
+    and imperfection sweeps the first T alone, each on [0, T]."""
     ts = [float(t) for t in cfg.grid["t_list"]]
-    if cfg.preset in _SCANS:
+    pipeline = _PRESETS[cfg.preset].pipeline
+    if pipeline == "scan":
         tail = 6.0 / cfg.model["gamma"] if cfg.model["kind"] == "three_level" else 0.0
         return [(t, t + tail) for t in ts]
-    return [(t, t) for t in (ts if cfg.preset == "fig2_mle" else ts[:1])]
+    return [(t, t) for t in (ts if pipeline == "mle" else ts[:1])]
+
+
+def _two_level_cascades(cfg, theta):
+    """(decoder, θ values, undetected channels) of each cascade of the
+    two-level sensor into a two-level decoder that a run of ``cfg``
+    builds: the decoder of each mismatch value at θ, else the matched
+    decoder of a decoded study or of a scan that takes records.  An MLE
+    study also replays its likelihood grid, of half-width at most the
+    cap: the load is convex in θ, so θ ± the cap bound every grid point.
+    An imperfection sweep adds the channels of its largest loss rate,
+    the largest load."""
+    pipeline = _PRESETS[cfg.preset].pipeline
+    if cfg.model["kind"] != "two_level" or (pipeline == "scan"
+                                            and cfg.estimation["n_traj"] == 0):
+        return []
+    m = cfg.model
+    if pipeline == "mismatch":  # as ``mismatch_sweep`` offsets the matched decoder
+        return [(two_level_decoder(m["omega"], dm - theta, m["gamma"]), [theta], [])
+                for dm in cfg.mismatch["values"] or ()]
+    thetas, extra = [theta], []
+    if pipeline == "mle":
+        thetas += [theta - _GRID_WIDTH_CAP, theta + _GRID_WIDTH_CAP]
+    if pipeline == "imperfections":
+        gamma = float(max(cfg.imperfections["gamma_list"]))
+        extra = _two_level_channels(2, 2, Imperfections(gamma=gamma))
+    return [(_matched_two_level(cfg, theta), thetas, extra)]
 
 
 def _step_error(cfg, t, grid):
-    """The Kraus table guard (``propagate._guard``) on the stacks of the
-    sensor the run builds for T = t, over every bin of its ``grid`` (the
-    cascade with a decoder is not linted): the diagnostic, or None."""
-    sensor = build_sensor(cfg, t_plateau=t if cfg.preset in _SCANS else None)
+    """The Kraus table guard (``propagate._guard``) on the operator stacks
+    of the sensor the run builds for T = t and of its cascade into each
+    two-level decoder the run builds, over every bin of its ``grid`` (a
+    synthesized three-level decoder is not linted): the diagnostic, or None."""
+    theta = float(cfg.model["theta"])
+    sensor = build_sensor(cfg, t_plateau=t if _PRESETS[cfg.preset].pipeline == "scan" else None)
     ts = _bin_times(grid, not sensor.time_dependent)
-    h, j = operator_stacks(sensor, float(cfg.model["theta"]), ts)
-    j = j[:1] if _static(j) else j
     try:
-        _guard(h, dagger(j) @ j, grid.dt, STEP_GUARD, ts)
+        for dec, thetas, extra in [(None, [theta], [])] + _two_level_cascades(cfg, theta):
+            h, j = operator_stacks(sensor, thetas, ts)
+            if dec is not None:
+                n, dim = len(h), h.shape[-1] * dec.dim
+                h, j = _joint(h, j, _decoder_stacks(dec, grid, n),
+                              np.empty((n, dim, dim), dtype=complex))
+            _guard(h, _decay(j[:1] if _static(j) else j, extra), grid.dt, STEP_GUARD,
+                   np.tile(ts, len(thetas)))
     except StepTooLarge as exc:
         return f"error: grid.dt: step guard: {exc}"
     return None
@@ -212,7 +278,8 @@ def validate(cfg: ExperimentConfig) -> List[str]:
     if diags:
         return diags
     dt, est = cfg.grid["dt"], cfg.estimation
-    if cfg.preset in _TWO_LEVEL_DECODED and cfg.model["kind"] != "two_level":
+    pipeline = _PRESETS[cfg.preset].pipeline
+    if pipeline != "scan" and cfg.model["kind"] != "two_level":
         diags.append(f"error: model.kind: {cfg.preset} decodes with a two-level decoder "
                      f"and needs the two_level model, got {cfg.model['kind']!r}")
     step = None
@@ -228,64 +295,28 @@ def validate(cfg: ExperimentConfig) -> List[str]:
             step = _step_error(cfg, t, grid)
     if step:
         diags.append(step)
-    if est["n_traj"] == 0 and cfg.preset in ("fig2_mismatch", "fig4_imperfections"):
-        # these presets only estimate Fisher information from records
+    if est["n_traj"] == 0 and pipeline in ("mismatch", "imperfections"):
+        # these sweeps only estimate Fisher information from records
         diags.append(f"error: estimation.n_traj: 0, but {cfg.preset} needs records")
     if est["n_traj"] == 1:
         # every preset that takes records runs a Fisher estimate with n_traj of them
         diags.append("error: estimation.n_traj: 1, but a Fisher estimate's error "
                      "needs at least 2 records")
-    if cfg.preset == "fig2_mle" and est["n_records"] < 2:
+    if pipeline == "mle" and est["n_records"] < 2:
         diags.append("error: estimation.n_records: the variance needs at least 2 records")
-    elif cfg.preset == "fig2_mle" and est["n_records"] < 1000:
+    elif pipeline == "mle" and est["n_records"] < 1000:
         diags.append("warn: estimation.n_records: below 1000, variance estimate unstable")
-    if cfg.preset == "fig2_mismatch" and cfg.mismatch["values"] is None:
+    if pipeline == "mismatch" and cfg.mismatch["values"] is None:
         diags.append("error: mismatch.values: required for the mismatch preset")
     return diags
 
 
-def _preset_dict(name):
-    base = copy.deepcopy(_DEFAULTS)
-    base["preset"] = name
-    if name == "fig2_qfi_scan":
-        base["grid"] = {"dt": 2e-3, "t_list": [10.0, 20.0, 40.0, 80.0]}
-        base["estimation"]["n_traj"] = 2000
-    elif name == "fig2_mle":
-        base["grid"] = {"dt": 2e-3, "t_list": [150.0, 400.0, 850.0]}
-        base["estimation"]["n_records"] = 1000
-        base["estimation"]["n_traj"] = 1000
-    elif name == "fig2_mismatch":
-        base["grid"] = {"dt": 2e-3, "t_list": [20.0]}
-        base["estimation"]["n_traj"] = 3000
-        base["mismatch"]["values"] = [float(x) for x in np.linspace(-10, 10, 11)]
-    elif name == "fig3_heisenberg":
-        base["model"] = {"kind": "three_level", "omega": 5.0, "delta": 0.0,
-                         "gamma": 1.0, "theta": 0.0}
-        base["grid"] = {"dt": 1e-3, "t_list": [50.0, 120.0, 170.0]}
-        base["estimation"]["n_traj"] = 1000
-    elif name == "fig4_imperfections":
-        # detuned operating point: omega = delta = gamma
-        base["model"]["delta"] = 1.0
-        base["model"]["theta"] = 1.0
-        base["grid"] = {"dt": 2e-3, "t_list": [20.0]}
-        base["estimation"]["n_traj"] = 2000
-        base["imperfections"]["eta_list"] = [0.3, 0.65, 1.0]
-        base["imperfections"]["gamma_list"] = [0.0, 0.1, 0.2]
-    elif name != "custom":
-        raise ConfigInvalid(f"preset: unknown preset {name!r}")
-    return base
-
-
 def preset_config(name) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_preset_dict(name))
+    if name not in _PRESETS:
+        raise ConfigInvalid(f"preset: unknown preset {name!r}")
+    # a copy: the config's lists are its own, not the table's
+    return ExperimentConfig.from_dict(copy.deepcopy({"preset": name, **_PRESETS[name].keys}))
 
 
 def preset_summaries():
-    return {
-        "fig2_qfi_scan": "two-level emission QFI and retrieved FI versus interrogation time",
-        "fig2_mle": "repeated-interrogation MLE variance versus Fisher information",
-        "fig2_mismatch": "retrieved FI versus decoder detuning mismatch",
-        "fig3_heisenberg": "pulsed three-level QFI scaling with plateau length",
-        "fig4_imperfections": "retrieved FI over the loss/efficiency grid",
-        "custom": "user-specified settings, QFI-only when n_traj = 0",
-    }
+    return {name: p.summary for name, p in _PRESETS.items()}

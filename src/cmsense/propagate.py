@@ -132,6 +132,15 @@ def _guard(h, decay, dt, max_step, ts):
         )
 
 
+def _decay(j, extra):
+    """J^dag J + sum_l L_l^dag L_l of a jump stack and the constant
+    undetected channels ``extra``, summed in that order."""
+    decay = dagger(j) @ j
+    for l in extra:
+        decay = decay + (l.conj().T @ l)[None]
+    return decay
+
+
 def _joint(hs, js, dec, out):
     """The joint (H, J) of blocks of sensor stacks, H written into ``out``:
     (H_S, J_S) without a decoder, else their cascade into the decoder
@@ -178,9 +187,7 @@ def _kraus_tables(hs, js, dt, max_step, ts, dec=None, extra=(), spare=(None, Non
             a1 = np.broadcast_to(np.sqrt(dt) * j, a0.shape)
         else:
             np.multiply(np.sqrt(dt), j, out=a1[b])
-        decay = dagger(j) @ j
-        for l in extra:
-            decay = decay + (l.conj().T @ l)[None]
+        decay = _decay(j, extra)
         _guard(h, decay, dt, max_step, ts[b])
         np.multiply(1j * dt, h, out=h)  # a0 over H, in the order of its formula
         np.subtract(np.eye(dim, dtype=complex), h, out=h)

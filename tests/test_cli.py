@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 
@@ -26,6 +27,13 @@ def test_presets_listing(capsys):
     for name in ("fig2_qfi_scan", "fig2_mle", "fig2_mismatch",
                  "fig3_heisenberg", "fig4_imperfections", "custom"):
         assert name in out
+
+
+def test_presets_listing_bytes_frozen(capsys):
+    # SHA-256 of the listing, frozen before the presets moved into one table
+    assert main(["presets"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "dbc7eb260d0883fc1caaa3655ed170e41f8b9a83671fd8c721bb445552ff2dea")
 
 
 def test_presets_show(capsys):
@@ -131,7 +139,7 @@ def test_run_refuses_a_pipeline_that_changes_its_config(monkeypatch):
     def pipeline(cfg, report):
         cfg.model["omega"] = 2.0
         return ["x"], [[1.0]]
-    monkeypatch.setitem(cli._PIPELINES, "custom", ("qfi_scan", pipeline))
+    monkeypatch.setitem(cli._PIPELINES, "scan", pipeline)
     with pytest.raises(ConfigInvalid, match="does not echo its config"):
         run(ExperimentConfig.from_dict(_tiny_cfg()))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,9 @@ def test_default_lists_are_not_shared():
     ExperimentConfig().imperfections["eta_list"].append(0.5)
     assert ExperimentConfig().grid["t_list"] == [20.0]
     assert ExperimentConfig.from_dict({}).imperfections["eta_list"] == [1.0]
+    # nor the lists of the preset table
+    preset_config("fig2_mle").grid["t_list"].append(5.0)
+    assert preset_config("fig2_mle").grid["t_list"] == [150.0, 400.0, 850.0]
 
 
 def test_unknown_fields_rejected():
@@ -120,8 +124,32 @@ def test_step_lint_agrees_with_the_run_guard_at_the_pi_pulse(dt):
     assert bool(linted) is guarded is (dt == 4e-3)
 
 
+@pytest.mark.parametrize("data", [
+    # the decoder of the mismatch value 30 loads the cascade: 0.061
+    {"preset": "fig2_mismatch", "grid": {"dt": 0.002, "t_list": [0.2]},
+     "estimation": {"n_traj": 4}, "mismatch": {"values": [30.0]}},
+    # the likelihood grid's end theta = -2 loads the cascade: 0.0501
+    {"preset": "fig2_mle", "model": {"omega": 24.0}, "grid": {"dt": 0.002, "t_list": [0.2]},
+     "estimation": {"n_traj": 4, "n_records": 4}},
+    # the loss and dephasing channels of the rate 10 load the cascade: 0.084
+    {"preset": "fig4_imperfections", "grid": {"dt": 0.002, "t_list": [0.2]},
+     "estimation": {"n_traj": 4}, "imperfections": {"gamma_list": [0.0, 10.0]}},
+], ids=["mismatch", "mle", "imperfections"])
+def test_step_lint_agrees_with_the_run_guard_of_a_two_level_cascade(monkeypatch, data):
+    # the sensor alone passes the guard; its cascade into a two-level decoder
+    # does not, and the lint says what the unlinted run stops with
+    from cmsense import cli
+    cfg = ExperimentConfig.from_dict(data)
+    linted = [d for d in validate(cfg) if d.startswith("error")]
+    monkeypatch.setattr(cli, "validate", lambda cfg: [])
+    with pytest.raises(StepTooLarge) as guarded:
+        cli.run(cfg)
+    assert linted == [f"error: grid.dt: step guard: {guarded.value}"]
+
+
 def test_validate_builds_no_kraus_table(monkeypatch):
-    # the step lint guards the sensor's operator stacks, not its Kraus tables
+    # the step lint guards the operator stacks of the sensor and of its
+    # two-level cascades, not their Kraus tables
     from cmsense import propagate
 
     def forbidden(*args, **kwargs):
@@ -150,6 +178,24 @@ def test_preset_names_frozen():
     assert PRESET_NAMES == ("fig2_qfi_scan", "fig2_mle", "fig2_mismatch",
                             "fig3_heisenberg", "fig4_imperfections", "custom")
     assert set(preset_summaries()) == set(PRESET_NAMES)
+
+
+# SHA-256 of json.dumps(preset_config(name).to_dict(), sort_keys=True),
+# frozen before the presets moved into one table
+PRESET_DIGESTS = {
+    "fig2_qfi_scan": "7482803336974922041df233f63ce5893caa61c45af6a10d97bae4a37e1054a1",
+    "fig2_mle": "886375a380852216afaf963ad5afb99a4fa434e5510e21455b5b235ea0db7a9a",
+    "fig2_mismatch": "513cdd03d2986345006eb48bd0b496965af8c3de698639f8c79305e6a0508888",
+    "fig3_heisenberg": "1c8d8320f6f142950a3b41f91ba4cf339fe6bc6e929138153e2576b5b71cebce",
+    "fig4_imperfections": "fe460b8b901b6ac030c46a91367c59bc5ef9b8c123272cb820ac2cfaad30a732",
+    "custom": "95fba619a0fa83de42ace946e46fb3f37cae852a60afcb3a24810e2937680080",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_config_bytes_frozen(name):
+    text = json.dumps(preset_config(name).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[name]
 
 
 def test_preset_values():

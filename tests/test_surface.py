@@ -214,3 +214,20 @@ def test_one_function_builds_kraus_tables():
     # the cascade and the θ-derivative of their maps come from one pass
     callers = _callers("_kraus_tables")
     assert len(callers) == 1, f"_kraus_tables has {len(callers)} callers: {sorted(callers)}"
+
+
+def test_preset_names_live_in_one_table():
+    # what a preset runs is declared by its entry of config._PRESETS alone:
+    # no other code of the package names a study preset
+    names = {n for n in cmsense.config.PRESET_NAMES if n.startswith("fig")}
+    found = []
+    for path in sorted((ROOT / "src" / "cmsense").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        table = {id(n) for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and "_PRESETS" in [getattr(t, "id", None) for t in node.targets]
+                 for n in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in names
+                  and id(node) not in table]
+    assert len(names) == 5 and not found, f"preset names outside _PRESETS: {found}"

@@ -28,8 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from cmsense import _engine  # noqa: E402
 from cmsense.cascade import cascade_generators, sample_records  # noqa: E402
-from cmsense.cli import _matched_two_level  # noqa: E402
-from cmsense.config import ExperimentConfig, build_sensor  # noqa: E402
+from cmsense.config import ExperimentConfig, _matched_two_level, build_sensor  # noqa: E402
 from cmsense.propagate import TimeGrid  # noqa: E402
 
 T_END = 150.0
