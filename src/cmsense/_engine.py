@@ -34,7 +34,11 @@ window's tables at a time (``cascade._run_records``).
   It reads only the per-bin maps, so the levels above them are built on
   first use by the segment core or thinning.
 
-Thinning decides each record's candidate bins in rounds.  A round
+On static tables thinning first decides every record's candidates up to
+its first click on the one no-click trajectory of the records' shared
+start (``_first_clicks``), in windows of bounded memory; the records
+that clicked go on from their click states to the rounds, which decide
+every other candidate (all of them on per-bin tables).  A round
 advances copies of every live record's latest decided state over the
 segment core's blocks to a batch of its candidates at once
 (``_Segments.advance``): plain block products, with no renormalization
@@ -62,6 +66,7 @@ chunks draw in the calling thread alone.  No caller's ``threads``
 argument changes any of this.
 """
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -81,6 +86,11 @@ _PIECE = 1 << 14  # raw draws per Philox call of thinning
 _SPLIT_DRAWS = 1 << 21
 _PAIR_ROWS = 2048  # candidate evaluations per thinning round
 _PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
+# bytes of the shared pass's in-block no-click powers (2^b = 256 of a 4x4
+# Kraus map, 16 of a 16x16 superoperator) and of a window's weights (4096
+# bins).  Powers counted in bins rather than bytes made the superoperator
+# runs slower and larger
+_SHARED_BYTES = 64 << 10
 _P1_MAX = 0.1
 _ABS_CHUNK = 256  # level blocks per np.abs temporary
 # thinning's unnormalized states keep their squared norm within 2^(+-_SAFE_EXP):
@@ -535,6 +545,118 @@ def _candidates(top, indices, seed, lo, parts=1):
     return flat, us, np.diff(starts)
 
 
+def _up_to(flat, ends, n, kb):
+    """Each record's candidate end ``ends`` cut after its candidates up to
+    bin ``kb`` (``flat``: ``_candidates``, records of ``n`` bins)."""
+    last = (np.arange(len(ends)) * n + kb).astype(flat.dtype)
+    return np.minimum(ends, np.searchsorted(flat, last, "right"))
+
+
+def _first_clicks(seg, x0, flat, u, nxt, ends):
+    """Decide, on the one no-click trajectory of their shared start ``x0``,
+    the candidates of every record of the static tables ``seg`` up to its
+    first hit (``flat``, ``u``: ``_candidates``; a record's are
+    flat[nxt[r]:ends[r]], and ``nxt`` is moved past those decided here).
+    Until its first click every record is in the state x0 a0^k at bin k,
+    so that state's click probability p1_k is taken once per bin, not once
+    per candidate, window by window.  The block starts x_j, every 2^b bins,
+    come from a sequential product with the level a0^(2^b), each rescaled
+    by a power of two.  A branch weight is linear in the state's density
+    (x itself on densities, x^T conj(x) on pure states), so the no-click
+    and click weights of every bin of a window are one real gemm of its
+    block starts' density coordinates against the weight forms of a0^m
+    and a0^m a1, m < 2^b, whose powers are built by doubling from the
+    levels.  The powers, the table of forms and a window's weights each
+    take at most _SHARED_BYTES, and a window holds about _PAIR_ROWS
+    candidate evaluations, as a round does: the pass holds memory bounded
+    by its window, not by the grid.  A record clicks at its first
+    candidate with u < p1; the pass stops once no record is undecided, or
+    after the window of the first bin where a decided evaluation overflows
+    _P1_MAX.  Returns the records that clicked, their click bins and
+    normalized click states, the first overflowing bin (the grid's length
+    when none) with its p1, and the evaluations decided."""
+    n, d = seg.n_steps, seg.a1t.shape[-1]
+    rec_hit, bin_hit, x_hit, kb, p1kb, evals = [], [], [], n, None, 0
+    und = np.flatnonzero(nxt < ends)  # the undecided records that have candidates
+    if not len(und):
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, d)), kb, p1kb, evals
+    b = min(max(_SHARED_BYTES // (16 * d * d), 1).bit_length(), n.bit_length()) - 1
+    blk = 1 << b
+    seg._grow()
+    level = lambda i: seg.levels[i][0][0, 0]
+    a1t, step, s = seg.a1t[0, 0], level(b), x0.astype(complex)
+    # a0t^m (each rescaled); a stack times one matrix is one gemm of its rows
+    pw, rows = np.empty((blk, d, d), dtype=complex), lambda a: a.reshape(-1, d)
+    pw[0] = np.eye(d)
+    for i in range(b):
+        h = pw[1 << i:2 << i]
+        np.matmul(rows(pw[:1 << i]), level(i), out=rows(h))
+        h *= np.ldexp(1.0, -np.frexp(np.abs(h).max(axis=(1, 2)))[1])[:, None, None]
+    # a weight is linear in the state's density, Re(z . g) = Re z . Re g - Im z .
+    # Im g, so each bin's no-click and click weights are one real gemm of its
+    # block start's real coordinates against those of bin m's weight forms
+    if seg.pure:  # |x p|^2 = sum_ab x_a conj(x_b) (p p^H)_ab over Hermitian coordinates
+        iu = np.triu_indices(d, 1)
+        coords = lambda h, re, im: np.concatenate(
+            [np.diagonal(h, axis1=1, axis2=2).real, re * h[:, iu[0], iu[1]].real,
+             im * h[:, iu[0], iu[1]].imag], axis=1)
+        dens = lambda x: coords(x[:, :, None] * x.conj()[:, None, :], 2.0, 2.0)
+        forms = lambda m: coords(m @ np.swapaxes(m, 1, 2).conj(), 1.0, -1.0)
+    else:  # (x p) . vec(1)
+        tv = np.eye(int(round(np.sqrt(d))), dtype=complex).ravel()
+        coords = lambda v, im: np.concatenate([v.real, im * v.imag], axis=1)
+        dens, forms = lambda x: coords(x, 1.0), lambda m: coords(m @ tv, -1.0)
+    tab = np.empty((d * d if seg.pure else 2 * d, blk, 2))
+    tab[..., 0] = forms(pw).T
+    tab[..., 1] = forms(pw @ a1t).T
+    tab = tab.reshape(len(tab), -1)
+    # a window: at most 4096 bins (two float weights per bin) and about as
+    # many candidate evaluations as a round
+    win = max(blk, min(_SHARED_BYTES // 16, _PAIR_ROWS * n // len(flat)) // blk * blk)
+    done = np.zeros(len(nxt), dtype=bool)
+    for w0 in range(0, n, win):
+        w1 = min(w0 + win, n)
+        starts = np.empty((-(-(w1 - w0) // blk), d), dtype=complex)
+        for j in range(len(starts)):
+            starts[j] = s
+            s = s @ step
+            s *= math.ldexp(1.0, -(math.frexp(np.vdot(s, s).real)[1] // 2))
+        c = np.searchsorted(flat, (und * n + w1).astype(flat.dtype)) - nxt[und]
+        act, c = und[c > 0], c[c > 0]
+        if len(act):
+            first = np.cumsum(c) - c
+            rec = np.repeat(act, c)
+            ci = nxt[rec] + np.arange(len(rec)) - np.repeat(first, c)
+            k = flat[ci] - rec * n - w0
+            w = (dens(starts) @ tab).reshape(-1, 2)[k]
+            pk = w[:, 1] / w[:, 0]
+            hit = u[ci] < pk
+            # an evaluation is decided up to its record's first hit
+            before = np.cumsum(hit) - hit
+            valid = before == np.repeat(before[first], c)
+            evals += int(valid.sum())
+            taken = np.add.reduceat(valid, first)
+            nxt[act] += taken
+            j = first + taken - 1
+            h = hit[j]
+            kh = k[j[h]]
+            cs = np.einsum("hd,hde->he", starts[kh // blk], pw[kh % blk]) @ a1t
+            rec_hit.append(act[h])
+            bin_hit.append(kh + w0)
+            x_hit.append(cs / seg.root(seg.weight(cs))[:, None])
+            done[act[h]] = True
+            big = valid & (pk > _P1_MAX)
+            if big.any():
+                i = np.argmin(np.where(big, k, n))
+                kb, p1kb = w0 + int(k[i]), float(pk[i])
+                break
+        und = und[~done[und] & (nxt[und] < ends[und])]
+        if not len(und):
+            break
+    return (np.concatenate(rec_hit), np.concatenate(bin_hit), np.concatenate(x_hit), kb, p1kb,
+            evals)
+
+
 def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     """Draw the clicks of trajectory ``indices`` in the bins of the tables
     ``seg`` of the one θ whose StepOps are ``ops``, bins lo, lo + 1, ... of
@@ -543,7 +665,11 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     its k-th uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the
     bins whose uniform lies below that bound are candidates.  The bound is
     |a1_k|^2 of a Kraus click map, or |a1_k| of the superoperator
-    eta dt J (x) conj(J).  A record's state changes only at a click, so
+    eta dt J (x) conj(J).  When the records of static tables share their
+    start (x None), their candidates up to each record's first click are
+    decided on that start's one no-click trajectory (``_first_clicks``),
+    and only the records that clicked go on to the rounds, from their
+    click states.  A record's state changes only at a click, so the other
     candidates are decided in rounds: each round takes the next w
     undecided candidates of every live record (w * records <= the pair
     budget), advances a copy of each record's latest decided state to all
@@ -555,12 +681,13 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     state at the round's last candidate, from which the next round goes
     on (per-bin tables keep the click state).  A bound above _P1_MAX
     makes its bin a candidate for every record, so the guard, over valid
-    evaluations, names the first bin in time order where some record
-    overflows (windows are thinned in time order, after the records'
-    earlier clicks).
+    evaluations of the shared pass and the rounds, names the first bin in
+    time order where some record overflows (windows are thinned in time
+    order, after the records' earlier clicks).
     A ``stats`` dict gets the seconds of the candidate draws added to its
-    "draw_s" and keeps in "draw_parts" the most record parts they were
-    split into (``_parts``).
+    "draw_s", the candidates decided on the shared trajectory to "shared"
+    and the rounds run to "rounds", and keeps in "draw_parts" the most
+    record parts the draws were split into (``_parts``).
     Returns (list of click-index arrays, relative to lo, number of
     candidates)."""
     n, nb = ops.n_steps, len(indices)
@@ -582,22 +709,31 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
     t0, parts = perf_counter(), _parts(nb, n)
     flat, u, counts = _candidates(top, indices, seed, lo, parts)
-    if stats is not None:
-        stats["draw_s"] += perf_counter() - t0
-        stats["draw_parts"] = max(stats["draw_parts"], parts)
+    t1 = perf_counter()
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
     budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))
+    shared = x is None and seg.static
     x = seg.initial(nb) if x is None else x  # each record's latest decided state
     pos = np.zeros(nb, dtype=np.int64)  # the bin it stands at
     ends = np.cumsum(counts)
     nxt = ends - counts  # its next undecided candidate
     hit_rec, hit_bin, over_bin, over_p1 = [], [], [], []
-    kb = n  # the first bin where a valid evaluation overflowed (n: none yet)
+    kb, evals, rounds = n, 0, 0  # kb: the first bin where a valid evaluation overflowed
+    if shared:
+        r, kh, xh, kb, p1kb, evals = _first_clicks(seg, x[0, 0], flat, u, nxt, ends)
+        x[0, r], pos[r] = xh, kh + 1
+        hit_rec.append(r)
+        hit_bin.append(kh)
+        if kb < n:
+            over_bin.append(np.array([kb]))
+            over_p1.append(np.array([p1kb]))
+            ends = _up_to(flat, ends, n, kb)
     while True:
         live = np.flatnonzero(nxt < ends)
         if not len(live):
             break
+        rounds += 1
         c = np.minimum(max(1, budget // len(live)), ends[live] - nxt[live])
         first = np.cumsum(c) - c  # each live record's first pair
         rec = np.repeat(live, c)
@@ -618,8 +754,7 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
             over_p1.append(p1[big])
             # later rounds look only at candidates up to the first overflow
             kb = min(kb, int(k[big].min()))
-            last = (np.arange(nb) * n + kb).astype(flat.dtype)
-            ends = np.minimum(ends, np.searchsorted(flat, last, "right"))
+            ends = _up_to(flat, ends, n, kb)
         taken = np.add.reduceat(valid, first)
         nxt[live] += taken
         # each live record's last valid pair: its hit, else its last candidate
@@ -632,6 +767,11 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
         pos[r] = k[jh] + 1
         hit_rec.append(r)
         hit_bin.append(k[jh])
+    if stats is not None:
+        stats["draw_s"] += t1 - t0
+        stats["draw_parts"] = max(stats["draw_parts"], parts)
+        stats["shared"] += evals
+        stats["rounds"] += rounds
     if over_bin:
         ob, op = np.concatenate(over_bin), np.concatenate(over_p1)
         _check_p1(op[ob == kb].max(), lo + kb, ops.dt)

@@ -181,9 +181,11 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
     maps the scores d logL/dθ (1, n_records) in place of logL.  A
     ``stats`` dict accumulates the seconds of the table builds
     ("table_s"), of thinning ("sample_s"), of its candidate draws within
-    it ("draw_s", with the most record parts of one draw, "draw_parts":
-    ``_engine._thin``) and of replay ("score_s"), the no-click levels
-    counted in the stage that first walks them, and gets
+    it ("draw_s", with the most record parts of one draw, "draw_parts",
+    the candidates decided on a shared start's trajectory, "shared", and
+    the rounds after it, "rounds": ``_engine._thin``) and of replay
+    ("score_s"), the no-click levels counted in the stage that first walks
+    them, and gets
     the number of windows ("windows") and the most MB (2^20 bytes) of
     maps, levels and derivatives held at once ("table_mb")."""
     replay = {"segment": _engine._replay_segments, "step": _engine.run_steps}[kind]
@@ -200,8 +202,9 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
         for c, (a, b) in enumerate(chunks):
             rows, state = states[c] or (np.zeros(b - a, dtype=np.intp), seg.start(1))
             if given is None:
-                h, n_cands = _engine._thin(seg, ops[0], np.arange(a, b), seed,
-                                           state[0][:, rows], lo, stats)
+                start = None if states[c] is None else state[0][:, rows]
+                h, n_cands = _engine._thin(seg, ops[0], np.arange(a, b), seed, start, lo,
+                                           stats)
                 cands += n_cands
                 drawn[w] += h
                 t = _lap(stats, "sample_s", t)
@@ -290,7 +293,10 @@ class FisherEstimate:
     levels count in the stage that first walks them.  draw_s is the part
     of sample_s spent in the candidate draws, and draw_parts the most
     record parts one chunk's draws were split into over CPUs (1: the
-    calling thread drew them all).  windows is the
+    calling thread drew them all).  shared is the mean candidates per
+    record decided on the no-click trajectory of the records' shared start
+    (up to each record's first click; 0 on per-bin tables), and rounds
+    the thinning rounds run after it over all chunks.  windows is the
     number of time windows the grid was walked in, and table_mb the most
     MB (2^20 bytes) of maps, levels and derivatives held at once.
     """
@@ -311,6 +317,8 @@ class FisherEstimate:
     sample_s: float
     draw_s: float
     draw_parts: int
+    shared: float
+    rounds: int
     score_s: float
     windows: int
     table_mb: float
@@ -334,7 +342,8 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
     if n_traj < 1:
         raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
     t0 = perf_counter()
-    stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draw_parts": 1, "score_s": 0.0}
+    stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draw_parts": 1, "shared": 0,
+             "rounds": 0, "score_s": 0.0}
     indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, True),
                                           "segment", n_traj, seed, stats=stats)
     scores = scores[0]
@@ -347,7 +356,7 @@ def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGri
         mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
         null_point=not scores.any(), n_steps=grid.n_steps,
         chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
-        candidates=cands / n_traj, **stats,
+        candidates=cands / n_traj, shared=stats.pop("shared") / n_traj, **stats,
     )
 
 

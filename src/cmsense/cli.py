@@ -54,6 +54,9 @@ from .qfi import qfi_pair
 
 __all__ = ["ResultBundle", "run", "main"]
 
+# share of an MLE study's records on one estimate above which the study warns
+_TIED_WARN = 0.5
+
 
 @dataclass(eq=False)
 class ResultBundle:
@@ -164,7 +167,13 @@ def _mle_pipeline(cfg, report):
     )
     for r in rows:
         _report_fisher(report, f"T={r.t_end}", r.fisher_estimate)
-        report["estimators"][-1]["grid_s"] = r.grid_s  # the theta-grid replay
+        # the theta-grid replay, and the share of records on the modal estimate
+        report["estimators"][-1].update(grid_s=r.grid_s, tied_frac=r.tied_frac)
+        if r.tied_frac > _TIED_WARN:
+            report.setdefault("warnings", []).append(
+                f"warn: T={r.t_end}: {r.tied_frac:.2f} of the records share one estimate "
+                f"(above {_TIED_WARN}); inv_var_per_K measures how many records tie, "
+                "not the estimator's precision")
     table = study_table(rows)
     header = list(table[0].keys())
     return header, [[d[k] for k in header] for d in table]

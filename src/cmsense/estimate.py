@@ -105,6 +105,10 @@ class InterrogationRow:
     grid_width: float
     fisher_estimate: FisherEstimate
     grid_s: float  # seconds of the likelihood-grid replay
+    # share of the records whose estimate is the modal estimate: records
+    # that tie (every empty record has one likelihood curve) make 1/Var
+    # measure how many records tie, not the estimator's precision
+    tied_frac: float
 
     @property
     def fisher(self):
@@ -131,8 +135,9 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
 
     Records whose likelihood peaks on the grid boundary are estimated
     at the boundary and counted in n_boundary rather than raised, so a
-    handful of outliers cannot abort a long study.  The variance needs
-    n_records >= 2; fewer raise CmsenseError.
+    handful of outliers cannot abort a long study.  tied_frac is the
+    share of records whose estimate equals the modal estimate.  The
+    variance needs n_records >= 2; fewer raise CmsenseError.
     """
     if n_records < 2:
         raise CmsenseError(
@@ -161,6 +166,7 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
                 n_boundary += 1
                 est = float(tgrid_theta[int(np.argmax(logl[:, r]))])
             ests[r] = est
+        tied = np.unique(ests, return_counts=True)[1].max() / n_records
         var = float(ests.var(ddof=1))
         # precision per interrogation: Var(mean of K) = var/K, so
         # 1/(K * Var(mean)) = 1/var reduces to the single-record inverse
@@ -170,7 +176,7 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
             t_end=float(t_end), inv_var_per_k=inv_var, n_records=n_records, seed=seed,
             mean_estimate=float(ests.mean()), variance=var,
             bias=float(ests.mean() - theta_true), n_boundary=n_boundary,
-            grid_width=width, fisher_estimate=fi, grid_s=grid_s,
+            grid_width=width, fisher_estimate=fi, grid_s=grid_s, tied_frac=float(tied),
         ))
     return rows
 

@@ -915,8 +915,113 @@ def test_thinning_keeps_a_strongly_decaying_mode_in_range():
     ref = _reference_records(ops, np.arange(64), 6)[0]
     gaps = np.concatenate([np.diff(np.concatenate([[-1], h, [n]])) for h in ref])
     assert gaps.max() > 1800
-    idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6)
+    # the records share their start, so the shared pass decides every
+    # record's candidates up to its first click: some of those first gaps
+    # cross more than 1800 bins too, on the one no-click trajectory
+    assert max(h[0] if len(h) else n for h in ref) > 1800
+    stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6, stats=stats)
     assert _record_hash(idx) == _record_hash(ref)
+    assert stats["shared"] > 0
+
+
+@pytest.mark.parametrize("name, value", [(None, None), ("_PAIR_ROWS", 1), ("_PAIR_ROWS", 3),
+                                         ("_PIECE", 7)],
+                         ids=["rounds", "rounds_of_1", "rounds_of_3", "pieces_of_7"])
+@pytest.mark.parametrize("imp", [None, Imperfections(gamma=0.1, eta=0.65)],
+                         ids=["pure", "density"])
+def test_shared_pass_draws_the_per_bin_reference_records(emitter, imp, name, value,
+                                                         monkeypatch):
+    # the matched cascade at its decoding point over 10 000 bins: on Kraus
+    # pairs a third of the records never click, and every record's first
+    # click is decided on the shared start's trajectory, which spans 39
+    # blocks of 256 bins (625 of 16 on superoperators); the records that
+    # clicked go on in rounds of 1, 3 or the full budget, from their click
+    # states, and the records are the per-bin sampler's
+    if name is not None:
+        monkeypatch.setattr(_engine, name, value)
+    gen = cascade_generators(emitter, two_level_decoder(1.0, 0.0, 1.0), imperfections=imp)
+    grid = TimeGrid(0.0, 20.0, 2e-3)
+    ref = _reference_records(step_matrices(gen, 0.0, grid), np.arange(64), 5)[0]
+    assert sum(len(h) > 0 for h in ref) > 32 and sum(len(h) > 1 for h in ref) > 8
+    calls, first_clicks = [], _engine._first_clicks
+
+    def spy(*args):
+        calls.append(first_clicks(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(_engine, "_first_clicks", spy)
+    for engine in ("segment", "step"):
+        idx = sample_records(gen, 0.0, grid, 64, seed=5, engine=engine)[0]
+        assert _record_hash(idx) == _record_hash(ref)
+    # each sampling call made one shared pass, which found every first click
+    assert len(calls) == 2
+    assert sorted(calls[0][1].tolist()) == sorted(h[0] for h in ref if len(h))
+
+
+@pytest.mark.parametrize("case, bin_", [("bright_pair", 0), ("direct", 12)])
+@pytest.mark.parametrize("rows", [None, 1])
+def test_click_overflow_guard_names_the_same_bin_on_the_shared_trajectory(emitter, case, bin_,
+                                                                          rows, monkeypatch):
+    # dt = 0.2 with max_step widened: every bin is a candidate of every
+    # record.  The pair started in its bright state overflows at bin 0; the
+    # direct emitter, driven up from its ground state, at bin 12, which the
+    # records that have not clicked by then meet on the shared trajectory.
+    # The shared pass finds the overflow, and sampling stops at the per-bin
+    # sampler's bin with its message
+    if rows is not None:
+        monkeypatch.setattr(_engine, "_PAIR_ROWS", rows)
+    dec = two_level_decoder(1.0, 1.0, 1.0)
+    gen = {"bright_pair": lambda: cascade_generators(
+               emitter, dec, init=np.kron([1.0, 0.0], dec.initial_state_d).astype(complex)),
+           "direct": lambda: cascade_generators(emitter)}[case]()
+    found, first_clicks = [], _engine._first_clicks
+
+    def spy(*args):
+        out = first_clicks(*args)
+        found.append(out[3])
+        return out
+
+    monkeypatch.setattr(_engine, "_first_clicks", spy)
+    _assert_same_overflow(gen, TimeGrid(0.0, 4.0, 0.2), 1, rf"at bin {bin_} ")
+    assert found == [bin_, bin_]
+
+
+def test_shared_pass_runs_on_static_tables_only(clicky_pair, monkeypatch):
+    # a static cascade's records share their start: one shared pass per
+    # chunk.  Per-bin tables, in one window or in several, take none, and
+    # neither does a replay
+    calls, first_clicks = [], _engine._first_clicks
+
+    def spy(seg, *args):
+        calls.append(seg.static)
+        return first_clicks(seg, *args)
+
+    monkeypatch.setattr(_engine, "_first_clicks", spy)
+    monkeypatch.setattr(cascade, "_CHUNK_BINS", 1)  # chunks of _CHUNK = 256 records
+    grid = TimeGrid(0.0, 2.0, 2e-3)
+    idx = sample_records(clicky_pair, 0.0, grid, 300, seed=4)[0]
+    assert calls == [True, True]
+    replay_records(clicky_pair, 0.0, idx, grid)
+    assert calls == [True, True]
+    per_bin = _stepped_decay()
+    sample_records(per_bin, 0.0, grid, 16, seed=4)
+    _window_bins(monkeypatch, per_bin, 64)
+    assert len(cascade._tables(per_bin, [0.0], grid, 0.05)[1]) > 1
+    sample_records(per_bin, 0.0, grid, 16, seed=4)
+    assert calls == [True, True]
+
+
+def test_fisher_estimate_reports_its_shared_candidates_and_rounds(monkeypatch):
+    # the benchmark's MLE cascade (omega = delta = gamma = 1, decoder matched
+    # at theta = 1): most candidates lie up to their record's first click
+    # and are decided on the shared trajectory.  A per-bin model has none
+    gen = cascade_generators(two_level_model(omega=1.0, delta=1.0, gamma=1.0),
+                             two_level_decoder(1.0, -1.0, 1.0))
+    fi = fisher_from_trajectories(gen, 1.0, TimeGrid(0.0, 20.0, 2e-3), 64, seed=3)
+    assert 0.5 * fi.candidates < fi.shared < fi.candidates and fi.rounds > 0
+    fp = fisher_from_trajectories(_stepped_decay(), 0.0, TimeGrid(0.0, 4.0, 2e-3), 64, seed=3)
+    assert fp.shared == 0.0 and fp.rounds > 0 and fp.candidates > 0.0
 
 
 def test_thinning_restarts_from_the_last_candidate_of_a_round(monkeypatch):

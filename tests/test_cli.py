@@ -208,8 +208,8 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
-                          "table_s", "sample_s", "draw_s", "draw_parts", "score_s",
-                          "windows", "table_mb"}
+                          "table_s", "sample_s", "draw_s", "draw_parts", "shared",
+                          "rounds", "score_s", "windows", "table_mb"}
         # the stage timers: table build, thinning, tangent replay
         stages = (e["table_s"], e["sample_s"], e["score_s"])
         assert min(stages) > 0.0 and sum(stages) <= e["seconds"]
@@ -312,7 +312,9 @@ def test_provenance_reports_qfi_engine():
 
 
 def test_provenance_reports_mle_grid_replay():
-    # each interrogation time's estimator entry times its likelihood-grid replay
+    # each interrogation time's estimator entry times its likelihood-grid
+    # replay and gives the share of records on the modal estimate; most
+    # records here are empty and share one estimate, which warns
     bundle = run(ExperimentConfig.from_dict(_tiny_cfg(
         preset="fig2_mle", model={"omega": 1.0, "delta": 1.0, "gamma": 1.0, "theta": 1.0},
         grid={"dt": 2e-3, "t_list": [1.0, 2.0]},
@@ -320,7 +322,10 @@ def test_provenance_reports_mle_grid_replay():
     est = bundle.provenance["estimators"]
     assert [e["label"] for e in est] == ["T=1.0", "T=2.0"]
     assert all(e["grid_s"] > 0.0 for e in est)
-    assert b"grid_s" not in bundle.csv_bytes("mle")
+    assert all(e["tied_frac"] > 0.5 for e in est)
+    warns = [d for d in bundle.provenance["diagnostics"] if "share one estimate" in d]
+    assert [w.split(":")[:2] for w in warns] == [["warn", " T=1.0"], ["warn", " T=2.0"]]
+    assert b"grid_s" not in bundle.csv_bytes("mle") and b"tied" not in bundle.csv_bytes("mle")
 
 
 def test_scan_row_propagates_each_generalized_state_once(monkeypatch):

@@ -105,9 +105,24 @@ def test_interrogation_study_offset_control():
     # per-record information (finite-sample efficiency gap expected)
     assert 0.2 * r.fisher < r.inv_var_per_k < 3.0 * r.fisher
     assert abs(r.bias) < 6.0 * np.sqrt(r.variance / r.n_records)
+    # records that click carry their own estimates: few tie
+    assert 0.0 < r.tied_frac < 0.1
 
     table = study_table(rows)
     assert table[0]["T"] == 20.0
     assert set(table[0]) >= {"T", "inv_var_per_K", "fisher", "fisher_err",
                              "K", "seed", "mean_estimate", "bias",
                              "n_boundary", "grid_width"}
+
+
+def test_interrogation_study_reports_the_records_that_tie():
+    # the benchmark's MLE cascade (decoder matched at theta = 1): most
+    # records are empty, and every empty record has one likelihood curve,
+    # so one estimate; tied_frac counts them with any other record there
+    gen = cascade_generators(two_level_model(omega=1.0, delta=1.0, gamma=1.0),
+                             two_level_decoder(1.0, -1.0, 1.0))
+    grid = TimeGrid(0.0, 5.0, 2e-3)
+    n, seed = 64, 7
+    rows = interrogation_study(gen, 1.0, [5.0], n_records=n, dt=2e-3, seed=seed)
+    empty = sum(len(h) == 0 for h in sample_records(gen, 1.0, grid, n, seed=seed)[0]) / n
+    assert 0.5 < empty <= rows[0].tied_frac < 1.0
