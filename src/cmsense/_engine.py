@@ -34,22 +34,23 @@ window's tables at a time (``cascade._run_records``).
   It reads only the per-bin maps, so the levels above them are built on
   first use by the segment core or thinning.
 
-On static tables thinning first decides every record's candidates up to
-its first click on the one no-click trajectory of the records' shared
-start (``_first_clicks``), in windows of bounded memory; the records
-that clicked go on from their click states to the rounds, which decide
-every other candidate (all of them on per-bin tables).  A round
-advances copies of every live record's latest decided state over the
-segment core's blocks to a batch of its candidates at once
-(``_Segments.advance``): plain block products, with no renormalization
-between levels; a row is rescaled by an exact power of two only when its
-squared norm would leave a safe range.  The click probability is then one
-ratio per candidate, p1 = weight(y a1) / weight(y).  On a static model a
-record that misses every candidate of a round goes on from its last one,
-not from its last click, so a round walks only the bits of the gap since
-then; per-bin tables go on from the last click (or the window's start),
-since a walk from an unaligned bin takes up to twice the levels of one
-from an aligned start.
+Thinning decides every candidate in one loop, each pass a batch of every
+live record's next candidates, with the click probability p1 from one of
+two sources.  While the records of static tables sit on their shared
+start, a pass reads p1 off that start's one no-click trajectory
+(``_shared_trajectory``), once per bin, window by window in bounded
+memory; a record leaves it at its first click.  Every other pass (every
+pass on per-bin tables) is a round: it advances copies of every live
+record's latest decided state over the segment core's blocks to a batch
+of its candidates at once (``_Segments.advance``): plain block products,
+with no renormalization between levels; a row is rescaled by an exact
+power of two only when its squared norm would leave a safe range.  p1 is
+then one ratio per candidate, weight(y a1) / weight(y).  On a static
+model a record that misses every candidate of a round goes on from its
+last one, not from its last click, so a round walks only the bits of the
+gap since then; per-bin tables go on from the last click (or the
+window's start), since a walk from an unaligned bin takes up to twice
+the levels of one from an aligned start.
 
 Sampling draws clicks with the raw probability p1 = eta * |M1 psi|^2
 per bin; log-likelihoods accumulate raw branch weights, so exp(logL)
@@ -86,7 +87,7 @@ _PIECE = 1 << 14  # raw draws per Philox call of thinning
 _SPLIT_DRAWS = 1 << 21
 _PAIR_ROWS = 2048  # candidate evaluations per thinning round
 _PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
-# bytes of the shared pass's in-block no-click powers (2^b = 256 of a 4x4
+# bytes of the shared trajectory's in-block no-click powers (2^b = 256 of a 4x4
 # Kraus map, 16 of a 16x16 superoperator) and of a window's weights (4096
 # bins).  Powers counted in bins rather than bytes made the superoperator
 # runs slower and larger
@@ -545,46 +546,27 @@ def _candidates(top, indices, seed, lo, parts=1):
     return flat, us, np.diff(starts)
 
 
-def _up_to(flat, ends, n, kb):
-    """Each record's candidate end ``ends`` cut after its candidates up to
-    bin ``kb`` (``flat``: ``_candidates``, records of ``n`` bins)."""
-    last = (np.arange(len(ends)) * n + kb).astype(flat.dtype)
-    return np.minimum(ends, np.searchsorted(flat, last, "right"))
-
-
-def _first_clicks(seg, x0, flat, u, nxt, ends):
-    """Decide, on the one no-click trajectory of their shared start ``x0``,
-    the candidates of every record of the static tables ``seg`` up to its
-    first hit (``flat``, ``u``: ``_candidates``; a record's are
-    flat[nxt[r]:ends[r]], and ``nxt`` is moved past those decided here).
-    Until its first click every record is in the state x0 a0^k at bin k,
-    so that state's click probability p1_k is taken once per bin, not once
-    per candidate, window by window.  The block starts x_j, every 2^b bins,
-    come from a sequential product with the level a0^(2^b), each rescaled
-    by a power of two.  A branch weight is linear in the state's density
-    (x itself on densities, x^T conj(x) on pure states), so the no-click
-    and click weights of every bin of a window are one real gemm of its
-    block starts' density coordinates against the weight forms of a0^m
-    and a0^m a1, m < 2^b, whose powers are built by doubling from the
-    levels.  The powers, the table of forms and a window's weights each
-    take at most _SHARED_BYTES, and a window holds about _PAIR_ROWS
-    candidate evaluations, as a round does: the pass holds memory bounded
-    by its window, not by the grid.  A record clicks at its first
-    candidate with u < p1; the pass stops once no record is undecided, or
-    after the window of the first bin where a decided evaluation overflows
-    _P1_MAX.  Returns the records that clicked, their click bins and
-    normalized click states, the first overflowing bin (the grid's length
-    when none) with its p1, and the evaluations decided."""
+def _shared_trajectory(seg, x0, cands):
+    """The no-click trajectory x0 a0^k of the static tables ``seg`` from
+    the records' shared start ``x0``, window by window: it yields (w0, p1,
+    click) per window, the click probability of each of its bins w0, w0 +
+    1, ... and ``click(k)``, the normalized click states at its bins w0 +
+    k.  The block starts, every 2^b bins, come from a sequential product
+    with the level a0^(2^b), each rescaled by a power of two.  A branch
+    weight is linear in the state's density (x on densities, x^T conj(x)
+    on pure states), so the no-click and click weights of a window's bins
+    are one real gemm of its block starts' density coordinates against the
+    weight forms of a0^m and a0^m a1, m < 2^b, the powers built by
+    doubling from the levels.  The powers, the forms and a window's
+    weights each take at most _SHARED_BYTES, and a window holds about
+    _PAIR_ROWS of the grid's ``cands`` candidates, as a round does: its
+    memory is bounded by the window, not by the grid."""
     n, d = seg.n_steps, seg.a1t.shape[-1]
-    rec_hit, bin_hit, x_hit, kb, p1kb, evals = [], [], [], n, None, 0
-    und = np.flatnonzero(nxt < ends)  # the undecided records that have candidates
-    if not len(und):
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, d)), kb, p1kb, evals
     b = min(max(_SHARED_BYTES // (16 * d * d), 1).bit_length(), n.bit_length()) - 1
     blk = 1 << b
     seg._grow()
     level = lambda i: seg.levels[i][0][0, 0]
-    a1t, step, s = seg.a1t[0, 0], level(b), x0.astype(complex)
+    a1t, step, s = seg.a1t[0, 0], level(b), x0
     # a0t^m (each rescaled); a stack times one matrix is one gemm of its rows
     pw, rows = np.empty((blk, d, d), dtype=complex), lambda a: a.reshape(-1, d)
     pw[0] = np.eye(d)
@@ -612,82 +594,49 @@ def _first_clicks(seg, x0, flat, u, nxt, ends):
     tab = tab.reshape(len(tab), -1)
     # a window: at most 4096 bins (two float weights per bin) and about as
     # many candidate evaluations as a round
-    win = max(blk, min(_SHARED_BYTES // 16, _PAIR_ROWS * n // len(flat)) // blk * blk)
-    done = np.zeros(len(nxt), dtype=bool)
+    win = max(blk, min(_SHARED_BYTES // 16, _PAIR_ROWS * n // cands) // blk * blk)
     for w0 in range(0, n, win):
-        w1 = min(w0 + win, n)
-        starts = np.empty((-(-(w1 - w0) // blk), d), dtype=complex)
+        m = min(win, n - w0)
+        starts = np.empty((-(-m // blk), d), dtype=complex)
         for j in range(len(starts)):
             starts[j] = s
             s = s @ step
             s *= math.ldexp(1.0, -(math.frexp(np.vdot(s, s).real)[1] // 2))
-        c = np.searchsorted(flat, (und * n + w1).astype(flat.dtype)) - nxt[und]
-        act, c = und[c > 0], c[c > 0]
-        if len(act):
-            first = np.cumsum(c) - c
-            rec = np.repeat(act, c)
-            ci = nxt[rec] + np.arange(len(rec)) - np.repeat(first, c)
-            k = flat[ci] - rec * n - w0
-            w = (dens(starts) @ tab).reshape(-1, 2)[k]
-            pk = w[:, 1] / w[:, 0]
-            hit = u[ci] < pk
-            # an evaluation is decided up to its record's first hit
-            before = np.cumsum(hit) - hit
-            valid = before == np.repeat(before[first], c)
-            evals += int(valid.sum())
-            taken = np.add.reduceat(valid, first)
-            nxt[act] += taken
-            j = first + taken - 1
-            h = hit[j]
-            kh = k[j[h]]
-            cs = np.einsum("hd,hde->he", starts[kh // blk], pw[kh % blk]) @ a1t
-            rec_hit.append(act[h])
-            bin_hit.append(kh + w0)
-            x_hit.append(cs / seg.root(seg.weight(cs))[:, None])
-            done[act[h]] = True
-            big = valid & (pk > _P1_MAX)
-            if big.any():
-                i = np.argmin(np.where(big, k, n))
-                kb, p1kb = w0 + int(k[i]), float(pk[i])
-                break
-        und = und[~done[und] & (nxt[und] < ends[und])]
-        if not len(und):
-            break
-    return (np.concatenate(rec_hit), np.concatenate(bin_hit), np.concatenate(x_hit), kb, p1kb,
-            evals)
+        w = (dens(starts) @ tab).reshape(-1, 2)[:m]
+
+        def click(k, starts=starts):
+            cs = np.einsum("hd,hde->he", starts[k // blk], pw[k % blk]) @ a1t
+            return cs / seg.root(seg.weight(cs))[:, None]
+
+        yield w0, w[:, 1] / w[:, 0], click
 
 
 def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     """Draw the clicks of trajectory ``indices`` in the bins of the tables
     ``seg`` of the one θ whose StepOps are ``ops``, bins lo, lo + 1, ... of
     the grid, from the records' states ``x`` (1, B, D) at bin lo (None: the
-    initial state at lo = 0).  A record clicks at bin k iff
-    its k-th uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the
-    bins whose uniform lies below that bound are candidates.  The bound is
-    |a1_k|^2 of a Kraus click map, or |a1_k| of the superoperator
-    eta dt J (x) conj(J).  When the records of static tables share their
-    start (x None), their candidates up to each record's first click are
-    decided on that start's one no-click trajectory (``_first_clicks``),
-    and only the records that clicked go on to the rounds, from their
-    click states.  A record's state changes only at a click, so the other
-    candidates are decided in rounds: each round takes the next w
-    undecided candidates of every live record (w * records <= the pair
-    budget), advances a copy of each record's latest decided state to all
-    of them at once (``_Segments.advance``: plain block products, no
-    renormalization), takes p1 = weight(y a1) / weight(y) once per
-    candidate and keeps the first with u < p1; the evaluations past it are
-    void.  The decided state is the normalized click state after a hit;
-    after a round without one it is, for a static model, the unnormalized
-    state at the round's last candidate, from which the next round goes
-    on (per-bin tables keep the click state).  A bound above _P1_MAX
-    makes its bin a candidate for every record, so the guard, over valid
-    evaluations of the shared pass and the rounds, names the first bin in
-    time order where some record overflows (windows are thinned in time
-    order, after the records' earlier clicks).
+    initial state at lo = 0).  A record clicks at bin k iff its k-th
+    uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the bins whose
+    uniform lies below that bound are candidates.  The bound is |a1_k|^2
+    of a Kraus click map, or |a1_k| of the superoperator eta dt J (x)
+    conj(J).  A record's state changes only at a click, so one loop
+    decides the candidates (module docstring): each pass takes the next
+    undecided candidates of every live record, reads their p1 and keeps
+    each record's first with u < p1; the evaluations past it are void.
+    While the records of static tables share their start (x None), a pass
+    takes their candidates in the next window of its trajectory; every
+    other pass, a round, takes the next w of every live record (w *
+    records <= the pair budget).  The decided state is the normalized
+    click state after a hit; after a round without one it is, for a static
+    model, the unnormalized state at the round's last candidate.  A bound
+    above _P1_MAX makes its bin a candidate for every record, so the
+    guard, over valid evaluations, names the first bin in time order where
+    some record overflows (windows are thinned in time order, after the
+    records' earlier clicks).
     A ``stats`` dict gets the seconds of the candidate draws added to its
     "draw_s", the candidates decided on the shared trajectory to "shared"
-    and the rounds run to "rounds", and keeps in "draw_parts" the most
-    record parts the draws were split into (``_parts``).
+    and the rounds to "rounds", and keeps in "draw_parts" the most record
+    parts the draws were split into (``_parts``).
     Returns (list of click-index arrays, relative to lo, number of
     candidates)."""
     n, nb = ops.n_steps, len(indices)
@@ -713,57 +662,64 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
     budget = _PAIR_ROWS if seg.static else max(1, min(_PAIR_ROWS, _PAIR_ENTRIES // d2))
-    shared = x is None and seg.static
+    on = np.full(nb, x is None and seg.static)  # the records on the shared start
     x = seg.initial(nb) if x is None else x  # each record's latest decided state
+    traj = _shared_trajectory(seg, x[0, 0].copy(), len(flat)) if on.any() else None
     pos = np.zeros(nb, dtype=np.int64)  # the bin it stands at
     ends = np.cumsum(counts)
     nxt = ends - counts  # its next undecided candidate
     hit_rec, hit_bin, over_bin, over_p1 = [], [], [], []
     kb, evals, rounds = n, 0, 0  # kb: the first bin where a valid evaluation overflowed
-    if shared:
-        r, kh, xh, kb, p1kb, evals = _first_clicks(seg, x[0, 0], flat, u, nxt, ends)
-        x[0, r], pos[r] = xh, kh + 1
-        hit_rec.append(r)
-        hit_bin.append(kh)
-        if kb < n:
-            over_bin.append(np.array([kb]))
-            over_p1.append(np.array([p1kb]))
-            ends = _up_to(flat, ends, n, kb)
     while True:
         live = np.flatnonzero(nxt < ends)
-        if not len(live):
-            break
-        rounds += 1
-        c = np.minimum(max(1, budget // len(live)), ends[live] - nxt[live])
+        if on[live].any():  # a window of the shared trajectory
+            live = live[on[live]]
+            w0, p1w, click = next(traj)
+            last = (live * n + w0 + len(p1w)).astype(flat.dtype)
+            c = np.searchsorted(flat, last) - nxt[live]
+            live, c = live[c > 0], c[c > 0]
+        else:
+            if not len(live):
+                break
+            traj, rounds = None, rounds + 1
+            c = np.minimum(max(1, budget // len(live)), ends[live] - nxt[live])
         first = np.cumsum(c) - c  # each live record's first pair
         rec = np.repeat(live, c)
         ci = nxt[rec] + np.arange(len(rec)) - np.repeat(first, c)
         k = flat[ci] - rec * n
-        xp, rows = x[:, rec], np.arange(len(rec))
-        seg.advance(xp, rows, pos[rec], k)
-        cs = seg.times(xp, rows, seg.a1t, k)[0]
-        w1 = seg.weight(cs)
-        p1 = w1 / seg.weight(xp[0])
+        if traj is None:
+            xp, rows = x[:, rec], np.arange(len(rec))
+            seg.advance(xp, rows, pos[rec], k)
+            cs = seg.times(xp, rows, seg.a1t, k)[0]
+            w1 = seg.weight(cs)
+            p1 = w1 / seg.weight(xp[0])
+        else:
+            p1 = p1w[k - w0]
         hit = u[ci] < p1
-        # a pair is valid until its record's first hit in the round
+        # a pair is valid until its record's first hit in the pass
         before = np.cumsum(hit) - hit
         valid = before == np.repeat(before[first], c)
         big = valid & (p1 > _P1_MAX)
         if big.any():
             over_bin.append(k[big])
             over_p1.append(p1[big])
-            # later rounds look only at candidates up to the first overflow
+            # later passes look only at candidates up to the first overflow
             kb = min(kb, int(k[big].min()))
-            ends = _up_to(flat, ends, n, kb)
+            last = (np.arange(nb) * n + kb).astype(flat.dtype)
+            ends = np.minimum(ends, np.searchsorted(flat, last, "right"))
         taken = np.add.reduceat(valid, first)
         nxt[live] += taken
         # each live record's last valid pair: its hit, else its last candidate
         j = first + taken - 1
         h = hit[j]
-        if seg.static:  # per-bin tables go on from the last click (module docstring)
-            x[:, live], pos[live] = xp[:, j], k[j]
         r, jh = live[h], j[h]
-        x[0, r] = cs[jh] / seg.root(w1[jh])[:, None]
+        if traj is None:
+            if seg.static:  # per-bin tables go on from the last click (module docstring)
+                x[:, live], pos[live] = xp[:, j], k[j]
+            x[0, r] = cs[jh] / seg.root(w1[jh])[:, None]
+        else:
+            evals += int(valid.sum())
+            x[0, r], on[r] = click(k[jh] - w0), False
         pos[r] = k[jh] + 1
         hit_rec.append(r)
         hit_bin.append(k[jh])

@@ -270,6 +270,8 @@ def replay_records(gen, theta, indices, grid, engine_kind="segment", max_step=ST
     _check_click_indices(indices, grid.n_steps)
     thetas = [float(t) for t in np.atleast_1d(theta)]
     kind = _resolve_engine(engine_kind)
+    if not thetas:  # no θ: no tables to build
+        return np.empty((0, len(indices)))
     sets = [[th] for th in thetas] if gen.time_dependent else [thetas]
     logl = np.concatenate([_run_records(*_tables(gen, ths, grid, max_step), kind,
                                         len(indices), 0, indices)[1]

@@ -405,6 +405,7 @@ def test_zero_records_sample_and_replay_empty(clicky_pair, engine, model):
     assert idx == [] and logl.shape == (0,) and kind == engine
     assert replay_records(gen, 0.0, [], grid, engine).shape == (0,)
     assert replay_records(gen, THETA_SET, [], grid, engine).shape == (5, 0)
+    assert replay_records(gen, np.array([]), [np.array([1])], grid, engine).shape == (0, 1)
 
 
 def test_negative_record_count_raises(clicky_pair):
@@ -915,9 +916,9 @@ def test_thinning_keeps_a_strongly_decaying_mode_in_range():
     ref = _reference_records(ops, np.arange(64), 6)[0]
     gaps = np.concatenate([np.diff(np.concatenate([[-1], h, [n]])) for h in ref])
     assert gaps.max() > 1800
-    # the records share their start, so the shared pass decides every
-    # record's candidates up to its first click: some of those first gaps
-    # cross more than 1800 bins too, on the one no-click trajectory
+    # the records share their start, so thinning decides every record's
+    # candidates up to its first click on that start's one no-click
+    # trajectory: some of those first gaps cross more than 1800 bins too
     assert max(h[0] if len(h) else n for h in ref) > 1800
     stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
     idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6, stats=stats)
@@ -944,19 +945,26 @@ def test_shared_pass_draws_the_per_bin_reference_records(emitter, imp, name, val
     grid = TimeGrid(0.0, 20.0, 2e-3)
     ref = _reference_records(step_matrices(gen, 0.0, grid), np.arange(64), 5)[0]
     assert sum(len(h) > 0 for h in ref) > 32 and sum(len(h) > 1 for h in ref) > 8
-    calls, first_clicks = [], _engine._first_clicks
-
-    def spy(*args):
-        calls.append(first_clicks(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(_engine, "_first_clicks", spy)
     for engine in ("segment", "step"):
         idx = sample_records(gen, 0.0, grid, 64, seed=5, engine=engine)[0]
         assert _record_hash(idx) == _record_hash(ref)
-    # each sampling call made one shared pass, which found every first click
-    assert len(calls) == 2
-    assert sorted(calls[0][1].tolist()) == sorted(h[0] for h in ref if len(h))
+    # the shared trajectory decides each record's candidates up to and
+    # including its first click (all of them when it never clicks), and
+    # rounds alone, from the records' initial states, draw the same records
+    drawn, candidates = [], _engine._candidates
+    monkeypatch.setattr(_engine, "_candidates",
+                        lambda *a: drawn.append(candidates(*a)) or drawn[-1])
+    ops = step_matrices(gen, 0.0, grid)
+    seg, n = _engine._Segments([ops]), grid.n_steps
+    stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    idx = _engine._thin(seg, ops, np.arange(64), 5, stats=stats)[0]
+    assert _record_hash(idx) == _record_hash(ref)
+    flat, _, counts = drawn[-1]
+    bins = np.split(flat - np.repeat(np.arange(64) * n, counts), np.cumsum(counts)[:-1])
+    shared = sum(int(np.sum(b <= (h[0] if len(h) else n))) for b, h in zip(bins, ref))
+    assert stats["shared"] == shared > 0
+    idx = _engine._thin(seg, ops, np.arange(64), 5, x=seg.initial(64), stats=stats)[0]
+    assert _record_hash(idx) == _record_hash(ref) and stats["shared"] == shared
 
 
 @pytest.mark.parametrize("case, bin_", [("bright_pair", 0), ("direct", 12)])
@@ -967,37 +975,39 @@ def test_click_overflow_guard_names_the_same_bin_on_the_shared_trajectory(emitte
     # record.  The pair started in its bright state overflows at bin 0; the
     # direct emitter, driven up from its ground state, at bin 12, which the
     # records that have not clicked by then meet on the shared trajectory.
-    # The shared pass finds the overflow, and sampling stops at the per-bin
-    # sampler's bin with its message
+    # The shared trajectory meets the overflow, and sampling stops at the
+    # per-bin sampler's bin with its message
     if rows is not None:
         monkeypatch.setattr(_engine, "_PAIR_ROWS", rows)
     dec = two_level_decoder(1.0, 1.0, 1.0)
     gen = {"bright_pair": lambda: cascade_generators(
                emitter, dec, init=np.kron([1.0, 0.0], dec.initial_state_d).astype(complex)),
            "direct": lambda: cascade_generators(emitter)}[case]()
-    found, first_clicks = [], _engine._first_clicks
+    found, trajectory = [], _engine._shared_trajectory
 
-    def spy(*args):
-        out = first_clicks(*args)
-        found.append(out[3])
-        return out
+    def spy(*args):  # the first overflowing bin of the windows that thinning takes
+        found.append(None)
+        for w0, p1, click in trajectory(*args):
+            if found[-1] is None and (p1 > _engine._P1_MAX).any():
+                found[-1] = w0 + int(np.argmax(p1 > _engine._P1_MAX))
+            yield w0, p1, click
 
-    monkeypatch.setattr(_engine, "_first_clicks", spy)
+    monkeypatch.setattr(_engine, "_shared_trajectory", spy)
     _assert_same_overflow(gen, TimeGrid(0.0, 4.0, 0.2), 1, rf"at bin {bin_} ")
     assert found == [bin_, bin_]
 
 
 def test_shared_pass_runs_on_static_tables_only(clicky_pair, monkeypatch):
-    # a static cascade's records share their start: one shared pass per
-    # chunk.  Per-bin tables, in one window or in several, take none, and
-    # neither does a replay
-    calls, first_clicks = [], _engine._first_clicks
+    # a static cascade's records share their start: the shared trajectory
+    # opens once per chunk.  Per-bin tables, in one window or in several,
+    # open none, and neither does a replay
+    calls, trajectory = [], _engine._shared_trajectory
 
     def spy(seg, *args):
         calls.append(seg.static)
-        return first_clicks(seg, *args)
+        yield from trajectory(seg, *args)
 
-    monkeypatch.setattr(_engine, "_first_clicks", spy)
+    monkeypatch.setattr(_engine, "_shared_trajectory", spy)
     monkeypatch.setattr(cascade, "_CHUNK_BINS", 1)  # chunks of _CHUNK = 256 records
     grid = TimeGrid(0.0, 2.0, 2e-3)
     idx = sample_records(clicky_pair, 0.0, grid, 300, seed=4)[0]

@@ -18,8 +18,11 @@ CSV byte identical.
 from its namesake under NEW it prints, per column, the largest relative
 deviation |new - old| / max(|old|, |new|) over the rows and how many
 values moved; a CSV missing from one side, a changed header, row count
-or non-numeric field is named as such.  It reads perfbench/ and writes
-nothing in the repo.
+or non-numeric field is named as such.  It also compares each cell's
+provenance.json with its timing keys dropped (keys ending in `_s` or
+`seconds`, `generated_utc` and `config.out`), printing every key path
+whose value differs or is on one side only, and their count.  It reads
+perfbench/ and writes nothing in the repo.
 """
 
 import argparse
@@ -82,9 +85,44 @@ def _deviation(a, b):
     return abs(y - x) / max(abs(x), abs(y))
 
 
+def _leaves(value, path=""):
+    """{key path: value} of every leaf of a JSON value, timing keys dropped:
+    keys ending in `_s` or `seconds`, `generated_utc` and `config.out`."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()
+                 if not (k.endswith(("_s", "seconds", "generated_utc"))
+                         or f"{path}.{k}" == "config.out")]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {path: value}
+    return {p: x for q, v in items for p, x in _leaves(v, q).items()}
+
+
+def _provenance(old, new):
+    """Lines naming every key path, timing keys dropped, whose value differs
+    between the provenance.json files of the trees ``old`` and ``new``, and
+    a summary line."""
+    names = sorted({p.relative_to(old) for p in old.rglob("provenance.json")}
+                   | {p.relative_to(new) for p in new.rglob("provenance.json")})
+    lines, moved = [], 0
+    for rel in names:
+        a, b = (_leaves(json.loads((t / rel).read_text())) if (t / rel).is_file() else {}
+                for t in (old, new))
+        for key in sorted(a.keys() | b.keys()):
+            x, y = a.get(key, "<missing>"), b.get(key, "<missing>")
+            if x != y and not (x != x and y != y):  # NaN equals NaN here
+                moved += 1
+                lines.append(f"{rel} {key}: {x!r} -> {y!r}")
+    lines.append(f"{moved} provenance values differ in {len(names)} provenance.json files "
+                 "(timing keys dropped)")
+    return lines
+
+
 def compare(old, new):
     """Lines describing every CSV of the tree ``old`` that differs from its
-    namesake under ``new``, and a summary line."""
+    namesake under ``new``, and a summary line, then those of
+    ``_provenance``."""
     old, new = Path(old), Path(new)
     names = sorted({p.relative_to(old) for p in old.rglob("*.csv")}
                    | {p.relative_to(new) for p in new.rglob("*.csv")})
@@ -111,7 +149,7 @@ def compare(old, new):
                 lines.append(f"{rel} {column}: max rel {max(moved):.3e}, "
                              f"{len(moved)} of {len(pairs)} values moved")
     lines.append(f"{same} of {len(names)} CSVs byte identical")
-    return lines
+    return lines + _provenance(old, new)
 
 
 def main(argv=None):

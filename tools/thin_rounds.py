@@ -10,8 +10,9 @@ cell's sweep once, keeping the arguments and the records of every
 draws at T = 150) and of every mismatch Fisher run, and the candidates
 each call drew.  It then calls `_thin` again on each, with
 `_engine._candidates` handing back the kept candidates, so that the
-timing holds the decisions alone: the shared pass (`_first_clicks`) and
-the rounds.  It prints per call the median seconds with their quartiles,
+timing holds the decisions alone: `_thin`'s one loop, its passes over
+the windows of the shared start's no-click trajectory and its rounds.
+It prints per call the median seconds with their quartiles,
 the rounds, the share of candidates decided on the shared trajectory,
 and whether a second call drew the same records as the first.  It reads
 perfbench/ and writes nothing.
