@@ -58,16 +58,16 @@ is the trace of the record-conditioned unnormalized state, and a
 record of probability zero replays to exactly -inf.  Every trajectory
 owns a counter-based RNG stream keyed by (seed, index), one raw value
 per bin, so results do not depend on how the records are split into
-chunks or the grid into windows.  Nor do they depend on how the draws
-of a chunk are split over CPUs: a chunk of at least _SPLIT_DRAWS draws
-is cut into contiguous record parts, one per CPU the process may use,
-which the calling thread and one helper thread per further part draw at
-once and which are joined in record order (``_candidates``).  Smaller
-chunks draw in the calling thread alone.  No caller's ``threads``
-argument changes any of this.
+chunks or the grid into windows, nor on whether they are kept from a
+draw shared by a sweep's runs (``_kept``).  Nor do they depend on how
+the draws of a chunk are split over CPUs: a chunk of at least
+_SPLIT_DRAWS draws is cut into contiguous record parts, one per CPU the
+process may use, which the calling thread and one helper thread per
+further part draw at once and which are joined in record order
+(``_candidates``).  Smaller chunks draw in the calling thread alone.
+No caller's ``threads`` argument changes any of this.
 """
 
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -488,7 +488,7 @@ def _in_parts(work, parts):
 
 def _candidates(top, indices, seed, lo, parts=1):
     """Each record's candidate bins (raw draw <= ``top``) among the bins
-    lo, lo + 1, ... of ``top`` and their uniforms, flat in record order as
+    lo, lo + 1, ... of ``top`` and their raw draws, flat in record order as
     record * n + (bin - lo), with the records' candidate counts.  Record
     ``index`` draws one raw value per bin of the grid from Philox(key=[seed,
     index]) at counter 0, and Philox makes 4 values per counter, so bin lo
@@ -502,13 +502,13 @@ def _candidates(top, indices, seed, lo, parts=1):
     one fits, else one record in pieces."""
     n, nb = len(top), len(indices)
     if n == 0:  # an empty grid draws nothing
-        return np.empty(0, np.int64), np.empty(0), np.zeros(nb, np.int64)
+        return np.empty(0, np.int64), np.empty(0, np.uint64), np.zeros(nb, np.int64)
     per = max(1, _PIECE // n)  # whole records per piece
     # 4-byte positions where they fit: a chunk holds many candidates
     dtype = np.int32 if nb * n < 2 ** 31 else np.int64
     cuts = [nb * p // parts for p in range(parts + 1)]
 
-    def part(p):  # the flat positions and uniforms of records [cuts[p], cuts[p + 1])
+    def part(p):  # the flat positions and raw draws of records [cuts[p], cuts[p + 1])
         bitgen = np.random.Philox(0)
         state = bitgen.state  # empty buffer: only the key and counter change
         state["state"]["counter"][0] = lo >> 2
@@ -530,20 +530,20 @@ def _candidates(top, indices, seed, lo, parts=1):
                 for k0 in range(0, n, _PIECE):
                     yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
 
-        flat, us = [], []
+        flat, raws = [], []
         for f0, raw in pieces():
             k = f0 % n
             tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
             f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
             flat.append((f + f0).astype(dtype))
-            us.append((raw[f] >> np.uint64(11)) * 2.0 ** -53)
-        return flat, us
+            raws.append(raw[f])
+        return flat, raws
 
     drawn = _in_parts(part, parts)
     flat = np.concatenate([np.empty(0, dtype)] + [f for fs, _ in drawn for f in fs])
-    us = np.concatenate([np.empty(0)] + [u for _, ws in drawn for u in ws])
+    raws = np.concatenate([np.empty(0, np.uint64)] + [r for _, rs in drawn for r in rs])
     starts = np.searchsorted(flat, (np.arange(nb + 1) * n).astype(dtype))  # same dtype: no copy
-    return flat, us, np.diff(starts)
+    return flat, raws, np.diff(starts)
 
 
 def _shared_trajectory(seg, x0, cands):
@@ -551,22 +551,25 @@ def _shared_trajectory(seg, x0, cands):
     the records' shared start ``x0``, window by window: it yields (w0, p1,
     click) per window, the click probability of each of its bins w0, w0 +
     1, ... and ``click(k)``, the normalized click states at its bins w0 +
-    k.  The block starts, every 2^b bins, come from a sequential product
-    with the level a0^(2^b), each rescaled by a power of two.  A branch
-    weight is linear in the state's density (x on densities, x^T conj(x)
-    on pure states), so the no-click and click weights of a window's bins
-    are one real gemm of its block starts' density coordinates against the
-    weight forms of a0^m and a0^m a1, m < 2^b, the powers built by
-    doubling from the levels.  The powers, the forms and a window's
-    weights each take at most _SHARED_BYTES, and a window holds about
-    _PAIR_ROWS of the grid's ``cands`` candidates, as a round does: its
-    memory is bounded by the window, not by the grid."""
+    k.  The block starts of a window, every 2^b bins, come from its first
+    by doubling with the levels a0^(2^i), i >= b: one product per level,
+    about log2 of its block count, each row rescaled by a power of two
+    (a span's shrink is assumed to stay in the normal range, as in
+    _Segments.advance).  A branch weight is linear in the state's density
+    (x on densities, x^T conj(x) on pure states), so the no-click and
+    click weights of a window's bins are one real gemm of its block
+    starts' density coordinates against the weight forms of a0^m and a0^m
+    a1, m < 2^b, the powers built by doubling from the levels.  The
+    powers, the forms and a window's weights each take at most
+    _SHARED_BYTES, and a window holds about _PAIR_ROWS of the grid's
+    ``cands`` candidates, as a round does: its memory is bounded by the
+    window, not by the grid."""
     n, d = seg.n_steps, seg.a1t.shape[-1]
     b = min(max(_SHARED_BYTES // (16 * d * d), 1).bit_length(), n.bit_length()) - 1
     blk = 1 << b
     seg._grow()
     level = lambda i: seg.levels[i][0][0, 0]
-    a1t, step, s = seg.a1t[0, 0], level(b), x0
+    a1t, s = seg.a1t[0, 0], x0
     # a0t^m (each rescaled); a stack times one matrix is one gemm of its rows
     pw, rows = np.empty((blk, d, d), dtype=complex), lambda a: a.reshape(-1, d)
     pw[0] = np.eye(d)
@@ -597,11 +600,19 @@ def _shared_trajectory(seg, x0, cands):
     win = max(blk, min(_SHARED_BYTES // 16, _PAIR_ROWS * n // cands) // blk * blk)
     for w0 in range(0, n, win):
         m = min(win, n - w0)
-        starts = np.empty((-(-m // blk), d), dtype=complex)
-        for j in range(len(starts)):
-            starts[j] = s
-            s = s @ step
-            s *= math.ldexp(1.0, -(math.frexp(np.vdot(s, s).real)[1] // 2))
+        # the window's block starts, and the next window's first, by doubling:
+        # rows [h, 2h) are rows [0, h) times the level a0^(2^b h), each row
+        # rescaled by a power of two
+        count = -(-m // blk)
+        nr = count + (w0 + win < n)
+        starts, h = np.empty((nr, d), dtype=complex), 1
+        starts[0] = s
+        for i in range(b, b + (nr - 1).bit_length()):
+            y = np.matmul(starts[:min(h, nr - h)], level(i), out=starts[h:2 * h])
+            y *= np.ldexp(1.0, -(np.frexp(np.einsum("hd,hd->h", y, y.conj()).real)[1]
+                                 // 2))[:, None]
+            h *= 2
+        s, starts = starts[-1], starts[:count]
         w = (dens(starts) @ tab).reshape(-1, 2)[:m]
 
         def click(k, starts=starts):
@@ -611,15 +622,47 @@ def _shared_trajectory(seg, x0, cands):
         yield w0, w[:, 1] / w[:, 0], click
 
 
-def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
+def _top(ops):
+    """The per-bin raw-draw limit of thinning's candidates under the tables
+    ``ops``.  A record clicks at bin k iff its k-th uniform u_k < p1_k, and
+    p1_k <= eta |M1_k|_2^2, so only the bins whose uniform lies below that
+    bound are candidates.  The bound is |a1_k|^2 of a Kraus click map, or
+    |a1_k| of the superoperator eta dt J (x) conj(J): one static map takes
+    the exact spectral norm; a per-bin stack takes the Frobenius norm,
+    which bounds it from above at a fraction of the cost.  The margin
+    covers a normalized state's weight being 1 up to round-off."""
+    deg = 2.0 if ops.pure else 1.0
+    if len(ops.a0) == 1:
+        bound = np.linalg.norm(ops.a1, 2, axis=(1, 2)) ** deg
+    else:
+        bound = frobenius_sq(ops.a1) ** (deg / 2.0)
+    bound *= 1.0 + 1e-9
+    # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
+    # iff raw <= top, compared before any conversion; a bound of 0 leaves
+    # top 0 (only raw 0, u = 0, which never clicks), not a wrap to 2^64 - 1
+    lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    lim = np.maximum(lim, np.uint64(1)) - np.uint64(1)
+    return ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
+
+
+def _kept(drawn, top, nb):
+    """``_candidates`` at ``top`` for the ``nb`` records of ``drawn`` =
+    (its top, flat positions, raw draws), drawn at a top at least ``top``
+    in every bin: the drawn candidates at or below ``top``."""
+    n = len(top)
+    keep = drawn[2] <= top[drawn[1] % n]
+    flat = drawn[1][keep]
+    return flat, drawn[2][keep], np.bincount(flat // n, minlength=nb)
+
+
+def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None, drawn=None):
     """Draw the clicks of trajectory ``indices`` in the bins of the tables
     ``seg`` of the one θ whose StepOps are ``ops``, bins lo, lo + 1, ... of
     the grid, from the records' states ``x`` (1, B, D) at bin lo (None: the
-    initial state at lo = 0).  A record clicks at bin k iff its k-th
-    uniform u_k < p1_k, and p1_k <= eta |M1_k|_2^2, so only the bins whose
-    uniform lies below that bound are candidates.  The bound is |a1_k|^2
-    of a Kraus click map, or |a1_k| of the superoperator eta dt J (x)
-    conj(J).  A record's state changes only at a click, so one loop
+    initial state at lo = 0).  Its candidates (raw draw <= ``_top``) are
+    drawn here, or kept (``_kept``) from ``drawn``, a draw of the same
+    records, seed and bins whose top is at least this one in every bin;
+    any other ``drawn`` is ignored.  A record's state changes only at a click, so one loop
     decides the candidates (module docstring): each pass takes the next
     undecided candidates of every live record, reads their p1 and keeps
     each record's first with u < p1; the evaluations past it are void.
@@ -634,30 +677,20 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
     some record overflows (windows are thinned in time order, after the
     records' earlier clicks).
     A ``stats`` dict gets the seconds of the candidate draws added to its
-    "draw_s", the candidates decided on the shared trajectory to "shared"
-    and the rounds to "rounds", and keeps in "draw_parts" the most record
+    "draw_s" and the raw values drawn here to "draws" (0 for a ``drawn``
+    kept), the candidates decided on the shared trajectory to "shared" and
+    the rounds to "rounds", and keeps in "draw_parts" the most record
     parts the draws were split into (``_parts``).
     Returns (list of click-index arrays, relative to lo, number of
     candidates)."""
     n, nb = ops.n_steps, len(indices)
-    # one static map takes the exact spectral norm; a per-bin stack takes
-    # the Frobenius norm, which bounds it from above at a fraction of the
-    # cost.  The margin covers a normalized state's weight being 1 up to
-    # round-off.
-    deg = 2.0 if ops.pure else 1.0
-    if seg.static:
-        bound = np.linalg.norm(ops.a1, 2, axis=(1, 2)) ** deg
-    else:
-        bound = frobenius_sq(ops.a1) ** (deg / 2.0)
-    bound *= 1.0 + 1e-9
-    # numpy's uniform of a raw draw is (raw >> 11) 2^-53, so u < bound
-    # iff raw <= top, compared before any conversion; a bound of 0 leaves
-    # top 0 (only raw 0, u = 0, which never clicks), not a wrap to 2^64 - 1
-    lim = np.ceil(np.minimum(bound, _P1_MAX) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
-    lim = np.maximum(lim, np.uint64(1)) - np.uint64(1)
-    top = ops.per_bin(np.where(bound > _P1_MAX, np.uint64(2 ** 64 - 1), lim))
+    top = _top(ops)
     t0, parts = perf_counter(), _parts(nb, n)
-    flat, u, counts = _candidates(top, indices, seed, lo, parts)
+    if drawn is not None and (top <= drawn[0]).all():
+        (flat, raw, counts), draws = _kept(drawn, top, nb), 0
+    else:
+        (flat, raw, counts), draws = _candidates(top, indices, seed, lo, parts), nb * n
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
     t1 = perf_counter()
     # per-bin maps are gathered per pair: bound the gathered entries too
     d2 = seg.a1t.shape[-1] ** 2
@@ -725,6 +758,7 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
         hit_bin.append(k[jh])
     if stats is not None:
         stats["draw_s"] += t1 - t0
+        stats["draws"] += draws
         stats["draw_parts"] = max(stats["draw_parts"], parts)
         stats["shared"] += evals
         stats["rounds"] += rounds

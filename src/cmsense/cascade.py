@@ -37,7 +37,11 @@ grid holds one window's tables at a time.
 Chunks run one after another in the calling thread; only the candidate
 draws of a large chunk are split over the CPUs the process may use
 (``_engine._candidates``), with the same records for any split.  The
-``threads`` argument changes nothing.
+``threads`` argument changes nothing.  ``fisher_sweep`` runs several
+cascades on one seed, so they draw the same stream for every record: each
+chunk is drawn once, at the largest click bound of the static runs, and
+every run keeps its own candidates of it, the same records as a run of
+its own; ``fisher_from_trajectories`` is its one-cascade case.
 """
 
 from dataclasses import dataclass
@@ -63,6 +67,7 @@ __all__ = [
     "sample_records",
     "replay_records",
     "fisher_from_trajectories",
+    "fisher_sweep",
     "mismatch_sweep",
     "full_width_half_max",
 ]
@@ -159,7 +164,31 @@ def _histories(rows, parts):
     return rows[rep], new, [parts[i] for i in rep]
 
 
-def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None):
+def _shared_draws(top, seed):
+    """The candidate draws that the runs of a sweep at ``seed`` share:
+    ``draw(a, b, lo, hi, stats)`` gives the (top, flat positions, raw
+    draws) of record chunk [a, b) over the whole grid, drawn on its first
+    request at the per-bin ``top`` (the largest of the sweep's static
+    runs) and kept for the others, or None for any other window [lo, hi).
+    The request that draws adds its seconds and raw values to its
+    ``stats`` ("draw_s", "draws").  Each run keeps its own candidates of a
+    chunk (``_engine._thin``), so the store holds at most the candidates
+    of one record set at the largest bound."""
+    store, n = {}, len(top)
+
+    def draw(a, b, lo, hi, stats):
+        if (lo, hi) != (0, n):
+            return None
+        if (a, b) not in store:
+            t0, parts = perf_counter(), _engine._parts(b - a, n)
+            store[a, b] = (top, *_engine._candidates(top, np.arange(a, b), seed, 0, parts)[:2])
+            stats["draw_s"] += perf_counter() - t0
+            stats["draws"] += (b - a) * n
+        return store[a, b]
+    return draw
+
+
+def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None, shared=None):
     """Draw (``given`` None) or take the records ``given`` chunk by chunk
     and replay them on the ``kind`` core, window by window in time order:
     ``tables(lo, hi, spare)`` gives the list of per-θ StepOps (one for
@@ -179,13 +208,15 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
     record replayed once.  Returns (list of click-index
     arrays, logL (Θ, n_records), thinning candidates), or with tangent
     maps the scores d logL/dθ (1, n_records) in place of logL.  A
+    ``shared`` store (``_shared_draws``) hands thinning each chunk's draws
+    of a sweep, drawn once for its runs.  A
     ``stats`` dict accumulates the seconds of the table builds
     ("table_s"), of thinning ("sample_s"), of its candidate draws within
     it ("draw_s", with the most record parts of one draw, "draw_parts",
-    the candidates decided on a shared start's trajectory, "shared", and
-    the rounds after it, "rounds": ``_engine._thin``) and of replay
-    ("score_s"), the no-click levels counted in the stage that first walks
-    them, and gets
+    the raw values drawn, "draws", the candidates decided on a shared
+    start's trajectory, "shared", and the rounds after it, "rounds":
+    ``_engine._thin``) and of replay ("score_s"), the no-click levels
+    counted in the stage that first walks them, and gets
     the number of windows ("windows") and the most MB (2^20 bytes) of
     maps, levels and derivatives held at once ("table_mb")."""
     replay = {"segment": _engine._replay_segments, "step": _engine.run_steps}[kind]
@@ -203,8 +234,9 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None)
             rows, state = states[c] or (np.zeros(b - a, dtype=np.intp), seg.start(1))
             if given is None:
                 start = None if states[c] is None else state[0][:, rows]
+                superset = shared and shared(a, b, lo, hi, stats)
                 h, n_cands = _engine._thin(seg, ops[0], np.arange(a, b), seed, start, lo,
-                                           stats)
+                                           stats, superset)
                 cands += n_cands
                 drawn[w] += h
                 t = _lap(stats, "sample_s", t)
@@ -293,14 +325,17 @@ class FisherEstimate:
     derivative), sample_s (thinning) and score_s (the tangent replay) the
     seconds of its stages, which sum to at most ``seconds``; the no-click
     levels count in the stage that first walks them.  draw_s is the part
-    of sample_s spent in the candidate draws, and draw_parts the most
-    record parts one chunk's draws were split into over CPUs (1: the
-    calling thread drew them all).  shared is the mean candidates per
-    record decided on the no-click trajectory of the records' shared start
-    (up to each record's first click; 0 on per-bin tables), and rounds
-    the thinning rounds run after it over all chunks.  windows is the
-    number of time windows the grid was walked in, and table_mb the most
-    MB (2^20 bytes) of maps, levels and derivatives held at once.
+    of sample_s spent in the candidate draws, draws the raw values drawn
+    for this estimate (0 when it kept its candidates from the draw of a
+    sweep's earlier run, which explains a near-zero draw_s), and
+    draw_parts the most record parts one chunk's draws were split into
+    over CPUs (1: the calling thread drew them all).  shared is the mean
+    candidates per record decided on the no-click trajectory of the
+    records' shared start (up to each record's first click; 0 on per-bin
+    tables), and rounds the thinning rounds run after it over all chunks.
+    windows is the number of time windows the grid was walked in, and
+    table_mb the most MB (2^20 bytes) of maps, levels and derivatives held
+    at once.
     """
 
     value: float
@@ -318,6 +353,7 @@ class FisherEstimate:
     table_s: float
     sample_s: float
     draw_s: float
+    draws: int
     draw_parts: int
     shared: float
     rounds: int
@@ -326,40 +362,73 @@ class FisherEstimate:
     table_mb: float
 
 
-def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
-                             n_traj: int, theta_step: float = 1e-3,
-                             seed: int = 0, max_step: float = STEP_GUARD) -> FisherEstimate:
-    """Estimate the Fisher information of the record at theta.
+def fisher_sweep(gens: Sequence[CascadeGenerators], theta: float, grid: TimeGrid,
+                 n_traj: int, seed: int = 0,
+                 max_step: float = STEP_GUARD) -> List[FisherEstimate]:
+    """Estimate the Fisher information of the record at theta for each
+    generator set of ``gens``, one run each, every run on ``seed``.
 
-    Draws records at theta by thinning and replays each once on the
+    A run draws records at theta by thinning and replays each once on the
     segment core with its tangent under the branch maps at theta and
     their exact derivative (from the same ``_theta_tables`` pass: θ enters
     through the sensor's generator G), which gives the exact score
-    d logL/dθ of the record.
-    A per-bin model longer than a few MB of tables runs window by window
-    (``_run_records``): each window's maps, derivative and levels serve
-    the draws and the scores of its bins.  ``theta_step`` is accepted for
-    existing callers and has no effect.
+    d logL/dθ of the record.  A per-bin model longer than a few MB of
+    tables runs window by window (``_run_records``): each window's maps,
+    derivative and levels serve the draws and the scores of its bins.
+
+    The runs share a seed, so they draw the same Philox stream for every
+    record.  The tables of each static model (one window of one bin) are
+    built first, and when two or more runs are static each record chunk
+    is drawn once, at the largest of their click bounds
+    (``_shared_draws``); every run keeps exactly its own candidates, the
+    raw draws at or below its own bound, so its records, scores and
+    estimate are those of a run of its own.  A run whose bound exceeds the
+    shared draw's in some bin, or that walks the grid in several windows,
+    draws its own.
     """
     if n_traj < 1:
         raise CmsenseError(f"n_traj = {n_traj}: a Fisher estimate needs at least one record")
-    t0 = perf_counter()
-    stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draw_parts": 1, "shared": 0,
-             "rounds": 0, "score_s": 0.0}
-    indices, scores, cands = _run_records(*_tables(gen, [theta], grid, max_step, True),
-                                          "segment", n_traj, seed, stats=stats)
-    scores = scores[0]
-    sq = scores ** 2
-    # one record has no spread to measure: its errors are NaN, not 0
-    se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else float("nan")
-    return FisherEstimate(
-        value=float(sq.mean()), std_error=se(sq), n_traj=n_traj,
-        mean_score=float(scores.mean()), mean_score_se=se(scores),
-        mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
-        null_point=not scores.any(), n_steps=grid.n_steps,
-        chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
-        candidates=cands / n_traj, shared=stats.pop("shared") / n_traj, **stats,
-    )
+    runs, tops = [], []
+    for gen in gens:
+        t0 = perf_counter()
+        stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draws": 0, "draw_parts": 1,
+                 "shared": 0, "rounds": 0, "score_s": 0.0}
+        tables, windows = _tables(gen, [theta], grid, max_step, True)
+        if not gen.time_dependent:  # built now for its click bound, and handed to its run
+            built = tables(*windows[0], None)
+            tables = lambda lo, hi, spare, built=built: built
+            tops.append(_engine._top(built[0][0]))
+        stats["table_s"] = perf_counter() - t0
+        runs.append((tables, windows, stats))
+    shared = _shared_draws(np.maximum.reduce(tops), seed) if len(tops) > 1 else None
+    out = []
+    for tables, windows, stats in runs:
+        t0 = perf_counter() - stats["table_s"]  # its seconds count its tables built above
+        indices, scores, cands = _run_records(tables, windows, "segment", n_traj, seed,
+                                              stats=stats, shared=shared)
+        scores = scores[0]
+        sq = scores ** 2
+        # one record has no spread to measure: its errors are NaN, not 0
+        se = lambda v: float(v.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else float("nan")
+        out.append(FisherEstimate(
+            value=float(sq.mean()), std_error=se(sq), n_traj=n_traj,
+            mean_score=float(scores.mean()), mean_score_se=se(scores),
+            mean_clicks=float(np.mean([len(h) for h in indices])), seed=seed,
+            null_point=not scores.any(), n_steps=grid.n_steps,
+            chunks=len(_chunks(n_traj, grid.n_steps)), seconds=perf_counter() - t0,
+            candidates=cands / n_traj, shared=stats.pop("shared") / n_traj, **stats,
+        ))
+    return out
+
+
+def fisher_from_trajectories(gen: CascadeGenerators, theta: float, grid: TimeGrid,
+                             n_traj: int, theta_step: float = 1e-3,
+                             seed: int = 0, max_step: float = STEP_GUARD) -> FisherEstimate:
+    """Estimate the Fisher information of the record at theta: the
+    one-run ``fisher_sweep``.  ``theta_step`` is accepted for existing
+    callers and has no effect.
+    """
+    return fisher_sweep([gen], theta, grid, n_traj, seed, max_step)[0]
 
 
 def full_width_half_max(x, y):

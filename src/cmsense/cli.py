@@ -12,7 +12,10 @@ stops with one "error: ..." line and exit status 2, as does a guard that
 stops a run.  The config's ``threads`` key is still validated but
 changes nothing: record batches run one after another in the calling
 thread, and only the candidate draws of a large batch are split over the
-CPUs the process may use, with the same results for any split.
+CPUs the process may use, with the same results for any split.  The
+imperfection sweep runs the ideal estimate and every (eta, gamma) setting
+through one ``fisher_sweep``, which draws each record's stream once for
+all of them and gives each the results of a run of its own.
 """
 
 import argparse
@@ -32,6 +35,7 @@ from .cascade import (
     Imperfections,
     cascade_generators,
     fisher_from_trajectories,
+    fisher_sweep,
     mismatch_sweep,
 )
 from .config import (
@@ -196,21 +200,26 @@ def _mismatch_pipeline(cfg, report):
 
 
 def _imperfections_pipeline(cfg, report):
+    """The ideal estimate and one per (eta, gamma) setting, from one
+    ``fisher_sweep`` on the config's seed: the runs draw each record's
+    stream once and keep the same records as runs of their own."""
     theta = float(cfg.model["theta"])
     sensor = build_sensor(cfg)
     dec = _matched_two_level(cfg, theta)
     grid = TimeGrid(0.0, grid_ends(cfg)[0][1], float(cfg.grid["dt"]))
-    n_traj = int(cfg.estimation["n_traj"])
-    ideal = _fisher(cascade_generators(sensor, dec), theta, grid, n_traj, cfg,
-                    report, "ideal")
+    settings = [(eta, gam) for eta in cfg.imperfections["eta_list"]
+                for gam in cfg.imperfections["gamma_list"]]
+    gens = [cascade_generators(sensor, dec)] + [
+        cascade_generators(sensor, dec, imperfections=Imperfections(gamma=float(gam),
+                                                                    eta=float(eta)))
+        for eta, gam in settings]
+    ideal, *fis = fisher_sweep(gens, theta, grid, int(cfg.estimation["n_traj"]), seed=cfg.seed)
+    _report_fisher(report, "ideal", ideal)
     rows = []
-    for eta in cfg.imperfections["eta_list"]:
-        for gam in cfg.imperfections["gamma_list"]:
-            imp = Imperfections(gamma=float(gam), eta=float(eta))
-            fi = _fisher(cascade_generators(sensor, dec, imperfections=imp),
-                         theta, grid, n_traj, cfg, report, f"eta={eta} gamma={gam}")
-            ratio = fi.value / ideal.value if ideal.value > 0 else float("nan")
-            rows.append([float(eta), float(gam), fi.value, fi.std_error, ratio])
+    for (eta, gam), fi in zip(settings, fis):
+        _report_fisher(report, f"eta={eta} gamma={gam}", fi)
+        ratio = fi.value / ideal.value if ideal.value > 0 else float("nan")
+        rows.append([float(eta), float(gam), fi.value, fi.std_error, ratio])
     report["ideal_fisher"] = ideal.value
     header = ["eta", "gamma", "fisher", "fisher_err", "ratio_to_ideal"]
     return header, rows

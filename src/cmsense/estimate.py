@@ -45,24 +45,34 @@ class LikelihoodCurve:
 
 
 def _refine(grid, logl, flat_center=None):
-    """Grid argmax with parabolic refinement; None signals a boundary hit.
-
-    A flat curve (zero-information record) returns flat_center when
-    given, bypassing the boundary check.
+    """Grid argmax with parabolic refinement of each column of the
+    (n_grid, n_records) block ``logl``: (estimates, boundary), where a
+    boundary hit flags its column and estimates its grid argmax.  A flat
+    column (zero-information record) gives flat_center when given,
+    bypassing the boundary check, else is a boundary hit.  One curve
+    (n_grid,) gives its estimate, or None for a boundary hit.  Each column
+    takes the arithmetic of a scalar parabola through its top three points,
+    so the estimates are those of one curve at a time, bit for bit.
     """
-    span = float(logl.max() - logl.min())
-    if span < _FLAT_TOL * max(1.0, abs(float(logl.max()))):
-        return flat_center
-    i = int(np.argmax(logl))
-    if i == 0 or i == len(grid) - 1:
-        return None
-    h = grid[1] - grid[0]
-    denom = logl[i - 1] - 2.0 * logl[i] + logl[i + 1]
-    if abs(denom) < 1e-300:
-        est = grid[i]
-    else:
-        est = grid[i] + 0.5 * h * (logl[i - 1] - logl[i + 1]) / denom
-    return float(np.clip(est, grid[0], grid[-1]))
+    if logl.ndim == 1:
+        est, edge = _refine(grid, logl[:, None], flat_center)
+        return None if edge[0] else float(est[0])
+    n, cols, top = len(grid), np.arange(logl.shape[1]), logl.max(axis=0)
+    i = np.argmax(logl, axis=0)
+    # each column's interior top point and its neighbours (a grid of fewer
+    # than three points has none: every column is flat or a boundary hit)
+    j = np.clip(i, 1, n - 2)
+    a, c, e = (logl[np.clip(j + o, 0, n - 1), cols] for o in (-1, 0, 1))
+    h = grid[min(1, n - 1)] - grid[0]
+    with np.errstate(invalid="ignore", divide="ignore"):  # -inf curves give NaN, as scalars do
+        flat = top - logl.min(axis=0) < _FLAT_TOL * np.maximum(1.0, np.abs(top))
+        denom = a - 2.0 * c + e
+        est = np.where(np.abs(denom) < 1e-300, grid[j], grid[j] + 0.5 * h * (a - e) / denom)
+    edge = np.where(flat, flat_center is None, (i == 0) | (i == n - 1))
+    est = np.where(flat, np.nan if flat_center is None else flat_center,
+                   np.clip(est, grid[0], grid[-1]))
+    est[edge] = grid[i[edge]]
+    return est, edge
 
 
 def likelihood_curve(gen: CascadeGenerators, record, theta_grid,
@@ -158,14 +168,8 @@ def interrogation_study(gen, theta_true: float, t_list: Sequence[float],
         t0 = perf_counter()
         logl = replay_records(g, tgrid_theta, indices, tgrid)  # (n_grid, n_records)
         grid_s = perf_counter() - t0
-        ests = np.empty(n_records)
-        n_boundary = 0
-        for r in range(n_records):
-            est = _refine(tgrid_theta, logl[:, r], flat_center=theta_true)
-            if est is None:
-                n_boundary += 1
-                est = float(tgrid_theta[int(np.argmax(logl[:, r]))])
-            ests[r] = est
+        ests, edge = _refine(tgrid_theta, logl, flat_center=theta_true)
+        n_boundary = int(edge.sum())
         tied = np.unique(ests, return_counts=True)[1].max() / n_records
         var = float(ests.var(ddof=1))
         # precision per interrogation: Var(mean of K) = var/K, so

@@ -920,7 +920,7 @@ def test_thinning_keeps_a_strongly_decaying_mode_in_range():
     # candidates up to its first click on that start's one no-click
     # trajectory: some of those first gaps cross more than 1800 bins too
     assert max(h[0] if len(h) else n for h in ref) > 1800
-    stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
     idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6, stats=stats)
     assert _record_hash(idx) == _record_hash(ref)
     assert stats["shared"] > 0
@@ -956,7 +956,7 @@ def test_shared_pass_draws_the_per_bin_reference_records(emitter, imp, name, val
                         lambda *a: drawn.append(candidates(*a)) or drawn[-1])
     ops = step_matrices(gen, 0.0, grid)
     seg, n = _engine._Segments([ops]), grid.n_steps
-    stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
     idx = _engine._thin(seg, ops, np.arange(64), 5, stats=stats)[0]
     assert _record_hash(idx) == _record_hash(ref)
     flat, _, counts = drawn[-1]
@@ -1300,12 +1300,13 @@ def _tops(n, seed):
 ], ids=["whole_records", "pieces_of_7", "one_record", "lo_64", "lo_64_pieces_of_8"])
 def test_split_candidates_are_the_serial_candidates(n, nb, lo, piece, monkeypatch):
     # the records are cut into contiguous parts drawn in helper threads and
-    # joined in record order: the same positions, dtype, uniforms and counts
+    # joined in record order: the same positions, dtype, raw draws and counts
     if piece is not None:
         monkeypatch.setattr(_engine, "_PIECE", piece)
     top, indices = _tops(n, nb), np.arange(3, 3 + nb)
     serial = _engine._candidates(top, indices, 12, lo)
-    assert len(serial[0]) > nb and serial[1].max() >= 0.2  # bins of limit 2^64 - 1
+    # raw draws of u >= 0.2: bins of limit 2^64 - 1
+    assert len(serial[0]) > nb and serial[1].max() * 2.0 ** -64 >= 0.2
     for parts in (2, 3, 5):
         split = _engine._candidates(top, indices, 12, lo, parts)
         for a, b in zip(serial, split):
@@ -1401,3 +1402,122 @@ def test_one_record_fisher_estimate_has_nan_errors(clicky_pair):
     assert np.isnan(fi.std_error) and np.isnan(fi.mean_score_se)
     two = fisher_from_trajectories(clicky_pair, 0.3, _GRID, 2, seed=3)
     assert np.isfinite(two.std_error) and np.isfinite(two.mean_score_se)
+
+
+# the fig4 operating point (omega = delta = gamma = 1, decoder matched at
+# theta = 1), where records click, and the sweep's loss/efficiency settings
+_FIG4_SENSOR = two_level_model(omega=1.0, delta=1.0, gamma=1.0)
+_FIG4_DECODER = two_level_decoder(1.0, -1.0, 1.0)
+_SETTINGS = [(eta, gam) for eta in (1.0, 0.65, 0.3) for gam in (0.0, 0.1)]
+
+
+def _fig4_cascades(settings=_SETTINGS, sensor=_FIG4_SENSOR):
+    """The ideal cascade, then one per (eta, gamma) setting."""
+    return [cascade_generators(sensor, _FIG4_DECODER)] + [
+        cascade_generators(sensor, _FIG4_DECODER, imperfections=Imperfections(gamma=g, eta=e))
+        for e, g in settings]
+
+
+def _spy_runs(monkeypatch):
+    """A list that gets the (records, scores, candidates) of every record
+    run from now on."""
+    runs, run = [], cascade._run_records
+    monkeypatch.setattr(cascade, "_run_records", lambda *a, **k: runs.append(run(*a, **k))
+                        or runs[-1])
+    return runs
+
+
+_UNTIMED = {"seconds", "table_s", "sample_s", "draw_s", "score_s", "draws"}
+
+
+def _untimed(fi):
+    """A Fisher estimate's fields but its timers and draw count."""
+    return {k: v for k, v in vars(fi).items() if k not in _UNTIMED}
+
+
+def _assert_sweep_is_separate_runs(gens, theta, grid, n, seed, monkeypatch):
+    """Each run of the sweep of ``gens`` gives the records, scores and
+    estimate of its separate run, and the records and logL of a separate
+    sampling run; returns the sweep's estimates."""
+    runs = _spy_runs(monkeypatch)
+    swept = cascade.fisher_sweep(gens, theta, grid, n, seed)
+    assert len(runs) == len(swept) == len(gens)
+    for gen, fi, (idx, scores, cands) in zip(gens, swept, list(runs)):
+        alone = fisher_from_trajectories(gen, theta, grid, n, seed=seed)
+        assert _record_hash(runs[-1][0]) == _record_hash(idx)
+        assert runs[-1][1].tobytes() == scores.tobytes() and runs[-1][2] == cands
+        assert _untimed(alone) == _untimed(fi) and alone.draws == n * grid.n_steps
+        ref_idx, ref_logl, _ = sample_records(gen, theta, grid, n, seed=seed)
+        assert _record_hash(ref_idx) == _record_hash(idx)
+        assert replay_records(gen, theta, idx, grid).tobytes() == ref_logl.tobytes()
+    return swept
+
+
+def test_sweep_runs_are_their_separate_runs_bitwise(monkeypatch):
+    # the ideal cascade and every (eta, gamma) of {1, 0.65, 0.3} x {0, 0.1}
+    # at one seed: the ideal run draws each record's stream at the largest
+    # bound, every other run keeps its own candidates of that draw
+    grid = TimeGrid(0.0, 4.0, 2e-3)
+    swept = _assert_sweep_is_separate_runs(_fig4_cascades(), 1.0, grid, 48, 5, monkeypatch)
+    assert [fi.draws for fi in swept] == [48 * grid.n_steps] + [0] * len(_SETTINGS)
+    assert all(fi.mean_clicks > 0.0 and fi.value > 0.0 for fi in swept)
+    # the ideal and unit-efficiency runs keep every candidate, eta = 0.3 about 0.3 of them
+    assert swept[1].candidates == swept[0].candidates > 2.0 * swept[-1].candidates
+
+
+def test_sweep_run_above_the_shared_bound_draws_its_own(monkeypatch):
+    # a per-bin cascade (the decay rate modulated up to 1.5) is not part of
+    # the shared bound: at eta = 1 its bound exceeds it and it draws its own;
+    # at eta = 0.3 it lies below it and keeps its candidates of the draw,
+    # unless it walks the grid in several windows of tables
+    modulated = modulated_jump_sensor()
+    gens = (_fig4_cascades([(0.65, 0.0)], sensor=two_level_model(1.0, 0.0, 1.0))
+            + _fig4_cascades([(0.3, 0.0)], sensor=modulated))
+    assert [g.time_dependent for g in gens] == [False, False, True, True]
+    grid = TimeGrid(0.0, 2.0, 2e-3)
+    assert len(cascade._tables(gens[3], [0.3], grid, 0.05, True)[1]) > 1
+    n = 32 * grid.n_steps
+    swept = _assert_sweep_is_separate_runs(gens, 0.3, grid, 32, 9, monkeypatch)
+    assert [fi.draws for fi in swept] == [n, 0, n, n] and swept[3].windows > 1
+    monkeypatch.setattr(cascade, "_TABLE_BYTES", 1 << 30)  # one window each
+    swept = _assert_sweep_is_separate_runs(gens, 0.3, grid, 32, 9, monkeypatch)
+    assert [fi.draws for fi in swept] == [n, 0, n, 0] and swept[3].windows == 1
+
+
+def test_thinning_ignores_a_superset_below_its_bound():
+    # a superset drawn at a lower top than the run's own in one bin is not
+    # one: thinning draws its own, and the records are the reference's
+    gen = cascade_generators(_FIG4_SENSOR, _FIG4_DECODER)
+    ops = step_matrices(gen, 1.0, _GRID)
+    top, n = _engine._top(ops), _GRID.n_steps
+    low = top.copy()
+    low[n // 2] -= np.uint64(1)
+    ref = _reference_records(ops, np.arange(32), 4)[0]
+    for drawn, draws in ((low, 32 * n), (np.maximum(top, top[:1] << np.uint64(1)), 0)):
+        superset = (drawn, *_engine._candidates(drawn, np.arange(32), 4, 0)[:2])
+        stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
+        idx = _engine._thin(_engine._Segments([ops]), ops, np.arange(32), 4, stats=stats,
+                            drawn=superset)[0]
+        assert _record_hash(idx) == _record_hash(ref) and stats["draws"] == draws
+
+
+def test_chunked_sweep_shares_each_chunk_and_needs_records(monkeypatch):
+    # 20 records in chunks of 8: each chunk is drawn once for the sweep
+    monkeypatch.setattr(cascade, "_CHUNK", 8)
+    monkeypatch.setattr(cascade, "_CHUNK_BINS", 8 * _GRID.n_steps)
+    drawn, candidates = [], _engine._candidates
+    monkeypatch.setattr(_engine, "_candidates", lambda *a: drawn.append(a[1]) or candidates(*a))
+    swept = _assert_sweep_is_separate_runs(_fig4_cascades(_SETTINGS[2:4]), 1.0, _GRID, 20, 3,
+                                           monkeypatch)
+    assert all(fi.chunks == 3 for fi in swept)
+    assert [fi.draws for fi in swept] == [20 * _GRID.n_steps, 0, 0]
+    # the sweep's three chunk draws, then each separate run's
+    assert [len(a) for a in drawn[:3]] == [8, 8, 4]
+    with pytest.raises(CmsenseError, match="n_traj = 0"):
+        cascade.fisher_sweep(_fig4_cascades(_SETTINGS[2:4]), 1.0, _GRID, 0, 3)
+    assert cascade.fisher_sweep([], 1.0, _GRID, 8, 3) == []
+    # a record run with a shared store and no records is empty
+    store = cascade._shared_draws(np.broadcast_to(np.uint64(2 ** 60), (_GRID.n_steps,)), 3)
+    tables = cascade._tables(_fig4_cascades([])[0], [1.0], _GRID, 0.05, True)
+    idx, scores, cands = cascade._run_records(*tables, "segment", 0, 3, shared=store)
+    assert idx == [] and scores.shape == (1, 0) and cands == 0

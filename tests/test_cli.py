@@ -208,7 +208,7 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
-                          "table_s", "sample_s", "draw_s", "draw_parts", "shared",
+                          "table_s", "sample_s", "draw_s", "draws", "draw_parts", "shared",
                           "rounds", "score_s", "windows", "table_mb"}
         # the stage timers: table build, thinning, tangent replay
         stages = (e["table_s"], e["sample_s"], e["score_s"])
@@ -216,6 +216,8 @@ def test_provenance_reports_estimators_and_null_point():
         # thinning's candidate draws, part of it: 16 x 500 draws stay in
         # the calling thread
         assert 0.0 < e["draw_s"] <= e["sample_s"] and e["draw_parts"] == 1
+        # each mismatch estimate has a seed of its own, so it draws its own
+        assert e["draws"] == 16 * 500
         # every estimate samples on the click-to-click core, which reports
         # its thinning candidates (at least the clicks) per record
         assert e["n_traj"] == 16
@@ -347,3 +349,30 @@ def test_scan_row_propagates_each_generalized_state_once(monkeypatch):
     qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
     qfi.global_qfi(sensor, 0.0, horizon, dt=2e-3)
     assert 2 * row == len(props) == 18
+
+
+def test_imperfections_sweep_equals_its_runs_without_sharing(monkeypatch):
+    # the ideal run draws each record's stream once for the whole grid of
+    # settings; with sharing patched out every run draws its own, and the
+    # CSV and the provenance (timers and draw counts dropped) are the same
+    from cmsense import cascade
+    cfg = _tiny_cfg(preset="fig4_imperfections",
+                    model={"omega": 1.0, "delta": 1.0, "gamma": 1.0, "theta": 1.0},
+                    grid={"dt": 2e-3, "t_list": [2.0]}, estimation={"n_traj": 24},
+                    imperfections={"eta_list": [0.3, 0.65, 1.0], "gamma_list": [0.0, 0.1]})
+
+    def untimed(bundle):
+        prov = {k: v for k, v in bundle.provenance.items() if k != "generated_utc"}
+        prov["estimators"] = [{k: v for k, v in e.items()
+                               if not (k.endswith("_s") or k in ("seconds", "draws"))}
+                              for e in prov["estimators"]]
+        return bundle.csv_bytes("imperfections"), prov
+
+    shared = run(ExperimentConfig.from_dict(cfg))
+    draws = [e["draws"] for e in shared.provenance["estimators"]]
+    assert draws == [24 * 1000] + [0] * 6
+    monkeypatch.setattr(cascade, "_shared_draws", lambda top, seed: None)
+    alone = run(ExperimentConfig.from_dict(cfg))
+    assert [e["draws"] for e in alone.provenance["estimators"]] == [24 * 1000] * 7
+    assert untimed(alone) == untimed(shared)
+    assert len(shared.tables["imperfections"][1]) == 6

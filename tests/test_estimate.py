@@ -126,3 +126,68 @@ def test_interrogation_study_reports_the_records_that_tie():
     rows = interrogation_study(gen, 1.0, [5.0], n_records=n, dt=2e-3, seed=seed)
     empty = sum(len(h) == 0 for h in sample_records(gen, 1.0, grid, n, seed=seed)[0]) / n
     assert 0.5 < empty <= rows[0].tied_frac < 1.0
+
+
+def _scalar_refine(grid, logl, flat_center):
+    """The parabolic refinement of one curve written out with scalars:
+    (estimate, boundary hit), the grid argmax on a boundary hit."""
+    span = float(logl.max() - logl.min())
+    i = int(np.argmax(logl))
+    if span < 1e-12 * max(1.0, abs(float(logl.max()))):
+        return (float(grid[i]), True) if flat_center is None else (flat_center, False)
+    if i == 0 or i == len(grid) - 1:
+        return float(grid[i]), True
+    h = grid[1] - grid[0]
+    denom = logl[i - 1] - 2.0 * logl[i] + logl[i + 1]
+    if abs(denom) < 1e-300:
+        est = grid[i]
+    else:
+        est = grid[i] + 0.5 * h * (logl[i - 1] - logl[i + 1]) / denom
+    return float(np.clip(est, grid[0], grid[-1])), False
+
+
+def _assert_refines_as_scalars(grid, logl, flat_center):
+    est, edge = _refine(grid, logl, flat_center)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref = [_scalar_refine(grid, logl[:, r], flat_center) for r in range(logl.shape[1])]
+    assert edge.tolist() == [b for _, b in ref]
+    assert est.tobytes() == np.array([e for e, _ in ref]).tobytes()
+    for r, (e, b) in enumerate(ref):  # one curve at a time: the same estimate, None on a hit
+        one = _refine(grid, logl[:, r], flat_center)
+        assert (one is None) if b else (np.float64(one).tobytes() == np.float64(e).tobytes())
+
+
+def test_refine_of_the_mle_cell_grids_is_the_scalar_refinement(monkeypatch):
+    # the benchmark's mle cell (omega = delta = gamma = 1, decoder matched at
+    # theta = 1, 41 grid points): every record's estimate at T = 5 and 150
+    # is the scalar refinement's, bit for bit
+    from cmsense import estimate
+    blocks, refine = [], estimate._refine
+    monkeypatch.setattr(estimate, "_refine",
+                        lambda g, logl, flat_center=None: blocks.append((g, logl, flat_center))
+                        or refine(g, logl, flat_center))
+    gen = cascade_generators(two_level_model(omega=1.0, delta=1.0, gamma=1.0),
+                             two_level_decoder(1.0, -1.0, 1.0))
+    interrogation_study(gen, 1.0, [5.0, 150.0], 128, 2e-3, seed=1, n_grid=41)
+    monkeypatch.undo()
+    assert [b[1].shape for b in blocks] == [(41, 128)] * 2
+    for grid, logl, center in blocks:
+        _assert_refines_as_scalars(grid, logl, center)
+
+
+@pytest.mark.parametrize("center", [None, 0.25])
+def test_refine_of_flat_boundary_and_infinite_curves_is_the_scalar_refinement(center):
+    grid = np.linspace(-1.0, 1.0, 9)
+    ninf = -np.inf
+    curves = [
+        -(grid - 0.1234) ** 2,  # interior vertex
+        np.zeros(9), np.full(9, -3.0), np.full(9, 1e13) + np.arange(9) * 1e-3,  # flat
+        grid.copy(), -grid,  # maximal at the right, the left edge
+        np.full(9, ninf),  # probability zero everywhere
+        np.where(np.arange(9) == 4, 0.0, ninf),  # finite at one interior point
+        np.where(np.arange(9) < 6, -(grid - 0.2) ** 2, ninf),  # -inf past the peak
+        np.where(np.arange(9) == 3, ninf, -(grid - 0.3) ** 2),  # -inf beside the peak
+        np.array([-1.0, -1.0, -1.0, 0.0, 1e-305, 0.0, -1.0, -1.0, -1.0]),  # |curvature| < 1e-300
+    ]
+    _assert_refines_as_scalars(grid, np.stack(curves, axis=1), center)
+    _assert_refines_as_scalars(grid, np.empty((9, 0)), center)

@@ -84,7 +84,7 @@ def main(argv=None):
             _engine._candidates = lambda *a, cands=cands: cands
             times, results = [], []
             for _ in range(args.repeats):
-                stats = {"draw_s": 0.0, "draw_parts": 1, "shared": 0, "rounds": 0}
+                stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
                 seg, ops, indices, seed, x, lo = thin_args
                 x = None if x is None else x.copy()  # _thin writes the states it is given
                 t0 = perf_counter()
