@@ -132,7 +132,7 @@ def _scan_pipeline(cfg, report):
         t0 = perf_counter()
         env, glob = qfi_pair(sensor, theta, horizon, dt=dt)
         report.setdefault("qfi", []).append({
-            "T": float(t_end), "propagations": env.propagations,
+            "T": float(t_end), "propagations": env.propagations, "walks": env.walks,
             "seconds": perf_counter() - t0,
             **{kind: {"fd_step": q.fd_step, "fidelity_evals": len(q.fidelity_samples)}
                for kind, q in (("env", env), ("global", glob))}})

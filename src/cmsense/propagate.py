@@ -17,6 +17,11 @@ fidelities on unit-trace states.
 
 All propagation is by products of per-bin maps (``propagate_linear``);
 densities in row-major vec, where mu -> A mu B^dag is A (x) conj(B).
+One loop walks the grid, a map per bin, for a final state and a series
+alike; the generalized states of several table pairs walk it together
+as one stack (``transfer`` of two lists of tables), and a run of bins
+that repeats one map (a static model, the free-decay tail of a pulsed
+one) is applied as one matrix power when only the final state is kept.
 
 One builder tabulates every counting model: ``step_matrices`` gives the
 per-bin branch maps of ``cascade_generators`` (a sensor alone, or cascaded
@@ -205,18 +210,59 @@ def _bin_times(grid, static, lo=0, hi=None):
 def transfer(ta, tb):
     """Per-bin maps mu -> sum_s A^s mu B^s^dag in row-major vec for
     :func:`propagate_linear`, with A from the Kraus table ``ta`` and B
-    from ``tb``: one matrix when the tables hold a single bin.  Static
-    click stacks (read-only broadcasts of one matrix) give one click kron,
-    added to each block's no-click krons."""
-    click = None
-    if _static(ta.a1) and _static(tb.a1):
-        click = _batched_kron(ta.a1[:1], tb.a1[:1].conj())
+    from ``tb``, or for two equal-length lists of tables the maps of each
+    pair (ta[p], tb[p]), stacked after the bin axis: one matrix (one per
+    pair) when the tables hold a single bin, else a ``_Transfer`` builder.
+    Static click stacks (read-only broadcasts of one matrix) give one click
+    kron per pair, added to each block's no-click krons."""
+    stacked = isinstance(ta, (list, tuple))
+    tas, tbs = (list(ta), list(tb)) if stacked else ([ta], [tb])
+    maps = _Transfer(tas, tbs, stacked)
+    return maps(0, 1)[0] if maps.n == 1 else maps
 
-    def maps(lo, hi):
-        m = _batched_kron(ta.a0[lo:hi], tb.a0[lo:hi].conj())
-        m += _batched_kron(ta.a1[lo:hi], tb.a1[lo:hi].conj()) if click is None else click
-        return m
-    return maps(0, 1)[0] if len(ta.a0) == 1 else maps
+
+class _Transfer:
+    """``maps(lo, hi)``: the maps of bins lo..hi-1 of the table pairs
+    (tas[p], tbs[p]), every pair's from one ``_batched_kron`` call.
+    ``blocks(n)`` gives those of bins 0..n-1 as :func:`propagate_linear`
+    walks them: a run of bins over which every table's no-click stack
+    repeats one matrix, the click stacks being static, whole, as a
+    read-only broadcast of its first bin's maps; the bins between runs in
+    blocks of at most _BLOCK / pairs bins, so a stack holds no more maps
+    at a time than one pair does."""
+
+    def __init__(self, tas, tbs, stacked):
+        self.tas, self.tbs, self.d = tas, tbs, tas[0].a0.shape[-1]
+        self.n = len(tas[0].a0)
+        self.shape = ((len(tas),) if stacked else ()) + (self.d ** 2, self.d ** 2)
+        self.click, self.runs = None, []
+        if all(_static(t.a1) for t in tas + tbs):
+            self.click = self._krons("a1", 0, 1)
+            same = np.logical_and.reduce([(a[1:] == a[:-1]).all(axis=(1, 2)) for a in
+                                          {id(t.a0): t.a0 for t in tas + tbs}.values()])
+            heads = np.concatenate(([0], np.flatnonzero(~same) + 1, [self.n]))
+            self.runs = [(a, b) for a, b in zip(heads[:-1], heads[1:]) if b - a > 1]
+
+    def _krons(self, name, lo, hi):  # (bins, pairs, d^2, d^2)
+        side = lambda ts: np.stack([getattr(t, name)[lo:hi] for t in ts], 1).reshape(
+            -1, self.d, self.d)
+        return _batched_kron(side(self.tas), side(self.tbs).conj()).reshape(
+            hi - lo, len(self.tas), self.d ** 2, self.d ** 2)
+
+    def __call__(self, lo, hi):
+        m = self._krons("a0", lo, hi)
+        m += self._krons("a1", lo, hi) if self.click is None else self.click
+        return m.reshape((hi - lo,) + self.shape)
+
+    def blocks(self, n):
+        step, lo = max(1, _BLOCK // len(self.tas)), 0
+        for a, b in self.runs + [(n, n)]:
+            a, b = min(a, n), min(b, n)
+            for k in range(lo, a, step):
+                yield self(k, min(k + step, a))
+            if b > a:
+                yield np.broadcast_to(self(a, a + 1), (b - a,) + self.shape)
+            lo = max(lo, b)
 
 
 @dataclass(frozen=True)
@@ -392,43 +438,51 @@ def step_matrices(gen: CascadeGenerators, theta: float, grid: TimeGrid,
     return _theta_tables(gen, [theta], grid, max_step)[0][0]
 
 
-def _tree_product(s):
-    """s[-1] @ ... @ s[0] by pairwise reduction, keeping time order."""
-    while len(s) > 1:
-        prod = s[1::2] @ s[0:len(s) - 1:2]
-        s = np.concatenate([prod, s[-1:]]) if len(s) % 2 else prod
-    return s[0]
-
-
 def propagate_linear(maps, x0, n_steps, series=False):
-    """Apply x_{k+1} = M_k x_k for k = 0..n_steps-1, starting from x0.
+    """Apply x_{k+1} = M_k x_k for k = 0..n_steps-1, starting from x0, or
+    from each row of a stack x0 (pairs, m) under its own maps.
 
     ``maps`` is one (m, m) matrix for every bin (static model), an
-    (n_steps, m, m) table, or a builder ``maps(lo, hi)`` of the table
-    of bins lo..hi-1, called ``_BLOCK`` bins at a time (bounding the
-    transient memory of time-dependent propagation).  Returns
-    x_{n_steps} (a matrix power, or tree-reduced products per block),
-    or with ``series=True`` all n_steps + 1 states, one matvec per bin.
+    (n_steps, m, m) table, a builder ``maps(lo, hi)`` of the table of bins
+    lo..hi-1, called ``_BLOCK`` bins at a time, or a :func:`transfer`
+    builder, walked in its ``blocks`` (builders bound the transient memory
+    of time-dependent propagation); a stack takes (pairs, m, m) in place
+    of each (m, m).  One loop walks the grid, one matvec (one stacked
+    matmul) per bin, and returns x_{n_steps}, or with ``series=True`` all
+    n_steps + 1 states.  Without a series, a block that is a stride-0
+    broadcast of one matrix (a static model, or a run of equal bins) is
+    applied as one matrix power.
     """
     x = np.asarray(x0, dtype=complex)
-    if not callable(maps):
+    stacked = x.ndim == 2
+    if isinstance(maps, _Transfer):
+        blocks = maps.blocks(n_steps)
+    elif callable(maps):
+        blocks = (maps(lo, min(lo + _BLOCK, n_steps)) for lo in range(0, n_steps, _BLOCK))
+    else:
         table = np.asarray(maps)
-        if table.ndim == 2:
-            if not series:
-                return np.linalg.matrix_power(table, n_steps) @ x
+        if table.ndim == x.ndim + 1:  # one matrix for every bin
             table = np.broadcast_to(table, (n_steps,) + table.shape)
-        maps = lambda lo, hi: table[lo:hi]
-    if not series:
-        for lo in range(0, n_steps, _BLOCK):
-            x = _tree_product(maps(lo, min(lo + _BLOCK, n_steps))) @ x
-        return x
+        blocks = [table[:n_steps]]
+    if stacked:
+        x = x[..., None]  # one column per pair
     # preallocated: collecting per-bin arrays in a list fragments the heap
-    out = np.empty((n_steps + 1,) + x.shape, dtype=complex)
-    out[0] = x
-    for lo in range(0, n_steps, _BLOCK):
-        for k, m in enumerate(maps(lo, min(lo + _BLOCK, n_steps)), lo + 1):
-            out[k] = x = m @ x
-    return out
+    if series:
+        out = np.empty((n_steps + 1,) + x.shape, dtype=complex)
+        out[0] = x
+    k = 0
+    for block in blocks:
+        if not series and _static(block):
+            x = np.linalg.matrix_power(block[0], len(block)) @ x
+            continue
+        for m in block:
+            x = m @ x
+            if series:
+                k += 1
+                out[k] = x
+    if series:
+        x = out
+    return x[..., 0] if stacked else x
 
 
 def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,

@@ -18,6 +18,8 @@ grids.
 ``qfi_pair`` computes I_E and I_G from one engine: both kinds read the
 same mu(theta1, theta2), so a generalized state that both step searches
 need is propagated once, on the decoder-free cascade's ``step_matrices``.
+The states of one finite-difference step that the engine lacks are
+propagated together, as one stack in one walk over the grid.
 """
 
 import math
@@ -28,7 +30,8 @@ import numpy as np
 from .errors import CmsenseError, StepSelectionFailed
 from .linalg import nuclear_norm, nuclear_norm_eig
 from .models import SensorModel
-from .propagate import STEP_GUARD, TimeGrid, cascade_generators, evolve_generalized, step_matrices
+from .propagate import (STEP_GUARD, TimeGrid, cascade_generators, propagate_linear,
+                        step_matrices, transfer)
 
 __all__ = [
     "QfiResult",
@@ -53,19 +56,22 @@ _CROSSCHECK_TOL = 1e-10
 @dataclass
 class QfiResult:
     """A QFI estimate; ``propagations`` counts the generalized-state
-    propagations of the engine that computed it (shared with the other
-    result of a ``qfi_pair``)."""
+    propagations of the engine that computed it and ``walks`` the walks
+    over the grid that ran them (both shared with the other result of a
+    ``qfi_pair``)."""
 
     value: float
     fd_step: float
     fidelity_samples: list = field(default_factory=list)
     propagations: int = 0
+    walks: int = 0
 
 
 class _FidelityEngine:
     """Caches Kraus tables (``step_matrices``) and generalized states
     mu(theta1, theta2) by their parameter pair, so that both fidelity kinds
-    share them."""
+    share them; the states that a fidelity or a finite-difference step
+    needs and the cache lacks are propagated in one walk (``walk``)."""
 
     def __init__(self, model, T, dt, max_step=STEP_GUARD):
         self.model = model
@@ -74,6 +80,7 @@ class _FidelityEngine:
         self.max_step = max_step
         self._tables = {}
         self._mus = {}
+        self.walks = 0
 
     def _table(self, theta):
         if theta not in self._tables:
@@ -84,20 +91,27 @@ class _FidelityEngine:
     def propagations(self):
         return len(self._mus)
 
-    def _mu(self, t1, t2):
-        if (t1, t2) not in self._mus:
-            self._mus[t1, t2] = evolve_generalized(
-                self.model, t1, t2, self.grid, self.max_step,
-                tables=(self._table(t1), self._table(t2)))
-        return self._mus[t1, t2]
+    def walk(self, pairs):
+        """Propagate the generalized states of the parameter pairs ``pairs``
+        that are not held yet, as one stack in one walk over the grid."""
+        new = [p for p in dict.fromkeys(pairs) if p not in self._mus]
+        if not new:
+            return
+        mu0 = np.outer(self.model.initial_state, self.model.initial_state.conj())
+        mus = propagate_linear(transfer([self._table(a) for a, _ in new],
+                                        [self._table(b) for _, b in new]),
+                               np.tile(mu0.ravel(), (len(new), 1)), self.grid.n_steps)
+        self._mus.update(zip(new, mus.reshape((-1,) + mu0.shape)))
+        self.walks += 1
 
     def _norm(self, theta):
-        return float(np.trace(self._mu(theta, theta)).real)
+        return float(np.trace(self._mus[theta, theta]).real)
 
     def fidelity(self, t1, t2, kind):
         """Unit-trace fidelity of ``kind`` "env" (nuclear norm of mu) or
         "global" (|tr mu|)."""
-        mu = self._mu(t1, t2)
+        self.walk([(t1, t2), (t1, t1), (t2, t2)])
+        mu = self._mus[t1, t2]
         if kind == "env":
             val = nuclear_norm(mu)
             alt = nuclear_norm_eig(mu)
@@ -131,6 +145,9 @@ def _qfi(eng, theta, kind):
     samples = []
 
     def infidelity(d):
+        # every state of the step in one walk: mu(θ, θ), mu(θ, θ ± d), mu(θ ± d, θ ± d)
+        eng.walk([(theta, theta), (theta, theta + d), (theta, theta - d),
+                  (theta + d, theta + d), (theta - d, theta - d)])
         fp = eng.fidelity(theta, theta + d, kind)
         fm = eng.fidelity(theta, theta - d, kind)
         samples.append((d, fp))
@@ -162,6 +179,7 @@ def _qfi(eng, theta, kind):
         fd_step=d,
         fidelity_samples=samples,
         propagations=eng.propagations,
+        walks=eng.walks,
     )
 
 
@@ -191,5 +209,5 @@ def qfi_pair(model: SensorModel, theta: float, T: float, dt: float = 1e-3):
     eng = _FidelityEngine(model, T, dt)
     env = _qfi(eng, theta, "env")
     glob = _qfi(eng, theta, "global")
-    env.propagations = glob.propagations
+    env.propagations, env.walks = glob.propagations, glob.walks
     return env, glob

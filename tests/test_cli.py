@@ -241,7 +241,8 @@ def test_provenance_reports_synthesized_decoder():
     (dec,) = prov["decoders"]
     assert dec["label"] == "T=0.5" and dec["herm_residual"] > 0.0
     assert set(dec) == {"label", "herm_residual", "seconds"} and dec["seconds"] > 0.0
-    assert [set(q) for q in prov["qfi"]] == [{"T", "propagations", "seconds", "env", "global"}]
+    assert [set(q) for q in prov["qfi"]] == [{"T", "propagations", "walks", "seconds", "env",
+                                              "global"}]
     assert b"seconds" not in bundle.csv_bytes("heisenberg")
     assert [e["label"] for e in prov["estimators"]] == ["T=0.5 decoder", "T=0.5 direct"]
     # the pulsed three-level model is time dependent and still runs on the
@@ -306,7 +307,7 @@ def test_provenance_reports_qfi_engine():
     (row,) = bundle.provenance["qfi"]
     assert row.pop("seconds") > 0.0  # the stage timer of the row's qfi_pair
     assert row == {
-        "T": 3.0, "propagations": 9,
+        "T": 3.0, "propagations": 9, "walks": env.walks,
         "env": {"fd_step": env.fd_step, "fidelity_evals": len(env.fidelity_samples)},
         "global": {"fd_step": glob.fd_step, "fidelity_evals": len(glob.fidelity_samples)}}
     assert b"propagations" not in bundle.csv_bytes("qfi_scan")
@@ -332,23 +333,27 @@ def test_provenance_reports_mle_grid_replay():
 
 def test_scan_row_propagates_each_generalized_state_once(monkeypatch):
     # one three-level scan row: I_E and I_G share every generalized state,
-    # half the propagations of two separate engines
+    # half the propagations of two separate engines, and the states of
+    # each finite-difference step come from one walk over the grid
     from cmsense import qfi
     from cmsense.config import build_sensor, grid_ends
-    props = []
-    evolve = qfi.evolve_generalized
-    monkeypatch.setattr(qfi, "evolve_generalized",
-                        lambda *a, **k: props.append(1) or evolve(*a, **k))
+    walks = []
+    walk = qfi.propagate_linear
+    monkeypatch.setattr(qfi, "propagate_linear",
+                        lambda maps, x0, *a, **k: walks.append(len(x0)) or walk(maps, x0, *a, **k))
     cfg = ExperimentConfig.from_dict(_tiny_cfg(**_THREE_LEVEL))
     bundle = run(cfg)
-    row = len(props)
-    assert bundle.provenance["qfi"][0]["propagations"] == row
-    props.clear()
+    (row,) = bundle.provenance["qfi"]
+    assert row["propagations"] == sum(walks) == 9
+    assert row["walks"] == len(walks) == 2  # the steps d = 1e-3 and 1e-2
+    assert walks == [5, 4]  # the second step shares mu(θ, θ)
+    walks.clear()
     (t, horizon), = grid_ends(cfg)
     sensor = build_sensor(cfg, t_plateau=t)
-    qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
-    qfi.global_qfi(sensor, 0.0, horizon, dt=2e-3)
-    assert 2 * row == len(props) == 18
+    env = qfi.env_qfi(sensor, 0.0, horizon, dt=2e-3)
+    glob = qfi.global_qfi(sensor, 0.0, horizon, dt=2e-3)
+    steps = {d for d, _ in env.fidelity_samples + glob.fidelity_samples if d > 0}
+    assert walks == [5, 4, 5, 4] and len(steps) == 2
 
 
 def test_imperfections_sweep_equals_its_runs_without_sharing(monkeypatch):

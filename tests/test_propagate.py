@@ -230,6 +230,18 @@ def test_evolve_density_raises_on_coarse_grid():
                        trace_tol=1e-3)
 
 
+def test_evolve_generalized_guard_takes_max_step():
+    # the step guard stops a coarse grid; a widened guard reaches the tables
+    m = two_level_model(omega=1.0, delta=0.0, gamma=1.0)
+    grid = TimeGrid(0.0, 2.0, 0.5)
+    with pytest.raises(StepTooLarge):
+        evolve_generalized(m, 0.0, 0.1, grid)
+    ta, tb = (_sensor_table(m, t, grid, max_step=1.0) for t in (0.0, 0.1))
+    mu0 = np.outer(m.initial_state, m.initial_state.conj())
+    ref = propagate_linear(transfer(ta, tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)
+    assert evolve_generalized(m, 0.0, 0.1, grid, max_step=1.0).tobytes() == ref.tobytes()
+
+
 def test_generalized_at_equal_parameters_is_density():
     m = two_level_model(omega=1.0, delta=0.3, gamma=1.0)
     grid = TimeGrid(0.0, 5.0, 1e-3)
@@ -284,3 +296,82 @@ def test_propagate_linear_matches_per_bin_loop(case, n_steps):
     assert series.shape == (n_steps + 1, m.dim ** 2)
     err = np.abs(series.reshape(ref.shape) - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * scale)
+
+
+# past t ~ 3.43 the pi pulse's envelope has underflowed to 0: the pulsed
+# model's no-click maps repeat one matrix from there to the grid's end
+_TAIL = TimeGrid(0.0, 4.0, 1e-3)
+_PULSED = three_level_model(0.0, 5.0, 1.0, T_plateau=0.5)
+
+
+def _mu0(m):
+    return np.outer(m.initial_state, m.initial_state.conj()).ravel()
+
+
+def test_generalized_state_bits_do_not_depend_on_its_stack():
+    # the per-bin matmuls and matrix powers act pair by pair, and the runs
+    # of equal bins are the same for every θ: a state walked alone, or as
+    # one of the five of a finite-difference step, has the same bits
+    theta, d = 0.0, 1e-2
+    tab = {t: _sensor_table(_PULSED, t, _TAIL) for t in (theta - d, theta, theta + d)}
+    pairs = [(theta, theta), (theta, theta + d), (theta, theta - d),
+             (theta + d, theta + d), (theta - d, theta - d)]
+    maps = transfer([tab[a] for a, _ in pairs], [tab[b] for _, b in pairs])
+    assert len(maps.runs) == 1
+    stack = propagate_linear(maps, np.tile(_mu0(_PULSED), (5, 1)), _TAIL.n_steps)
+    for (a, b), mu in zip(pairs, stack):
+        alone = propagate_linear(transfer([tab[a]], [tab[b]]), _mu0(_PULSED)[None],
+                                 _TAIL.n_steps)
+        assert mu.tobytes() == alone[0].tobytes()
+        assert mu.tobytes() == evolve_generalized(_PULSED, a, b, _TAIL).tobytes()
+        own = evolve_generalized(_PULSED, a, b, _TAIL, tables=(tab[a], tab[b]))
+        assert mu.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["pair", "stack"])
+@pytest.mark.parametrize("case", ["pulsed_three_level", "modulated_jump"])
+def test_final_state_is_the_last_state_of_the_series(case, stacked):
+    # without a run of equal bins, the final state and the series come
+    # from the same per-bin loop
+    m, _ = _PRIMITIVE_CASES[case]
+    grid = TimeGrid(0.0, 1.0, 1e-3)
+    ta, tb = _sensor_table(m, 0.3, grid), _sensor_table(m, 0.35, grid)
+    if stacked:
+        maps, x0 = transfer([ta, tb, ta], [tb, ta, ta]), np.tile(_mu0(m), (3, 1))
+    else:
+        maps, x0 = transfer(ta, tb), _mu0(m)
+    assert not maps.runs
+    final = propagate_linear(maps, x0, grid.n_steps)
+    assert final.tobytes() == propagate_linear(maps, x0, grid.n_steps, series=True)[-1].tobytes()
+
+
+def _tail_walk(ta, tb):
+    """The final state of the tail grid, powered over its runs and walked
+    bin by bin, and the blocks it is walked in."""
+    maps = transfer(ta, tb)
+    final = propagate_linear(maps, _mu0(_PULSED), _TAIL.n_steps)
+    walked = propagate_linear(maps, _mu0(_PULSED), _TAIL.n_steps, series=True)[-1]
+    assert np.abs(final - walked).max() <= 1e-13 * np.abs(walked).max()
+    return maps, list(maps.blocks(_TAIL.n_steps))
+
+
+def test_powered_run_agrees_with_its_walk():
+    ta, tb = _sensor_table(_PULSED, 0.0, _TAIL), _sensor_table(_PULSED, 0.01, _TAIL)
+    maps, blocks = _tail_walk(ta, tb)
+    (a, b), = maps.runs
+    assert b == _TAIL.n_steps and b - a > 500
+    assert blocks[-1].strides[0] == 0 and len(blocks[-1]) == b - a
+
+
+def test_run_broken_by_one_bin_walks_that_bin():
+    ta = _sensor_table(_PULSED, 0.0, _TAIL)
+    (a, b), = transfer(ta, ta).runs
+    k = (a + b) // 2
+    a0 = ta.a0.copy()
+    a0[k] *= 1.0 + 1e-9
+    tk = StepOps(ta.n_steps, ta.dt, a0, ta.a1, ta.x0, pure=True)
+    maps, blocks = _tail_walk(tk, tk)
+    assert maps.runs == [(a, k), (k + 1, b)]
+    ends = np.cumsum([len(m) for m in blocks])
+    hit = blocks[np.searchsorted(ends, k, "right")]
+    assert hit.strides[0] != 0 and len(hit) == 1

@@ -83,3 +83,12 @@ def test_qfi_pair_equals_separate_calls(model, T):
         assert got.fidelity_samples == ref.fidelity_samples
     assert env.propagations == glob.propagations == sep_env.propagations == 9
     assert sep_glob.propagations == 9
+
+
+def test_static_qfi_keeps_its_bits():
+    # a static model's generalized states are matrix powers whether they are
+    # walked alone or stacked: the values frozen before the states of a
+    # finite-difference step were propagated as one stack
+    env, glob = qfi_pair(two_level_model(1.0, 0.0, 1.0), 0.0, 30.0, dt=2e-3)
+    assert (env.value, glob.value) == (25.91345188873717, 26.752765990512017)
+    assert (env.fd_step, glob.fd_step) == (1e-3, 1e-3)

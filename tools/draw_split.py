@@ -126,6 +126,8 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=15)
     p.add_argument("--seed", type=int, default=11)
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2: the quartiles need two samples")
     top, indices, seed, lo = mle_draw_call(args.seed)
     parts = max(2, _engine._parts(len(indices), len(top)))
     serial_draw = lambda: _engine._candidates(top, indices, seed, lo, 1)

@@ -8,8 +8,9 @@ Runs the `mle` cell's study at its two times and the `counting` mismatch
 cell's sweep once, keeping the arguments and the records of every
 `_engine._thin` call on a grid of 75 000 bins (the `mle` Fisher run and
 draws at T = 150) and of every mismatch Fisher run, and the candidates
-each call drew.  It then calls `_thin` again on each, with
-`_engine._candidates` handing back the kept candidates, so that the
+each call drew, or the sweep's shared draw it kept them from.  It then
+calls `_thin` again on each, with `_engine._candidates` handing back the
+drawn candidates or with the same shared draw, so that the
 timing holds the decisions alone: `_thin`'s one loop, its passes over
 the windows of the shared start's no-click trajectory and its rounds.
 It prints per call the median seconds with their quartiles,
@@ -37,8 +38,9 @@ MLE_BINS = 75_000  # T = 150 at dt = 2e-3
 
 
 def _calls(workload, cell_name, seed, keep):
-    """[(label, thin args, records, candidates)] of the `_thin` calls of one
-    benchmark cell whose StepOps ``ops`` give ``keep(ops)``."""
+    """[(label, thin args, (records, candidate count), candidates drawn or
+    None) of the `_thin` calls of one benchmark cell whose StepOps ``ops``
+    give ``keep(ops)``."""
     cfg = ExperimentConfig.from_dict(dict(workloads.cells(workload, "full", seed))[cell_name])
     out, drawn, thin, draw = [], [], _engine._thin, _engine._candidates
 
@@ -46,12 +48,14 @@ def _calls(workload, cell_name, seed, keep):
         drawn.append(draw(*args))
         return drawn[-1]
 
-    def kept_thin(seg, ops, indices, seed, x=None, lo=0, stats=None):
-        start = None if x is None else x.copy()
-        res = thin(seg, ops, indices, seed, x, lo, stats)
+    def kept_thin(seg, ops, indices, seed, x=None, lo=0, stats=None, superset=None):
+        start, n_drawn = None if x is None else x.copy(), len(drawn)
+        res = thin(seg, ops, indices, seed, x, lo, stats, superset)
         if keep(ops):
+            # a call that kept its candidates from a sweep's shared draw drew none
+            cands = drawn[-1] if len(drawn) > n_drawn else None
             label = f"{workload}/{cell_name} #{len(out)} ({len(indices)} x {ops.n_steps})"
-            out.append((label, (seg, ops, indices, seed, start, lo), res[0], drawn[-1]))
+            out.append((label, (seg, ops, indices, seed, start, lo, superset), res, cands))
         return res
 
     _engine._thin, _engine._candidates = kept_thin, kept_draw
@@ -76,24 +80,25 @@ def main(argv=None):
     p.add_argument("--repeats", type=int, default=15)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
+    if args.repeats < 2:
+        p.error("--repeats must be at least 2: the quartiles need two samples")
     calls = (_calls("mle", "mle", args.seed, lambda ops: ops.n_steps == MLE_BINS)
              + _calls("counting", "mismatch", args.seed, lambda ops: True))
     draw, ok = _engine._candidates, True
     try:
-        for label, thin_args, records, cands in calls:
+        for label, thin_args, (records, n_cands), cands in calls:
             _engine._candidates = lambda *a, cands=cands: cands
             times, results = [], []
             for _ in range(args.repeats):
                 stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
-                seg, ops, indices, seed, x, lo = thin_args
+                seg, ops, indices, seed, x, lo, superset = thin_args
                 x = None if x is None else x.copy()  # _thin writes the states it is given
                 t0 = perf_counter()
-                res = _engine._thin(seg, ops, indices, seed, x, lo, stats)
+                res = _engine._thin(seg, ops, indices, seed, x, lo, stats, superset)
                 times.append(perf_counter() - t0 - stats["draw_s"])
                 results.append(res[0])
             same = _same(results[0], records) and _same(results[1], records)
             ok &= same
-            n_cands = len(cands[0])
             print(f"{label}: {_quartiles(times)} s; {n_cands} candidates, "
                   f"{stats['shared'] / max(n_cands, 1):.3f} shared, {stats['rounds']} rounds; "
                   f"same records: {same}")
