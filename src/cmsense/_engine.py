@@ -59,17 +59,10 @@ record of probability zero replays to exactly -inf.  Every trajectory
 owns a counter-based RNG stream keyed by (seed, index), one raw value
 per bin, so results do not depend on how the records are split into
 chunks or the grid into windows, nor on whether they are kept from a
-draw shared by a sweep's runs (``_kept``).  Nor do they depend on how
-the draws of a chunk are split over CPUs: a chunk of at least
-_SPLIT_DRAWS draws is cut into contiguous record parts, one per CPU the
-process may use, which the calling thread and one helper thread per
-further part draw at once and which are joined in record order
-(``_candidates``).  Smaller chunks draw in the calling thread alone.
-No caller's ``threads`` argument changes any of this.
+draw shared by a sweep's runs (``_kept``).  Everything runs in the
+calling thread.
 """
 
-import os
-import threading
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -79,12 +72,6 @@ from .errors import ClickProbabilityOverflow
 from .linalg import frobenius_sq
 
 _PIECE = 1 << 14  # raw draws per Philox call of thinning
-# draws of a chunk from which thinning splits them over CPUs, each part of
-# at least half as many: a thread's start and join (about 40 us on a 2-vCPU
-# x86 box) is then about 1% of a part's draws.  Splitting every chunk also
-# halves the draw time of small ones in isolation, but made whole runs of
-# many small chunks (16 records) about 5% slower on that box
-_SPLIT_DRAWS = 1 << 21
 _PAIR_ROWS = 2048  # candidate evaluations per thinning round
 _PAIR_ENTRIES = 1 << 14  # per-bin map entries gathered per thinning round
 # bytes of the shared trajectory's in-block no-click powers (2^b = 256 of a 4x4
@@ -440,110 +427,52 @@ def _replay_segments(seg, click_indices, n, state):
         seg.apply(x, clicks, (seg.a1t, None, None), ends[clicks, j], logl, True, dx)
 
 
-def _cpus():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _parts(nb, n):
-    """How many record parts ``_candidates`` draws a chunk of ``nb`` records
-    of ``n`` bins in: one below _SPLIT_DRAWS draws (the calling thread
-    alone), else one per CPU the process may use, each of at least
-    _SPLIT_DRAWS / 2 draws."""
-    if nb * n < _SPLIT_DRAWS:
-        return 1
-    return min(_cpus(), nb, nb * n // max(_SPLIT_DRAWS >> 1, 1))
-
-
-def _in_parts(work, parts):
-    """[work(p) for p in range(parts)], part 0 in the calling thread and
-    each other part in a helper thread of its own, all of which have ended
-    when this returns; an exception of a helper is raised here."""
-    out = [None] * parts
-
-    def helper(p):
-        try:
-            out[p] = work(p), None
-        except BaseException as exc:  # raised again in the calling thread
-            out[p] = None, exc
-
-    started = []
-    try:
-        for p in range(1, parts):
-            t = threading.Thread(target=helper, args=(p,), name=f"cmsense-draw-{p}")
-            t.start()
-            started.append(t)
-        out[0] = work(0), None
-    finally:
-        for t in started:
-            t.join()
-    for _, exc in out:
-        if exc is not None:
-            raise exc
-    return [res for res, _ in out]
-
-
-def _candidates(top, indices, seed, lo, parts=1):
+def _candidates(top, indices, seed, lo):
     """Each record's candidate bins (raw draw <= ``top``) among the bins
     lo, lo + 1, ... of ``top`` and their raw draws, flat in record order as
     record * n + (bin - lo), with the records' candidate counts.  Record
     ``index`` draws one raw value per bin of the grid from Philox(key=[seed,
     index]) at counter 0, and Philox makes 4 values per counter, so bin lo
-    (a multiple of 4) starts counter lo / 4 with an empty buffer.  The
-    records are cut into ``parts`` contiguous parts, drawn at once
-    (``_in_parts``; numpy fills raw draws without holding the interpreter
-    lock) and joined in record order: a record's draws depend on its key
-    alone, so the result is the same for any number of parts.  A part
-    re-keys one Philox through its state (cheaper than a new one) and
-    draws in pieces of at most _PIECE values: whole records at once when
-    one fits, else one record in pieces."""
+    (a multiple of 4) starts counter lo / 4 with an empty buffer.  One
+    Philox is re-keyed through its state (cheaper than a new one) and
+    draws in record order, in pieces of at most _PIECE values: whole
+    records at once when one fits, else one record in pieces."""
     n, nb = len(top), len(indices)
     if n == 0:  # an empty grid draws nothing
         return np.empty(0, np.int64), np.empty(0, np.uint64), np.zeros(nb, np.int64)
     per = max(1, _PIECE // n)  # whole records per piece
     # 4-byte positions where they fit: a chunk holds many candidates
     dtype = np.int32 if nb * n < 2 ** 31 else np.int64
-    cuts = [nb * p // parts for p in range(parts + 1)]
+    bitgen = np.random.Philox(0)
+    state = bitgen.state  # empty buffer: only the key and counter change
+    state["state"]["counter"][0] = lo >> 2
 
-    def part(p):  # the flat positions and raw draws of records [cuts[p], cuts[p + 1])
-        bitgen = np.random.Philox(0)
-        state = bitgen.state  # empty buffer: only the key and counter change
-        state["state"]["counter"][0] = lo >> 2
+    def stream(i):
+        state["state"]["key"] = np.array([seed, i], np.uint64)
+        bitgen.state = state
+        return bitgen
 
-        def stream(i):
-            state["state"]["key"] = np.array([seed, i], np.uint64)
-            bitgen.state = state
-            return bitgen
+    def pieces():  # (flat offset, raw draws)
+        if per > 1:
+            for r in range(0, nb, per):
+                yield r * n, np.concatenate([stream(i).random_raw(n)
+                                             for i in indices[r:r + per]])
+            return
+        for r in range(nb):
+            stream(indices[r])
+            for k0 in range(0, n, _PIECE):
+                yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
 
-        def pieces():  # (flat offset, raw draws)
-            a, b = cuts[p], cuts[p + 1]
-            if per > 1:
-                for r in range(a, b, per):
-                    yield r * n, np.concatenate([stream(i).random_raw(n)
-                                                 for i in indices[r:min(r + per, b)]])
-                return
-            for r in range(a, b):
-                stream(indices[r])
-                for k0 in range(0, n, _PIECE):
-                    yield r * n + k0, bitgen.random_raw(min(_PIECE, n - k0))
-
-        flat, raws = [], []
-        for f0, raw in pieces():
-            k = f0 % n
-            tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
-            f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
-            flat.append((f + f0).astype(dtype))
-            raws.append(raw[f])
-        return flat, raws
-
-    drawn = _in_parts(part, parts)
-    flat = np.concatenate([np.empty(0, dtype)] + [f for fs, _ in drawn for f in fs])
-    raws = np.concatenate([np.empty(0, np.uint64)] + [r for _, rs in drawn for r in rs])
+    flat, raws = [np.empty(0, dtype)], [np.empty(0, np.uint64)]
+    for f0, raw in pieces():
+        k = f0 % n
+        tk = top[k:k + min(len(raw), n)]  # a piece is whole records or part of one
+        f = np.flatnonzero(raw.reshape(-1, len(tk)) <= tk)
+        flat.append((f + f0).astype(dtype))
+        raws.append(raw[f])
+    flat = np.concatenate(flat)
     starts = np.searchsorted(flat, (np.arange(nb + 1) * n).astype(dtype))  # same dtype: no copy
-    return flat, raws, np.diff(starts)
+    return flat, np.concatenate(raws), np.diff(starts)
 
 
 def _shared_trajectory(seg, x0, cands):
@@ -679,17 +608,16 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None, drawn=None):
     A ``stats`` dict gets the seconds of the candidate draws added to its
     "draw_s" and the raw values drawn here to "draws" (0 for a ``drawn``
     kept), the candidates decided on the shared trajectory to "shared" and
-    the rounds to "rounds", and keeps in "draw_parts" the most record
-    parts the draws were split into (``_parts``).
+    the rounds to "rounds".
     Returns (list of click-index arrays, relative to lo, number of
     candidates)."""
     n, nb = ops.n_steps, len(indices)
     top = _top(ops)
-    t0, parts = perf_counter(), _parts(nb, n)
+    t0 = perf_counter()
     if drawn is not None and (top <= drawn[0]).all():
         (flat, raw, counts), draws = _kept(drawn, top, nb), 0
     else:
-        (flat, raw, counts), draws = _candidates(top, indices, seed, lo, parts), nb * n
+        (flat, raw, counts), draws = _candidates(top, indices, seed, lo), nb * n
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     t1 = perf_counter()
     # per-bin maps are gathered per pair: bound the gathered entries too
@@ -759,7 +687,6 @@ def _thin(seg, ops, indices, seed, x=None, lo=0, stats=None, drawn=None):
     if stats is not None:
         stats["draw_s"] += t1 - t0
         stats["draws"] += draws
-        stats["draw_parts"] = max(stats["draw_parts"], parts)
         stats["shared"] += evals
         stats["rounds"] += rounds
     if over_bin:

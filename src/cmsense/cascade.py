@@ -34,14 +34,13 @@ per-bin step core instead, as a cross-check.  A per-bin model whose
 tables exceed _TABLE_BYTES runs window by window in time order, its
 records carrying their state from one window into the next, so a long
 grid holds one window's tables at a time.
-Chunks run one after another in the calling thread; only the candidate
-draws of a large chunk are split over the CPUs the process may use
-(``_engine._candidates``), with the same records for any split.  The
-``threads`` argument changes nothing.  ``fisher_sweep`` runs several
-cascades on one seed, so they draw the same stream for every record: each
-chunk is drawn once, at the largest click bound of the static runs, and
-every run keeps its own candidates of it, the same records as a run of
-its own; ``fisher_from_trajectories`` is its one-cascade case.
+Chunks run one after another in the calling thread, which also draws
+their candidates; the ``threads`` argument changes nothing.
+``fisher_sweep`` runs several cascades on one seed, so they draw the
+same stream for every record: each chunk is drawn once, at the largest
+click bound of the static runs, and every run keeps its own candidates
+of it, the same records as a run of its own; ``fisher_from_trajectories``
+is its one-cascade case.
 """
 
 from dataclasses import dataclass
@@ -180,8 +179,8 @@ def _shared_draws(top, seed):
         if (lo, hi) != (0, n):
             return None
         if (a, b) not in store:
-            t0, parts = perf_counter(), _engine._parts(b - a, n)
-            store[a, b] = (top, *_engine._candidates(top, np.arange(a, b), seed, 0, parts)[:2])
+            t0 = perf_counter()
+            store[a, b] = (top, *_engine._candidates(top, np.arange(a, b), seed, 0)[:2])
             stats["draw_s"] += perf_counter() - t0
             stats["draws"] += (b - a) * n
         return store[a, b]
@@ -212,10 +211,9 @@ def _run_records(tables, windows, kind, n_records, seed, given=None, stats=None,
     of a sweep, drawn once for its runs.  A
     ``stats`` dict accumulates the seconds of the table builds
     ("table_s"), of thinning ("sample_s"), of its candidate draws within
-    it ("draw_s", with the most record parts of one draw, "draw_parts",
-    the raw values drawn, "draws", the candidates decided on a shared
-    start's trajectory, "shared", and the rounds after it, "rounds":
-    ``_engine._thin``) and of replay ("score_s"), the no-click levels
+    it ("draw_s", with the raw values drawn, "draws", the candidates
+    decided on a shared start's trajectory, "shared", and the rounds
+    after it, "rounds": ``_engine._thin``) and of replay ("score_s"), the no-click levels
     counted in the stage that first walks them, and gets
     the number of windows ("windows") and the most MB (2^20 bytes) of
     maps, levels and derivatives held at once ("table_mb")."""
@@ -327,12 +325,11 @@ class FisherEstimate:
     levels count in the stage that first walks them.  draw_s is the part
     of sample_s spent in the candidate draws, draws the raw values drawn
     for this estimate (0 when it kept its candidates from the draw of a
-    sweep's earlier run, which explains a near-zero draw_s), and
-    draw_parts the most record parts one chunk's draws were split into
-    over CPUs (1: the calling thread drew them all).  shared is the mean
-    candidates per record decided on the no-click trajectory of the
-    records' shared start (up to each record's first click; 0 on per-bin
-    tables), and rounds the thinning rounds run after it over all chunks.
+    sweep's earlier run, which explains a near-zero draw_s).  shared is
+    the mean candidates per record decided on the no-click trajectory of
+    the records' shared start (up to each record's first click; 0 on
+    per-bin tables), and rounds the thinning rounds run after it over all
+    chunks.
     windows is the number of time windows the grid was walked in, and
     table_mb the most MB (2^20 bytes) of maps, levels and derivatives held
     at once.
@@ -354,7 +351,6 @@ class FisherEstimate:
     sample_s: float
     draw_s: float
     draws: int
-    draw_parts: int
     shared: float
     rounds: int
     score_s: float
@@ -391,8 +387,8 @@ def fisher_sweep(gens: Sequence[CascadeGenerators], theta: float, grid: TimeGrid
     runs, tops = [], []
     for gen in gens:
         t0 = perf_counter()
-        stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draws": 0, "draw_parts": 1,
-                 "shared": 0, "rounds": 0, "score_s": 0.0}
+        stats = {"table_s": 0.0, "sample_s": 0.0, "draw_s": 0.0, "draws": 0, "shared": 0,
+                 "rounds": 0, "score_s": 0.0}
         tables, windows = _tables(gen, [theta], grid, max_step, True)
         if not gen.time_dependent:  # built now for its click bound, and handed to its run
             built = tables(*windows[0], None)

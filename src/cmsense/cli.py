@@ -10,12 +10,11 @@ and derived scalars.  Identical config + seed reproduce the CSV bytes
 exactly.  A config that ``validate`` rejects, malformed values included,
 stops with one "error: ..." line and exit status 2, as does a guard that
 stops a run.  The config's ``threads`` key is still validated but
-changes nothing: record batches run one after another in the calling
-thread, and only the candidate draws of a large batch are split over the
-CPUs the process may use, with the same results for any split.  The
-imperfection sweep runs the ideal estimate and every (eta, gamma) setting
-through one ``fisher_sweep``, which draws each record's stream once for
-all of them and gives each the results of a run of its own.
+changes nothing: record batches and their draws run one after another in
+the calling thread.  The imperfection sweep runs the ideal estimate and
+every (eta, gamma) setting through one ``fisher_sweep``, which draws each
+record's stream once for all of them and gives each the results of a run
+of its own.
 """
 
 import argparse

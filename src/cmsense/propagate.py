@@ -443,22 +443,19 @@ def propagate_linear(maps, x0, n_steps, series=False):
     from each row of a stack x0 (pairs, m) under its own maps.
 
     ``maps`` is one (m, m) matrix for every bin (static model), an
-    (n_steps, m, m) table, a builder ``maps(lo, hi)`` of the table of bins
-    lo..hi-1, called ``_BLOCK`` bins at a time, or a :func:`transfer`
-    builder, walked in its ``blocks`` (builders bound the transient memory
-    of time-dependent propagation); a stack takes (pairs, m, m) in place
-    of each (m, m).  One loop walks the grid, one matvec (one stacked
-    matmul) per bin, and returns x_{n_steps}, or with ``series=True`` all
-    n_steps + 1 states.  Without a series, a block that is a stride-0
-    broadcast of one matrix (a static model, or a run of equal bins) is
-    applied as one matrix power.
+    (n_steps, m, m) table, or a :func:`transfer` builder, walked in its
+    ``blocks`` (a builder bounds the transient memory of time-dependent
+    propagation); a stack takes (pairs, m, m) in place of each (m, m).
+    One loop walks the grid, one matvec (one stacked matmul) per bin, and
+    returns x_{n_steps}, or with ``series=True`` all n_steps + 1 states.
+    Without a series, a block that is a stride-0 broadcast of one matrix
+    (a static model, or a run of equal bins) is applied as one matrix
+    power.
     """
     x = np.asarray(x0, dtype=complex)
     stacked = x.ndim == 2
     if isinstance(maps, _Transfer):
         blocks = maps.blocks(n_steps)
-    elif callable(maps):
-        blocks = (maps(lo, min(lo + _BLOCK, n_steps)) for lo in range(0, n_steps, _BLOCK))
     else:
         table = np.asarray(maps)
         if table.ndim == x.ndim + 1:  # one matrix for every bin
@@ -508,20 +505,14 @@ def evolve_density(model: SensorModel, theta: float, grid: TimeGrid,
 
 
 def evolve_generalized(model: SensorModel, theta1: float, theta2: float,
-                       grid: TimeGrid, max_step: float = STEP_GUARD,
-                       tables: Optional[tuple] = None):
+                       grid: TimeGrid, max_step: float = STEP_GUARD):
     """The generalized density operator mu_{theta1,theta2}(T): mu(0) =
     rho_S(0) propagated under mu -> sum_s A^s(theta1) mu A^s(theta2)^dag.
 
     At theta1 = theta2 this is exactly the evolve_density update.
-    ``tables`` lets callers reuse the ``step_matrices`` StepOps of the two
-    parameter values (an optimization for finite-difference sweeps).
     """
-    if tables is None:
-        gen = cascade_generators(model)
-        ta = step_matrices(gen, theta1, grid, max_step)
-        tb = ta if theta2 == theta1 else step_matrices(gen, theta2, grid, max_step)
-    else:
-        ta, tb = tables
+    gen = cascade_generators(model)
+    ta = step_matrices(gen, theta1, grid, max_step)
+    tb = ta if theta2 == theta1 else step_matrices(gen, theta2, grid, max_step)
     mu0 = np.outer(model.initial_state, model.initial_state.conj())
     return propagate_linear(transfer(ta, tb), mu0.ravel(), grid.n_steps).reshape(mu0.shape)

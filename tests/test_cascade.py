@@ -430,13 +430,17 @@ THETA_SET = 1e-3 * np.arange(-2.0, 3.0)
 
 
 def test_record_batches_start_no_thread(clicky_pair, monkeypatch):
-    # small chunks (16, 16 and 8 records) all run in the calling thread,
-    # whatever the threads argument says
+    # one chunk of 512 x 5000 draws, and small chunks (16, 16 and 8
+    # records), all run in the calling thread, whatever the threads
+    # argument says
     def refuse(self):
         raise AssertionError("a record batch started a thread")
 
-    grid = TimeGrid(0.0, 5.0, 2e-3)
     monkeypatch.setattr(threading.Thread, "start", refuse)
+    idx, logl, _ = sample_records(clicky_pair, 0.0, TimeGrid(0.0, 10.0, 2e-3), 512, seed=4,
+                                  threads=2)
+    assert len(idx) == 512 and logl.shape == (512,)
+    grid = TimeGrid(0.0, 5.0, 2e-3)
     monkeypatch.setattr("cmsense.cascade._CHUNK", 8)
     monkeypatch.setattr("cmsense.cascade._CHUNK_BINS", 16 * grid.n_steps)
     idx, logl, _ = sample_records(clicky_pair, 0.0, grid, 40, seed=4, threads=2)
@@ -920,7 +924,7 @@ def test_thinning_keeps_a_strongly_decaying_mode_in_range():
     # candidates up to its first click on that start's one no-click
     # trajectory: some of those first gaps cross more than 1800 bins too
     assert max(h[0] if len(h) else n for h in ref) > 1800
-    stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    stats = {"draw_s": 0.0, "draws": 0, "shared": 0, "rounds": 0}
     idx, _ = _engine._thin(_engine._Segments([ops]), ops, np.arange(64), 6, stats=stats)
     assert _record_hash(idx) == _record_hash(ref)
     assert stats["shared"] > 0
@@ -956,7 +960,7 @@ def test_shared_pass_draws_the_per_bin_reference_records(emitter, imp, name, val
                         lambda *a: drawn.append(candidates(*a)) or drawn[-1])
     ops = step_matrices(gen, 0.0, grid)
     seg, n = _engine._Segments([ops]), grid.n_steps
-    stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
+    stats = {"draw_s": 0.0, "draws": 0, "shared": 0, "rounds": 0}
     idx = _engine._thin(seg, ops, np.arange(64), 5, stats=stats)[0]
     assert _record_hash(idx) == _record_hash(ref)
     flat, _, counts = drawn[-1]
@@ -1294,105 +1298,29 @@ def _tops(n, seed):
 @pytest.mark.parametrize("n, nb, lo, piece", [
     (300, 17, 0, None),  # whole records per piece
     (300, 17, 0, 7),  # each record in pieces of 7 draws
-    (300, 1, 0, None),  # a single record: the helpers draw nothing
+    (300, 1, 0, None),  # a single record
     (41, 5, 64, None),  # an odd grid from bin 64
     (41, 5, 64, 8),
 ], ids=["whole_records", "pieces_of_7", "one_record", "lo_64", "lo_64_pieces_of_8"])
 def test_split_candidates_are_the_serial_candidates(n, nb, lo, piece, monkeypatch):
-    # the records are cut into contiguous parts drawn in helper threads and
-    # joined in record order: the same positions, dtype, raw draws and counts
-    if piece is not None:
-        monkeypatch.setattr(_engine, "_PIECE", piece)
+    # one re-keyed Philox drawing the records in pieces (whole records at
+    # the default _PIECE, parts of one at 7 or 8) against a fresh Philox per
+    # record drawing all its bins at once: the same positions, dtype, raw
+    # draws and counts
     top, indices = _tops(n, nb), np.arange(3, 3 + nb)
-    serial = _engine._candidates(top, indices, 12, lo)
+    raws = [np.random.Philox(key=[12, i], counter=[lo >> 2, 0, 0, 0]).random_raw(n)
+            for i in indices]
+    hits = [np.flatnonzero(r <= top) for r in raws]
+    ref = (np.concatenate([h + r * n for r, h in enumerate(hits)]).astype(np.int32),
+           np.concatenate([r[h] for r, h in zip(raws, hits)]),
+           np.array([len(h) for h in hits], dtype=np.int64))
     # raw draws of u >= 0.2: bins of limit 2^64 - 1
-    assert len(serial[0]) > nb and serial[1].max() * 2.0 ** -64 >= 0.2
-    for parts in (2, 3, 5):
-        split = _engine._candidates(top, indices, 12, lo, parts)
-        for a, b in zip(serial, split):
+    assert len(ref[0]) > nb and ref[1].max() * 2.0 ** -64 >= 0.2
+    for size in filter(None, (_engine._PIECE, piece)):
+        monkeypatch.setattr(_engine, "_PIECE", size)
+        drawn = _engine._candidates(top, indices, 12, lo)
+        for a, b in zip(ref, drawn):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def _counting_starts(monkeypatch):
-    """A list that gets one entry per thread started from now on."""
-    starts, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
-    return starts
-
-
-def test_split_draws_leave_no_thread(monkeypatch):
-    starts = _counting_starts(monkeypatch)
-    before = threading.active_count()
-    _engine._candidates(_tops(300, 1), np.arange(9), 4, 0, 3)
-    assert len(starts) == 2 and not any(t.is_alive() for t in starts)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("failing", [0, 2])
-def test_an_exception_of_a_part_reaches_the_caller(failing):
-    # a helper's exception is raised in the calling thread, and the caller's
-    # own one after the helpers have ended
-    before, ran = threading.active_count(), []
-
-    def work(p):
-        ran.append(p)
-        if p == failing:
-            raise ValueError(f"part {p}")
-        return p
-
-    with pytest.raises(ValueError, match=f"part {failing}"):
-        _engine._in_parts(work, 3)
-    assert sorted(ran) == [0, 1, 2] and threading.active_count() == before
-    assert _engine._in_parts(lambda p: p * p, 3) == [0, 1, 4]
-
-
-def test_split_follows_the_cpus_and_the_draw_count(monkeypatch):
-    monkeypatch.setattr(_engine, "_cpus", lambda: 2)
-    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64 - 1) == 1
-    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64) == 2
-    assert _engine._parts(1, _engine._SPLIT_DRAWS) == 1  # one record is one part
-    monkeypatch.setattr(_engine, "_cpus", lambda: 8)
-    assert _engine._parts(64, _engine._SPLIT_DRAWS // 64) == 2  # each of half the threshold
-    assert _engine._parts(64, _engine._SPLIT_DRAWS // 8) == 8
-    monkeypatch.setattr(_engine, "_cpus", lambda: 1)
-    assert _engine._parts(64, _engine._SPLIT_DRAWS) == 1
-
-
-@pytest.mark.parametrize("case", ["static", "three_level_build_decoder"])
-def test_forced_split_gives_the_same_records_logl_and_scores(clicky_pair, case, monkeypatch):
-    # every chunk's draws split over two CPUs (threshold 0) against the
-    # calling thread alone: the static cascade, and the pulsed three-level
-    # sensor with a synthesized decoder walked in 64-bin windows
-    if case == "static":
-        gen, theta, grid = clicky_pair, 0.3, _GRID
-    else:
-        make, theta, grid = _scored_cascades()[case]
-        gen = make()
-
-    def run():
-        _window_bins(monkeypatch, gen, 64)
-        idx, logl, _ = sample_records(gen, theta, grid, 24, seed=8)
-        _window_bins(monkeypatch, gen, 64, scoring=True)
-        scores = cascade._run_records(*cascade._tables(gen, [theta], grid, 0.05, True),
-                                      "segment", 24, 8)[1]
-        return idx, logl, scores, fisher_from_trajectories(gen, theta, grid, 24, seed=8)
-
-    serial = run()
-    monkeypatch.setattr(_engine, "_SPLIT_DRAWS", 0)
-    monkeypatch.setattr(_engine, "_cpus", lambda: 2)
-    starts = _counting_starts(monkeypatch)
-    split = run()
-    assert len(starts) >= 2 and sum(len(h) for h in serial[0]) > 0
-    assert _record_hash(split[0]) == _record_hash(serial[0])
-    assert split[1].tobytes() == serial[1].tobytes()
-    assert split[2].tobytes() == serial[2].tobytes() and np.abs(serial[2]).max() > 0.0
-    fs, fp = serial[3], split[3]
-    assert (fs.draw_parts, fp.draw_parts) == (1, 2)
-    assert fs.windows == fp.windows == (1 if case == "static" else 63)
-    for fi in (fs, fp):
-        assert 0.0 < fi.draw_s <= fi.sample_s
-    assert (fp.value, fp.std_error, fp.mean_score, fp.mean_clicks) == \
-        (fs.value, fs.std_error, fs.mean_score, fs.mean_clicks)
 
 
 def test_one_record_fisher_estimate_has_nan_errors(clicky_pair):
@@ -1495,7 +1423,7 @@ def test_thinning_ignores_a_superset_below_its_bound():
     ref = _reference_records(ops, np.arange(32), 4)[0]
     for drawn, draws in ((low, 32 * n), (np.maximum(top, top[:1] << np.uint64(1)), 0)):
         superset = (drawn, *_engine._candidates(drawn, np.arange(32), 4, 0)[:2])
-        stats = {"draw_s": 0.0, "draws": 0, "draw_parts": 1, "shared": 0, "rounds": 0}
+        stats = {"draw_s": 0.0, "draws": 0, "shared": 0, "rounds": 0}
         idx = _engine._thin(_engine._Segments([ops]), ops, np.arange(32), 4, stats=stats,
                             drawn=superset)[0]
         assert _record_hash(idx) == _record_hash(ref) and stats["draws"] == draws

@@ -208,14 +208,13 @@ def test_provenance_reports_estimators_and_null_point():
     for e in est:
         assert set(e) == {"label", "n_traj", "mean_clicks", "mean_score",
                           "mean_score_se", "n_steps", "chunks", "seconds", "candidates",
-                          "table_s", "sample_s", "draw_s", "draws", "draw_parts", "shared",
-                          "rounds", "score_s", "windows", "table_mb"}
+                          "table_s", "sample_s", "draw_s", "draws", "shared", "rounds",
+                          "score_s", "windows", "table_mb"}
         # the stage timers: table build, thinning, tangent replay
         stages = (e["table_s"], e["sample_s"], e["score_s"])
         assert min(stages) > 0.0 and sum(stages) <= e["seconds"]
-        # thinning's candidate draws, part of it: 16 x 500 draws stay in
-        # the calling thread
-        assert 0.0 < e["draw_s"] <= e["sample_s"] and e["draw_parts"] == 1
+        # thinning's candidate draws, part of it
+        assert 0.0 < e["draw_s"] <= e["sample_s"]
         # each mismatch estimate has a seed of its own, so it draws its own
         assert e["draws"] == 16 * 500
         # every estimate samples on the click-to-click core, which reports

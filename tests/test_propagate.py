@@ -324,8 +324,6 @@ def test_generalized_state_bits_do_not_depend_on_its_stack():
                                  _TAIL.n_steps)
         assert mu.tobytes() == alone[0].tobytes()
         assert mu.tobytes() == evolve_generalized(_PULSED, a, b, _TAIL).tobytes()
-        own = evolve_generalized(_PULSED, a, b, _TAIL, tables=(tab[a], tab[b]))
-        assert mu.tobytes() == own.tobytes()
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["pair", "stack"])

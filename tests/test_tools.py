@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOLS = [("thin_rounds.py", "--repeats"), ("draw_split.py", "--pairs")]
+TOOLS = [("thin_rounds.py", "--repeats"), ("shared_draws.py", "--pairs")]
 
 
 def _tool(name, *args):
